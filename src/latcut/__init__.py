@@ -10,6 +10,7 @@ arithmetic.
 """
 
 from .errors import (
+    CertificateError,
     EmptySide,
     GramCoordsMismatch,
     ImproperAssignment,
@@ -76,6 +77,7 @@ __all__ = [
     "BRUTE_FORCE_LIMIT",
     "BinaryAssignment",
     "Candidate",
+    "CertificateError",
     "Cut",
     "EmptySide",
     "FAMILIES",

@@ -60,17 +60,18 @@ def parse_input(text: str) -> InputDocument:
     expected_cols = 0
     expected_rows = 0
     rows: list[tuple[Fraction, ...]] = []
+    values: dict[str, Fraction] = {}  # each distinct token is parsed once
     last_line = 0
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         last_line = lineno
         line = raw.split("#", 1)[0]
-        if not line.strip():
+        words = line.split()
+        if not words:
             continue
-        tokens = [(match.group(), match.start() + 1)
-                  for match in re.finditer(r"\S+", line)]
 
         if kind is None:
+            tokens = _tokens_with_columns(line)
             word, column = tokens[0]
             if word == "superbase":
                 if len(tokens) != 3:
@@ -101,21 +102,22 @@ def parse_input(text: str) -> InputDocument:
             raise ShapeError(
                 lineno, f"expected {expected_rows} rows, found more"
             )
-        if len(tokens) != expected_cols:
+        if len(words) != expected_cols:
             raise ShapeError(
                 lineno,
-                f"row {len(rows) + 1} has {len(tokens)} entries, "
+                f"row {len(rows) + 1} has {len(words)} entries, "
                 f"expected {expected_cols}",
             )
-        row = []
-        for token, column in tokens:
-            try:
-                row.append(Fraction(token))
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(
-                    lineno, column, f"cannot parse {token!r} as a rational"
-                ) from None
-        rows.append(tuple(row))
+        for k, token in enumerate(words):
+            if token not in values:
+                try:
+                    values[token] = Fraction(token)
+                except (ValueError, ZeroDivisionError):
+                    column = _tokens_with_columns(line)[k][1]
+                    raise ParseError(
+                        lineno, column, f"cannot parse {token!r} as a rational"
+                    ) from None
+        rows.append(tuple(values[token] for token in words))
 
     if kind is None:
         raise ParseError(max(last_line, 1), 1, "missing header line")
@@ -124,6 +126,12 @@ def parse_input(text: str) -> InputDocument:
             last_line, f"expected {expected_rows} rows, found {len(rows)}"
         )
     return InputDocument(kind, dimensions, tuple(rows))
+
+
+def _tokens_with_columns(line: str) -> list[tuple[str, int]]:
+    """Whitespace-separated tokens of `line` with their 1-based columns."""
+    return [(match.group(), match.start() + 1)
+            for match in re.finditer(r"\S+", line)]
 
 
 def _header_int(token_with_column: tuple[str, int], lineno: int) -> int:

@@ -44,8 +44,27 @@ class ObtuseViolation(ValidationError):
         )
 
 
-class RankDeficient(ValidationError):
+class _Unreachable(ValidationError):
+    """The Selling graph is disconnected, so the rank is too low.
+
+    `vector` is the lowest index that cannot be reached from the first
+    vector along nonzero off-diagonal Selling parameters.
+    """
+
+    consequence = ""
+
+    def __init__(self, vector: int):
+        self.vector = vector
+        super().__init__(
+            f"vector {vector + 1} cannot be reached from vector 1 in the "
+            f"Selling graph, so {self.consequence}"
+        )
+
+
+class RankDeficient(_Unreachable):
     """The first n superbase vectors are linearly dependent."""
+
+    consequence = "the first n vectors span less than n dimensions"
 
 
 class NotSymmetric(ValidationError):
@@ -61,8 +80,10 @@ class RowSumNotZero(ValidationError):
         super().__init__(f"row {row + 1} sums to {residual}, expected 0")
 
 
-class WrongRank(ValidationError):
+class WrongRank(_Unreachable):
     """A Gram matrix does not have rank exactly n = side - 1."""
+
+    consequence = "the rank is less than side - 1"
 
 
 class LengthMismatch(ValidationError):
@@ -75,6 +96,10 @@ class EmptySide(LatCutError):
 
 class TooLarge(LatCutError):
     """An exhaustive enumeration was refused because it would be exponential."""
+
+
+class CertificateError(LatCutError):
+    """A computed answer failed its own consistency check: a latcut bug."""
 
 
 class GramCoordsMismatch(LatCutError):

@@ -1,8 +1,11 @@
 """Obtuse superbases, Selling parameters, and the binary quadratic form.
 
-Everything here is exact: scalars are ``fractions.Fraction`` throughout,
-and rank / positive-semidefiniteness checks run integer-exact Gaussian
-elimination on sparse rows instead of calling a floating-point solver.
+Everything here is exact: scalars are ``fractions.Fraction`` throughout.
+A matrix of pairwise superbase products is a weighted graph Laplacian
+(nonpositive off the diagonal, zero row sums), hence positive
+semidefinite with rank equal to its side minus the number of connected
+components of its support; so both validators check rank by one graph
+traversal instead of by elimination.
 
 Indices are 0-based everywhere in this API.  Only the CLI renders them
 1-based.
@@ -145,14 +148,20 @@ def _coerce_vectors(vectors) -> tuple[Vector, ...]:
 
 def _scaled_nonzeros(vec: Vector) -> tuple[dict[int, int], int]:
     """Clear denominators: return ({position: integer numerator}, scale)."""
-    scale = math.lcm(*(v.denominator for v in vec)) if vec else 1
+    scale = math.lcm(*(v.denominator for v in vec))
     return {k: int(v * scale) for k, v in enumerate(vec) if v}, scale
 
 
-def _pairwise_products(vectors: Sequence[Vector]) -> list[list[Fraction]]:
-    """All inner products q_ij, computed sparsely over integer numerators."""
+def _pairwise_products(vectors: Sequence[Vector]) -> tuple[list[list[int]], Matrix]:
+    """All inner products q_ij, computed sparsely over integer numerators.
+
+    Returns (numerators, q), where numerators[i][j] is the integer
+    q_ij * den_i * den_j for the positive denominator den_k that clears
+    vector k: it has the sign of q_ij at a fraction of the cost.
+    """
     scaled = [_scaled_nonzeros(v) for v in vectors]
     count = len(vectors)
+    numerators = [[0] * count for _ in range(count)]
     q = [[ZERO] * count for _ in range(count)]
     for i in range(count):
         nz_i, den_i = scaled[i]
@@ -165,99 +174,42 @@ def _pairwise_products(vectors: Sequence[Vector]) -> list[list[Fraction]]:
                 if other is not None:
                     total += value * other
             if total:
+                numerators[i][j] = numerators[j][i] = total
                 q[i][j] = q[j][i] = Fraction(total, den_i * den_j)
-    return q
+    return numerators, tuple(map(tuple, q))
 
 
-def _sparse_row_rank(rows: Iterable[dict[int, int]]) -> int:
-    """Rank by fraction-free Gaussian elimination on sparse integer rows.
+def _first_unreachable(q: Sequence[Sequence[int]]) -> int | None:
+    """Lowest index not joined to index 0 through nonzero off-diagonal q_ij.
 
-    Reductions use cross-multiplication, then divide each row by its
-    content to keep the integers small; neither step changes the rank.
+    For a symmetric matrix with nonpositive off-diagonal entries and zero
+    row sums (a weighted graph Laplacian) the rank is the side minus the
+    number of connected components of this support graph, so None means
+    rank exactly side - 1.
     """
-    pivots: dict[int, dict[int, int]] = {}
-    rank = 0
-    for row in rows:
-        work = dict(row)
-        while work:
-            lead = min(work)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = work
-                rank += 1
-                break
-            a, b = work[lead], pivot[lead]
-            g = math.gcd(a, b)
-            a //= g
-            b //= g
-            reduced = {}
-            for col in work.keys() | pivot.keys():
-                value = b * work.get(col, 0) - a * pivot.get(col, 0)
-                if value:
-                    reduced[col] = value
-            if reduced:
-                content = math.gcd(*reduced.values())
-                if content > 1:
-                    reduced = {c: v // content for c, v in reduced.items()}
-            work = reduced
-    return rank
+    reached = [False] * len(q)
+    reached[0] = True
+    stack = [0]
+    while stack:
+        for j, value in enumerate(q[stack.pop()]):
+            if value and not reached[j]:
+                reached[j] = True
+                stack.append(j)
+    return next((j for j, seen in enumerate(reached) if not seen), None)
 
 
-def _psd_rank(entries: Sequence[Sequence[Fraction]]) -> tuple[bool, int]:
-    """(is positive semidefinite, rank), by symmetric exact elimination.
+# The superbase validated last and the Selling parameters its validation
+# computed, so the selling_parameters() call that usually follows does not
+# redo every pairwise product.  Only the latest pair is held: keeping the
+# matrix on every Superbase would double the memory of a program that
+# holds many of them.
+_last_validated: tuple[Superbase, GramMatrix] | None = None
 
-    Pivots on positive diagonal entries in ascending index order; a
-    negative diagonal or a zero diagonal with leftover coupling disproves
-    semidefiniteness.  Sparse row dicts keep Laplacians of sparse graphs
-    cheap.
-    """
-    size = len(entries)
-    rows = [
-        {j: value for j, value in enumerate(row) if value} for row in entries
-    ]
-    remaining = list(range(size))
-    rank = 0
-    while remaining:
-        pivot_index = None
-        for k in remaining:
-            diag = rows[k].get(k, ZERO)
-            if diag < 0:
-                return False, rank
-            if diag > 0:
-                pivot_index = k
-                break
-        if pivot_index is None:
-            # Every remaining diagonal is zero; any surviving off-diagonal
-            # coupling would give a negative 2x2 principal minor.
-            alive = set(remaining)
-            for k in remaining:
-                if any(j in alive and j != k and v for j, v in rows[k].items()):
-                    return False, rank
-            return True, rank
-        k = pivot_index
-        diag = rows[k][k]
-        alive = set(remaining)
-        neighbors = [
-            (j, v) for j, v in rows[k].items() if j != k and j in alive and v
-        ]
-        for i, vi in neighbors:
-            factor = vi / diag
-            row_i = rows[i]
-            for j, vj in neighbors:
-                if j < i:
-                    continue
-                updated = row_i.get(j, ZERO) - factor * vj
-                if updated:
-                    row_i[j] = updated
-                    rows[j][i] = updated
-                else:
-                    row_i.pop(j, None)
-                    rows[j].pop(i, None)
-            row_i.pop(k, None)
-        rows[k] = {}
-        remaining.remove(k)
-        rank += 1
-    return True, rank
+
+def _validated_selling(sb: Superbase) -> GramMatrix | None:
+    """The Gram matrix that validating `sb` built, if it is still held."""
+    last = _last_validated
+    return last[1] if last is not None and last[0] is sb else None
 
 
 def validate_superbase(vectors) -> Superbase:
@@ -265,12 +217,12 @@ def validate_superbase(vectors) -> Superbase:
 
     Verifies, in order: consistent shape, componentwise zero sum, all
     pairwise inner products nonpositive, and linear independence of the
-    first n vectors.  All checks are exact.
+    first n vectors, which for such vectors means the graph of nonzero
+    inner products is connected.  All checks are exact.
 
     Raises ShapeMismatch, SumNotZero, ObtuseViolation, or RankDeficient.
     """
     rows = _coerce_vectors(vectors)
-    n = len(rows) - 1
 
     column_sums: dict[int, Fraction] = {}
     for row in rows:
@@ -281,38 +233,41 @@ def validate_superbase(vectors) -> Superbase:
     if bad:
         raise SumNotZero(bad[0], column_sums[bad[0]])
 
-    q = _pairwise_products(rows)
-    count = len(rows)
-    for i in range(count):
-        for j in range(i + 1, count):
-            if q[i][j] > 0:
+    numerators, q = _pairwise_products(rows)
+    for i, row in enumerate(numerators):
+        for j in range(i + 1, len(row)):
+            if row[j] > 0:
                 raise ObtuseViolation((i, j), q[i][j])
 
-    # Clearing denominators row by row does not change the rank.
-    sparse_rows = [_scaled_nonzeros(row)[0] for row in rows[:n]]
-    if _sparse_row_rank(sparse_rows) != n:
-        raise RankDeficient(
-            f"the first {n} vectors span less than {n} dimensions"
-        )
-    return Superbase(rows)
+    unreachable = _first_unreachable(numerators)
+    if unreachable is not None:
+        raise RankDeficient(unreachable)
+    global _last_validated
+    sb = Superbase(rows)
+    _last_validated = (sb, GramMatrix(q))
+    return sb
 
 
 def selling_parameters(sb: Superbase) -> GramMatrix:
     """The (n+1) x (n+1) matrix of pairwise inner products of `sb`.
 
     A validated superbase always yields a valid GramMatrix, so no checks
-    are repeated here.
+    are repeated here.  Called on the superbase validated last, it returns
+    the matrix that validation built.
     """
-    q = _pairwise_products(sb.vectors)
-    return GramMatrix(tuple(tuple(row) for row in q))
+    validated = _validated_selling(sb)
+    if validated is not None:
+        return validated
+    return GramMatrix(_pairwise_products(sb.vectors)[1])
 
 
 def validate_gram(entries) -> GramMatrix:
     """Check Selling-parameter invariants and return a validated GramMatrix.
 
-    Verifies symmetry, nonpositive off-diagonal entries, zero row sums,
-    and (by exact symmetric elimination) positive semidefiniteness with
-    rank exactly side - 1.
+    Verifies symmetry, nonpositive off-diagonal entries and zero row sums,
+    which make the matrix a weighted graph Laplacian and so positive
+    semidefinite; its rank is then side - 1 exactly when the off-diagonal
+    support graph is connected.
 
     Raises ShapeMismatch, NotSymmetric, ObtuseViolation, RowSumNotZero,
     or WrongRank.
@@ -327,35 +282,28 @@ def validate_gram(entries) -> GramMatrix:
                 f"row {idx + 1} has length {len(row)}, expected {size}"
             )
 
+    # The same matrix over one common denominator: identical signs, sums
+    # and equalities, at integer rather than Fraction cost.
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    scaled = [[x.numerator * (scale // x.denominator) for x in row]
+              for row in rows]
     for i in range(size):
         for j in range(i + 1, size):
-            if rows[i][j] != rows[j][i]:
+            if scaled[i][j] != scaled[j][i]:
                 raise NotSymmetric(
                     f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ: "
                     f"{rows[i][j]} vs {rows[j][i]}"
                 )
-            if rows[i][j] > 0:
+            if scaled[i][j] > 0:
                 raise ObtuseViolation((i, j), rows[i][j])
 
-    for i, row in enumerate(rows):
-        total = sum(row, ZERO)
-        if total:
-            raise RowSumNotZero(i, total)
+    for i, row in enumerate(scaled):
+        if sum(row):
+            raise RowSumNotZero(i, Fraction(sum(row), scale))
 
-    for i in range(size):
-        if rows[i][i] <= 0:
-            # Zero row sum and obtuseness force q_ii >= 0; q_ii = 0 means
-            # an all-zero row, i.e. a zero superbase vector.
-            raise WrongRank(
-                f"diagonal entry {i + 1} is {rows[i][i]}; the matrix cannot "
-                f"have rank {size - 1}"
-            )
-
-    is_psd, rank = _psd_rank(rows)
-    if not is_psd:
-        raise WrongRank("matrix is not positive semidefinite")
-    if rank != size - 1:
-        raise WrongRank(f"rank is {rank}, expected {size - 1}")
+    unreachable = _first_unreachable(scaled)
+    if unreachable is not None:
+        raise WrongRank(unreachable)
     return GramMatrix(tuple(rows))
 
 

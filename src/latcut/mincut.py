@@ -9,17 +9,20 @@ can cross-check each other:
   for a fixed (seed, trials) pair.
 * :func:`brute_force_mincut`: exhaustive enumeration, the oracle.
 
-All weights are nonnegative ``Fraction`` values and every comparison is
-exact, so ties and minima are bit-reproducible.
+Graphs carry nonnegative ``Fraction`` weights.  Internally all three
+algorithms multiply them by one common denominator and run on Python
+ints, dividing once when they build the returned :class:`Cut`; every
+comparison stays exact, so ties and minima are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from heapq import heappop, heappush
-from typing import Iterable
+from heapq import heapify, heappop, heappush
+from typing import Iterable, Sequence
 
 from .errors import EmptySide, TooLarge
 from .lattice import ZERO, GramMatrix, as_rational
@@ -29,6 +32,9 @@ BRUTE_FORCE_LIMIT = 24
 
 # Below this many supervertices Karger-Stein switches to exhaustive search.
 _CONTRACTION_BASE = 6
+
+# (weight over the graph's common denominator, sorted side)
+_ScaledCut = tuple[int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -60,22 +66,30 @@ class WeightedGraph:
             if not weight:
                 continue
             key = (i, j) if i < j else (j, i)
-            weights[key] = weights.get(key, ZERO) + weight
+            previous = weights.get(key)
+            weights[key] = weight if previous is None else previous + weight
         return cls(vertex_count, weights)
+
+    @cached_property
+    def _integer_adjacency(self) -> tuple[tuple[dict[int, int], ...], int]:
+        """(neighbor maps, scale): weights times their common denominator.
+
+        Scaling by the positive lcm of the denominators preserves every
+        sum, comparison and tie, so the cut algorithms run on these ints
+        and divide by `scale` once, when they build the returned Cut.
+        Computed once per graph and shared: never mutate the maps.
+        """
+        scale = math.lcm(*(w.denominator for w in self.weights.values()))
+        adj: list[dict[int, int]] = [{} for _ in range(self.vertex_count)]
+        for (i, j), w in self.weights.items():
+            adj[i][j] = adj[j][i] = w.numerator * (scale // w.denominator)
+        return tuple(adj), scale
 
     def weight(self, i: int, j: int) -> Fraction:
         if i == j:
             return ZERO
         key = (i, j) if i < j else (j, i)
         return self.weights.get(key, ZERO)
-
-    def adjacency(self) -> list[dict[int, Fraction]]:
-        """Neighbor maps, one per vertex."""
-        adj: list[dict[int, Fraction]] = [{} for _ in range(self.vertex_count)]
-        for (i, j), w in self.weights.items():
-            adj[i][j] = w
-            adj[j][i] = w
-        return adj
 
 
 @dataclass(frozen=True)
@@ -121,67 +135,54 @@ def cut_weight(graph: WeightedGraph, side: Iterable[int]) -> Cut:
     return Cut(tuple(sorted(chosen)), total)
 
 
+def _is_certified(graph: WeightedGraph, cut: Cut) -> bool:
+    """Whether the edges leaving `cut.side` weigh `cut.weight`; O(|E|) ints."""
+    adj, scale = graph._integer_adjacency
+    chosen = set(cut.side)
+    crossing = sum(w for v in chosen for u, w in adj[v].items() if u not in chosen)
+    return crossing == cut.weight * scale
+
+
 def stoer_wagner(graph: WeightedGraph) -> Cut:
     """Deterministic global minimum cut.
 
     Repeats maximum-adjacency phases, each time merging the two vertices
     added last; the lightest cut-of-the-phase is a global minimum cut.
-    Phases start from the lowest active index and break adjacency ties
-    toward lower indices, so the result is a pure function of the graph.
-    A disconnected graph legitimately yields a weight-0 cut.
+    Phases start from vertex 0, the lowest index (it is never added last,
+    so it is never merged away), and break adjacency ties toward lower
+    indices, so the result is a pure function of the graph.  A
+    disconnected graph legitimately yields a weight-0 cut.
     """
-    adj = {v: nbrs for v, nbrs in enumerate(graph.adjacency())}
-    members: dict[int, list[int]] = {v: [v] for v in range(graph.vertex_count)}
-    active = list(range(graph.vertex_count))
-    best_side: tuple[int, ...] | None = None
-    best_weight: Fraction | None = None
+    adj, scale = graph._integer_adjacency
+    state = _Contraction.from_adjacency(adj)
+    best: _ScaledCut | None = None
 
-    while len(active) > 1:
-        start = active[0]
-        added = {start}
-        order = [start]
-        key: dict[int, Fraction] = {}
-        heap: list[tuple[Fraction, int]] = []
-        for v in active:
-            if v == start:
-                continue
-            key[v] = adj[start].get(v, ZERO)
-            heappush(heap, (-key[v], v))
-        last_key = ZERO
-        while len(order) < len(active):
-            while True:
-                neg, v = heappop(heap)
-                if v not in added and key[v] == -neg:
-                    break
-            added.add(v)
-            order.append(v)
-            last_key = -neg
-            for u, w in adj[v].items():
-                if u not in added:
-                    key[u] += w
-                    heappush(heap, (-key[u], u))
+    while len(state.adj) > 1:
+        key = dict.fromkeys(state.adj, 0)
+        del key[0]
+        key.update(state.adj[0])
+        heap = [(-k, v) for v, k in key.items()]
+        heapify(heap)
+        s = t = 0
+        phase_cut = 0
+        while key:
+            neg, v = heappop(heap)
+            if key.get(v) != -neg:
+                continue  # already added, or a stale key
+            del key[v]
+            s, t, phase_cut = t, v, -neg
+            for u, w in state.adj[v].items():
+                k = key.get(u)
+                if k is not None:
+                    key[u] = k = k + w
+                    heappush(heap, (-k, u))
 
-        t = order[-1]
-        s = order[-2]
-        if best_weight is None or last_key < best_weight:
-            best_weight = last_key
-            best_side = tuple(sorted(members[t]))
+        if best is None or phase_cut < best[0]:
+            best = (phase_cut, tuple(sorted(state.members[t])))
+        state.merge(s, t)
 
-        for u, w in adj[t].items():
-            if u == s:
-                continue
-            merged = adj[s].get(u, ZERO) + w
-            adj[s][u] = merged
-            adj[u][s] = merged
-            del adj[u][t]
-        adj[s].pop(t, None)
-        del adj[t]
-        members[s].extend(members[t])
-        del members[t]
-        active.remove(t)
-
-    assert best_side is not None and best_weight is not None
-    return Cut(best_side, best_weight)
+    assert best is not None
+    return Cut(best[1], Fraction(best[0], scale))
 
 
 def default_trial_count(vertex_count: int) -> int:
@@ -198,19 +199,23 @@ def _subproblem_size(order: int) -> int:
 
 
 class _Contraction:
-    """Mutable contraction state: surviving vertices and merged members."""
+    """Mutable contraction state: surviving vertices with integer-weight
+    neighbor maps, and the original vertices each one absorbed."""
 
     __slots__ = ("adj", "members")
 
-    def __init__(self, adj: dict[int, dict[int, Fraction]],
+    def __init__(self, adj: dict[int, dict[int, int]],
                  members: dict[int, list[int]]):
         self.adj = adj
         self.members = members
 
     @classmethod
-    def from_graph(cls, graph: WeightedGraph) -> "_Contraction":
-        adj = {v: nbrs for v, nbrs in enumerate(graph.adjacency())}
-        return cls(adj, {v: [v] for v in range(graph.vertex_count)})
+    def from_adjacency(cls, adj: Sequence[dict[int, int]]) -> "_Contraction":
+        """A fresh state over copies of `adj`; the maps are not modified."""
+        return cls(
+            {v: dict(nbrs) for v, nbrs in enumerate(adj)},
+            {v: [v] for v in range(len(adj))},
+        )
 
     def clone(self) -> "_Contraction":
         return _Contraction(
@@ -218,46 +223,44 @@ class _Contraction:
             {v: list(m) for v, m in self.members.items()},
         )
 
-    def order(self) -> int:
-        return len(self.adj)
-
     def merge(self, keep: int, drop: int) -> None:
-        for u, w in self.adj[drop].items():
+        """Contract `drop` into `keep`, adding up parallel edge weights."""
+        adj = self.adj
+        kept = adj[keep]
+        for u, w in adj.pop(drop).items():
             if u == keep:
                 continue
-            merged = self.adj[keep].get(u, ZERO) + w
-            self.adj[keep][u] = merged
-            self.adj[u][keep] = merged
-            del self.adj[u][drop]
-        self.adj[keep].pop(drop, None)
-        del self.adj[drop]
-        self.members[keep].extend(self.members[drop])
-        del self.members[drop]
+            kept[u] = adj[u][keep] = kept.get(u, 0) + w
+            del adj[u][drop]
+        kept.pop(drop, None)
+        self.members[keep].extend(self.members.pop(drop))
 
     def pick_weighted_edge(self, rng: Xoshiro256StarStar):
-        """A random edge, chosen with probability proportional to weight."""
+        """A random edge, chosen with probability proportional to weight.
+
+        With u uniform in [0, 2^64), the walk stops at the first edge whose
+        running total acc satisfies total * u / 2^64 < acc, compared
+        exactly in integers.
+        """
         verts = sorted(self.adj)
-        total = ZERO
-        for i in verts:
-            for j, w in self.adj[i].items():
-                if j > i:
-                    total += w
+        total = sum(w for i in verts for j, w in self.adj[i].items() if j > i)
         if not total:
             return None
-        r = total * Fraction(rng.next_u64(), 1 << 64)
-        acc = ZERO
+        threshold = total * rng.next_u64()
+        acc = 0
         for i in verts:
-            for j in sorted(self.adj[i]):
+            nbrs = self.adj[i]
+            for j in sorted(nbrs):
                 if j <= i:
                     continue
-                acc += self.adj[i][j]
-                if r < acc:
+                acc += nbrs[j]
+                if threshold < acc << 64:
                     return (i, j)
         raise AssertionError("weighted edge walk must terminate")
 
-    def zero_cut(self) -> Cut:
+    def zero_cut(self) -> _ScaledCut:
         side = min(self.adj)
-        return Cut(tuple(sorted(self.members[side])), ZERO)
+        return 0, tuple(sorted(self.members[side]))
 
 
 def _contract_to(state: _Contraction, target: int,
@@ -267,7 +270,7 @@ def _contract_to(state: _Contraction, target: int,
     Returns False when the state ran out of edges first, in which case a
     zero-weight cut exists and contraction is pointless.
     """
-    while state.order() > target:
+    while len(state.adj) > target:
         edge = state.pick_weighted_edge(rng)
         if edge is None:
             return False
@@ -275,52 +278,39 @@ def _contract_to(state: _Contraction, target: int,
     return True
 
 
-def _exhaustive_cut(state: _Contraction) -> Cut:
-    """Best cut of a small contracted graph by direct enumeration."""
+def _exhaustive_cut(state: _Contraction) -> _ScaledCut:
+    """Best (weight, side) of a small contracted graph by enumeration.
+
+    Sides are bit masks over the sorted vertices that contain the lowest
+    one, tried in ascending order; the first lightest one wins.
+    """
     verts = sorted(state.adj)
-    anchor, rest = verts[0], verts[1:]
-    pairs = [
-        (i, j, w)
-        for i in verts
-        for j, w in sorted(state.adj[i].items())
-        if j > i
-    ]
-    best_weight: Fraction | None = None
-    best_side: tuple[int, ...] | None = None
-    full = (1 << len(rest)) - 1
-    for mask in range(1 << len(rest)):
-        if mask == full:
-            continue
-        side = {anchor}
-        for b, v in enumerate(rest):
-            if mask >> b & 1:
-                side.add(v)
-        w = ZERO
-        for i, j, weight in pairs:
-            if (i in side) != (j in side):
-                w += weight
+    bit = {v: 1 << k for k, v in enumerate(verts)}
+    pairs = [(bit[i], bit[j], w)
+             for i in verts for j, w in state.adj[i].items() if j > i]
+    best_weight, best_mask = None, 0
+    for mask in range(1, (1 << len(verts)) - 1, 2):
+        w = sum(weight for a, b, weight in pairs
+                if bool(mask & a) != bool(mask & b))
         if best_weight is None or w < best_weight:
-            best_weight = w
-            merged: list[int] = []
-            for v in side:
-                merged.extend(state.members[v])
-            best_side = tuple(sorted(merged))
-    assert best_side is not None and best_weight is not None
-    return Cut(best_side, best_weight)
+            best_weight, best_mask = w, mask
+    assert best_weight is not None
+    side = [m for v in verts if best_mask & bit[v] for m in state.members[v]]
+    return best_weight, tuple(sorted(side))
 
 
 def _recursive_contraction(state: _Contraction,
-                           rng: Xoshiro256StarStar) -> Cut:
-    if state.order() <= _CONTRACTION_BASE:
+                           rng: Xoshiro256StarStar) -> _ScaledCut:
+    if len(state.adj) <= _CONTRACTION_BASE:
         return _exhaustive_cut(state)
-    target = _subproblem_size(state.order())
-    best: Cut | None = None
+    target = _subproblem_size(len(state.adj))
+    best: _ScaledCut | None = None
     for _ in range(2):
         branch = state.clone()
         if not _contract_to(branch, target, rng):
             return branch.zero_cut()
         candidate = _recursive_contraction(branch, rng)
-        if best is None or candidate.weight < best.weight:
+        if best is None or candidate[0] < best[0]:
             best = candidate
     assert best is not None
     return best
@@ -338,15 +328,15 @@ def karger_stein(graph: WeightedGraph, seed: int, trials: int) -> Cut:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    base = _Contraction.from_graph(graph)
-    best: Cut | None = None
+    adj, scale = graph._integer_adjacency
+    best: _ScaledCut | None = None
     for trial_seed in derive_seeds(seed, trials):
         rng = Xoshiro256StarStar(trial_seed)
-        candidate = _recursive_contraction(base.clone(), rng)
-        if best is None or candidate.weight < best.weight:
+        candidate = _recursive_contraction(_Contraction.from_adjacency(adj), rng)
+        if best is None or candidate[0] < best[0]:
             best = candidate
     assert best is not None
-    return best
+    return Cut(best[1], Fraction(best[0], scale))
 
 
 def brute_force_mincut(graph: WeightedGraph) -> Cut:
@@ -362,11 +352,12 @@ def brute_force_mincut(graph: WeightedGraph) -> Cut:
             f"{count} vertices means {2 ** (count - 1) - 1} cuts; "
             f"the exhaustive limit is {BRUTE_FORCE_LIMIT} vertices"
         )
-    scale = math.lcm(*(w.denominator for w in graph.weights.values())) \
-        if graph.weights else 1
+    adj, scale = graph._integer_adjacency
     edges = [
-        (1 << i, 1 << j, int(w * scale))
-        for (i, j), w in sorted(graph.weights.items())
+        (1 << i, 1 << j, w)
+        for i, nbrs in enumerate(adj)
+        for j, w in nbrs.items()
+        if j > i
     ]
     best_weight: int | None = None
     best_size = 0

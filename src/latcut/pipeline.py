@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import (
+    CertificateError,
     GramCoordsMismatch,
     ImproperAssignment,
     TooLarge,
@@ -25,11 +26,13 @@ from .lattice import (
     Superbase,
     Vector,
     _bits_of,
+    _validated_selling,
     quadratic_form,
     selling_parameters,
 )
 from .mincut import (
     BRUTE_FORCE_LIMIT,
+    _is_certified,
     brute_force_mincut,
     cut_weight,
     default_trial_count,
@@ -79,16 +82,20 @@ def short_vector(
     of ceil(log2(n+1))^2 + 8 when `trials` is None), or "brute"
     (exhaustive cut enumeration, small inputs only).
 
-    When `superbase` is given it must reproduce `g` exactly, and the
-    result then includes the vector's coordinates.
+    When `superbase` is given it must reproduce `g` exactly (checked
+    unless `g` is the matrix the superbase's own validation built), and
+    the result then includes the vector's coordinates.  Before returning,
+    the edges crossing the cut side and the coordinates must both weigh
+    exactly the cut weight.
 
-    Raises GramCoordsMismatch, or ZeroWeightCut if the minimum cut has
+    Raises GramCoordsMismatch, ZeroWeightCut if the minimum cut has
     weight zero, which is possible only when an invalid matrix bypassed
-    validation.
+    validation, or CertificateError if the self-check fails.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
-    if superbase is not None and selling_parameters(superbase).entries != g.entries:
+    if superbase is not None and g is not _validated_selling(superbase) and \
+            selling_parameters(superbase).entries != g.entries:
         raise GramCoordsMismatch(
             "the supplied coordinates do not reproduce the supplied Gram matrix"
         )
@@ -109,6 +116,11 @@ def short_vector(
             "matrix of a lattice"
         )
     coordinates = superbase.subset_sum(cut.side) if superbase is not None else None
+    if not _is_certified(graph, cut) or coordinates is not None and \
+            sum(x * x for x in coordinates) != cut.weight:
+        raise CertificateError(
+            f"the answer does not certify its squared length {cut.weight}"
+        )
     return ShortVectorResult(cut.side, cut.weight, coordinates)
 
 

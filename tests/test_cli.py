@@ -71,10 +71,16 @@ def test_extra_rows_is_shape_error():
 
 
 def test_bad_token_reports_line_and_column():
-    with pytest.raises(ParseError) as info:
-        parse_input("gram 2\n1 -1\n-1 oops\n")
-    assert info.value.line == 3
-    assert info.value.column == 4
+    cases = [
+        ("gram 2\n1 -1\n-1 oops\n", 3, 4),
+        ("gram 2\n 1  -1\n-1 \t 2/0 # note\n", 3, 6),
+        ("gram 2\n1 x\nx 1\n", 2, 3),
+    ]
+    for text, line, column in cases:
+        with pytest.raises(ParseError) as info:
+            parse_input(text)
+        assert info.value.line == line
+        assert info.value.column == column
 
 
 def test_header_errors():

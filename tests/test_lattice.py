@@ -95,9 +95,18 @@ def test_shape_mismatch_on_ragged_vectors():
 
 
 def test_rank_deficient_on_degenerate_directions():
-    # zero-sum and obtuse, but the first two vectors only span a line
-    with pytest.raises(RankDeficient):
-        validate_superbase([[1, 0], [-1, 0], [0, 0]])
+    cases = [
+        # zero-sum and obtuse, but the first two vectors only span a line
+        ([[1, 0], [-1, 0], [0, 0]], 2),
+        # two orthogonal pairs: vectors 1, 3 and vectors 2, 4 never meet
+        ([[1, 0], [0, 1], [-1, 0], [0, -1]], 1),
+    ]
+    for vectors, unreachable in cases:
+        with pytest.raises(RankDeficient) as info:
+            validate_superbase(vectors)
+        assert info.value.vector == unreachable
+        assert f"vector {unreachable + 1} cannot be reached from vector 1" \
+            in str(info.value)
 
 
 def test_minimum_dimension_superbase():
@@ -165,19 +174,35 @@ def test_gram_obtuse_violation():
 
 
 def test_disconnected_gram_has_wrong_rank():
-    block = [
-        [1, -1, 0, 0],
-        [-1, 1, 0, 0],
-        [0, 0, 1, -1],
-        [0, 0, -1, 1],
+    cases = [
+        ([[1, -1, 0, 0], [-1, 1, 0, 0], [0, 0, 1, -1], [0, 0, -1, 1]], 2),
+        # 1-2-4 is one component, reached only through vector 2; 3-5 the other
+        ([[1, -1, 0, 0, 0], [-1, 2, 0, -1, 0], [0, 0, 1, 0, -1],
+          [0, -1, 0, 1, 0], [0, 0, -1, 0, 1]], 2),
     ]
-    with pytest.raises(WrongRank):
-        validate_gram(block)
+    for block, unreachable in cases:
+        with pytest.raises(WrongRank) as info:
+            validate_gram(block)
+        assert info.value.vector == unreachable
+        assert f"vector {unreachable + 1} cannot be reached from vector 1" \
+            in str(info.value)
 
 
 def test_zero_diagonal_is_wrong_rank():
-    with pytest.raises(WrongRank):
+    with pytest.raises(WrongRank) as info:
         validate_gram([[0, 0, 0], [0, 1, -1], [0, -1, 1]])
+    assert info.value.vector == 1
+    assert "vector 2 cannot be reached from vector 1" in str(info.value)
+
+
+def test_selling_parameters_reuse_the_validated_matrix():
+    sb = validate_superbase(A3_VECTORS)
+    g = selling_parameters(sb)
+    assert selling_parameters(sb) is g
+    # an equal superbase that was not validated last gets a fresh, equal matrix
+    other = validate_superbase(A3_VECTORS)
+    fresh = selling_parameters(sb)
+    assert fresh is not g and fresh == g == selling_parameters(other)
 
 
 def test_gram_shape_mismatch():

@@ -2,10 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+import latcut.pipeline
 from latcut import (
+    CertificateError,
+    Cut,
     GramCoordsMismatch,
     GramMatrix,
     ImproperAssignment,
+    Superbase,
     TooLarge,
     ZeroWeightCut,
     brute_force_short_vector,
@@ -90,6 +94,37 @@ def test_gram_coords_mismatch():
     wrong = selling_parameters(gen_anstar(3))
     with pytest.raises(GramCoordsMismatch):
         short_vector(wrong, superbase=sb)
+
+
+def test_validated_matrix_skips_the_coordinate_check(monkeypatch):
+    sb = gen_anstar(4)
+    g = selling_parameters(sb)
+
+    def recompute(_):
+        raise AssertionError("Selling parameters computed a second time")
+
+    monkeypatch.setattr(latcut.pipeline, "selling_parameters", recompute)
+    assert short_vector(g, superbase=sb).squared_length == F(4, 5)
+
+
+def test_corrupted_cut_fails_its_certificate(monkeypatch):
+    g = selling_parameters(gen_an(5))
+    assert short_vector(g).squared_length == 2
+    for forged in (Cut((0,), F(3)), Cut((0, 2), F(2))):
+        monkeypatch.setattr(latcut.pipeline, "stoer_wagner", lambda graph: forged)
+        with pytest.raises(CertificateError):
+            short_vector(g)
+
+
+def test_corrupted_coordinates_fail_the_certificate(monkeypatch):
+    sb = gen_example3d()
+    g = selling_parameters(sb)
+    assert short_vector(g, superbase=sb).squared_length == F(1, 2)
+    monkeypatch.setattr(
+        Superbase, "subset_sum", lambda self, subset: (F(1), F(0), F(0))
+    )
+    with pytest.raises(CertificateError):
+        short_vector(g, superbase=sb)
 
 
 def test_zero_weight_cut_detected():
