@@ -18,6 +18,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from pathlib import Path
 
@@ -201,7 +202,9 @@ def _rational(text: str) -> Fraction:
         ) from None
 
 
+@cache
 def _build_parser() -> _ArgumentParser:
+    """The command-line parser, built on first use and shared by every call."""
     parser = _ArgumentParser(
         prog="latcut",
         description="Shortest lattice vectors via graph minimum cuts, "
@@ -263,7 +266,7 @@ def run_cli(argv, *, stdin=None, stdout=None, stderr=None) -> int:
         "verify": _cmd_verify,
     }[args.command]
     try:
-        return handler(args, stdin, stdout)
+        return handler(args, stdin, stdout, stderr)
     except (ParseError, ShapeError) as exc:
         print(f"error: {exc}", file=stderr)
         return 2
@@ -300,7 +303,14 @@ def _indices_1based(subset) -> list[int]:
     return [i + 1 for i in subset]
 
 
-def _cmd_svp(args, stdin, stdout) -> int:
+def _cmd_svp(args, stdin, stdout, stderr) -> int:
+    ignored = [flag for flag, value in (("--seed", args.seed),
+                                        ("--trials", args.trials))
+               if value is not None]
+    if ignored and args.algorithm != "karger":
+        verb = "is" if len(ignored) == 1 else "are"
+        print(f"warning: {' and '.join(ignored)} {verb} ignored unless "
+              f"--algorithm karger", file=stderr)
     sb, gram = _load(parse_input(_read_text(args.file, stdin)))
     seed = args.seed if args.seed is not None else 0
     trials = args.trials
@@ -335,7 +345,7 @@ def _cmd_svp(args, stdin, stdout) -> int:
     return 0
 
 
-def _cmd_validate(args, stdin, stdout) -> int:
+def _cmd_validate(args, stdin, stdout, stderr) -> int:
     document = parse_input(_read_text(args.file, stdin))
     sb, gram = _load(document)
     if sb is not None:
@@ -346,7 +356,7 @@ def _cmd_validate(args, stdin, stdout) -> int:
     return 0
 
 
-def _cmd_candidates(args, stdin, stdout) -> int:
+def _cmd_candidates(args, stdin, stdout, stderr) -> int:
     sb, _ = _load(parse_input(_read_text(args.file, stdin)))
     if sb is None:
         raise LatCutError(
@@ -359,7 +369,7 @@ def _cmd_candidates(args, stdin, stdout) -> int:
     return 0
 
 
-def _cmd_gen(args, stdin, stdout) -> int:
+def _cmd_gen(args, stdin, stdout, stderr) -> int:
     n = args.n
     if n is None:
         if args.family == "example3d":
@@ -384,7 +394,7 @@ def _cmd_gen(args, stdin, stdout) -> int:
     return 0
 
 
-def _cmd_verify(args, stdin, stdout) -> int:
+def _cmd_verify(args, stdin, stdout, stderr) -> int:
     _, gram = _load(parse_input(_read_text(args.file, stdin)))
     bits = []
     for token in args.assignment.split(","):

@@ -95,7 +95,8 @@ class EmptySide(LatCutError):
 
 
 class TooLarge(LatCutError):
-    """An exhaustive enumeration was refused because it would be exponential."""
+    """Refused: an exhaustive enumeration that would be exponential, or
+    input whose common denominator is too long to scale by."""
 
 
 class CertificateError(LatCutError):

@@ -27,6 +27,7 @@ from .errors import (
     RowSumNotZero,
     ShapeMismatch,
     SumNotZero,
+    TooLarge,
     WrongRank,
 )
 
@@ -34,6 +35,11 @@ Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 ZERO = Fraction(0)
+
+# Exact arithmetic scales every entry by the lcm of all denominators.  With
+# many distinct denominators that lcm, and every scaled entry, grows with
+# the input, so inputs that need a longer one are refused before scaling.
+MAX_DENOMINATOR_BITS = 4096
 
 
 def as_rational(value) -> Fraction:
@@ -131,6 +137,22 @@ class BinaryAssignment:
 
     def complement(self) -> "BinaryAssignment":
         return BinaryAssignment(tuple(1 - b for b in self.bits))
+
+
+def _common_denominator(values: Iterable[Fraction]) -> int:
+    """The lcm of the denominators of `values`, at most MAX_DENOMINATOR_BITS long.
+
+    Raises TooLarge as soon as the lcm passes that length.
+    """
+    scale = 1
+    for denominator in {x.denominator for x in values}:
+        scale = math.lcm(scale, denominator)
+        if scale.bit_length() > MAX_DENOMINATOR_BITS:
+            raise TooLarge(
+                f"the entries need a common denominator of more than "
+                f"{MAX_DENOMINATOR_BITS} bits"
+            )
+    return scale
 
 
 def _coerce_vectors(vectors) -> tuple[Vector, ...]:
@@ -270,7 +292,8 @@ def validate_gram(entries) -> GramMatrix:
     support graph is connected.
 
     Raises ShapeMismatch, NotSymmetric, ObtuseViolation, RowSumNotZero,
-    or WrongRank.
+    or WrongRank, and TooLarge if the entries' common denominator is
+    longer than MAX_DENOMINATOR_BITS.
     """
     rows = [tuple(as_rational(x) for x in row) for row in entries]
     size = len(rows)
@@ -284,7 +307,7 @@ def validate_gram(entries) -> GramMatrix:
 
     # The same matrix over one common denominator: identical signs, sums
     # and equalities, at integer rather than Fraction cost.
-    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    scale = _common_denominator(x for row in rows for x in row)
     scaled = [[x.numerator * (scale // x.denominator) for x in row]
               for row in rows]
     for i in range(size):

@@ -13,19 +13,27 @@ Graphs carry nonnegative ``Fraction`` weights.  Internally all three
 algorithms multiply them by one common denominator and run on Python
 ints, dividing once when they build the returned :class:`Cut`; every
 comparison stays exact, so ties and minima are bit-reproducible.
+
+Brute force and the Karger-Stein base case share one exhaustive walker,
+:func:`_gray_min_cut`: it visits the sides in reflected Gray-code order,
+moving one vertex per step at O(degree) cost.  Each caller breaks ties by
+a total order of its own, so the answer does not depend on the walk
+order: brute force takes the smallest (weight, size, sorted indices), the
+base case the smallest (weight, mask over the sorted supervertices).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import EmptySide, TooLarge
-from .lattice import ZERO, GramMatrix, as_rational
+from .lattice import ZERO, GramMatrix, _common_denominator, as_rational
 from .rng import Xoshiro256StarStar, derive_seeds
 
 BRUTE_FORCE_LIMIT = 24
@@ -77,9 +85,10 @@ class WeightedGraph:
         Scaling by the positive lcm of the denominators preserves every
         sum, comparison and tie, so the cut algorithms run on these ints
         and divide by `scale` once, when they build the returned Cut.
-        Computed once per graph and shared: never mutate the maps.
+        Computed once per graph and shared: never mutate the maps.  Raises
+        TooLarge if `scale` would pass MAX_DENOMINATOR_BITS.
         """
-        scale = math.lcm(*(w.denominator for w in self.weights.values()))
+        scale = _common_denominator(self.weights.values())
         adj: list[dict[int, int]] = [{} for _ in range(self.vertex_count)]
         for (i, j), w in self.weights.items():
             adj[i][j] = adj[j][i] = w.numerator * (scale // w.denominator)
@@ -281,22 +290,19 @@ def _contract_to(state: _Contraction, target: int,
 def _exhaustive_cut(state: _Contraction) -> _ScaledCut:
     """Best (weight, side) of a small contracted graph by enumeration.
 
-    Sides are bit masks over the sorted vertices that contain the lowest
-    one, tried in ascending order; the first lightest one wins.
+    The sorted supervertices are relabelled 0..k-1, so a side is a bit
+    mask that contains the lowest one.  The winner is the first lightest
+    side in ascending mask order, i.e. the minimum of (weight, mask);
+    that is a total order, so walking the sides in Gray-code order
+    (:func:`_gray_min_cut`) finds the same side.
     """
     verts = sorted(state.adj)
-    bit = {v: 1 << k for k, v in enumerate(verts)}
-    pairs = [(bit[i], bit[j], w)
-             for i in verts for j, w in state.adj[i].items() if j > i]
-    best_weight, best_mask = None, 0
-    for mask in range(1, (1 << len(verts)) - 1, 2):
-        w = sum(weight for a, b, weight in pairs
-                if bool(mask & a) != bool(mask & b))
-        if best_weight is None or w < best_weight:
-            best_weight, best_mask = w, mask
-    assert best_weight is not None
-    side = [m for v in verts if best_mask & bit[v] for m in state.members[v]]
-    return best_weight, tuple(sorted(side))
+    label = {v: k for k, v in enumerate(verts)}
+    adj = [{label[u]: w for u, w in state.adj[v].items()} for v in verts]
+    weight, mask = _gray_min_cut(adj, operator.lt)
+    side = [m for k, v in enumerate(verts) if mask >> k & 1
+            for m in state.members[v]]
+    return weight, tuple(sorted(side))
 
 
 def _recursive_contraction(state: _Contraction,
@@ -343,8 +349,10 @@ def brute_force_mincut(graph: WeightedGraph) -> Cut:
     """Exhaustive minimum cut; the oracle the fast algorithms are tested against.
 
     Enumerates every side containing vertex 0 (each distinct cut exactly
-    once).  Ties break toward the smaller side, then the lexicographically
-    smallest sorted index list.  Refuses graphs with more than 24 vertices.
+    once), in Gray-code order at O(degree) per side.  Ties break toward the
+    smaller side, then the lexicographically smallest sorted index list: a
+    total order, so the result is the minimum of (weight, size, indices)
+    whatever the walk order.  Refuses graphs with more than 24 vertices.
     """
     count = graph.vertex_count
     if count > BRUTE_FORCE_LIMIT:
@@ -353,40 +361,54 @@ def brute_force_mincut(graph: WeightedGraph) -> Cut:
             f"the exhaustive limit is {BRUTE_FORCE_LIMIT} vertices"
         )
     adj, scale = graph._integer_adjacency
-    edges = [
-        (1 << i, 1 << j, w)
-        for i, nbrs in enumerate(adj)
-        for j, w in nbrs.items()
-        if j > i
-    ]
-    best_weight: int | None = None
-    best_size = 0
-    best_mask = 0
-    full = (1 << (count - 1)) - 1
-    for mask in range(full + 1):
-        if mask == full:
-            continue
-        side_mask = (mask << 1) | 1
-        w = 0
-        for bi, bj, wi in edges:
-            if bool(side_mask & bi) != bool(side_mask & bj):
-                w += wi
-        if best_weight is not None:
-            if w > best_weight:
-                continue
-            if w == best_weight:
-                size = side_mask.bit_count()
-                if size > best_size:
-                    continue
-                if size == best_size and _mask_indices(side_mask) >= \
-                        _mask_indices(best_mask):
-                    continue
-        best_weight = w
-        best_mask = side_mask
-        best_size = side_mask.bit_count()
-    assert best_weight is not None
-    return Cut(_mask_indices(best_mask), Fraction(best_weight, scale))
+    weight, mask = _gray_min_cut(adj, _fewer_then_lower_indices)
+    return Cut(_mask_indices(mask), Fraction(weight, scale))
+
+
+def _fewer_then_lower_indices(a: int, b: int) -> bool:
+    """Whether side mask `a` beats `b`: smaller, then lower sorted indices."""
+    return (a.bit_count(), _mask_indices(a)) < (b.bit_count(), _mask_indices(b))
 
 
 def _mask_indices(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _gray_min_cut(adj: Sequence[dict[int, int]],
+                  prefer: Callable[[int, int], bool]) -> tuple[int, int]:
+    """(weight, side mask) of a lightest cut of the graph on 0..k-1, k >= 2.
+
+    Walks every side that contains vertex 0, except the full side, in
+    reflected Gray-code order over vertices 1..k-1, so each step moves
+    one vertex v across.  It keeps the crossing weight and, for each
+    vertex u, into[u], the weight from u into the side; moving v changes
+    the weight by +-(deg v - 2 into[v]) and `into` only at v's
+    neighbours, so a side costs O(deg v) rather than O(|E|).  Between
+    sides of equal weight, `prefer(new, best)` decides; it must be a
+    strict total order, which makes the winner independent of the walk.
+    """
+    count = len(adj)
+    neighbours = [tuple(nbrs.items()) for nbrs in adj]
+    degree = [sum(nbrs.values()) for nbrs in adj]
+    into = [0] * count
+    for u, w in neighbours[0]:
+        into[u] = w
+    side = 1
+    weight = degree[0]
+    best_weight, best_side = weight, side
+    full = (1 << count) - 1
+    for step in range(1, 1 << (count - 1)):
+        v = (step & -step).bit_length()  # 1 + the step's trailing zeros
+        side ^= 1 << v
+        if side >> v & 1:
+            weight += degree[v] - 2 * into[v]
+            for u, w in neighbours[v]:
+                into[u] += w
+        else:
+            weight += 2 * into[v] - degree[v]
+            for u, w in neighbours[v]:
+                into[u] -= w
+        if side != full and (weight < best_weight or
+                             weight == best_weight and prefer(side, best_side)):
+            best_weight, best_side = weight, side
+    return best_weight, best_side

@@ -12,6 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import compress
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -164,6 +167,12 @@ def candidate_vectors(sb: Superbase) -> list[Candidate]:
     ascending by squared length with the same tie-break as
     :func:`brute_force_short_vector`, so the first entry is a shortest
     vector.  Refuses n + 1 > 24.
+
+    Subsets are walked in reflected Gray-code order, so each step adds or
+    subtracts one vector of integer coordinates over the common
+    denominator: O(m) per subset.  The sort key (scaled squared length,
+    size, subset) is a total order, so the walk order does not show, and
+    each distinct Fraction is built once.
     """
     size = sb.n + 1
     if size > BRUTE_FORCE_LIMIT:
@@ -173,20 +182,24 @@ def candidate_vectors(sb: Superbase) -> list[Candidate]:
         )
     scale = math.lcm(*(x.denominator for vec in sb.vectors for x in vec))
     scaled = [[int(x * scale) for x in vec] for vec in sb.vectors]
-    m = sb.m
-    out = []
-    for mask in range(1, (1 << size) - 1):
-        subset = tuple(i for i in range(size) if mask >> i & 1)
-        acc = [0] * m
-        for i in subset:
-            row = scaled[i]
-            for k in range(m):
-                acc[k] += row[k]
-        sq = Fraction(sum(c * c for c in acc), scale * scale)
-        coords = tuple(Fraction(c, scale) for c in acc)
-        out.append(Candidate(subset, coords, sq))
-    out.sort(key=lambda c: (c.squared_length, len(c.subset), c.subset))
-    return out
+    indices = range(size)
+    chosen = [False] * size
+    acc = (0,) * sb.m
+    keyed = []
+    for step in range(1, 1 << size):
+        i = (step & -step).bit_length() - 1
+        chosen[i] = not chosen[i]
+        acc = tuple(map(add if chosen[i] else sub, acc, scaled[i]))
+        subset = tuple(compress(indices, chosen))
+        if len(subset) < size:
+            keyed.append((sum(map(mul, acc, acc)), len(subset), subset, acc))
+    keyed.sort()  # subsets differ, so coordinates are never compared
+    coordinate = cache(lambda c: Fraction(c, scale))
+    length = cache(lambda sq: Fraction(sq, scale * scale))
+    # In place, so each keyed tuple is freed as its candidate is built.
+    for k, (sq, _, subset, coords) in enumerate(keyed):
+        keyed[k] = Candidate(subset, tuple(map(coordinate, coords)), length(sq))
+    return keyed
 
 
 def verify_reduction(g: GramMatrix, u) -> tuple[Fraction, Fraction]:

@@ -1,9 +1,30 @@
 """Shared helpers: reproducible random instances for property tests."""
 
+import os
+import tempfile
 from fractions import Fraction
+
+try:
+    from hypothesis import settings
+except ImportError:  # the hypothesis-based tests skip themselves
+    settings = None
 
 from latcut import Superbase, WeightedGraph, validate_superbase
 from latcut.rng import SplitMix64, Xoshiro256StarStar
+
+if settings is not None:
+    # The same examples on every run, no deadline on a slow or busy host,
+    # and no example database written into the checkout.
+    settings.register_profile(
+        "latcut", derandomize=True, deadline=None, database=None
+    )
+    settings.load_profile("latcut")
+    # Hypothesis caches the constants it finds in the source even without
+    # a database, at collection time; keep that cache out of the checkout.
+    os.environ.setdefault(
+        "HYPOTHESIS_STORAGE_DIRECTORY",
+        os.path.join(tempfile.gettempdir(), "latcut-hypothesis"),
+    )
 
 
 def seeds_from(master: int, count: int) -> list[int]:

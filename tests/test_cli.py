@@ -1,11 +1,17 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import latcut
 from latcut import ParseError, ShapeError, gen_random_gram, quadratic_form, validate_gram
-from latcut.cli import format_gram, format_superbase, parse_input, run_cli
+from latcut.cli import _build_parser, format_gram, format_superbase, parse_input, run_cli
+from latcut.lattice import MAX_DENOMINATOR_BITS
 
 F = Fraction
 
@@ -344,3 +350,93 @@ def test_bad_seed_is_usage_error():
     _, gen_out, _ = run(["gen", "an", "3"])
     assert run(["svp", "-", "--seed", "-1"], stdin_text=gen_out)[0] == 2
     assert run(["svp", "-", "--trials", "0"], stdin_text=gen_out)[0] == 2
+
+
+@pytest.mark.parametrize("flag", [["--seed", "-1"], ["--trials", "0"]])
+@pytest.mark.parametrize("algorithm", ["stoer-wagner", "brute", "karger"])
+def test_out_of_range_seed_or_trials_is_usage_error_for_every_algorithm(
+        flag, algorithm):
+    _, gen_out, _ = run(["gen", "an", "3"])
+    code, out, err = run(["svp", "-", "--algorithm", algorithm, *flag],
+                         stdin_text=gen_out)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error:") and "warning" not in err
+
+
+# --- flags svp ignores -----------------------------------------------------------
+
+@pytest.mark.parametrize("algorithm", ["stoer-wagner", "brute"])
+@pytest.mark.parametrize("flags, named", [
+    (["--seed", "3"], "--seed is"),
+    (["--trials", "2"], "--trials is"),
+    (["--seed", "3", "--trials", "2"], "--seed and --trials are"),
+])
+def test_seed_and_trials_without_karger_warn_once(algorithm, flags, named):
+    _, gen_out, _ = run(["gen", "example3d"])
+    plain = run(["svp", "-", "--algorithm", algorithm], stdin_text=gen_out)
+    code, out, err = run(["svp", "-", "--algorithm", algorithm, *flags],
+                         stdin_text=gen_out)
+    assert (code, out) == (0, plain[1])
+    assert err == f"warning: {named} ignored unless --algorithm karger\n"
+
+
+def test_seed_and_trials_with_karger_do_not_warn():
+    _, gen_out, _ = run(["gen", "example3d"])
+    code, _, err = run(["svp", "-", "--algorithm", "karger", "--seed", "3",
+                        "--trials", "2"], stdin_text=gen_out)
+    assert (code, err) == (0, "")
+
+
+# --- one parser for every call ---------------------------------------------------
+
+def fresh_process(args, stdin_text):
+    """(exit code, stdout, stderr) of `latcut <args>` in a new interpreter."""
+    src = str(Path(latcut.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "from latcut.cli import main; main()", *args],
+        input=stdin_text, capture_output=True, text=True, env=env,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_calls_in_one_process_match_fresh_processes():
+    _, gen_out, _ = run(["gen", "example3d"])
+    calls = [
+        ["svp", "-", "--seed", "-1"],  # a usage error first
+        ["svp", "-", "--algorithm", "brute"],
+        ["frobnicate"],
+        ["validate", "-"],
+        ["svp", "-", "--json"],
+        ["candidates", "-"],
+        ["verify", "-", "--assignment", "1,0,0,0"],
+        ["svp", "-", "--algorithm", "karger", "--seed", "5"],
+    ]
+    in_process = [run(args, stdin_text=gen_out) for args in calls]
+    assert [code for code, _, _ in in_process] == [2, 0, 2, 0, 0, 0, 0, 0]
+    assert in_process == [fresh_process(args, gen_out) for args in calls]
+    assert _build_parser() is _build_parser()
+
+
+# --- the common denominator cap ----------------------------------------------------
+
+def two_vector_gram_file(denominator):
+    a = f"1/{denominator}"
+    return f"gram 2\n{a} -{a}\n-{a} {a}\n"
+
+
+def test_common_denominator_at_the_cap_is_accepted():
+    text = two_vector_gram_file(2 ** (MAX_DENOMINATOR_BITS - 1))
+    code, out, err = run(["svp", "-"], stdin_text=text)
+    assert (code, err) == (0, "")
+    assert f"squared length: 1/{2 ** (MAX_DENOMINATOR_BITS - 1)}\n" in out
+
+
+def test_common_denominator_past_the_cap_exits_1():
+    text = two_vector_gram_file(2 ** MAX_DENOMINATOR_BITS)
+    for command in ("svp", "validate"):
+        code, out, err = run([command, "-"], stdin_text=text)
+        assert (code, out) == (1, "")
+        assert err == ("error: the entries need a common denominator of more "
+                       f"than {MAX_DENOMINATOR_BITS} bits\n")

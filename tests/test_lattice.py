@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from latcut import (
     RowSumNotZero,
     ShapeMismatch,
     SumNotZero,
+    TooLarge,
     WrongRank,
     as_rational,
     gen_an,
@@ -24,6 +26,7 @@ from latcut import (
     validate_gram,
     validate_superbase,
 )
+from latcut.lattice import MAX_DENOMINATOR_BITS
 from conftest import random_superbase, seeds_from
 
 F = Fraction
@@ -326,3 +329,30 @@ def test_gram_space_matches_coordinate_space():
                 vec = sb.subset_sum(subset)
                 direct = sum(x * x for x in vec)
                 assert quadratic_form(g, bits) == direct
+
+
+# --- the common denominator cap ----------------------------------------------------
+
+def _two_vector_gram(a):
+    return [[a, -a], [-a, a]]
+
+
+def test_validate_gram_accepts_a_denominator_at_the_cap():
+    a = F(1, 2 ** (MAX_DENOMINATOR_BITS - 1))
+    assert validate_gram(_two_vector_gram(a)).entries[0][0] == a
+
+
+def test_validate_gram_refuses_a_denominator_past_the_cap():
+    with pytest.raises(TooLarge, match=f"more than {MAX_DENOMINATOR_BITS} bits"):
+        validate_gram(_two_vector_gram(F(1, 2 ** MAX_DENOMINATOR_BITS)))
+
+
+def test_many_distinct_prime_denominators_are_refused():
+    primes = [p for p in range(2, 20000)
+              if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    size = 40  # 1560 off-diagonal entries, each over its own prime
+    it = iter(primes)
+    rows = [[F(-1, next(it)) if i != j else F(0) for j in range(size)]
+            for i in range(size)]
+    with pytest.raises(TooLarge):
+        validate_gram(rows)

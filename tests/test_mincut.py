@@ -19,6 +19,7 @@ from latcut import (
     selling_parameters,
     stoer_wagner,
 )
+from latcut.lattice import MAX_DENOMINATOR_BITS
 from conftest import random_graph, seeds_from
 
 F = Fraction
@@ -302,3 +303,15 @@ def test_mincut_weight_positive_for_valid_grams():
     for seed in seeds_from(99, 20):
         g = graph_from_gram(gen_random_gram(6, seed=seed))
         assert stoer_wagner(g).weight > 0
+
+
+def test_graph_weights_past_the_denominator_cap_are_refused():
+    at_cap = WeightedGraph.from_edges(
+        3, [(0, 1, F(1, 2 ** (MAX_DENOMINATOR_BITS - 1))), (1, 2, 1)])
+    assert stoer_wagner(at_cap).weight == F(1, 2 ** (MAX_DENOMINATOR_BITS - 1))
+    past = WeightedGraph.from_edges(
+        3, [(0, 1, F(1, 2 ** MAX_DENOMINATOR_BITS)), (1, 2, 1)])
+    for algorithm in (stoer_wagner, brute_force_mincut,
+                      lambda g: karger_stein(g, 0, 1)):
+        with pytest.raises(TooLarge):
+            algorithm(past)
