@@ -3,8 +3,9 @@
 Format: the first significant line is a header, either
 ``superbase <count> <m>`` or ``gram <count>``; each following significant
 line is one row of whitespace-separated rationals (``5/4``, ``-1``,
-``0.25``).  ``#`` starts a comment, blank lines are skipped, and ``-`` as
-a file name means standard input.
+``0.25``; see :func:`latcut.lattice.as_rational` for the token grammar).
+``#`` starts a comment, blank lines are skipped, and ``-`` as a file name
+means standard input.
 
 All user-facing indices are 1-based; the library underneath is 0-based.
 Exit codes: 0 success, 1 validation/computation failure, 2 usage or
@@ -28,6 +29,7 @@ from .lattice import (
     GramMatrix,
     Matrix,
     Superbase,
+    as_rational,
     selling_parameters,
     validate_gram,
     validate_superbase,
@@ -112,7 +114,7 @@ def parse_input(text: str) -> InputDocument:
         for k, token in enumerate(words):
             if token not in values:
                 try:
-                    values[token] = Fraction(token)
+                    values[token] = as_rational(token)
                 except (ValueError, ZeroDivisionError):
                     column = _tokens_with_columns(line)[k][1]
                     raise ParseError(
@@ -195,7 +197,7 @@ def _positive_int(text: str) -> int:
 
 def _rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return as_rational(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a rational number"
@@ -362,10 +364,17 @@ def _cmd_candidates(args, stdin, stdout, stderr) -> int:
         raise LatCutError(
             "candidate enumeration needs coordinates; supply a superbase file"
         )
+    # candidate_vectors builds each distinct value once, and its list keeps
+    # them all alive during the loop: one string per id formats each once.
+    text: dict[int, str] = {}
     for cand in candidate_vectors(sb):
+        for x in (cand.squared_length, *cand.coordinates):
+            if id(x) not in text:
+                text[id(x)] = str(x)
         indices = ",".join(map(str, _indices_1based(cand.subset)))
-        coords = " ".join(str(x) for x in cand.coordinates)
-        print(f"{indices} | {cand.squared_length} | {coords}", file=stdout)
+        coords = " ".join([text[id(x)] for x in cand.coordinates])
+        print(f"{indices} | {text[id(cand.squared_length)]} | {coords}",
+              file=stdout)
     return 0
 
 

@@ -25,8 +25,8 @@ from .rng import Xoshiro256StarStar
 FAMILIES = ("an", "anstar", "zn", "example3d", "random_gram")
 
 DEFAULT_DENSITY = Fraction(1, 2)
-DEFAULT_MAX_WEIGHT = 4
-DEFAULT_MAX_DENOMINATOR = 8
+MAX_WEIGHT = 4
+MAX_DENOMINATOR = 8
 
 
 @dataclass(frozen=True)
@@ -115,19 +115,15 @@ def gen_example3d() -> Superbase:
 
 
 def gen_random_gram(
-    n: int,
-    seed: int,
-    density: Fraction | str | int = DEFAULT_DENSITY,
-    *,
-    max_weight: int = DEFAULT_MAX_WEIGHT,
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
+    n: int, seed: int, density: Fraction | str | int = DEFAULT_DENSITY,
 ) -> GramMatrix:
     """A random valid Selling matrix, deterministic in (n, seed, density).
 
-    Off-diagonal entries are random rationals in [-max_weight, 0), each
-    present with probability `density`; a random spanning tree over the
-    n+1 indices is always included so the support stays connected, which
-    forces rank n.  Diagonals are set to minus the row's off-diagonal sum.
+    Off-diagonal entries are random rationals in [-MAX_WEIGHT, 0) with
+    denominators up to MAX_DENOMINATOR, each present with probability
+    `density`; a random spanning tree over the n+1 indices is always
+    included so the support stays connected, which forces rank n.
+    Diagonals are set to minus the row's off-diagonal sum.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -149,8 +145,8 @@ def gen_random_gram(
             if (i, j) not in edges:
                 if rng.next_u64() * density.denominator >= threshold_num:
                     continue
-            den = 1 + rng.randrange(max_denominator)
-            num = 1 + rng.randrange(max_weight * den)
+            den = 1 + rng.randrange(MAX_DENOMINATOR)
+            num = 1 + rng.randrange(MAX_WEIGHT * den)
             w = Fraction(num, den)
             entries[i][j] = entries[j][i] = -w
             entries[i][i] += w

@@ -1,11 +1,12 @@
 """Obtuse superbases, Selling parameters, and the binary quadratic form.
 
-Everything here is exact: scalars are ``fractions.Fraction`` throughout.
-A matrix of pairwise superbase products is a weighted graph Laplacian
-(nonpositive off the diagonal, zero row sums), hence positive
-semidefinite with rank equal to its side minus the number of connected
-components of its support; so both validators check rank by one graph
-traversal instead of by elimination.
+Everything here is exact: scalars are ``fractions.Fraction`` at the API,
+and both validators work on integers over one common denominator, capped
+at MAX_DENOMINATOR_BITS.  A matrix of pairwise superbase products is a
+weighted graph Laplacian (nonpositive off the diagonal, zero row sums),
+hence positive semidefinite with rank equal to its side minus the number
+of connected components of its support; so both validators check rank by
+one graph traversal instead of by elimination.
 
 Indices are 0-based everywhere in this API.  Only the CLI renders them
 1-based.
@@ -15,8 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -43,7 +44,12 @@ MAX_DENOMINATOR_BITS = 4096
 
 
 def as_rational(value) -> Fraction:
-    """Coerce an exact scalar to Fraction; floats are rejected on purpose."""
+    """Coerce an exact scalar to Fraction; floats are rejected on purpose.
+
+    Strings are integers (``-3``), ratios (``5/4``) or finite decimals
+    (``0.25``).  Exponents (``1e5``) and ``_`` digit separators raise
+    ValueError: the size of their value is not bounded by their length.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
@@ -51,7 +57,10 @@ def as_rational(value) -> Fraction:
             "refusing to convert float to an exact rational; "
             "pass an int, a string like '5/4' or '0.25', or a Fraction"
         )
-    if isinstance(value, (int, str, Decimal)):
+    if isinstance(value, str) and not {"e", "E", "_"}.isdisjoint(value):
+        raise ValueError(f"{value!r}: exponents and '_' digit separators "
+                         f"are not accepted")
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
@@ -155,50 +164,37 @@ def _common_denominator(values: Iterable[Fraction]) -> int:
     return scale
 
 
-def _coerce_vectors(vectors) -> tuple[Vector, ...]:
-    rows = [tuple(as_rational(x) for x in row) for row in vectors]
-    if len(rows) < 2:
-        raise ShapeMismatch("a superbase needs at least 2 vectors")
-    m = len(rows[0])
-    for idx, row in enumerate(rows):
-        if len(row) != m:
-            raise ShapeMismatch(
-                f"vector {idx + 1} has length {len(row)}, expected {m}"
-            )
-    return tuple(rows)
+def _pairwise_products(
+    vectors: Sequence[Vector],
+) -> tuple[list[list[tuple[int, int]]], int, list[list[int]], Matrix]:
+    """All inner products q_ij, over the common denominator s of `vectors`.
 
-
-def _scaled_nonzeros(vec: Vector) -> tuple[dict[int, int], int]:
-    """Clear denominators: return ({position: integer numerator}, scale)."""
-    scale = math.lcm(*(v.denominator for v in vec))
-    return {k: int(v * scale) for k, v in enumerate(vec) if v}, scale
-
-
-def _pairwise_products(vectors: Sequence[Vector]) -> tuple[list[list[int]], Matrix]:
-    """All inner products q_ij, computed sparsely over integer numerators.
-
-    Returns (numerators, q), where numerators[i][j] is the integer
-    q_ij * den_i * den_j for the positive denominator den_k that clears
-    vector k: it has the sign of q_ij at a fraction of the cost.
+    Returns (columns, s, numerators, q): columns[k] lists each nonzero
+    (i, coordinate k of vector i times s), numerators[i][j] = q_ij * s**2
+    is an integer with the sign of q_ij, and q holds one Fraction per
+    distinct nonzero value.  Raises TooLarge past MAX_DENOMINATOR_BITS.
     """
-    scaled = [_scaled_nonzeros(v) for v in vectors]
+    nonzero = [(i, k, x) for i, vec in enumerate(vectors)
+               for k, x in enumerate(vec) if x]
+    scale = _common_denominator(x for _, _, x in nonzero)
+    columns: list[list[tuple[int, int]]] = [[] for _ in vectors[0]]
+    for i, k, x in nonzero:
+        columns[k].append((i, x.numerator * (scale // x.denominator)))
     count = len(vectors)
     numerators = [[0] * count for _ in range(count)]
+    for column in columns:
+        for a, (i, x) in enumerate(column):
+            row = numerators[i]
+            for j, y in column[a:]:
+                row[j] += x * y
+    fraction = cache(lambda total: Fraction(total, scale * scale))
     q = [[ZERO] * count for _ in range(count)]
-    for i in range(count):
-        nz_i, den_i = scaled[i]
+    for i, row in enumerate(numerators):
         for j in range(i, count):
-            nz_j, den_j = scaled[j]
-            small, big = (nz_i, nz_j) if len(nz_i) <= len(nz_j) else (nz_j, nz_i)
-            total = 0
-            for pos, value in small.items():
-                other = big.get(pos)
-                if other is not None:
-                    total += value * other
-            if total:
-                numerators[i][j] = numerators[j][i] = total
-                q[i][j] = q[j][i] = Fraction(total, den_i * den_j)
-    return numerators, tuple(map(tuple, q))
+            if row[j]:
+                numerators[j][i] = row[j]
+                q[i][j] = q[j][i] = fraction(row[j])
+    return columns, scale, numerators, tuple(map(tuple, q))
 
 
 def _first_unreachable(q: Sequence[Sequence[int]]) -> int | None:
@@ -242,20 +238,23 @@ def validate_superbase(vectors) -> Superbase:
     first n vectors, which for such vectors means the graph of nonzero
     inner products is connected.  All checks are exact.
 
-    Raises ShapeMismatch, SumNotZero, ObtuseViolation, or RankDeficient.
+    Raises ShapeMismatch, SumNotZero, ObtuseViolation, RankDeficient, or
+    TooLarge if the coordinates' common denominator passes the cap.
     """
-    rows = _coerce_vectors(vectors)
+    rows = tuple(tuple(map(as_rational, row)) for row in vectors)
+    if len(rows) < 2:
+        raise ShapeMismatch("a superbase needs at least 2 vectors")
+    m = len(rows[0])
+    for idx, row in enumerate(rows):
+        if len(row) != m:
+            raise ShapeMismatch(
+                f"vector {idx + 1} has length {len(row)}, expected {m}"
+            )
 
-    column_sums: dict[int, Fraction] = {}
-    for row in rows:
-        for k, value in enumerate(row):
-            if value:
-                column_sums[k] = column_sums.get(k, ZERO) + value
-    bad = sorted(k for k, total in column_sums.items() if total)
-    if bad:
-        raise SumNotZero(bad[0], column_sums[bad[0]])
-
-    numerators, q = _pairwise_products(rows)
+    columns, scale, numerators, q = _pairwise_products(rows)
+    for k, column in enumerate(columns):
+        if total := sum(x for _, x in column):
+            raise SumNotZero(k, Fraction(total, scale))
     for i, row in enumerate(numerators):
         for j in range(i + 1, len(row)):
             if row[j] > 0:
@@ -280,7 +279,7 @@ def selling_parameters(sb: Superbase) -> GramMatrix:
     validated = _validated_selling(sb)
     if validated is not None:
         return validated
-    return GramMatrix(_pairwise_products(sb.vectors)[1])
+    return GramMatrix(_pairwise_products(sb.vectors)[3])
 
 
 def validate_gram(entries) -> GramMatrix:
@@ -295,7 +294,7 @@ def validate_gram(entries) -> GramMatrix:
     or WrongRank, and TooLarge if the entries' common denominator is
     longer than MAX_DENOMINATOR_BITS.
     """
-    rows = [tuple(as_rational(x) for x in row) for row in entries]
+    rows = [tuple(map(as_rational, row)) for row in entries]
     size = len(rows)
     if size < 2:
         raise ShapeMismatch("a Gram matrix needs side >= 2")

@@ -130,26 +130,20 @@ def graph_from_gram(g: GramMatrix) -> WeightedGraph:
 
 
 def cut_weight(graph: WeightedGraph, side: Iterable[int]) -> Cut:
-    """Exact total weight of the edges crossing between `side` and the rest."""
+    """Exact total weight of the edges crossing between `side` and the rest.
+
+    Sums the integer weights leaving `side` and divides once; raises
+    TooLarge like the cut algorithms do.
+    """
     chosen = set(side)
     for v in chosen:
         if not 0 <= v < graph.vertex_count:
             raise ValueError(f"vertex {v} is out of range")
     if not chosen or len(chosen) == graph.vertex_count:
         raise EmptySide("a cut needs a nonempty side and a nonempty complement")
-    total = ZERO
-    for (i, j), w in graph.weights.items():
-        if (i in chosen) != (j in chosen):
-            total += w
-    return Cut(tuple(sorted(chosen)), total)
-
-
-def _is_certified(graph: WeightedGraph, cut: Cut) -> bool:
-    """Whether the edges leaving `cut.side` weigh `cut.weight`; O(|E|) ints."""
     adj, scale = graph._integer_adjacency
-    chosen = set(cut.side)
-    crossing = sum(w for v in chosen for u, w in adj[v].items() if u not in chosen)
-    return crossing == cut.weight * scale
+    total = sum(w for v in chosen for u, w in adj[v].items() if u not in chosen)
+    return Cut(tuple(sorted(chosen)), Fraction(total, scale))
 
 
 def stoer_wagner(graph: WeightedGraph) -> Cut:

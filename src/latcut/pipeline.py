@@ -35,7 +35,6 @@ from .lattice import (
 )
 from .mincut import (
     BRUTE_FORCE_LIMIT,
-    _is_certified,
     brute_force_mincut,
     cut_weight,
     default_trial_count,
@@ -119,7 +118,8 @@ def short_vector(
             "matrix of a lattice"
         )
     coordinates = superbase.subset_sum(cut.side) if superbase is not None else None
-    if not _is_certified(graph, cut) or coordinates is not None and \
+    if cut_weight(graph, cut.side).weight != cut.weight or \
+            coordinates is not None and \
             sum(x * x for x in coordinates) != cut.weight:
         raise CertificateError(
             f"the answer does not certify its squared length {cut.weight}"

@@ -1,8 +1,10 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,6 +61,8 @@ def test_parse_gram_file_with_fractions():
 def test_parse_decimals_exactly():
     doc = parse_input("gram 2\n0.25 -0.25\n-0.25 0.25\n")
     assert doc.entries[0][0] == F(1, 4)
+    doc = parse_input("superbase 2 4\n+1.50 -.5 5. -0/3\n-1.5 .5 -5 0.0\n")
+    assert doc.entries[0] == (F(3, 2), F(-1, 2), F(5), F(0))
 
 
 def test_row_length_disagreement_is_shape_error():
@@ -81,12 +85,27 @@ def test_bad_token_reports_line_and_column():
         ("gram 2\n1 -1\n-1 oops\n", 3, 4),
         ("gram 2\n 1  -1\n-1 \t 2/0 # note\n", 3, 6),
         ("gram 2\n1 x\nx 1\n", 2, 3),
+        # exponents and digit separators: their value's size is unbounded
+        ("gram 2\n1e5 -1\n-1 1\n", 2, 1),
+        ("gram 2\n1 -1\n-1  1E-3\n", 3, 5),
+        ("gram 2\n1_0 -1\n-1 1\n", 2, 1),
     ]
     for text, line, column in cases:
         with pytest.raises(ParseError) as info:
             parse_input(text)
         assert info.value.line == line
         assert info.value.column == column
+
+
+def test_huge_exponent_exits_2_at_once():
+    # Fraction("1e999999999") alone would build a 415 MB integer.
+    started = time.perf_counter()
+    code, out, err = run(["validate", "-"],
+                         stdin_text="gram 2\n1e999999999 -1\n-1 1\n")
+    assert time.perf_counter() - started < 2
+    assert (code, out) == (2, "")
+    assert err == ("error: line 2, column 1: cannot parse '1e999999999' "
+                   "as a rational\n")
 
 
 def test_header_errors():
@@ -289,6 +308,11 @@ def test_gen_rejects_bad_density():
                 "--density", "3/2"])[0] == 2
     assert run(["gen", "random_gram", "5", "--seed", "1",
                 "--density", "x"])[0] == 2
+    for density in ("1e-1", "1_0/20"):
+        assert run(["gen", "random_gram", "5", "--seed", "1",
+                    "--density", density]) == (
+            2, "", f"usage error: argument --density: {density!r} is not "
+                   "a rational number\n")
 
 
 def test_gen_deterministic_output():
@@ -440,3 +464,53 @@ def test_common_denominator_past_the_cap_exits_1():
         assert (code, out) == (1, "")
         assert err == ("error: the entries need a common denominator of more "
                        f"than {MAX_DENOMINATOR_BITS} bits\n")
+
+
+def primes_past(bits):
+    """The primes in order up to the first whose product passes `bits` bits."""
+    primes, product, p = [], 1, 1
+    while product.bit_length() <= bits:
+        p += 1
+        if all(p % d for d in range(2, math.isqrt(p) + 1)):
+            primes.append(p)
+            product *= p
+    return primes
+
+
+def prime_block_superbase_file(blocks, primes):
+    """Disjoint blocks of 1/p, one coordinate per prime, and minus their sum.
+
+    The common denominator of the coordinates is the product of `primes`.
+    The superbase is valid: the block vectors are orthogonal, and each
+    meets the last vector.
+    """
+    m = len(primes)
+    rows = [["0"] * m for _ in range(blocks)]
+    for k, p in enumerate(primes):
+        rows[k * blocks // m][k] = f"1/{p}"
+    rows.append([f"-1/{p}" for p in primes])
+    return f"superbase {blocks + 1} {m}\n" + "".join(
+        " ".join(row) + "\n" for row in rows)
+
+
+def test_superbase_coordinates_past_the_cap_exit_1():
+    text = prime_block_superbase_file(3, primes_past(MAX_DENOMINATOR_BITS))
+    for command in ("validate", "svp", "candidates"):
+        code, out, err = run([command, "-"], stdin_text=text)
+        assert (code, out) == (1, "")
+        assert err == ("error: the entries need a common denominator of more "
+                       f"than {MAX_DENOMINATOR_BITS} bits\n")
+
+
+def test_superbase_coordinates_at_the_cap_are_accepted():
+    primes = primes_past(MAX_DENOMINATOR_BITS)[:-1]
+    assert math.prod(primes).bit_length() > MAX_DENOMINATOR_BITS - 16
+    text = prime_block_superbase_file(3, primes)
+    assert run(["validate", "-"], stdin_text=text) == (
+        0, f"valid superbase: n=3, vectors=4, ambient={len(primes)}\n", "")
+    code, out, err = run(["candidates", "-"], stdin_text=text)
+    assert (code, err, len(out.splitlines())) == (0, "", 14)
+    a = f"1/{2 ** (MAX_DENOMINATOR_BITS - 1)}"
+    text = f"superbase 3 2\n{a} 0\n0 {a}\n-{a} -{a}\n"
+    assert run(["validate", "-"], stdin_text=text) == (
+        0, "valid superbase: n=2, vectors=3, ambient=2\n", "")

@@ -1,5 +1,6 @@
 import itertools
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -53,11 +54,25 @@ def test_as_rational_accepts_exact_forms():
     assert as_rational("0.25") == F(1, 4)
     assert as_rational(-3) == F(-3)
     assert as_rational(F(1, 7)) == F(1, 7)
+    assert as_rational("-3") == F(-3)
+    assert as_rational("+1.50") == F(3, 2)
+    assert as_rational("-.5") == F(-1, 2)
+    assert as_rational("5.") == F(5)
+    assert as_rational("-10/4") == F(-5, 2)
 
 
 def test_as_rational_rejects_floats():
     with pytest.raises(TypeError):
         as_rational(0.25)
+
+
+def test_as_rational_refuses_exponents_separators_and_decimal():
+    for text in ("1e5", "1E-3", "2.5e0", "1_0", "1/1_0", "1e999999999"):
+        with pytest.raises(ValueError, match="exponents and '_' digit "
+                                             "separators are not accepted"):
+            as_rational(text)
+    with pytest.raises(TypeError):
+        as_rational(Decimal("0.25"))
 
 
 # --- validate_superbase ----------------------------------------------------
