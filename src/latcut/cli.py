@@ -8,8 +8,8 @@ line is one row of whitespace-separated rationals (``5/4``, ``-1``,
 means standard input.
 
 All user-facing indices are 1-based; the library underneath is 0-based.
-Exit codes: 0 success, 1 validation/computation failure, 2 usage or
-parse error.
+Exit codes: 0 success, 1 validation or computation failure, 2 usage,
+parse or read error.
 """
 
 from __future__ import annotations
@@ -269,18 +269,15 @@ def run_cli(argv, *, stdin=None, stdout=None, stderr=None) -> int:
     }[args.command]
     try:
         return handler(args, stdin, stdout, stderr)
-    except (ParseError, ShapeError) as exc:
-        print(f"error: {exc}", file=stderr)
-        return 2
-    except LatCutError as exc:
-        print(f"error: {exc}", file=stderr)
-        return 1
-    except ValueError as exc:
+    except _UsageError as exc:
         print(f"usage error: {exc}", file=stderr)
         return 2
-    except OSError as exc:
+    except (ParseError, ShapeError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=stderr)
         return 2
+    except (LatCutError, ValueError) as exc:
+        print(f"error: {exc}", file=stderr)
+        return 1
 
 
 def main() -> None:
@@ -384,10 +381,13 @@ def _cmd_gen(args, stdin, stdout, stderr) -> int:
         if args.family == "example3d":
             n = 3
         else:
-            raise ValueError("gen requires <n> for this family")
+            raise _UsageError("gen requires <n> for this family")
     density = args.density
     spec = InstanceSpec(args.family, n, seed=args.seed, density=density)
-    instance = generate(spec)
+    try:
+        instance = generate(spec)
+    except ValueError as exc:  # the spec is out of range
+        raise _UsageError(str(exc)) from None
 
     note = f"{args.family} n={n}"
     if args.family == "random_gram":
@@ -409,7 +409,7 @@ def _cmd_verify(args, stdin, stdout, stderr) -> int:
     for token in args.assignment.split(","):
         token = token.strip()
         if token not in ("0", "1"):
-            raise ValueError(
+            raise _UsageError(
                 f"assignment entries must be 0 or 1, got {token!r}"
             )
         bits.append(int(token))

@@ -148,17 +148,18 @@ class BinaryAssignment:
         return BinaryAssignment(tuple(1 - b for b in self.bits))
 
 
-def _common_denominator(values: Iterable[Fraction]) -> int:
+def _common_denominator(values: Iterable[Fraction], what: str = "entries") -> int:
     """The lcm of the denominators of `values`, at most MAX_DENOMINATOR_BITS long.
 
-    Raises TooLarge as soon as the lcm passes that length.
+    Raises TooLarge as soon as the lcm passes that length; the message
+    names the values as `what`.
     """
     scale = 1
     for denominator in {x.denominator for x in values}:
         scale = math.lcm(scale, denominator)
         if scale.bit_length() > MAX_DENOMINATOR_BITS:
             raise TooLarge(
-                f"the entries need a common denominator of more than "
+                f"the {what} need a common denominator of more than "
                 f"{MAX_DENOMINATOR_BITS} bits"
             )
     return scale

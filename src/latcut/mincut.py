@@ -9,10 +9,10 @@ can cross-check each other:
   for a fixed (seed, trials) pair.
 * :func:`brute_force_mincut`: exhaustive enumeration, the oracle.
 
-Graphs carry nonnegative ``Fraction`` weights.  Internally all three
-algorithms multiply them by one common denominator and run on Python
-ints, dividing once when they build the returned :class:`Cut`; every
-comparison stays exact, so ties and minima are bit-reproducible.
+A :class:`WeightedGraph` holds its rational weights as Python ints over
+one common denominator, fixed when it is built.  All three algorithms run
+on those ints and divide once, when they build the returned :class:`Cut`;
+every comparison stays exact, so ties and minima are bit-reproducible.
 
 Brute force and the Karger-Stein base case share one exhaustive walker,
 :func:`_gray_min_cut`: it visits the sides in reflected Gray-code order,
@@ -27,13 +27,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Sequence
 
 from .errors import EmptySide, TooLarge
-from .lattice import ZERO, GramMatrix, _common_denominator, as_rational
+from .lattice import GramMatrix, _common_denominator, as_rational
 from .rng import Xoshiro256StarStar, derive_seeds
 
 BRUTE_FORCE_LIMIT = 24
@@ -49,56 +48,59 @@ _ScaledCut = tuple[int, tuple[int, ...]]
 class WeightedGraph:
     """Undirected graph on vertices 0..vertex_count-1 with rational weights.
 
-    `weights` maps pairs (i, j) with i < j to strictly positive weights;
-    absent pairs weigh zero.  Loops are never stored: they cannot change
-    the weight of any cut.  Treat instances as immutable.
+    `adjacency[i][j]` is the weight of edge {i, j} times `scale`, stored
+    both ways and only when positive; loops cannot change any cut, so
+    none are stored.  Build through :meth:`from_edges`.  The cut
+    algorithms read `adjacency` and `scale` only; `vertex_count`,
+    `weights` and `weight` are views for callers.  Treat as immutable.
     """
 
-    vertex_count: int
-    weights: dict[tuple[int, int], Fraction]
+    adjacency: tuple[dict[int, int], ...]
+    scale: int
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable) -> "WeightedGraph":
-        """Build a graph, merging parallel edges and dropping zero weights."""
+        """Build a graph, merging parallel edges and dropping zero weights;
+        raises TooLarge if their common denominator passes the cap."""
         if vertex_count < 2:
             raise ValueError("a graph needs at least 2 vertices")
-        weights: dict[tuple[int, int], Fraction] = {}
+        merged: dict[tuple[int, int], Fraction] = {}
         for i, j, w in edges:
             if not 0 <= i < vertex_count or not 0 <= j < vertex_count:
                 raise ValueError(f"edge ({i},{j}) is out of range")
             if i == j:
                 raise ValueError(f"loop at vertex {i} is not allowed")
             weight = as_rational(w)
-            if weight < 0:
+            if weight.numerator < 0:
                 raise ValueError(f"edge ({i},{j}) has negative weight {weight}")
-            if not weight:
+            if not weight.numerator:
                 continue
             key = (i, j) if i < j else (j, i)
-            previous = weights.get(key)
-            weights[key] = weight if previous is None else previous + weight
-        return cls(vertex_count, weights)
-
-    @cached_property
-    def _integer_adjacency(self) -> tuple[tuple[dict[int, int], ...], int]:
-        """(neighbor maps, scale): weights times their common denominator.
-
-        Scaling by the positive lcm of the denominators preserves every
-        sum, comparison and tie, so the cut algorithms run on these ints
-        and divide by `scale` once, when they build the returned Cut.
-        Computed once per graph and shared: never mutate the maps.  Raises
-        TooLarge if `scale` would pass MAX_DENOMINATOR_BITS.
-        """
-        scale = _common_denominator(self.weights.values())
-        adj: list[dict[int, int]] = [{} for _ in range(self.vertex_count)]
-        for (i, j), w in self.weights.items():
+            previous = merged.get(key)
+            merged[key] = weight if previous is None else previous + weight
+        # Scaling by the positive lcm of the denominators preserves every
+        # sum, comparison and tie; the algorithms divide once, in the Cut.
+        scale = _common_denominator(merged.values(), "edge weights")
+        adj: tuple[dict[int, int], ...] = tuple({} for _ in range(vertex_count))
+        for (i, j), w in merged.items():
             adj[i][j] = adj[j][i] = w.numerator * (scale // w.denominator)
-        return tuple(adj), scale
+        return cls(adj, scale)
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.adjacency)
+
+    @property
+    def weights(self) -> dict[tuple[int, int], Fraction]:
+        """Pairs (i, j) with i < j mapped to their strictly positive weight."""
+        return {(i, j): Fraction(w, self.scale)
+                for i, nbrs in enumerate(self.adjacency)
+                for j, w in nbrs.items() if i < j}
 
     def weight(self, i: int, j: int) -> Fraction:
-        if i == j:
-            return ZERO
-        key = (i, j) if i < j else (j, i)
-        return self.weights.get(key, ZERO)
+        """The weight of edge {i, j}: zero when there is none."""
+        nbrs = self.adjacency[i] if 0 <= i < len(self.adjacency) else {}
+        return Fraction(nbrs.get(j, 0), self.scale)
 
 
 @dataclass(frozen=True)
@@ -120,30 +122,25 @@ def graph_from_gram(g: GramMatrix) -> WeightedGraph:
     becomes an edge of weight -q_ij, and q_ij = 0 means no edge.  The
     diagonal is ignored.
     """
-    edges = []
-    for i in range(g.size):
-        row = g.entries[i]
-        for j in range(i + 1, g.size):
-            if row[j] < 0:
-                edges.append((i, j, -row[j]))
-    return WeightedGraph.from_edges(g.size, edges)
+    return WeightedGraph.from_edges(g.size, (
+        (i, j, -x) for i, row in enumerate(g.entries)
+        for j, x in enumerate(row[i + 1:], i + 1) if x.numerator < 0))
 
 
 def cut_weight(graph: WeightedGraph, side: Iterable[int]) -> Cut:
     """Exact total weight of the edges crossing between `side` and the rest.
 
-    Sums the integer weights leaving `side` and divides once; raises
-    TooLarge like the cut algorithms do.
+    Sums the integer weights leaving `side` and divides once.
     """
+    adj = graph.adjacency
     chosen = set(side)
     for v in chosen:
-        if not 0 <= v < graph.vertex_count:
+        if not 0 <= v < len(adj):
             raise ValueError(f"vertex {v} is out of range")
-    if not chosen or len(chosen) == graph.vertex_count:
+    if not chosen or len(chosen) == len(adj):
         raise EmptySide("a cut needs a nonempty side and a nonempty complement")
-    adj, scale = graph._integer_adjacency
     total = sum(w for v in chosen for u, w in adj[v].items() if u not in chosen)
-    return Cut(tuple(sorted(chosen)), Fraction(total, scale))
+    return Cut(tuple(sorted(chosen)), Fraction(total, graph.scale))
 
 
 def stoer_wagner(graph: WeightedGraph) -> Cut:
@@ -156,8 +153,7 @@ def stoer_wagner(graph: WeightedGraph) -> Cut:
     indices, so the result is a pure function of the graph.  A
     disconnected graph legitimately yields a weight-0 cut.
     """
-    adj, scale = graph._integer_adjacency
-    state = _Contraction.from_adjacency(adj)
+    state = _Contraction.from_adjacency(graph.adjacency)
     best: _ScaledCut | None = None
 
     while len(state.adj) > 1:
@@ -185,7 +181,7 @@ def stoer_wagner(graph: WeightedGraph) -> Cut:
         state.merge(s, t)
 
     assert best is not None
-    return Cut(best[1], Fraction(best[0], scale))
+    return Cut(best[1], Fraction(best[0], graph.scale))
 
 
 def default_trial_count(vertex_count: int) -> int:
@@ -328,15 +324,15 @@ def karger_stein(graph: WeightedGraph, seed: int, trials: int) -> Cut:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    adj, scale = graph._integer_adjacency
     best: _ScaledCut | None = None
     for trial_seed in derive_seeds(seed, trials):
         rng = Xoshiro256StarStar(trial_seed)
-        candidate = _recursive_contraction(_Contraction.from_adjacency(adj), rng)
+        candidate = _recursive_contraction(
+            _Contraction.from_adjacency(graph.adjacency), rng)
         if best is None or candidate[0] < best[0]:
             best = candidate
     assert best is not None
-    return Cut(best[1], Fraction(best[0], scale))
+    return Cut(best[1], Fraction(best[0], graph.scale))
 
 
 def brute_force_mincut(graph: WeightedGraph) -> Cut:
@@ -348,15 +344,14 @@ def brute_force_mincut(graph: WeightedGraph) -> Cut:
     total order, so the result is the minimum of (weight, size, indices)
     whatever the walk order.  Refuses graphs with more than 24 vertices.
     """
-    count = graph.vertex_count
+    count = len(graph.adjacency)
     if count > BRUTE_FORCE_LIMIT:
         raise TooLarge(
             f"{count} vertices means {2 ** (count - 1) - 1} cuts; "
             f"the exhaustive limit is {BRUTE_FORCE_LIMIT} vertices"
         )
-    adj, scale = graph._integer_adjacency
-    weight, mask = _gray_min_cut(adj, _fewer_then_lower_indices)
-    return Cut(_mask_indices(mask), Fraction(weight, scale))
+    weight, mask = _gray_min_cut(graph.adjacency, _fewer_then_lower_indices)
+    return Cut(_mask_indices(mask), Fraction(weight, graph.scale))
 
 
 def _fewer_then_lower_indices(a: int, b: int) -> bool:

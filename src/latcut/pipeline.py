@@ -81,7 +81,7 @@ def short_vector(
 
     `algorithm` is one of "stoer-wagner" (deterministic, the default),
     "karger" (randomized; honors `seed` and `trials`, with a trial count
-    of ceil(log2(n+1))^2 + 8 when `trials` is None), or "brute"
+    of ceil((log2(n+1))^2) + 8 when `trials` is None), or "brute"
     (exhaustive cut enumeration, small inputs only).
 
     When `superbase` is given it must reproduce `g` exactly (checked

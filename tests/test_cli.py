@@ -360,6 +360,24 @@ def test_verify_bad_bits_is_exit_2():
     assert code == 2
 
 
+def test_a_value_error_from_the_library_is_exit_1(monkeypatch):
+    def fail(*_, **__):
+        raise ValueError("not a usage problem")
+
+    monkeypatch.setattr(latcut.cli, "short_vector", fail)
+    _, gen_out, _ = run(["gen", "an", "3"])
+    assert run(["svp", "-"], stdin_text=gen_out) == (
+        1, "", "error: not a usage problem\n")
+
+
+def test_a_file_that_is_not_utf8_is_exit_2(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"gram 2\n1 -1 # \xe9\n-1 1\n")
+    code, out, err = run(["validate", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'utf-8' codec can't decode")
+
+
 # --- usage ---------------------------------------------------------------------------
 
 def test_no_arguments_is_usage_error():
@@ -514,3 +532,13 @@ def test_superbase_coordinates_at_the_cap_are_accepted():
     text = f"superbase 3 2\n{a} 0\n0 {a}\n-{a} -{a}\n"
     assert run(["validate", "-"], stdin_text=text) == (
         0, "valid superbase: n=2, vectors=3, ambient=2\n", "")
+
+
+def test_selling_parameters_past_the_cap_name_the_edge_weights():
+    """Coordinates within the cap can have Selling parameters past it; the
+    cut graph then refuses them, and says that its weights are too long."""
+    text = prime_block_superbase_file(3, primes_past(MAX_DENOMINATOR_BITS)[:-1])
+    for args in (["svp", "-"], ["verify", "-", "--assignment", "1,0,0,0"]):
+        assert run(args, stdin_text=text) == (
+            1, "", "error: the edge weights need a common denominator of "
+                   f"more than {MAX_DENOMINATOR_BITS} bits\n")

@@ -309,9 +309,6 @@ def test_graph_weights_past_the_denominator_cap_are_refused():
     at_cap = WeightedGraph.from_edges(
         3, [(0, 1, F(1, 2 ** (MAX_DENOMINATOR_BITS - 1))), (1, 2, 1)])
     assert stoer_wagner(at_cap).weight == F(1, 2 ** (MAX_DENOMINATOR_BITS - 1))
-    past = WeightedGraph.from_edges(
-        3, [(0, 1, F(1, 2 ** MAX_DENOMINATOR_BITS)), (1, 2, 1)])
-    for algorithm in (stoer_wagner, brute_force_mincut,
-                      lambda g: karger_stein(g, 0, 1)):
-        with pytest.raises(TooLarge):
-            algorithm(past)
+    with pytest.raises(TooLarge):
+        WeightedGraph.from_edges(
+            3, [(0, 1, F(1, 2 ** MAX_DENOMINATOR_BITS)), (1, 2, 1)])

@@ -11,6 +11,7 @@ from latcut import (
     ImproperAssignment,
     Superbase,
     TooLarge,
+    WeightedGraph,
     ZeroWeightCut,
     brute_force_short_vector,
     candidate_vectors,
@@ -293,3 +294,26 @@ def test_certificates_are_sound():
             assert sum(x * x for x in result.coordinates) == \
                 result.squared_length
             assert result.squared_length > 0
+
+
+def test_the_solve_path_builds_no_fraction_view_of_the_graph(monkeypatch):
+    """The cut algorithms and the certificate read the graph's integers
+    only: with its Fraction views patched to raise, every route solves."""
+    def refuse(*_):
+        raise AssertionError("a Fraction view of the graph was built")
+
+    monkeypatch.setattr(WeightedGraph, "weights", property(refuse))
+    monkeypatch.setattr(WeightedGraph, "weight", refuse)
+    cases = [(gen_random_gram(6, seed=11), None)] + [
+        (selling_parameters(sb), sb)
+        for sb in (gen_example3d(), gen_anstar(5), random_superbase(4, seed=7))]
+    for g, sb in cases:
+        expected = brute_force_short_vector(g).squared_length
+        for algorithm in ("stoer-wagner", "brute"):
+            result = short_vector(g, algorithm, superbase=sb)
+            assert result.squared_length == expected
+        # Karger-Stein's weight is an upper bound on the minimum.
+        result = short_vector(g, "karger", seed=3, superbase=sb)
+        assert result.squared_length >= expected
+        q_value, cut_value = verify_reduction(g, [1] + [0] * (g.size - 1))
+        assert q_value == cut_value > 0

@@ -42,7 +42,7 @@ WEIGHTS = (0, 1, 1, 2, 3, F(1, 2), F(3, 4), F(5, 3))
 def reference_brute_force_mincut(graph):
     """Every side containing vertex 0, ascending; min of (weight, size, side)."""
     count = graph.vertex_count
-    adj, scale = graph._integer_adjacency
+    adj, scale = graph.adjacency, graph.scale
     edges = [(i, j, w) for i, nbrs in enumerate(adj)
              for j, w in nbrs.items() if j > i]
     best = None
@@ -115,7 +115,7 @@ def contraction_states(draw):
     """A graph on up to 12 vertices after random merges, 2..8 supervertices
     left; the kept labels are scattered and most absorb several vertices."""
     graph = draw(graphs(min_vertices=2, max_vertices=12))
-    state = _Contraction.from_adjacency(graph._integer_adjacency[0])
+    state = _Contraction.from_adjacency(graph.adjacency)
     left = draw(st.integers(2, min(8, graph.vertex_count)))
     while len(state.adj) > left:
         labels = sorted(state.adj)
@@ -173,7 +173,7 @@ def test_walks_match_on_every_small_unit_weight_graph():
             assert brute_force_mincut(graph) == \
                 reference_brute_force_mincut(graph)
             # Scattered labels 3, 5, 7, ... with one extra member each.
-            adj = graph._integer_adjacency[0]
+            adj = graph.adjacency
             state = _Contraction(
                 {2 * v + 3: {2 * u + 3: w for u, w in nbrs.items()}
                  for v, nbrs in enumerate(adj)},
