@@ -120,7 +120,7 @@ def parse_input(text: str) -> InputDocument:
                     raise ParseError(
                         lineno, column, f"cannot parse {token!r} as a rational"
                     ) from None
-        rows.append(tuple(values[token] for token in words))
+        rows.append(tuple([values[token] for token in words]))
 
     if kind is None:
         raise ParseError(max(last_line, 1), 1, "missing header line")
@@ -162,7 +162,8 @@ def format_superbase(sb: Superbase, comment: str | None = None) -> str:
 def format_gram(g: GramMatrix, comment: str | None = None) -> str:
     lines = [] if comment is None else [f"# {comment}"]
     lines.append(f"gram {g.size}")
-    lines.extend(" ".join(str(x) for x in row) for row in g.entries)
+    text = cache(lambda x: str(Fraction(x, g.scale)))  # once per value
+    lines.extend(" ".join(map(text, row)) for row in g.rows)
     return "\n".join(lines) + "\n"
 
 
@@ -329,18 +330,18 @@ def _cmd_svp(args, stdin, stdout, stderr) -> int:
         if args.algorithm == "karger":
             payload["seed"] = seed
             payload["trials"] = trials
-        print(json.dumps(payload), file=stdout)
+        text = json.dumps(payload)
     else:
-        print("subset:", " ".join(map(str, _indices_1based(result.subset))),
-              file=stdout)
-        print(f"squared length: {result.squared_length}", file=stdout)
+        lines = [
+            "subset: " + " ".join(map(str, _indices_1based(result.subset))),
+            f"squared length: {result.squared_length}"]
         if result.coordinates is not None:
-            print("vector:", " ".join(str(x) for x in result.coordinates),
-                  file=stdout)
-        print(f"algorithm: {args.algorithm}", file=stdout)
+            lines.append("vector: " + " ".join(map(str, result.coordinates)))
+        lines.append(f"algorithm: {args.algorithm}")
         if args.algorithm == "karger":
-            print(f"seed: {seed}", file=stdout)
-            print(f"trials: {trials}", file=stdout)
+            lines += [f"seed: {seed}", f"trials: {trials}"]
+        text = "\n".join(lines)
+    print(text, file=stdout)  # whole, so an unprintable answer prints nothing
     return 0
 
 

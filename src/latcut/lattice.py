@@ -2,11 +2,12 @@
 
 Everything here is exact: scalars are ``fractions.Fraction`` at the API,
 and both validators work on integers over one common denominator, capped
-at MAX_DENOMINATOR_BITS.  A matrix of pairwise superbase products is a
-weighted graph Laplacian (nonpositive off the diagonal, zero row sums),
-hence positive semidefinite with rank equal to its side minus the number
-of connected components of its support; so both validators check rank by
-one graph traversal instead of by elimination.
+at MAX_DENOMINATOR_BITS; a GramMatrix keeps those integers.  A matrix of
+pairwise superbase products is a weighted graph Laplacian (nonpositive
+off the diagonal, zero row sums), hence positive semidefinite with rank
+equal to its side minus the number of connected components of its
+support; so both validators check rank by one graph traversal instead of
+by elimination.
 
 Indices are 0-based everywhere in this API.  Only the CLI renders them
 1-based.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -98,22 +99,31 @@ class Superbase:
 class GramMatrix:
     """Symmetric matrix of pairwise superbase inner products.
 
-    Valid instances are graph Laplacians with flipped sign conventions:
-    nonpositive off the diagonal, rows summing to zero, rank one less
-    than the side.  Construct through :func:`validate_gram` or
-    :func:`selling_parameters`.
+    Entry (i, j) is `rows[i][j] / scale`; `scale` is the lcm of the
+    entries' reduced denominators, so equal matrices compare equal.  Valid
+    instances are graph Laplacians with flipped sign conventions:
+    nonpositive off the diagonal, rows summing to zero, rank one less than
+    the side.  Construct through :func:`validate_gram` or
+    :func:`selling_parameters`; `entries` is a Fraction view for callers.
     """
 
-    entries: Matrix
+    rows: tuple[tuple[int, ...], ...]
+    scale: int
+
+    @cached_property
+    def entries(self) -> Matrix:
+        """The entries as Fractions, one object per distinct value."""
+        fraction = cache(lambda x: Fraction(x, self.scale))
+        return tuple(tuple(map(fraction, row)) for row in self.rows)
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
     @property
     def n(self) -> int:
         """Lattice dimension: one less than the matrix side."""
-        return len(self.entries) - 1
+        return len(self.rows) - 1
 
 
 @dataclass(frozen=True)
@@ -156,24 +166,27 @@ def _common_denominator(values: Iterable[Fraction], what: str = "entries") -> in
     """
     scale = 1
     for denominator in {x.denominator for x in values}:
-        scale = math.lcm(scale, denominator)
-        if scale.bit_length() > MAX_DENOMINATOR_BITS:
-            raise TooLarge(
-                f"the {what} need a common denominator of more than "
-                f"{MAX_DENOMINATOR_BITS} bits"
-            )
+        scale = _capped(math.lcm(scale, denominator), what)
+    return scale
+
+
+def _capped(scale: int, what: str) -> int:
+    """`scale`, or TooLarge naming `what` if it passes MAX_DENOMINATOR_BITS."""
+    if scale.bit_length() > MAX_DENOMINATOR_BITS:
+        raise TooLarge(f"the {what} need a common denominator of more "
+                       f"than {MAX_DENOMINATOR_BITS} bits")
     return scale
 
 
 def _pairwise_products(
     vectors: Sequence[Vector],
-) -> tuple[list[list[tuple[int, int]]], int, list[list[int]], Matrix]:
+) -> tuple[list[list[tuple[int, int]]], int, GramMatrix]:
     """All inner products q_ij, over the common denominator s of `vectors`.
 
-    Returns (columns, s, numerators, q): columns[k] lists each nonzero
-    (i, coordinate k of vector i times s), numerators[i][j] = q_ij * s**2
-    is an integer with the sign of q_ij, and q holds one Fraction per
-    distinct nonzero value.  Raises TooLarge past MAX_DENOMINATOR_BITS.
+    Returns (columns, s, g): columns[k] lists each nonzero (i, coordinate
+    k of vector i times s), and g holds the products q_ij * s**2 divided
+    by their gcd with s**2, which leaves g.scale the canonical one.
+    Raises TooLarge past MAX_DENOMINATOR_BITS.
     """
     nonzero = [(i, k, x) for i, vec in enumerate(vectors)
                for k, x in enumerate(vec) if x]
@@ -188,14 +201,16 @@ def _pairwise_products(
             row = numerators[i]
             for j, y in column[a:]:
                 row[j] += x * y
-    fraction = cache(lambda total: Fraction(total, scale * scale))
-    q = [[ZERO] * count for _ in range(count)]
+    common = scale * scale
     for i, row in enumerate(numerators):
         for j in range(i, count):
             if row[j]:
                 numerators[j][i] = row[j]
-                q[i][j] = q[j][i] = fraction(row[j])
-    return columns, scale, numerators, tuple(map(tuple, q))
+                common = math.gcd(common, row[j])
+    if common > 1:
+        numerators = [[x // common for x in row] for row in numerators]
+    return columns, scale, GramMatrix(tuple(map(tuple, numerators)),
+                                      scale * scale // common)
 
 
 def _first_unreachable(q: Sequence[Sequence[int]]) -> int | None:
@@ -252,35 +267,33 @@ def validate_superbase(vectors) -> Superbase:
                 f"vector {idx + 1} has length {len(row)}, expected {m}"
             )
 
-    columns, scale, numerators, q = _pairwise_products(rows)
+    columns, scale, g = _pairwise_products(rows)
     for k, column in enumerate(columns):
         if total := sum(x for _, x in column):
             raise SumNotZero(k, Fraction(total, scale))
-    for i, row in enumerate(numerators):
+    for i, row in enumerate(g.rows):
         for j in range(i + 1, len(row)):
             if row[j] > 0:
-                raise ObtuseViolation((i, j), q[i][j])
+                raise ObtuseViolation((i, j), Fraction(row[j], g.scale))
 
-    unreachable = _first_unreachable(numerators)
+    unreachable = _first_unreachable(g.rows)
     if unreachable is not None:
         raise RankDeficient(unreachable)
     global _last_validated
     sb = Superbase(rows)
-    _last_validated = (sb, GramMatrix(q))
+    _last_validated = (sb, g)
     return sb
 
 
 def selling_parameters(sb: Superbase) -> GramMatrix:
     """The (n+1) x (n+1) matrix of pairwise inner products of `sb`.
 
-    A validated superbase always yields a valid GramMatrix, so no checks
-    are repeated here.  Called on the superbase validated last, it returns
-    the matrix that validation built.
+    Integers over s**2 for the coordinates' common denominator s, reduced
+    to the canonical scale.  A validated superbase always yields a valid
+    GramMatrix, so no checks are repeated here.  Called on the superbase
+    validated last, it returns the matrix that validation built.
     """
-    validated = _validated_selling(sb)
-    if validated is not None:
-        return validated
-    return GramMatrix(_pairwise_products(sb.vectors)[3])
+    return _validated_selling(sb) or _pairwise_products(sb.vectors)[2]
 
 
 def validate_gram(entries) -> GramMatrix:
@@ -295,7 +308,7 @@ def validate_gram(entries) -> GramMatrix:
     or WrongRank, and TooLarge if the entries' common denominator is
     longer than MAX_DENOMINATOR_BITS.
     """
-    rows = [tuple(map(as_rational, row)) for row in entries]
+    rows = [list(map(as_rational, row)) for row in entries]
     size = len(rows)
     if size < 2:
         raise ShapeMismatch("a Gram matrix needs side >= 2")
@@ -305,8 +318,8 @@ def validate_gram(entries) -> GramMatrix:
                 f"row {idx + 1} has length {len(row)}, expected {size}"
             )
 
-    # The same matrix over one common denominator: identical signs, sums
-    # and equalities, at integer rather than Fraction cost.
+    # The same matrix over one common denominator, kept by the result:
+    # identical signs, sums and equalities, at integer cost.
     scale = _common_denominator(x for row in rows for x in row)
     scaled = [[x.numerator * (scale // x.denominator) for x in row]
               for row in rows]
@@ -327,7 +340,7 @@ def validate_gram(entries) -> GramMatrix:
     unreachable = _first_unreachable(scaled)
     if unreachable is not None:
         raise WrongRank(unreachable)
-    return GramMatrix(tuple(rows))
+    return GramMatrix(tuple(map(tuple, scaled)), scale)
 
 
 def _bits_of(u) -> tuple[int, ...]:
@@ -337,6 +350,11 @@ def _bits_of(u) -> tuple[int, ...]:
     if any(b not in (0, 1) for b in bits):
         raise ValueError("assignment entries must be 0 or 1")
     return bits
+
+
+def _scaled_form(rows: Sequence[Sequence[int]], support: Sequence[int]) -> int:
+    """sum_ij rows[i][j] over i and j in `support`, as an integer."""
+    return sum(rows[i][j] for i in support for j in support)
 
 
 def quadratic_form(g: GramMatrix, u) -> Fraction:
@@ -351,11 +369,4 @@ def quadratic_form(g: GramMatrix, u) -> Fraction:
             f"assignment has length {len(bits)}, Gram side is {g.size}"
         )
     support = [i for i, b in enumerate(bits) if b]
-    entries = g.entries
-    total = ZERO
-    for a, i in enumerate(support):
-        row = entries[i]
-        total += row[i]
-        for j in support[a + 1 :]:
-            total += 2 * row[j]
-    return total
+    return Fraction(_scaled_form(g.rows, support), g.scale)

@@ -10,9 +10,10 @@ can cross-check each other:
 * :func:`brute_force_mincut`: exhaustive enumeration, the oracle.
 
 A :class:`WeightedGraph` holds its rational weights as Python ints over
-one common denominator, fixed when it is built.  All three algorithms run
-on those ints and divide once, when they build the returned :class:`Cut`;
-every comparison stays exact, so ties and minima are bit-reproducible.
+one common denominator, fixed when it is built (by :func:`graph_from_gram`
+from the Gram matrix's own).  All three algorithms run on those ints and
+divide once, when they build the returned :class:`Cut`; every comparison
+stays exact, so ties and minima are bit-reproducible.
 
 Brute force and the Karger-Stein base case share one exhaustive walker,
 :func:`_gray_min_cut`: it visits the sides in reflected Gray-code order,
@@ -32,7 +33,7 @@ from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Sequence
 
 from .errors import EmptySide, TooLarge
-from .lattice import GramMatrix, _common_denominator, as_rational
+from .lattice import GramMatrix, _capped, _common_denominator, as_rational
 from .rng import Xoshiro256StarStar, derive_seeds
 
 BRUTE_FORCE_LIMIT = 24
@@ -120,11 +121,15 @@ def graph_from_gram(g: GramMatrix) -> WeightedGraph:
 
     Vertex i stands for superbase vector i; a strictly negative q_ij
     becomes an edge of weight -q_ij, and q_ij = 0 means no edge.  The
-    diagonal is ignored.
+    diagonal is ignored.  The graph keeps `g.scale`, which zero row sums
+    make the edge weights' common denominator; past the cap, TooLarge.
     """
-    return WeightedGraph.from_edges(g.size, (
-        (i, j, -x) for i, row in enumerate(g.entries)
-        for j, x in enumerate(row[i + 1:], i + 1) if x.numerator < 0))
+    adj: tuple[dict[int, int], ...] = tuple({} for _ in g.rows)
+    for i, row in enumerate(g.rows):
+        for j, x in enumerate(row[i + 1:], i + 1):
+            if x < 0:
+                adj[i][j] = adj[j][i] = -x
+    return WeightedGraph(adj, _capped(g.scale, "edge weights"))
 
 
 def cut_weight(graph: WeightedGraph, side: Iterable[int]) -> Cut:

@@ -9,7 +9,6 @@ carries the exhaustive subset oracle used to test it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -29,6 +28,8 @@ from .lattice import (
     Superbase,
     Vector,
     _bits_of,
+    _common_denominator,
+    _scaled_form,
     _validated_selling,
     quadratic_form,
     selling_parameters,
@@ -97,7 +98,7 @@ def short_vector(
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
     if superbase is not None and g is not _validated_selling(superbase) and \
-            selling_parameters(superbase).entries != g.entries:
+            selling_parameters(superbase) != g:
         raise GramCoordsMismatch(
             "the supplied coordinates do not reproduce the supplied Gram matrix"
         )
@@ -141,22 +142,10 @@ def brute_force_short_vector(g: GramMatrix) -> ShortVectorResult:
             f"{2 ** size - 2} subsets at n + 1 = {size}; the exhaustive "
             f"limit is {BRUTE_FORCE_LIMIT}"
         )
-    scale = math.lcm(*(x.denominator for row in g.entries for x in row))
-    q = [[int(x * scale) for x in row] for row in g.entries]
-    best_key: tuple[int, int, tuple[int, ...]] | None = None
-    for mask in range(1, (1 << size) - 1):
-        subset = tuple(i for i in range(size) if mask >> i & 1)
-        total = 0
-        for a, i in enumerate(subset):
-            row = q[i]
-            total += row[i]
-            for j in subset[a + 1 :]:
-                total += 2 * row[j]
-        key = (total, len(subset), subset)
-        if best_key is None or key < best_key:
-            best_key = key
-    assert best_key is not None
-    return ShortVectorResult(best_key[2], Fraction(best_key[0], scale))
+    subsets = (tuple(i for i in range(size) if mask >> i & 1)
+               for mask in range(1, (1 << size) - 1))
+    total, _, subset = min((_scaled_form(g.rows, s), len(s), s) for s in subsets)
+    return ShortVectorResult(subset, Fraction(total, g.scale))
 
 
 def candidate_vectors(sb: Superbase) -> list[Candidate]:
@@ -180,8 +169,9 @@ def candidate_vectors(sb: Superbase) -> list[Candidate]:
             f"{2 ** size - 2} candidates at n + 1 = {size}; the exhaustive "
             f"limit is {BRUTE_FORCE_LIMIT}"
         )
-    scale = math.lcm(*(x.denominator for vec in sb.vectors for x in vec))
-    scaled = [[int(x * scale) for x in vec] for vec in sb.vectors]
+    scale = _common_denominator(x for vec in sb.vectors for x in vec)
+    scaled = [[x.numerator * (scale // x.denominator) for x in vec]
+              for vec in sb.vectors]
     indices = range(size)
     chosen = [False] * size
     acc = (0,) * sb.m

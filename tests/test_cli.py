@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import latcut
-from latcut import ParseError, ShapeError, gen_random_gram, quadratic_form, validate_gram
+from latcut import (
+    GramMatrix, ParseError, ShapeError, gen_random_gram, quadratic_form, validate_gram,
+)
 from latcut.cli import _build_parser, format_gram, format_superbase, parse_input, run_cli
 from latcut.lattice import MAX_DENOMINATOR_BITS
 
@@ -542,3 +544,36 @@ def test_selling_parameters_past_the_cap_name_the_edge_weights():
         assert run(args, stdin_text=text) == (
             1, "", "error: the edge weights need a common denominator of "
                    f"more than {MAX_DENOMINATOR_BITS} bits\n")
+
+
+def test_an_answer_too_long_to_print_prints_nothing():
+    """Coordinates of 2500 digits give a squared length past Python's
+    4300-digit int-to-str limit: every command fails before writing."""
+    text = f"superbase 2 1\n{'9' * 2500}\n-{'9' * 2500}\n"
+    for args in (["svp", "-"], ["svp", "-", "--json"], ["candidates", "-"],
+                 ["verify", "-", "--assignment", "1,0"]):
+        code, out, err = run(args, stdin_text=text)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
+
+def test_commands_never_build_the_fraction_view(monkeypatch, tmp_path):
+    gen_args = ["gen", "random_gram", "4", "--seed", "3"]
+    expected = run(gen_args)
+    gram_file = tmp_path / "g.txt"
+    gram_file.write_text(expected[1])
+    superbase_file = tmp_path / "s.txt"
+    superbase_file.write_text(run(["gen", "anstar", "4"])[1])
+
+    def refuse(self):
+        raise AssertionError("GramMatrix.entries was read")
+
+    monkeypatch.setattr(GramMatrix, "entries", property(refuse))
+    assert run(gen_args) == expected
+    for path in (gram_file, superbase_file):
+        for algorithm in ("stoer-wagner", "karger", "brute"):
+            code, out, err = run(["svp", str(path), "--algorithm", algorithm])
+            assert (code, err) == (0, "") and "squared length: " in out
+        assert run(["validate", str(path)])[0] == 0
+        code, out, _ = run(["verify", str(path), "--assignment", "1,0,1,0,0"])
+        assert (code, out.splitlines()[-1]) == (0, "equal: yes")

@@ -27,6 +27,7 @@ from latcut import (
     validate_superbase,
     verify_reduction,
 )
+from latcut.lattice import MAX_DENOMINATOR_BITS
 from conftest import random_superbase, seeds_from
 
 F = Fraction
@@ -108,6 +109,18 @@ def test_validated_matrix_skips_the_coordinate_check(monkeypatch):
     assert short_vector(g, superbase=sb).squared_length == F(4, 5)
 
 
+def test_the_coordinate_check_compares_integers(monkeypatch):
+    sb = gen_anstar(4)
+    g = validate_gram(selling_parameters(sb).entries)  # not the memo's object
+    assert g == selling_parameters(sb)
+
+    def refuse(self):
+        raise AssertionError("GramMatrix.entries was read")
+
+    monkeypatch.setattr(GramMatrix, "entries", property(refuse))
+    assert short_vector(g, superbase=sb).squared_length == F(4, 5)
+
+
 def test_corrupted_cut_fails_its_certificate(monkeypatch):
     g = selling_parameters(gen_an(5))
     assert short_vector(g).squared_length == 2
@@ -130,17 +143,14 @@ def test_corrupted_coordinates_fail_the_certificate(monkeypatch):
 
 def test_zero_weight_cut_detected():
     # a disconnected Laplacian smuggled past validation
-    block = tuple(
-        tuple(F(x) for x in row)
-        for row in [
-            [1, -1, 0, 0],
-            [-1, 1, 0, 0],
-            [0, 0, 1, -1],
-            [0, 0, -1, 1],
-        ]
+    block = (
+        (1, -1, 0, 0),
+        (-1, 1, 0, 0),
+        (0, 0, 1, -1),
+        (0, 0, -1, 1),
     )
     with pytest.raises(ZeroWeightCut):
-        short_vector(GramMatrix(block))
+        short_vector(GramMatrix(block, 1))
 
 
 # --- brute_force_short_vector --------------------------------------------------
@@ -168,13 +178,13 @@ def test_one_dimensional_brute_force():
 
 def test_brute_force_size_guard():
     size = 25
-    entries = [[F(0)] * size for _ in range(size)]
+    entries = [[0] * size for _ in range(size)]
     for i in range(size - 1):
-        entries[i][i + 1] = entries[i + 1][i] = F(-1)
+        entries[i][i + 1] = entries[i + 1][i] = -1
     for i in range(size):
         entries[i][i] = -sum(entries[i][j] for j in range(size) if j != i)
     with pytest.raises(TooLarge):
-        brute_force_short_vector(GramMatrix(tuple(map(tuple, entries))))
+        brute_force_short_vector(GramMatrix(tuple(map(tuple, entries)), 1))
 
 
 # --- candidate_vectors ----------------------------------------------------------
@@ -235,6 +245,14 @@ def test_candidates_size_guard():
         vectors[i][(i + 1) % 25] = -1
     sb = validate_superbase(vectors)
     with pytest.raises(TooLarge):
+        candidate_vectors(sb)
+
+
+def test_candidates_refuse_coordinates_past_the_denominator_cap():
+    # Built directly, so validation never saw the coordinates.
+    a = F(1, 2 ** MAX_DENOMINATOR_BITS)
+    sb = Superbase(((a, F(0)), (F(0), F(1, 3)), (-a, F(-1, 3))))
+    with pytest.raises(TooLarge, match="common denominator of more than"):
         candidate_vectors(sb)
 
 

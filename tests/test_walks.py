@@ -139,12 +139,12 @@ def superbases(draw):
 def laplacian(graph):
     """The Gram matrix whose Selling graph is `graph`."""
     size = graph.vertex_count
-    q = [[F(0)] * size for _ in range(size)]
-    for (i, j), w in graph.weights.items():
-        q[i][j] = q[j][i] = -w
-        q[i][i] += w
-        q[j][j] += w
-    return GramMatrix(tuple(map(tuple, q)))
+    q = [[0] * size for _ in range(size)]
+    for i, nbrs in enumerate(graph.adjacency):
+        for j, w in nbrs.items():
+            q[i][j] = -w
+            q[i][i] += w
+    return GramMatrix(tuple(map(tuple, q)), graph.scale)
 
 
 # --- properties ------------------------------------------------------------------
