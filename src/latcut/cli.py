@@ -5,7 +5,8 @@ Format: the first significant line is a header, either
 line is one row of whitespace-separated rationals (``5/4``, ``-1``,
 ``0.25``; see :func:`latcut.lattice.as_rational` for the token grammar).
 ``#`` starts a comment, blank lines are skipped, and ``-`` as a file name
-means standard input.
+means standard input.  The parser scales its distinct tokens to integers
+once, and the validators check the Superbase or GramMatrix it returns.
 
 All user-facing indices are 1-based; the library underneath is 0-based.
 Exit codes: 0 success, 1 validation or computation failure, 2 usage,
@@ -18,7 +19,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from pathlib import Path
@@ -27,8 +27,9 @@ from .errors import LatCutError, ParseError, ShapeError
 from .generators import DEFAULT_DENSITY, FAMILIES, InstanceSpec, generate
 from .lattice import (
     GramMatrix,
-    Matrix,
     Superbase,
+    _scaled,
+    _token_value,
     as_rational,
     selling_parameters,
     validate_gram,
@@ -43,27 +44,19 @@ from .pipeline import (
 )
 
 
-@dataclass(frozen=True)
-class InputDocument:
-    """A parsed input file: header shape plus the raw rational entries."""
+def parse_input(text: str) -> Superbase | GramMatrix:
+    """Parse the file format into an unvalidated Superbase or GramMatrix.
 
-    kind: str  # "superbase" or "gram"
-    dimensions: tuple[int, ...]  # (count, m) for superbase, (count,) for gram
-    entries: Matrix
-
-
-def parse_input(text: str) -> InputDocument:
-    """Parse the file format into an InputDocument.
-
-    Raises ParseError (with 1-based line and column) for malformed
-    headers or tokens, ShapeError when rows disagree with the header.
+    Each distinct token is parsed and scaled once.  Raises ParseError
+    (with 1-based line and column) for malformed headers or tokens,
+    ShapeError when rows disagree with the header, TooLarge past the cap.
     """
-    kind: str | None = None
-    dimensions: tuple[int, ...] = ()
+    kind: type[Superbase] | type[GramMatrix] | None = None
     expected_cols = 0
     expected_rows = 0
-    rows: list[tuple[Fraction, ...]] = []
-    values: dict[str, Fraction] = {}  # each distinct token is parsed once
+    rows: list[tuple[int, ...]] = []  # positions in `distinct`, shared
+    position: dict[str, int] = {}
+    distinct: list[Fraction] = []
     last_line = 0
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -84,16 +77,14 @@ def parse_input(text: str) -> InputDocument:
                     )
                 count = _header_int(tokens[1], lineno)
                 m = _header_int(tokens[2], lineno)
-                kind, dimensions = "superbase", (count, m)
-                expected_rows, expected_cols = count, m
+                kind, expected_rows, expected_cols = Superbase, count, m
             elif word == "gram":
                 if len(tokens) != 2:
                     raise ParseError(
                         lineno, column, "header must be 'gram <count>'"
                     )
                 count = _header_int(tokens[1], lineno)
-                kind, dimensions = "gram", (count,)
-                expected_rows, expected_cols = count, count
+                kind, expected_rows, expected_cols = GramMatrix, count, count
             else:
                 raise ParseError(
                     lineno, column,
@@ -112,15 +103,16 @@ def parse_input(text: str) -> InputDocument:
                 f"expected {expected_cols}",
             )
         for k, token in enumerate(words):
-            if token not in values:
+            if token not in position:
                 try:
-                    values[token] = as_rational(token)
+                    distinct.append(_token_value(token))
                 except (ValueError, ZeroDivisionError):
                     column = _tokens_with_columns(line)[k][1]
                     raise ParseError(
                         lineno, column, f"cannot parse {token!r} as a rational"
                     ) from None
-        rows.append(tuple([values[token] for token in words]))
+                position[token] = len(position)
+        rows.append(tuple([position[token] for token in words]))
 
     if kind is None:
         raise ParseError(max(last_line, 1), 1, "missing header line")
@@ -128,7 +120,8 @@ def parse_input(text: str) -> InputDocument:
         raise ShapeError(
             last_line, f"expected {expected_rows} rows, found {len(rows)}"
         )
-    return InputDocument(kind, dimensions, tuple(rows))
+    (values,), scale = _scaled([distinct])
+    return kind(tuple([tuple([values[p] for p in row]) for row in rows]), scale)
 
 
 def _tokens_with_columns(line: str) -> list[tuple[str, int]]:
@@ -153,17 +146,20 @@ def _header_int(token_with_column: tuple[str, int], lineno: int) -> int:
 
 
 def format_superbase(sb: Superbase, comment: str | None = None) -> str:
-    lines = [] if comment is None else [f"# {comment}"]
-    lines.append(f"superbase {sb.n + 1} {sb.m}")
-    lines.extend(" ".join(str(x) for x in vec) for vec in sb.vectors)
-    return "\n".join(lines) + "\n"
+    return _format(f"superbase {sb.n + 1} {sb.m}", sb, comment)
 
 
 def format_gram(g: GramMatrix, comment: str | None = None) -> str:
+    return _format(f"gram {g.size}", g, comment)
+
+
+def _format(header: str, value: Superbase | GramMatrix,
+            comment: str | None) -> str:
+    """`value` under `header`, rendering each distinct entry once."""
     lines = [] if comment is None else [f"# {comment}"]
-    lines.append(f"gram {g.size}")
-    text = cache(lambda x: str(Fraction(x, g.scale)))  # once per value
-    lines.extend(" ".join(map(text, row)) for row in g.rows)
+    lines.append(header)
+    text = cache(lambda x: str(Fraction(x, value.scale)))
+    lines.extend(" ".join(map(text, row)) for row in value.rows)
     return "\n".join(lines) + "\n"
 
 
@@ -291,12 +287,12 @@ def _read_text(path: str, stdin) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load(document: InputDocument):
-    """Validate a parsed document into (Superbase | None, GramMatrix)."""
-    if document.kind == "superbase":
-        sb = validate_superbase(document.entries)
+def _load(parsed: Superbase | GramMatrix):
+    """Validate a parsed file into (Superbase | None, GramMatrix)."""
+    if isinstance(parsed, Superbase):
+        sb = validate_superbase(parsed)
         return sb, selling_parameters(sb)
-    return None, validate_gram(document.entries)
+    return None, validate_gram(parsed)
 
 
 def _indices_1based(subset) -> list[int]:
@@ -346,8 +342,7 @@ def _cmd_svp(args, stdin, stdout, stderr) -> int:
 
 
 def _cmd_validate(args, stdin, stdout, stderr) -> int:
-    document = parse_input(_read_text(args.file, stdin))
-    sb, gram = _load(document)
+    sb, gram = _load(parse_input(_read_text(args.file, stdin)))
     if sb is not None:
         print(f"valid superbase: n={sb.n}, vectors={sb.n + 1}, ambient={sb.m}",
               file=stdout)

@@ -1,13 +1,13 @@
 """Obtuse superbases, Selling parameters, and the binary quadratic form.
 
 Everything here is exact: scalars are ``fractions.Fraction`` at the API,
-and both validators work on integers over one common denominator, capped
-at MAX_DENOMINATOR_BITS; a GramMatrix keeps those integers.  A matrix of
-pairwise superbase products is a weighted graph Laplacian (nonpositive
-off the diagonal, zero row sums), hence positive semidefinite with rank
-equal to its side minus the number of connected components of its
-support; so both validators check rank by one graph traversal instead of
-by elimination.
+and a Superbase or a GramMatrix holds integers over one denominator, which
+:func:`_scaled`, the one conversion to them, caps at MAX_DENOMINATOR_BITS.
+A matrix of pairwise superbase products is a weighted graph Laplacian
+(nonpositive off the diagonal, zero row sums), hence positive semidefinite
+with rank equal to its side minus the number of connected components of
+its support; so both validators check rank by one graph traversal instead
+of by elimination.
 
 Indices are 0-based everywhere in this API.  Only the CLI renders them
 1-based.
@@ -58,41 +58,57 @@ def as_rational(value) -> Fraction:
             "refusing to convert float to an exact rational; "
             "pass an int, a string like '5/4' or '0.25', or a Fraction"
         )
-    if isinstance(value, str) and not {"e", "E", "_"}.isdisjoint(value):
-        raise ValueError(f"{value!r}: exponents and '_' digit separators "
-                         f"are not accepted")
-    if isinstance(value, (int, str)):
+    if isinstance(value, str):
+        return _token_value(value)
+    if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _fraction_view(self) -> Matrix:
+    """`rows` over `scale` as Fractions, one object per distinct value."""
+    fraction = cache(lambda x: Fraction(x, self.scale))
+    return tuple(tuple(map(fraction, row)) for row in self.rows)
+
+
+def _token_value(token: str) -> Fraction:
+    """The value of one token in the grammar of :func:`as_rational`."""
+    if not {"e", "E", "_"}.isdisjoint(token):
+        raise ValueError(f"{token!r}: exponents and '_' digit separators "
+                         f"are not accepted")
+    return Fraction(token)
 
 
 @dataclass(frozen=True)
 class Superbase:
     """n+1 exact-rational vectors in ambient dimension m that sum to zero.
 
+    Coordinates are `rows` over `scale`, canonical as in GramMatrix.
     Construct through :func:`validate_superbase` (or a generator); direct
-    construction skips invariant checking.
+    construction skips invariant checking.  `vectors` is a Fraction view.
     """
 
-    vectors: tuple[Vector, ...]
+    rows: tuple[tuple[int, ...], ...]
+    scale: int
+    vectors = cached_property(_fraction_view)
 
     @property
     def n(self) -> int:
         """Lattice dimension: one less than the vector count."""
-        return len(self.vectors) - 1
+        return len(self.rows) - 1
 
     @property
     def m(self) -> int:
         """Ambient dimension."""
-        return len(self.vectors[0])
+        return len(self.rows[0])
 
     def subset_sum(self, subset: Iterable[int]) -> Vector:
         """Componentwise sum of the vectors selected by `subset`."""
-        total = [ZERO] * self.m
+        total = [0] * self.m
         for i in subset:
-            for k, value in enumerate(self.vectors[i]):
+            for k, value in enumerate(self.rows[i]):
                 total[k] += value
-        return tuple(total)
+        return tuple([Fraction(x, self.scale) for x in total])
 
 
 @dataclass(frozen=True)
@@ -109,12 +125,7 @@ class GramMatrix:
 
     rows: tuple[tuple[int, ...], ...]
     scale: int
-
-    @cached_property
-    def entries(self) -> Matrix:
-        """The entries as Fractions, one object per distinct value."""
-        fraction = cache(lambda x: Fraction(x, self.scale))
-        return tuple(tuple(map(fraction, row)) for row in self.rows)
+    entries = cached_property(_fraction_view)
 
     @property
     def size(self) -> int:
@@ -158,16 +169,20 @@ class BinaryAssignment:
         return BinaryAssignment(tuple(1 - b for b in self.bits))
 
 
-def _common_denominator(values: Iterable[Fraction], what: str = "entries") -> int:
-    """The lcm of the denominators of `values`, at most MAX_DENOMINATOR_BITS long.
+def _scaled(rows: Sequence[Sequence[Fraction]],
+            what: str = "entries") -> tuple[tuple[tuple[int, ...], ...], int]:
+    """`rows` as integers over s, the lcm of their reduced denominators, and s.
 
-    Raises TooLarge as soon as the lcm passes that length; the message
+    Raises TooLarge as soon as s passes MAX_DENOMINATOR_BITS; the message
     names the values as `what`.
     """
+    distinct = {id(x): x for row in rows for x in row}  # rows share objects
     scale = 1
-    for denominator in {x.denominator for x in values}:
+    for denominator in {x.denominator for x in distinct.values()}:
         scale = _capped(math.lcm(scale, denominator), what)
-    return scale
+    scaled = {key: x.numerator * (scale // x.denominator)
+              for key, x in distinct.items()}
+    return tuple([tuple([scaled[id(x)] for x in row]) for row in rows]), scale
 
 
 def _capped(scale: int, what: str) -> int:
@@ -178,30 +193,19 @@ def _capped(scale: int, what: str) -> int:
     return scale
 
 
-def _pairwise_products(
-    vectors: Sequence[Vector],
-) -> tuple[list[list[tuple[int, int]]], int, GramMatrix]:
-    """All inner products q_ij, over the common denominator s of `vectors`.
-
-    Returns (columns, s, g): columns[k] lists each nonzero (i, coordinate
-    k of vector i times s), and g holds the products q_ij * s**2 divided
-    by their gcd with s**2, which leaves g.scale the canonical one.
-    Raises TooLarge past MAX_DENOMINATOR_BITS.
-    """
-    nonzero = [(i, k, x) for i, vec in enumerate(vectors)
-               for k, x in enumerate(vec) if x]
-    scale = _common_denominator(x for _, _, x in nonzero)
-    columns: list[list[tuple[int, int]]] = [[] for _ in vectors[0]]
-    for i, k, x in nonzero:
-        columns[k].append((i, x.numerator * (scale // x.denominator)))
-    count = len(vectors)
+def _pairwise_products(sb: Superbase) -> GramMatrix:
+    """All inner products q_ij of `sb`: its row products over sb.scale**2,
+    both divided by their gcd, which leaves the canonical scale."""
+    columns = [[(i, x) for i, x in enumerate(column) if x]
+               for column in zip(*sb.rows)]
+    count = sb.n + 1
     numerators = [[0] * count for _ in range(count)]
     for column in columns:
         for a, (i, x) in enumerate(column):
             row = numerators[i]
             for j, y in column[a:]:
                 row[j] += x * y
-    common = scale * scale
+    common = sb.scale * sb.scale
     for i, row in enumerate(numerators):
         for j in range(i, count):
             if row[j]:
@@ -209,8 +213,8 @@ def _pairwise_products(
                 common = math.gcd(common, row[j])
     if common > 1:
         numerators = [[x // common for x in row] for row in numerators]
-    return columns, scale, GramMatrix(tuple(map(tuple, numerators)),
-                                      scale * scale // common)
+    return GramMatrix(tuple(map(tuple, numerators)),
+                      sb.scale * sb.scale // common)
 
 
 def _first_unreachable(q: Sequence[Sequence[int]]) -> int | None:
@@ -249,15 +253,17 @@ def _validated_selling(sb: Superbase) -> GramMatrix | None:
 def validate_superbase(vectors) -> Superbase:
     """Check the superbase conditions and return a validated Superbase.
 
-    Verifies, in order: consistent shape, componentwise zero sum, all
-    pairwise inner products nonpositive, and linear independence of the
-    first n vectors, which for such vectors means the graph of nonzero
-    inner products is connected.  All checks are exact.
+    `vectors` is rows of exact scalars, or a Superbase, which is checked
+    and returned as it stands.  Verifies, in order: consistent shape,
+    componentwise zero sum, all pairwise inner products nonpositive, and
+    linear independence of the first n vectors, which for such vectors
+    means the graph of nonzero inner products is connected.
 
     Raises ShapeMismatch, SumNotZero, ObtuseViolation, RankDeficient, or
     TooLarge if the coordinates' common denominator passes the cap.
     """
-    rows = tuple(tuple(map(as_rational, row)) for row in vectors)
+    sb = vectors if isinstance(vectors, Superbase) else None
+    rows = sb.rows if sb else [list(map(as_rational, row)) for row in vectors]
     if len(rows) < 2:
         raise ShapeMismatch("a superbase needs at least 2 vectors")
     m = len(rows[0])
@@ -266,11 +272,12 @@ def validate_superbase(vectors) -> Superbase:
             raise ShapeMismatch(
                 f"vector {idx + 1} has length {len(row)}, expected {m}"
             )
+    sb = sb or Superbase(*_scaled(rows))
 
-    columns, scale, g = _pairwise_products(rows)
-    for k, column in enumerate(columns):
-        if total := sum(x for _, x in column):
-            raise SumNotZero(k, Fraction(total, scale))
+    for k, total in enumerate(map(sum, zip(*sb.rows))):
+        if total:
+            raise SumNotZero(k, Fraction(total, sb.scale))
+    g = _pairwise_products(sb)
     for i, row in enumerate(g.rows):
         for j in range(i + 1, len(row)):
             if row[j] > 0:
@@ -280,7 +287,6 @@ def validate_superbase(vectors) -> Superbase:
     if unreachable is not None:
         raise RankDeficient(unreachable)
     global _last_validated
-    sb = Superbase(rows)
     _last_validated = (sb, g)
     return sb
 
@@ -293,22 +299,24 @@ def selling_parameters(sb: Superbase) -> GramMatrix:
     GramMatrix, so no checks are repeated here.  Called on the superbase
     validated last, it returns the matrix that validation built.
     """
-    return _validated_selling(sb) or _pairwise_products(sb.vectors)[2]
+    return _validated_selling(sb) or _pairwise_products(sb)
 
 
 def validate_gram(entries) -> GramMatrix:
     """Check Selling-parameter invariants and return a validated GramMatrix.
 
-    Verifies symmetry, nonpositive off-diagonal entries and zero row sums,
-    which make the matrix a weighted graph Laplacian and so positive
-    semidefinite; its rank is then side - 1 exactly when the off-diagonal
-    support graph is connected.
+    `entries` is rows of exact scalars, or a GramMatrix, which is checked
+    and returned as it stands.  Verifies symmetry, nonpositive
+    off-diagonal entries and zero row sums, which make the matrix a
+    weighted graph Laplacian and so positive semidefinite; its rank is
+    then side - 1 exactly when the off-diagonal support graph is connected.
 
     Raises ShapeMismatch, NotSymmetric, ObtuseViolation, RowSumNotZero,
     or WrongRank, and TooLarge if the entries' common denominator is
     longer than MAX_DENOMINATOR_BITS.
     """
-    rows = [list(map(as_rational, row)) for row in entries]
+    g = entries if isinstance(entries, GramMatrix) else None
+    rows = g.rows if g else [list(map(as_rational, row)) for row in entries]
     size = len(rows)
     if size < 2:
         raise ShapeMismatch("a Gram matrix needs side >= 2")
@@ -317,21 +325,19 @@ def validate_gram(entries) -> GramMatrix:
             raise ShapeMismatch(
                 f"row {idx + 1} has length {len(row)}, expected {size}"
             )
+    g = g or GramMatrix(*_scaled(rows))
 
-    # The same matrix over one common denominator, kept by the result:
-    # identical signs, sums and equalities, at integer cost.
-    scale = _common_denominator(x for row in rows for x in row)
-    scaled = [[x.numerator * (scale // x.denominator) for x in row]
-              for row in rows]
+    scaled, scale = g.rows, g.scale
     for i in range(size):
         for j in range(i + 1, size):
             if scaled[i][j] != scaled[j][i]:
                 raise NotSymmetric(
                     f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ: "
-                    f"{rows[i][j]} vs {rows[j][i]}"
+                    f"{Fraction(scaled[i][j], scale)} vs "
+                    f"{Fraction(scaled[j][i], scale)}"
                 )
             if scaled[i][j] > 0:
-                raise ObtuseViolation((i, j), rows[i][j])
+                raise ObtuseViolation((i, j), Fraction(scaled[i][j], scale))
 
     for i, row in enumerate(scaled):
         if sum(row):
@@ -340,7 +346,7 @@ def validate_gram(entries) -> GramMatrix:
     unreachable = _first_unreachable(scaled)
     if unreachable is not None:
         raise WrongRank(unreachable)
-    return GramMatrix(tuple(map(tuple, scaled)), scale)
+    return g
 
 
 def _bits_of(u) -> tuple[int, ...]:

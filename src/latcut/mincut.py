@@ -33,7 +33,7 @@ from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Sequence
 
 from .errors import EmptySide, TooLarge
-from .lattice import GramMatrix, _capped, _common_denominator, as_rational
+from .lattice import GramMatrix, _capped, _scaled, as_rational
 from .rng import Xoshiro256StarStar, derive_seeds
 
 BRUTE_FORCE_LIMIT = 24
@@ -81,10 +81,10 @@ class WeightedGraph:
             merged[key] = weight if previous is None else previous + weight
         # Scaling by the positive lcm of the denominators preserves every
         # sum, comparison and tie; the algorithms divide once, in the Cut.
-        scale = _common_denominator(merged.values(), "edge weights")
+        (weights,), scale = _scaled([list(merged.values())], "edge weights")
         adj: tuple[dict[int, int], ...] = tuple({} for _ in range(vertex_count))
-        for (i, j), w in merged.items():
-            adj[i][j] = adj[j][i] = w.numerator * (scale // w.denominator)
+        for (i, j), w in zip(merged, weights):
+            adj[i][j] = adj[j][i] = w
         return cls(adj, scale)
 
     @property

@@ -3,8 +3,9 @@
 The squared length of a shortest nonzero vector of a lattice given by an
 obtuse superbase equals the weight of a global minimum cut of the graph
 built from its Selling parameters, and the cut side names the superbase
-subset to sum.  This module wires that equivalence together and also
-carries the exhaustive subset oracle used to test it.
+subset to sum.  This module wires that equivalence together, on the
+integers a Superbase and a GramMatrix hold, and also carries the
+exhaustive subset oracle used to test it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .lattice import (
     Superbase,
     Vector,
     _bits_of,
-    _common_denominator,
     _scaled_form,
     _validated_selling,
     quadratic_form,
@@ -85,7 +85,7 @@ def short_vector(
     of ceil((log2(n+1))^2) + 8 when `trials` is None), or "brute"
     (exhaustive cut enumeration, small inputs only).
 
-    When `superbase` is given it must reproduce `g` exactly (checked
+    When `superbase` is given it must reproduce the values of `g` (checked
     unless `g` is the matrix the superbase's own validation built), and
     the result then includes the vector's coordinates.  Before returning,
     the edges crossing the cut side and the coordinates must both weigh
@@ -97,11 +97,12 @@ def short_vector(
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
-    if superbase is not None and g is not _validated_selling(superbase) and \
-            selling_parameters(superbase) != g:
-        raise GramCoordsMismatch(
-            "the supplied coordinates do not reproduce the supplied Gram matrix"
-        )
+    if superbase is not None and g is not _validated_selling(superbase):
+        h = selling_parameters(superbase)  # equal values, maybe other scales
+        if h.size != g.size or any(x * g.scale != y * h.scale for a, b in
+                                   zip(h.rows, g.rows) for x, y in zip(a, b)):
+            raise GramCoordsMismatch("the supplied coordinates do not "
+                                     "reproduce the supplied Gram matrix")
 
     graph = graph_from_gram(g)
     if algorithm == "stoer-wagner":
@@ -158,10 +159,9 @@ def candidate_vectors(sb: Superbase) -> list[Candidate]:
     vector.  Refuses n + 1 > 24.
 
     Subsets are walked in reflected Gray-code order, so each step adds or
-    subtracts one vector of integer coordinates over the common
-    denominator: O(m) per subset.  The sort key (scaled squared length,
-    size, subset) is a total order, so the walk order does not show, and
-    each distinct Fraction is built once.
+    subtracts one of the superbase's integer rows: O(m) per subset.  The
+    sort key (scaled squared length, size, subset) is a total order, so
+    the walk order does not show, and each distinct Fraction is built once.
     """
     size = sb.n + 1
     if size > BRUTE_FORCE_LIMIT:
@@ -169,9 +169,6 @@ def candidate_vectors(sb: Superbase) -> list[Candidate]:
             f"{2 ** size - 2} candidates at n + 1 = {size}; the exhaustive "
             f"limit is {BRUTE_FORCE_LIMIT}"
         )
-    scale = _common_denominator(x for vec in sb.vectors for x in vec)
-    scaled = [[x.numerator * (scale // x.denominator) for x in vec]
-              for vec in sb.vectors]
     indices = range(size)
     chosen = [False] * size
     acc = (0,) * sb.m
@@ -179,13 +176,13 @@ def candidate_vectors(sb: Superbase) -> list[Candidate]:
     for step in range(1, 1 << size):
         i = (step & -step).bit_length() - 1
         chosen[i] = not chosen[i]
-        acc = tuple(map(add if chosen[i] else sub, acc, scaled[i]))
+        acc = tuple(map(add if chosen[i] else sub, acc, sb.rows[i]))
         subset = tuple(compress(indices, chosen))
         if len(subset) < size:
             keyed.append((sum(map(mul, acc, acc)), len(subset), subset, acc))
     keyed.sort()  # subsets differ, so coordinates are never compared
-    coordinate = cache(lambda c: Fraction(c, scale))
-    length = cache(lambda sq: Fraction(sq, scale * scale))
+    coordinate = cache(lambda c: Fraction(c, sb.scale))
+    length = cache(lambda sq: Fraction(sq, sb.scale ** 2))
     # In place, so each keyed tuple is freed as its candidate is built.
     for k, (sq, _, subset, coords) in enumerate(keyed):
         keyed[k] = Candidate(subset, tuple(map(coordinate, coords)), length(sq))

@@ -12,7 +12,8 @@ import pytest
 
 import latcut
 from latcut import (
-    GramMatrix, ParseError, ShapeError, gen_random_gram, quadratic_form, validate_gram,
+    GramMatrix, ParseError, ShapeError, Superbase, gen_random_gram, quadratic_form,
+    validate_gram,
 )
 from latcut.cli import _build_parser, format_gram, format_superbase, parse_input, run_cli
 from latcut.lattice import MAX_DENOMINATOR_BITS
@@ -46,25 +47,25 @@ def run(args, stdin_text=""):
 # --- parse_input -------------------------------------------------------------
 
 def test_parse_superbase_file():
-    doc = parse_input(A3_FILE)
-    assert doc.kind == "superbase"
-    assert doc.dimensions == (4, 4)
-    assert doc.entries[0] == (1, -1, 0, 0)
+    sb = parse_input(A3_FILE)
+    assert isinstance(sb, Superbase)
+    assert (sb.n + 1, sb.m, sb.scale) == (4, 4, 1)
+    assert sb.rows[0] == (1, -1, 0, 0)
 
 
 def test_parse_gram_file_with_fractions():
-    doc = parse_input(EXAMPLE3D_GRAM_FILE)
-    assert doc.kind == "gram"
-    assert doc.dimensions == (4,)
-    assert doc.entries[0][0] == F(5, 4)
-    assert doc.entries[3][0] == F(-1, 4)
+    g = parse_input(EXAMPLE3D_GRAM_FILE)
+    assert isinstance(g, GramMatrix)
+    assert (g.size, g.scale) == (4, 4)
+    assert g.rows[0][0] == 5
+    assert g.rows[3][0] == -1
 
 
 def test_parse_decimals_exactly():
-    doc = parse_input("gram 2\n0.25 -0.25\n-0.25 0.25\n")
-    assert doc.entries[0][0] == F(1, 4)
-    doc = parse_input("superbase 2 4\n+1.50 -.5 5. -0/3\n-1.5 .5 -5 0.0\n")
-    assert doc.entries[0] == (F(3, 2), F(-1, 2), F(5), F(0))
+    g = parse_input("gram 2\n0.25 -0.25\n-0.25 0.25\n")
+    assert (g.rows[0][0], g.scale) == (1, 4)
+    sb = parse_input("superbase 2 4\n+1.50 -.5 5. -0/3\n-1.5 .5 -5 0.0\n")
+    assert (sb.rows[0], sb.scale) == ((3, -1, 10, 0), 2)
 
 
 def test_row_length_disagreement_is_shape_error():
@@ -131,11 +132,9 @@ def test_format_parse_round_trip():
     from latcut import gen_anstar, selling_parameters
 
     sb = gen_anstar(3)
-    doc = parse_input(format_superbase(sb, "round trip"))
-    assert doc.entries == sb.vectors
+    assert parse_input(format_superbase(sb, "round trip")) == sb
     g = selling_parameters(sb)
-    doc = parse_input(format_gram(g))
-    assert doc.entries == g.entries
+    assert parse_input(format_gram(g)) == g
 
 
 # --- run_cli: svp ------------------------------------------------------------
@@ -486,6 +485,18 @@ def test_common_denominator_past_the_cap_exits_1():
                        f"than {MAX_DENOMINATOR_BITS} bits\n")
 
 
+def test_one_row_past_the_cap_reports_the_cap():
+    """The parser scales before the validators count rows, so a one-row
+    file whose token passes the cap reports the cap; both exit 1."""
+    big = 2 ** MAX_DENOMINATOR_BITS
+    for text in (f"superbase 1 2\n1/{big} 2\n", f"gram 1\n1/{big}\n"):
+        assert run(["validate", "-"], stdin_text=text) == (
+            1, "", "error: the entries need a common denominator of more "
+                   f"than {MAX_DENOMINATOR_BITS} bits\n")
+    assert run(["validate", "-"], stdin_text="gram 1\n1/3\n") == (
+        1, "", "error: a Gram matrix needs side >= 2\n")
+
+
 def primes_past(bits):
     """The primes in order up to the first whose product passes `bits` bits."""
     primes, product, p = [], 1, 1
@@ -566,10 +577,14 @@ def test_commands_never_build_the_fraction_view(monkeypatch, tmp_path):
     superbase_file.write_text(run(["gen", "anstar", "4"])[1])
 
     def refuse(self):
-        raise AssertionError("GramMatrix.entries was read")
+        raise AssertionError("a Fraction view was read")
 
     monkeypatch.setattr(GramMatrix, "entries", property(refuse))
+    monkeypatch.setattr(Superbase, "vectors", property(refuse))
     assert run(gen_args) == expected
+    assert run(["gen", "anstar", "4"]) == (0, superbase_file.read_text(), "")
+    code, out, err = run(["candidates", str(superbase_file)])
+    assert (code, err, len(out.splitlines())) == (0, "", 30)
     for path in (gram_file, superbase_file):
         for algorithm in ("stoer-wagner", "karger", "brute"):
             code, out, err = run(["svp", str(path), "--algorithm", algorithm])
@@ -577,3 +592,25 @@ def test_commands_never_build_the_fraction_view(monkeypatch, tmp_path):
         assert run(["validate", str(path)])[0] == 0
         code, out, _ = run(["verify", str(path), "--assignment", "1,0,1,0,0"])
         assert (code, out.splitlines()[-1]) == (0, "equal: yes")
+
+
+def test_svp_coerces_no_entry(monkeypatch, tmp_path):
+    """The parser scales its distinct tokens, and nothing coerces again."""
+    paths = []
+    for args in (["gen", "random_gram", "6", "--seed", "2"], ["gen", "anstar", "5"]):
+        paths.append(tmp_path / f"{args[1]}.txt")
+        paths[-1].write_text(run(args)[1])
+    original = latcut.lattice.as_rational
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return original(value)
+
+    for module in (latcut.lattice, latcut.cli, latcut.generators, latcut.mincut):
+        if getattr(module, "as_rational", None) is original:
+            monkeypatch.setattr(module, "as_rational", counted)
+    for path in paths:
+        code, out, err = run(["svp", str(path)])
+        assert (code, err) == (0, "") and "squared length: " in out
+    assert calls == []

@@ -27,7 +27,6 @@ from latcut import (
     validate_superbase,
     verify_reduction,
 )
-from latcut.lattice import MAX_DENOMINATOR_BITS
 from conftest import random_superbase, seeds_from
 
 F = Fraction
@@ -119,6 +118,18 @@ def test_the_coordinate_check_compares_integers(monkeypatch):
 
     monkeypatch.setattr(GramMatrix, "entries", property(refuse))
     assert short_vector(g, superbase=sb).squared_length == F(4, 5)
+
+
+def test_the_coordinate_check_compares_values_not_scales():
+    sb = gen_anstar(3)
+    g = selling_parameters(sb)
+    doubled = GramMatrix(tuple(tuple(2 * x for x in row) for row in g.rows),
+                         2 * g.scale)
+    assert doubled.entries == g.entries and doubled != g
+    assert short_vector(doubled, superbase=sb).squared_length == F(3, 4)
+    different = GramMatrix(doubled.rows, 3 * g.scale)
+    with pytest.raises(GramCoordsMismatch):
+        short_vector(different, superbase=sb)
 
 
 def test_corrupted_cut_fails_its_certificate(monkeypatch):
@@ -245,14 +256,6 @@ def test_candidates_size_guard():
         vectors[i][(i + 1) % 25] = -1
     sb = validate_superbase(vectors)
     with pytest.raises(TooLarge):
-        candidate_vectors(sb)
-
-
-def test_candidates_refuse_coordinates_past_the_denominator_cap():
-    # Built directly, so validation never saw the coordinates.
-    a = F(1, 2 ** MAX_DENOMINATOR_BITS)
-    sb = Superbase(((a, F(0)), (F(0), F(1, 3)), (-a, F(-1, 3))))
-    with pytest.raises(TooLarge, match="common denominator of more than"):
         candidate_vectors(sb)
 
 

@@ -1,8 +1,8 @@
 """`validate_superbase` against a plain-Fraction reference.
 
 The validator scales every coordinate by one common denominator s, sums
-columns and forms pairwise products on integers, and builds a Fraction
-only for each nonzero Selling parameter (numerator over s**2).  The
+columns and forms pairwise products on integers, and keeps the Selling
+parameters as integers over s**2 reduced to the canonical scale.  The
 reference below does every check directly in Fraction arithmetic.  Both
 must raise the same exception, with the same attributes and message, or
 agree on every Selling parameter.  Inputs give each vector its own
@@ -61,7 +61,7 @@ def outcome(validate, vectors):
         return type(exc), vars(exc), str(exc)
     if isinstance(result, Superbase):
         # Both the matrix validation kept and a fresh computation.
-        fresh = selling_parameters(Superbase(result.vectors))
+        fresh = selling_parameters(Superbase(result.rows, result.scale))
         assert fresh.entries == selling_parameters(result).entries
         return fresh.entries
     return result

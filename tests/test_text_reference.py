@@ -1,8 +1,9 @@
 """From file text to cut graph, against a plain-Fraction reference.
 
-The program parses a `gram` or `superbase` file, validates it on integers
-over one common denominator, takes the Selling parameters and builds the
-cut graph on integers as well.  The reference below does the same in
+The program parses a `gram` or `superbase` file into integers over one
+common denominator, validates them, takes the Selling parameters and
+builds the cut graph on integers as well; the library route hands the
+validators rows of tokens instead.  The reference below does the same in
 Fraction arithmetic, straight from the definitions: every check, the
 Gram matrix, the edge weights, the exhaustive minimum cut (smallest
 weight, then size, then sorted indices) and the exhaustive subset oracle
@@ -35,7 +36,7 @@ from latcut import (  # noqa: E402
     validate_gram,
     validate_superbase,
 )
-from latcut.cli import parse_input  # noqa: E402
+from latcut import cli  # noqa: E402
 
 F = Fraction
 
@@ -43,12 +44,22 @@ F = Fraction
 # --- the program and the reference --------------------------------------------
 
 def program(text):
-    document = parse_input(text)
-    if document.kind == "superbase":
-        g = selling_parameters(validate_superbase(document.entries))
+    """The library route: rows of tokens through the public validators."""
+    header, *rows = [line.split() for line in text.splitlines()]
+    if header[0] == "superbase":
+        g = selling_parameters(validate_superbase(rows))
         assert validate_gram(g.entries) == g  # one scale whatever the route
     else:
-        g = validate_gram(document.entries)
+        g = validate_gram(rows)
+    return solved(g)
+
+
+def command_line(text):
+    """The route every command takes from file text to a Gram matrix."""
+    return solved(cli._load(cli.parse_input(text))[1])
+
+
+def solved(g):
     graph = graph_from_gram(g)
     cut = brute_force_mincut(graph)
     oracle = brute_force_short_vector(g)
@@ -228,9 +239,32 @@ files = st.one_of(gram_files(), superbase_files())
 
 # --- properties -------------------------------------------------------------------
 
-@given(files)
-def test_text_to_cut_matches_the_fraction_reference(text):
-    assert outcome(program, text) == outcome(reference, text)
+def seen_as(text, result):
+    return text.split()[0], result[0] if isinstance(result[0], type) else "valid"
+
+
+OUTCOMES = {
+    ("gram", "valid"), ("gram", NotSymmetric), ("gram", ObtuseViolation),
+    ("gram", RowSumNotZero), ("gram", WrongRank),
+    ("superbase", "valid"), ("superbase", SumNotZero),
+    ("superbase", ObtuseViolation), ("superbase", RankDeficient),
+}
+
+
+def test_text_to_cut_matches_the_fraction_reference():
+    """Both routes agree with the reference, on files of every outcome."""
+    seen = set()
+
+    @settings(max_examples=300)
+    @given(files)
+    def compare(text):
+        expected = outcome(reference, text)
+        assert outcome(program, text) == expected
+        assert outcome(command_line, text) == expected
+        seen.add(seen_as(text, expected))
+
+    compare()
+    assert seen == OUTCOMES
 
 
 def test_the_files_reach_every_outcome():

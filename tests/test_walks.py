@@ -29,6 +29,7 @@ from latcut import (  # noqa: E402
     graph_from_gram,
     quadratic_form,
 )
+from latcut.lattice import _scaled  # noqa: E402
 from latcut.mincut import _Contraction, _exhaustive_cut  # noqa: E402
 
 F = Fraction
@@ -133,7 +134,7 @@ def superbases(draw):
     entry = st.sampled_from((0, 0, 1, -1, 2, F(1, 2), F(-1, 3), F(3, 4)))
     rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m),
                          min_size=count, max_size=count))
-    return Superbase(tuple(tuple(F(x) for x in row) for row in rows))
+    return Superbase(*_scaled([[F(x) for x in row] for row in rows]))
 
 
 def laplacian(graph):
