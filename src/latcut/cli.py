@@ -299,14 +299,19 @@ def _indices_1based(subset) -> list[int]:
     return [i + 1 for i in subset]
 
 
-def _cmd_svp(args, stdin, stdout, stderr) -> int:
-    ignored = [flag for flag, value in (("--seed", args.seed),
-                                        ("--trials", args.trials))
-               if value is not None]
-    if ignored and args.algorithm != "karger":
+def _warn_ignored(flags, unless: str, stderr) -> None:
+    """Warn on stderr that the flags given a value are ignored unless `unless`."""
+    ignored = [flag for flag, value in flags if value is not None]
+    if ignored:
         verb = "is" if len(ignored) == 1 else "are"
         print(f"warning: {' and '.join(ignored)} {verb} ignored unless "
-              f"--algorithm karger", file=stderr)
+              f"{unless}", file=stderr)
+
+
+def _cmd_svp(args, stdin, stdout, stderr) -> int:
+    if args.algorithm != "karger":
+        _warn_ignored((("--seed", args.seed), ("--trials", args.trials)),
+                      "--algorithm karger", stderr)
     sb, gram = _load(parse_input(_read_text(args.file, stdin)))
     seed = args.seed if args.seed is not None else 0
     trials = args.trials
@@ -372,14 +377,13 @@ def _cmd_candidates(args, stdin, stdout, stderr) -> int:
 
 
 def _cmd_gen(args, stdin, stdout, stderr) -> int:
-    n = args.n
-    if n is None:
-        if args.family == "example3d":
-            n = 3
-        else:
-            raise _UsageError("gen requires <n> for this family")
-    density = args.density
-    spec = InstanceSpec(args.family, n, seed=args.seed, density=density)
+    if args.family != "random_gram":
+        _warn_ignored((("--seed", args.seed), ("--density", args.density)),
+                      "the family is random_gram", stderr)
+    if args.n is None and args.family != "example3d":
+        raise _UsageError("gen requires <n> for this family")
+    n = 3 if args.n is None else args.n
+    spec = InstanceSpec(args.family, n, seed=args.seed, density=args.density)
     try:
         instance = generate(spec)
     except ValueError as exc:  # the spec is out of range
@@ -387,7 +391,7 @@ def _cmd_gen(args, stdin, stdout, stderr) -> int:
 
     note = f"{args.family} n={n}"
     if args.family == "random_gram":
-        note += f" seed={args.seed} density={density if density is not None else DEFAULT_DENSITY}"
+        note += f" seed={args.seed} density={args.density or DEFAULT_DENSITY}"
     if isinstance(instance, Superbase):
         text = format_superbase(instance, note)
     else:

@@ -4,16 +4,18 @@ Coordinate families (`gen_an`, `gen_anstar`, `gen_zn`, `gen_example3d`)
 return validated superbases; `gen_random_gram` draws a random valid
 Selling matrix directly in Gram space, where any symmetric matrix with
 nonpositive off-diagonals, zero row sums, and connected support
-qualifies.
+qualifies.  Each generator builds its integer rows over the canonical
+scale itself, so the validators only check them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .lattice import (
-    ZERO,
     GramMatrix,
     Superbase,
     as_rational,
@@ -50,14 +52,13 @@ def gen_an(n: int) -> Superbase:
     if n < 1:
         raise ValueError("n must be >= 1")
     size = n + 1
-    one = Fraction(1)
-    vectors = []
+    rows = []
     for i in range(size):
-        row = [ZERO] * size
-        row[i] += one
-        row[(i + 1) % size] -= one
-        vectors.append(row)
-    return validate_superbase(vectors)
+        row = [0] * size
+        row[i] = 1
+        row[(i + 1) % size] = -1
+        rows.append(tuple(row))
+    return validate_superbase(Superbase(tuple(rows), 1))
 
 
 def gen_anstar(n: int) -> Superbase:
@@ -65,17 +66,14 @@ def gen_anstar(n: int) -> Superbase:
 
     Selling parameters: n/(n+1) on the diagonal and -1/(n+1) elsewhere;
     the graph is the complete graph on n+1 vertices with uniform weight
-    1/(n+1).
+    1/(n+1).  Coordinates are n and -1 over the scale n+1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     size = n + 1
-    big = Fraction(n, size)
-    small = Fraction(-1, size)
-    vectors = [
-        [big if k == i else small for k in range(size)] for i in range(size)
-    ]
-    return validate_superbase(vectors)
+    rows = tuple([tuple([n if k == i else -1 for k in range(size)])
+                  for i in range(size)])
+    return validate_superbase(Superbase(rows, size))
 
 
 def gen_zn(n: int) -> Superbase:
@@ -86,14 +84,13 @@ def gen_zn(n: int) -> Superbase:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    one = Fraction(1)
-    vectors = []
+    rows = []
     for i in range(n):
-        row = [ZERO] * n
-        row[i] = one
-        vectors.append(row)
-    vectors.append([-one] * n)
-    return validate_superbase(vectors)
+        row = [0] * n
+        row[i] = 1
+        rows.append(tuple(row))
+    rows.append((-1,) * n)
+    return validate_superbase(Superbase(tuple(rows), 1))
 
 
 def gen_example3d() -> Superbase:
@@ -102,16 +99,10 @@ def gen_example3d() -> Superbase:
     The four superbase vectors have squared lengths 5/4, 5/4, 1, and 3/2,
     yet the sum of the first two is (1/2, 1/2, 0) with squared length 1/2.
     Useful as a golden instance precisely because every singleton subset
-    loses.
+    loses.  Coordinates are over the scale 2.
     """
-    h = Fraction(1, 2)
-    vectors = [
-        (1, -h, 0),
-        (-h, 1, 0),
-        (0, 0, 1),
-        (-h, -h, -1),
-    ]
-    return validate_superbase(vectors)
+    rows = ((2, -1, 0), (-1, 2, 0), (0, 0, 2), (-1, -1, -2))
+    return validate_superbase(Superbase(rows, 2))
 
 
 def gen_random_gram(
@@ -123,7 +114,8 @@ def gen_random_gram(
     denominators up to MAX_DENOMINATOR, each present with probability
     `density`; a random spanning tree over the n+1 indices is always
     included so the support stays connected, which forces rank n.
-    Diagonals are set to minus the row's off-diagonal sum.
+    Diagonals are set to minus the row's off-diagonal sum.  Entries are
+    built over lcm(1..MAX_DENOMINATOR), then reduced to the canonical scale.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -139,7 +131,8 @@ def gen_random_gram(
 
     # density test: u/2^64 < p/q, exactly
     threshold_num = density.numerator << 64
-    entries = [[ZERO] * size for _ in range(size)]
+    scale = math.lcm(*range(1, MAX_DENOMINATOR + 1))
+    rows = [[0] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
             if (i, j) not in edges:
@@ -147,11 +140,14 @@ def gen_random_gram(
                     continue
             den = 1 + rng.randrange(MAX_DENOMINATOR)
             num = 1 + rng.randrange(MAX_WEIGHT * den)
-            w = Fraction(num, den)
-            entries[i][j] = entries[j][i] = -w
-            entries[i][i] += w
-            entries[j][j] += w
-    return validate_gram(entries)
+            w = num * (scale // den)
+            rows[i][j] = rows[j][i] = -w
+            rows[i][i] += w
+            rows[j][j] += w
+    common = math.gcd(scale, *[x for row in rows for x in row])
+    reduced = cache(lambda x: x // common)  # one int per distinct value
+    rows = tuple([tuple([reduced(x) for x in row]) for row in rows])
+    return validate_gram(GramMatrix(rows, scale // common))
 
 
 def generate(spec: InstanceSpec) -> Superbase | GramMatrix:

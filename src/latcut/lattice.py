@@ -2,7 +2,8 @@
 
 Everything here is exact: scalars are ``fractions.Fraction`` at the API,
 and a Superbase or a GramMatrix holds integers over one denominator, which
-:func:`_scaled`, the one conversion to them, caps at MAX_DENOMINATOR_BITS.
+:func:`_scaled`, the one conversion from rationals, caps at
+MAX_DENOMINATOR_BITS; the generators build their integers directly.
 A matrix of pairwise superbase products is a weighted graph Laplacian
 (nonpositive off the diagonal, zero row sums), hence positive semidefinite
 with rank equal to its side minus the number of connected components of
@@ -35,8 +36,6 @@ from .errors import (
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
-
-ZERO = Fraction(0)
 
 # Exact arithmetic scales every entry by the lcm of all denominators.  With
 # many distinct denominators that lcm, and every scaled entry, grows with
@@ -84,8 +83,9 @@ class Superbase:
     """n+1 exact-rational vectors in ambient dimension m that sum to zero.
 
     Coordinates are `rows` over `scale`, canonical as in GramMatrix.
-    Construct through :func:`validate_superbase` (or a generator); direct
-    construction skips invariant checking.  `vectors` is a Fraction view.
+    Construct through :func:`validate_superbase`; the parser and the
+    generators build one over the canonical scale and pass it there.
+    `vectors` is a Fraction view.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -119,7 +119,8 @@ class GramMatrix:
     entries' reduced denominators, so equal matrices compare equal.  Valid
     instances are graph Laplacians with flipped sign conventions:
     nonpositive off the diagonal, rows summing to zero, rank one less than
-    the side.  Construct through :func:`validate_gram` or
+    the side.  Construct through :func:`validate_gram` (the parser and
+    `gen_random_gram` pass it one they built over the canonical scale) or
     :func:`selling_parameters`; `entries` is a Fraction view for callers.
     """
 
@@ -173,16 +174,14 @@ def _scaled(rows: Sequence[Sequence[Fraction]],
             what: str = "entries") -> tuple[tuple[tuple[int, ...], ...], int]:
     """`rows` as integers over s, the lcm of their reduced denominators, and s.
 
-    Raises TooLarge as soon as s passes MAX_DENOMINATOR_BITS; the message
-    names the values as `what`.
+    Converts file tokens, library rows and `from_edges` weights.  Raises
+    TooLarge as soon as s passes MAX_DENOMINATOR_BITS, naming them `what`.
     """
-    distinct = {id(x): x for row in rows for x in row}  # rows share objects
     scale = 1
-    for denominator in {x.denominator for x in distinct.values()}:
+    for denominator in {x.denominator for row in rows for x in row}:
         scale = _capped(math.lcm(scale, denominator), what)
-    scaled = {key: x.numerator * (scale // x.denominator)
-              for key, x in distinct.items()}
-    return tuple([tuple([scaled[id(x)] for x in row]) for row in rows]), scale
+    return tuple([tuple([x.numerator * (scale // x.denominator) for x in row])
+                  for row in rows]), scale
 
 
 def _capped(scale: int, what: str) -> int:

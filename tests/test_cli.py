@@ -430,6 +430,27 @@ def test_seed_and_trials_with_karger_do_not_warn():
     assert (code, err) == (0, "")
 
 
+# --- flags gen ignores ------------------------------------------------------------
+
+@pytest.mark.parametrize("command", [["an", "3"], ["zn", "2"], ["example3d"]])
+@pytest.mark.parametrize("flags, named", [
+    (["--seed", "5"], "--seed is"),
+    (["--density", "1/3"], "--density is"),
+    (["--seed", "5", "--density", "1/3"], "--seed and --density are"),
+])
+def test_seed_and_density_without_random_gram_warn_once(command, flags, named):
+    plain = run(["gen", *command])
+    code, out, err = run(["gen", *command, *flags])
+    assert (code, out) == (0, plain[1])
+    assert err == f"warning: {named} ignored unless the family is random_gram\n"
+
+
+def test_seed_and_density_with_random_gram_do_not_warn():
+    code, _, err = run(["gen", "random_gram", "4", "--seed", "5",
+                        "--density", "1/3"])
+    assert (code, err) == (0, "")
+
+
 # --- one parser for every call ---------------------------------------------------
 
 def fresh_process(args, stdin_text):

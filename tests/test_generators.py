@@ -138,9 +138,11 @@ def test_random_gram_different_seeds_differ():
 
 
 def test_random_gram_revalidates():
+    """Revalidating the entries gives the same object: rows over the
+    canonical scale, not only equal values."""
     for seed in seeds_from(64, 20):
         g = gen_random_gram(2 + seed % 8, seed=seed)
-        assert validate_gram(g.entries).entries == g.entries
+        assert validate_gram(g.entries) == g
 
 
 def test_random_gram_connected_hence_positive_min_cut():
@@ -172,10 +174,14 @@ def test_random_gram_rejects_bad_density():
 # --- whole-family validation sweep ----------------------------------------------
 
 def test_every_family_validates_up_to_64():
+    """Each generated superbase is the one its coordinates validate to,
+    over the canonical scale."""
     for n in range(1, 65):
         for make in (gen_an, gen_anstar, gen_zn):
             sb = make(n)
-            assert validate_superbase(sb.vectors).vectors == sb.vectors
+            assert validate_superbase(sb.vectors) == sb
+    sb = gen_example3d()
+    assert validate_superbase(sb.vectors) == sb
 
 
 def test_200_random_grams_validate():

@@ -1,11 +1,16 @@
-"""Golden `svp` output: literal stdout of every algorithm, text and --json.
+"""Golden `svp` and `gen` output.
 
 `golden_svp.json` holds the stdout recorded for each (instance, algorithm,
 format) case below.  Karger-Stein runs at a fixed --seed/--trials, so its
 output is pinned as tightly as the deterministic routes.  A change to the
 arithmetic behind the minimum cut must leave every byte as it is.
+
+`golden_gen.json` holds, for each `gen` command below, the sha256 of its
+stdout, its exit code and its stderr, so a change to how the generators
+build their instances must leave every generated file as it is.
 """
 
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -26,6 +31,9 @@ from conftest import seeds_from
 
 GOLDEN = json.loads(
     (Path(__file__).with_name("golden_svp.json")).read_text(encoding="utf-8")
+)
+GEN_GOLDEN = json.loads(
+    (Path(__file__).with_name("golden_gen.json")).read_text(encoding="utf-8")
 )
 
 INSTANCES = [
@@ -78,6 +86,37 @@ def test_golden_file_has_exactly_these_cases():
         for fmt in ("text", "json")
     }
     assert set(GOLDEN) == expected
+
+
+GEN_COMMANDS = [("example3d",)] + [
+    (family, str(n)) for family in ("an", "anstar", "zn") for n in range(1, 41)
+] + [
+    ("random_gram", str(n), "--seed", str(seed), "--density", density)
+    for n in range(1, 41, 3)
+    for seed in (1, 2, 99)
+    for density in ("1", "1/2", "1/10", "3/7")
+]
+
+
+def gen_outcome(command):
+    out, err = io.StringIO(), io.StringIO()
+    code = run_cli(["gen", *command], stdout=out, stderr=err)
+    return {
+        "sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
+        "exit": code,
+        "stderr": err.getvalue(),
+    }
+
+
+def test_gen_output_matches_golden():
+    mismatched = [" ".join(command) for command in GEN_COMMANDS
+                  if gen_outcome(command) != GEN_GOLDEN[" ".join(command)]]
+    assert mismatched == []
+
+
+def test_golden_gen_file_has_exactly_these_commands():
+    assert len(GEN_COMMANDS) == 289
+    assert set(GEN_GOLDEN) == {" ".join(command) for command in GEN_COMMANDS}
 
 
 def test_exact_routes_agree_and_karger_never_undercuts():
