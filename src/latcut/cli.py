@@ -47,9 +47,10 @@ from .pipeline import (
 def parse_input(text: str) -> Superbase | GramMatrix:
     """Parse the file format into an unvalidated Superbase or GramMatrix.
 
-    Each distinct token is parsed and scaled once.  Raises ParseError
-    (with 1-based line and column) for malformed headers or tokens,
-    ShapeError when rows disagree with the header, TooLarge past the cap.
+    One leading byte-order mark (U+FEFF) is dropped.  Each distinct token
+    is parsed and scaled once.  Raises ParseError (with 1-based line and
+    column) for malformed headers or tokens, ShapeError when rows disagree
+    with the header, TooLarge past the cap.
     """
     kind: type[Superbase] | type[GramMatrix] | None = None
     expected_cols = 0
@@ -59,6 +60,7 @@ def parse_input(text: str) -> Superbase | GramMatrix:
     distinct: list[Fraction] = []
     last_line = 0
 
+    text = text.removeprefix("\ufeff")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         last_line = lineno
         line = raw.split("#", 1)[0]

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -222,14 +223,13 @@ def _first_unreachable(q: Sequence[Sequence[int]]) -> int | None:
     For a symmetric matrix with nonpositive off-diagonal entries and zero
     row sums (a weighted graph Laplacian) the rank is the side minus the
     number of connected components of this support graph, so None means
-    rank exactly side - 1.
+    rank exactly side - 1.  Python code sees only each row's nonzeros.
     """
-    reached = [False] * len(q)
-    reached[0] = True
+    reached = [True] + [False] * (len(q) - 1)
     stack = [0]
     while stack:
-        for j, value in enumerate(q[stack.pop()]):
-            if value and not reached[j]:
+        for j in compress(range(len(q)), q[stack.pop()]):
+            if not reached[j]:
                 reached[j] = True
                 stack.append(j)
     return next((j for j, seen in enumerate(reached) if not seen), None)

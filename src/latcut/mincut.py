@@ -4,7 +4,7 @@ Three routes to the same answer, kept deliberately independent so they
 can cross-check each other:
 
 * :func:`stoer_wagner`: deterministic maximum-adjacency phases with a
-  lazy-deletion heap, O(|V||E| + |V|^2 log |V|).
+  lazy-deletion heap, O(|V||E| log |V|): every relaxation pushes.
 * :func:`karger_stein`: randomized recursive contraction, reproducible
   for a fixed (seed, trials) pair.
 * :func:`brute_force_mincut`: exhaustive enumeration, the oracle.
@@ -29,7 +29,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Callable, Iterable, Sequence
 
 from .errors import EmptySide, TooLarge
@@ -153,24 +153,21 @@ def stoer_wagner(graph: WeightedGraph) -> Cut:
 
     Repeats maximum-adjacency phases, each time merging the two vertices
     added last; the lightest cut-of-the-phase is a global minimum cut.
-    Phases start from vertex 0, the lowest index (it is never added last,
-    so it is never merged away), and break adjacency ties toward lower
-    indices, so the result is a pure function of the graph.  A
-    disconnected graph legitimately yields a weight-0 cut.
+    A phase starts from an empty heap, which holds only vertices of
+    positive key; when it is empty the lowest unreached vertex goes next,
+    so vertex 0 starts every phase and is never merged away.  Ties break
+    toward lower indices, so the result is a pure function of the graph.
+    A disconnected graph legitimately yields a weight-0 cut.
     """
     state = _Contraction.from_adjacency(graph.adjacency)
-    best: _ScaledCut | None = None
+    best: tuple[int, tuple[int, ...]] | None = None  # weight, members
 
     while len(state.adj) > 1:
         key = dict.fromkeys(state.adj, 0)
-        del key[0]
-        key.update(state.adj[0])
-        heap = [(-k, v) for v, k in key.items()]
-        heapify(heap)
+        heap: list[tuple[int, int]] = []
         s = t = 0
-        phase_cut = 0
         while key:
-            neg, v = heappop(heap)
+            neg, v = heappop(heap) if heap else (0, min(key))
             if key.get(v) != -neg:
                 continue  # already added, or a stale key
             del key[v]
@@ -182,11 +179,11 @@ def stoer_wagner(graph: WeightedGraph) -> Cut:
                     heappush(heap, (-k, u))
 
         if best is None or phase_cut < best[0]:
-            best = (phase_cut, tuple(sorted(state.members[t])))
+            best = (phase_cut, state.members[t])
         state.merge(s, t)
 
     assert best is not None
-    return Cut(best[1], Fraction(best[0], graph.scale))
+    return Cut(tuple(sorted(best[1])), Fraction(best[0], graph.scale))
 
 
 def default_trial_count(vertex_count: int) -> int:
@@ -204,12 +201,16 @@ def _subproblem_size(order: int) -> int:
 
 class _Contraction:
     """Mutable contraction state: surviving vertices with integer-weight
-    neighbor maps, and the original vertices each one absorbed."""
+    neighbor maps, and the original vertices each one absorbed.  `adj`
+    iterates in ascending vertex order (built so; `merge` only deletes
+    keys; `clone` copies in order), so nothing sorts it; neighbor maps
+    have no order.  `members` values are immutable tuples: `merge`
+    rebinds them, so `clone` copies only the dict."""
 
     __slots__ = ("adj", "members")
 
     def __init__(self, adj: dict[int, dict[int, int]],
-                 members: dict[int, list[int]]):
+                 members: dict[int, tuple[int, ...]]):
         self.adj = adj
         self.members = members
 
@@ -218,13 +219,13 @@ class _Contraction:
         """A fresh state over copies of `adj`; the maps are not modified."""
         return cls(
             {v: dict(nbrs) for v, nbrs in enumerate(adj)},
-            {v: [v] for v in range(len(adj))},
+            {v: (v,) for v in range(len(adj))},
         )
 
     def clone(self) -> "_Contraction":
         return _Contraction(
             {v: dict(nbrs) for v, nbrs in self.adj.items()},
-            {v: list(m) for v, m in self.members.items()},
+            dict(self.members),
         )
 
     def merge(self, keep: int, drop: int) -> None:
@@ -237,7 +238,7 @@ class _Contraction:
             kept[u] = adj[u][keep] = kept.get(u, 0) + w
             del adj[u][drop]
         kept.pop(drop, None)
-        self.members[keep].extend(self.members.pop(drop))
+        self.members[keep] += self.members.pop(drop)
 
     def pick_weighted_edge(self, rng: Xoshiro256StarStar):
         """A random edge, chosen with probability proportional to weight.
@@ -246,14 +247,13 @@ class _Contraction:
         running total acc satisfies total * u / 2^64 < acc, compared
         exactly in integers.
         """
-        verts = sorted(self.adj)
-        total = sum(w for i in verts for j, w in self.adj[i].items() if j > i)
+        rows = self.adj.items()
+        total = sum(w for i, nbrs in rows for j, w in nbrs.items() if j > i)
         if not total:
             return None
         threshold = total * rng.next_u64()
         acc = 0
-        for i in verts:
-            nbrs = self.adj[i]
+        for i, nbrs in rows:
             for j in sorted(nbrs):
                 if j <= i:
                     continue
@@ -261,10 +261,6 @@ class _Contraction:
                 if threshold < acc << 64:
                     return (i, j)
         raise AssertionError("weighted edge walk must terminate")
-
-    def zero_cut(self) -> _ScaledCut:
-        side = min(self.adj)
-        return 0, tuple(sorted(self.members[side]))
 
 
 def _contract_to(state: _Contraction, target: int,
@@ -285,13 +281,13 @@ def _contract_to(state: _Contraction, target: int,
 def _exhaustive_cut(state: _Contraction) -> _ScaledCut:
     """Best (weight, side) of a small contracted graph by enumeration.
 
-    The sorted supervertices are relabelled 0..k-1, so a side is a bit
+    The supervertices, ascending, are relabelled 0..k-1, so a side is a bit
     mask that contains the lowest one.  The winner is the first lightest
     side in ascending mask order, i.e. the minimum of (weight, mask);
     that is a total order, so walking the sides in Gray-code order
     (:func:`_gray_min_cut`) finds the same side.
     """
-    verts = sorted(state.adj)
+    verts = list(state.adj)
     label = {v: k for k, v in enumerate(verts)}
     adj = [{label[u]: w for u, w in state.adj[v].items()} for v in verts]
     weight, mask = _gray_min_cut(adj, operator.lt)
@@ -309,7 +305,7 @@ def _recursive_contraction(state: _Contraction,
     for _ in range(2):
         branch = state.clone()
         if not _contract_to(branch, target, rng):
-            return branch.zero_cut()
+            return 0, tuple(sorted(branch.members[min(branch.adj)]))
         candidate = _recursive_contraction(branch, rng)
         if best is None or candidate[0] < best[0]:
             best = candidate

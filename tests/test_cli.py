@@ -379,6 +379,36 @@ def test_a_file_that_is_not_utf8_is_exit_2(tmp_path):
     assert err.startswith("error: 'utf-8' codec can't decode")
 
 
+@pytest.mark.parametrize("text", [EXAMPLE3D_GRAM_FILE, A3_FILE],
+                         ids=["gram", "superbase"])
+@pytest.mark.parametrize("command", ["svp", "validate"])
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, command, text):
+    plain = run([command, "-"], stdin_text=text)
+    assert plain[0] == 0
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())  # the UTF-8 BOM
+    assert run([command, str(path)]) == plain
+    assert run([command, "-"], stdin_text="\ufeff" + text) == plain
+
+
+@pytest.mark.parametrize("text, line, column, named", [
+    ("\ufeff\ufeffgram 2\n1 -1\n-1 1\n", 1, 1, "unknown kind '\\ufeffgram'"),
+    ("gram\ufeff 2\n1 -1\n-1 1\n", 1, 1, "unknown kind 'gram\\ufeff'"),
+    ("gram 2\n\ufeff1 -1\n-1 1\n", 2, 1, "cannot parse '\\ufeff1'"),
+    ("gram 2\n1 -1\ufeff\n-1 1\n", 2, 3, "cannot parse '-1\\ufeff'"),
+    ("# note\n\ufeffgram 2\n1 -1\n-1 1\n", 2, 1, "unknown kind '\\ufeffgram'"),
+], ids=["second", "in-header", "row-start", "row-end", "after-comment"])
+def test_a_byte_order_mark_anywhere_else_is_a_parse_error(
+        text, line, column, named):
+    with pytest.raises(ParseError) as info:
+        parse_input(text)
+    assert (info.value.line, info.value.column) == (line, column)
+    for command in ("svp", "validate"):
+        code, out, err = run([command, "-"], stdin_text=text)
+        assert (code, out) == (2, "")
+        assert named in err
+
+
 # --- usage ---------------------------------------------------------------------------
 
 def test_no_arguments_is_usage_error():

@@ -1,0 +1,314 @@
+"""Stoer-Wagner and Karger-Stein against frozen copies of an earlier version.
+
+The references below are verbatim copies of `stoer_wagner` and of the
+Karger-Stein contraction code (`_Contraction`, `_contract_to`,
+`_exhaustive_cut`, `_recursive_contraction`, `karger_stein`) as they stood
+before the contraction core relied on its own ordering invariants: each
+Stoer-Wagner phase heapified every vertex at key 0 and special-cased
+vertex 0, and Karger-Stein sorted its vertex sets and copied member lists
+on every branch.  The current code must return the same `Cut`, side and
+weight, ties included: on small random graphs with unit, tied, parallel
+and zero weights, several components or no edges at all, and on the large
+tie-heavy Selling graphs of A_n, Z^n and A_n* that the golden files do not
+reach.
+"""
+
+from __future__ import annotations
+
+import operator
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from typing import Sequence
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from latcut import (  # noqa: E402
+    Cut,
+    WeightedGraph,
+    gen_an,
+    gen_anstar,
+    gen_random_gram,
+    gen_zn,
+    graph_from_gram,
+    mincut,
+    selling_parameters,
+)
+from latcut.mincut import (  # noqa: E402
+    _CONTRACTION_BASE,
+    _gray_min_cut,
+    _subproblem_size,
+)
+from latcut.rng import Xoshiro256StarStar, derive_seeds  # noqa: E402
+
+F = Fraction
+
+_ScaledCut = tuple[int, tuple[int, ...]]
+
+
+# --- references: the earlier code, verbatim ----------------------------------------
+
+def stoer_wagner(graph: WeightedGraph) -> Cut:
+    """Deterministic global minimum cut.
+
+    Repeats maximum-adjacency phases, each time merging the two vertices
+    added last; the lightest cut-of-the-phase is a global minimum cut.
+    Phases start from vertex 0, the lowest index (it is never added last,
+    so it is never merged away), and break adjacency ties toward lower
+    indices, so the result is a pure function of the graph.  A
+    disconnected graph legitimately yields a weight-0 cut.
+    """
+    state = _Contraction.from_adjacency(graph.adjacency)
+    best: _ScaledCut | None = None
+
+    while len(state.adj) > 1:
+        key = dict.fromkeys(state.adj, 0)
+        del key[0]
+        key.update(state.adj[0])
+        heap = [(-k, v) for v, k in key.items()]
+        heapify(heap)
+        s = t = 0
+        phase_cut = 0
+        while key:
+            neg, v = heappop(heap)
+            if key.get(v) != -neg:
+                continue  # already added, or a stale key
+            del key[v]
+            s, t, phase_cut = t, v, -neg
+            for u, w in state.adj[v].items():
+                k = key.get(u)
+                if k is not None:
+                    key[u] = k = k + w
+                    heappush(heap, (-k, u))
+
+        if best is None or phase_cut < best[0]:
+            best = (phase_cut, tuple(sorted(state.members[t])))
+        state.merge(s, t)
+
+    assert best is not None
+    return Cut(best[1], Fraction(best[0], graph.scale))
+
+
+class _Contraction:
+    """Mutable contraction state: surviving vertices with integer-weight
+    neighbor maps, and the original vertices each one absorbed."""
+
+    __slots__ = ("adj", "members")
+
+    def __init__(self, adj: dict[int, dict[int, int]],
+                 members: dict[int, list[int]]):
+        self.adj = adj
+        self.members = members
+
+    @classmethod
+    def from_adjacency(cls, adj: Sequence[dict[int, int]]) -> "_Contraction":
+        """A fresh state over copies of `adj`; the maps are not modified."""
+        return cls(
+            {v: dict(nbrs) for v, nbrs in enumerate(adj)},
+            {v: [v] for v in range(len(adj))},
+        )
+
+    def clone(self) -> "_Contraction":
+        return _Contraction(
+            {v: dict(nbrs) for v, nbrs in self.adj.items()},
+            {v: list(m) for v, m in self.members.items()},
+        )
+
+    def merge(self, keep: int, drop: int) -> None:
+        """Contract `drop` into `keep`, adding up parallel edge weights."""
+        adj = self.adj
+        kept = adj[keep]
+        for u, w in adj.pop(drop).items():
+            if u == keep:
+                continue
+            kept[u] = adj[u][keep] = kept.get(u, 0) + w
+            del adj[u][drop]
+        kept.pop(drop, None)
+        self.members[keep].extend(self.members.pop(drop))
+
+    def pick_weighted_edge(self, rng: Xoshiro256StarStar):
+        """A random edge, chosen with probability proportional to weight.
+
+        With u uniform in [0, 2^64), the walk stops at the first edge whose
+        running total acc satisfies total * u / 2^64 < acc, compared
+        exactly in integers.
+        """
+        verts = sorted(self.adj)
+        total = sum(w for i in verts for j, w in self.adj[i].items() if j > i)
+        if not total:
+            return None
+        threshold = total * rng.next_u64()
+        acc = 0
+        for i in verts:
+            nbrs = self.adj[i]
+            for j in sorted(nbrs):
+                if j <= i:
+                    continue
+                acc += nbrs[j]
+                if threshold < acc << 64:
+                    return (i, j)
+        raise AssertionError("weighted edge walk must terminate")
+
+    def zero_cut(self) -> _ScaledCut:
+        side = min(self.adj)
+        return 0, tuple(sorted(self.members[side]))
+
+
+def _contract_to(state: _Contraction, target: int,
+                 rng: Xoshiro256StarStar) -> bool:
+    """Contract random edges until `target` vertices remain.
+
+    Returns False when the state ran out of edges first, in which case a
+    zero-weight cut exists and contraction is pointless.
+    """
+    while len(state.adj) > target:
+        edge = state.pick_weighted_edge(rng)
+        if edge is None:
+            return False
+        state.merge(*edge)
+    return True
+
+
+def _exhaustive_cut(state: _Contraction) -> _ScaledCut:
+    """Best (weight, side) of a small contracted graph by enumeration.
+
+    The sorted supervertices are relabelled 0..k-1, so a side is a bit
+    mask that contains the lowest one.  The winner is the first lightest
+    side in ascending mask order, i.e. the minimum of (weight, mask);
+    that is a total order, so walking the sides in Gray-code order
+    (:func:`_gray_min_cut`) finds the same side.
+    """
+    verts = sorted(state.adj)
+    label = {v: k for k, v in enumerate(verts)}
+    adj = [{label[u]: w for u, w in state.adj[v].items()} for v in verts]
+    weight, mask = _gray_min_cut(adj, operator.lt)
+    side = [m for k, v in enumerate(verts) if mask >> k & 1
+            for m in state.members[v]]
+    return weight, tuple(sorted(side))
+
+
+def _recursive_contraction(state: _Contraction,
+                           rng: Xoshiro256StarStar) -> _ScaledCut:
+    if len(state.adj) <= _CONTRACTION_BASE:
+        return _exhaustive_cut(state)
+    target = _subproblem_size(len(state.adj))
+    best: _ScaledCut | None = None
+    for _ in range(2):
+        branch = state.clone()
+        if not _contract_to(branch, target, rng):
+            return branch.zero_cut()
+        candidate = _recursive_contraction(branch, rng)
+        if best is None or candidate[0] < best[0]:
+            best = candidate
+    assert best is not None
+    return best
+
+
+def karger_stein(graph: WeightedGraph, seed: int, trials: int) -> Cut:
+    """Randomized minimum cut by repeated recursive contraction.
+
+    Runs `trials` independent trials and returns the lightest cut found
+    (ties resolved toward the earliest trial).  Each trial's generator is
+    seeded from its own splitmix64-derived stream, so the result depends
+    only on (graph, seed, trials) and trials could run in any order or in
+    parallel without changing it.  The returned weight is always an upper
+    bound on the true minimum.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    best: _ScaledCut | None = None
+    for trial_seed in derive_seeds(seed, trials):
+        rng = Xoshiro256StarStar(trial_seed)
+        candidate = _recursive_contraction(
+            _Contraction.from_adjacency(graph.adjacency), rng)
+        if best is None or candidate[0] < best[0]:
+            best = candidate
+    assert best is not None
+    return Cut(best[1], Fraction(best[0], graph.scale))
+
+
+# --- strategies ----------------------------------------------------------------------
+
+# Few distinct values, so that many cuts tie; 0 drops the edge.
+WEIGHTS = (0, 1, 1, 2, 3, F(1, 2), F(3, 4), F(5, 3))
+
+
+@st.composite
+def graphs(draw):
+    """2..14 vertices, dense or sparse; extra edges on drawn pairs are
+    parallel edges, and sometimes the weights are all 1 (ties
+    everywhere), or no edge joins a prefix of the vertices to the rest."""
+    count = draw(st.integers(2, 14))
+    pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
+    weight = st.sampled_from(WEIGHTS + (0,) * draw(st.integers(0, 24)))
+    edges = [(i, j, draw(weight)) for i, j in pairs]
+    edges += draw(st.lists(st.tuples(st.integers(0, count - 1),
+                                     st.integers(0, count - 1), weight)
+                           .filter(lambda e: e[0] != e[1])))
+    if draw(st.booleans()):
+        edges = [(i, j, 1 if w else 0) for i, j, w in edges]
+    split = draw(st.integers(0, 3 * count))  # 1..count-1 cuts it apart
+    return WeightedGraph.from_edges(count, [
+        (i, j, 0 if min(i, j) < split <= max(i, j) else w)
+        for i, j, w in edges])
+
+
+# --- properties ----------------------------------------------------------------------
+
+@settings(max_examples=600)
+@given(graphs())
+def test_stoer_wagner_matches_the_reference(graph):
+    assert mincut.stoer_wagner(graph) == stoer_wagner(graph)
+
+
+@settings(max_examples=300)
+@given(graphs(), st.integers(0, 2 ** 64 - 1), st.integers(1, 4))
+def test_karger_stein_matches_the_reference(graph, seed, trials):
+    assert mincut.karger_stein(graph, seed, trials) == \
+        karger_stein(graph, seed, trials)
+
+
+def test_edgeless_and_disconnected_graphs_match_the_reference():
+    for count in range(2, 10):
+        edgeless = WeightedGraph.from_edges(count, [])
+        halves = WeightedGraph.from_edges(count, [
+            (i, j, 1) for i in range(count) for j in range(i + 1, count)
+            if (i < count // 2) == (j < count // 2)])
+        for graph in (edgeless, halves):
+            assert mincut.stoer_wagner(graph) == stoer_wagner(graph)
+            for seed in range(3):
+                assert mincut.karger_stein(graph, seed, 2) == \
+                    karger_stein(graph, seed, 2)
+
+
+def family_graphs(*sizes):
+    """One case per (generator, n): the Selling graph of that superbase."""
+    return [pytest.param(gen, n, id=f"{gen.__name__[4:]}{n}")
+            for gen, ns in sizes for n in ns]
+
+
+@pytest.mark.parametrize("gen, n", family_graphs(
+    (gen_an, range(16, 161, 24)), (gen_zn, range(16, 161, 24)),
+    (gen_anstar, range(8, 49))))
+def test_stoer_wagner_matches_the_reference_on_the_families(gen, n):
+    graph = graph_from_gram(selling_parameters(gen(n)))
+    assert mincut.stoer_wagner(graph) == stoer_wagner(graph)
+
+
+@pytest.mark.parametrize("gen, n", family_graphs(
+    (gen_an, (16, 24, 32)), (gen_zn, (16, 24, 32)), (gen_anstar, (8, 12, 16))))
+def test_karger_stein_matches_the_reference_on_the_families(gen, n):
+    # Many equal-weight cuts: which one wins depends on every contraction.
+    graph = graph_from_gram(selling_parameters(gen(n)))
+    for seed in range(3):
+        assert mincut.karger_stein(graph, seed, 1) == \
+            karger_stein(graph, seed, 1)
+
+
+@pytest.mark.parametrize("n, density", [(52, F(1)), (52, F(1, 2))])
+def test_stoer_wagner_matches_the_reference_on_dense_gram(n, density):
+    graph = graph_from_gram(gen_random_gram(n, 7, density))
+    assert mincut.stoer_wagner(graph) == stoer_wagner(graph)
+

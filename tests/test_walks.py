@@ -178,7 +178,7 @@ def test_walks_match_on_every_small_unit_weight_graph():
             state = _Contraction(
                 {2 * v + 3: {2 * u + 3: w for u, w in nbrs.items()}
                  for v, nbrs in enumerate(adj)},
-                {2 * v + 3: [2 * v + 3, 2 * v + 4] for v in range(count)},
+                {2 * v + 3: (2 * v + 3, 2 * v + 4) for v in range(count)},
             )
             assert _exhaustive_cut(state) == reference_exhaustive_cut(state)
 
