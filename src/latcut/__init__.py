@@ -12,7 +12,6 @@ arithmetic.
 from .errors import (
     CertificateError,
     EmptySide,
-    GramCoordsMismatch,
     ImproperAssignment,
     LatCutError,
     LengthMismatch,
@@ -81,7 +80,6 @@ __all__ = [
     "Cut",
     "EmptySide",
     "FAMILIES",
-    "GramCoordsMismatch",
     "GramMatrix",
     "ImproperAssignment",
     "InstanceSpec",

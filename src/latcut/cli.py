@@ -31,7 +31,6 @@ from .lattice import (
     _scaled,
     _token_value,
     as_rational,
-    selling_parameters,
     validate_gram,
     validate_superbase,
 )
@@ -289,12 +288,12 @@ def _read_text(path: str, stdin) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load(parsed: Superbase | GramMatrix):
-    """Validate a parsed file into (Superbase | None, GramMatrix)."""
+def _load(parsed: Superbase | GramMatrix) -> Superbase | GramMatrix:
+    """Validate a parsed file into the one object every command takes; a
+    Superbase's Selling parameters are then the matrix validation built."""
     if isinstance(parsed, Superbase):
-        sb = validate_superbase(parsed)
-        return sb, selling_parameters(sb)
-    return None, validate_gram(parsed)
+        return validate_superbase(parsed)
+    return validate_gram(parsed)
 
 
 def _indices_1based(subset) -> list[int]:
@@ -314,14 +313,12 @@ def _cmd_svp(args, stdin, stdout, stderr) -> int:
     if args.algorithm != "karger":
         _warn_ignored((("--seed", args.seed), ("--trials", args.trials)),
                       "--algorithm karger", stderr)
-    sb, gram = _load(parse_input(_read_text(args.file, stdin)))
+    lattice = _load(parse_input(_read_text(args.file, stdin)))
     seed = args.seed if args.seed is not None else 0
     trials = args.trials
     if args.algorithm == "karger" and trials is None:
-        trials = default_trial_count(gram.size)
-    result = short_vector(
-        gram, args.algorithm, seed=seed, trials=trials, superbase=sb
-    )
+        trials = default_trial_count(lattice.n + 1)
+    result = short_vector(lattice, args.algorithm, seed=seed, trials=trials)
     if args.json:
         payload: dict = {
             "subset": _indices_1based(result.subset),
@@ -349,25 +346,25 @@ def _cmd_svp(args, stdin, stdout, stderr) -> int:
 
 
 def _cmd_validate(args, stdin, stdout, stderr) -> int:
-    sb, gram = _load(parse_input(_read_text(args.file, stdin)))
-    if sb is not None:
-        print(f"valid superbase: n={sb.n}, vectors={sb.n + 1}, ambient={sb.m}",
-              file=stdout)
+    lattice = _load(parse_input(_read_text(args.file, stdin)))
+    if isinstance(lattice, Superbase):
+        print(f"valid superbase: n={lattice.n}, vectors={lattice.n + 1}, "
+              f"ambient={lattice.m}", file=stdout)
     else:
-        print(f"valid gram: n={gram.n}, side={gram.size}", file=stdout)
+        print(f"valid gram: n={lattice.n}, side={lattice.size}", file=stdout)
     return 0
 
 
 def _cmd_candidates(args, stdin, stdout, stderr) -> int:
-    sb, _ = _load(parse_input(_read_text(args.file, stdin)))
-    if sb is None:
+    lattice = _load(parse_input(_read_text(args.file, stdin)))
+    if not isinstance(lattice, Superbase):
         raise LatCutError(
             "candidate enumeration needs coordinates; supply a superbase file"
         )
     # candidate_vectors builds each distinct value once, and its list keeps
     # them all alive during the loop: one string per id formats each once.
     text: dict[int, str] = {}
-    for cand in candidate_vectors(sb):
+    for cand in candidate_vectors(lattice):
         for x in (cand.squared_length, *cand.coordinates):
             if id(x) not in text:
                 text[id(x)] = str(x)
@@ -406,7 +403,7 @@ def _cmd_gen(args, stdin, stdout, stderr) -> int:
 
 
 def _cmd_verify(args, stdin, stdout, stderr) -> int:
-    _, gram = _load(parse_input(_read_text(args.file, stdin)))
+    lattice = _load(parse_input(_read_text(args.file, stdin)))
     bits = []
     for token in args.assignment.split(","):
         token = token.strip()
@@ -415,7 +412,7 @@ def _cmd_verify(args, stdin, stdout, stderr) -> int:
                 f"assignment entries must be 0 or 1, got {token!r}"
             )
         bits.append(int(token))
-    q_value, cut_value = verify_reduction(gram, bits)
+    q_value, cut_value = verify_reduction(lattice, bits)
     print(f"Q: {q_value}", file=stdout)
     print(f"cut: {cut_value}", file=stdout)
     print(f"equal: {'yes' if q_value == cut_value else 'no'}", file=stdout)

@@ -103,10 +103,6 @@ class CertificateError(LatCutError):
     """A computed answer failed its own consistency check: a latcut bug."""
 
 
-class GramCoordsMismatch(LatCutError):
-    """Supplied coordinates do not reproduce the supplied Gram matrix."""
-
-
 class ZeroWeightCut(LatCutError):
     """The minimum cut has weight zero, which no valid input can produce."""
 

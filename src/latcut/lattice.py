@@ -107,7 +107,7 @@ class Superbase:
         """Componentwise sum of the vectors selected by `subset`."""
         total = [0] * self.m
         for i in subset:
-            for k, value in enumerate(self.rows[i]):
+            for k, value in enumerate(self.rows[_index(i, len(self.rows))]):
                 total[k] += value
         return tuple([Fraction(x, self.scale) for x in total])
 
@@ -155,7 +155,7 @@ class BinaryAssignment:
     def from_subset(cls, subset: Iterable[int], length: int) -> "BinaryAssignment":
         bits = [0] * length
         for i in subset:
-            bits[i] = 1
+            bits[_index(i, length)] = 1
         return cls(tuple(bits))
 
     @property
@@ -169,6 +169,13 @@ class BinaryAssignment:
 
     def complement(self) -> "BinaryAssignment":
         return BinaryAssignment(tuple(1 - b for b in self.bits))
+
+
+def _index(i: int, count: int) -> int:
+    """`i`, or ValueError naming it unless 0 <= i < count."""
+    if not 0 <= i < count:
+        raise ValueError(f"index {i} is out of range 0..{count - 1}")
+    return i
 
 
 def _scaled(rows: Sequence[Sequence[Fraction]],
@@ -243,12 +250,6 @@ def _first_unreachable(q: Sequence[Sequence[int]]) -> int | None:
 _last_validated: tuple[Superbase, GramMatrix] | None = None
 
 
-def _validated_selling(sb: Superbase) -> GramMatrix | None:
-    """The Gram matrix that validating `sb` built, if it is still held."""
-    last = _last_validated
-    return last[1] if last is not None and last[0] is sb else None
-
-
 def validate_superbase(vectors) -> Superbase:
     """Check the superbase conditions and return a validated Superbase.
 
@@ -296,9 +297,13 @@ def selling_parameters(sb: Superbase) -> GramMatrix:
     Integers over s**2 for the coordinates' common denominator s, reduced
     to the canonical scale.  A validated superbase always yields a valid
     GramMatrix, so no checks are repeated here.  Called on the superbase
-    validated last, it returns the matrix that validation built.
+    validated last, it returns the matrix that validation built, so
+    `short_vector(validate_superbase(rows))` computes the products once.
     """
-    return _validated_selling(sb) or _pairwise_products(sb)
+    last = _last_validated
+    if last is not None and last[0] is sb:
+        return last[1]
+    return _pairwise_products(sb)
 
 
 def validate_gram(entries) -> GramMatrix:

@@ -164,10 +164,11 @@ def stoer_wagner(graph: WeightedGraph) -> Cut:
 
     while len(state.adj) > 1:
         key = dict.fromkeys(state.adj, 0)
+        unreached = filter(key.__contains__, state.adj)  # ascending, lazy
         heap: list[tuple[int, int]] = []
         s = t = 0
         while key:
-            neg, v = heappop(heap) if heap else (0, min(key))
+            neg, v = heappop(heap) if heap else (0, next(unreached))
             if key.get(v) != -neg:
                 continue  # already added, or a stale key
             del key[v]

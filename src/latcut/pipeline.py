@@ -4,8 +4,10 @@ The squared length of a shortest nonzero vector of a lattice given by an
 obtuse superbase equals the weight of a global minimum cut of the graph
 built from its Selling parameters, and the cut side names the superbase
 subset to sum.  This module wires that equivalence together, on the
-integers a Superbase and a GramMatrix hold, and also carries the
-exhaustive subset oracle used to test it.
+integers a Superbase and a GramMatrix hold: a Superbase gives the graph
+through its Selling parameters and the answer's coordinates, a GramMatrix
+the graph alone.  It also carries the exhaustive subset oracle used to
+test it.
 """
 
 from __future__ import annotations
@@ -17,20 +19,13 @@ from itertools import compress
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .errors import (
-    CertificateError,
-    GramCoordsMismatch,
-    ImproperAssignment,
-    TooLarge,
-    ZeroWeightCut,
-)
+from .errors import CertificateError, ImproperAssignment, TooLarge, ZeroWeightCut
 from .lattice import (
     GramMatrix,
     Superbase,
     Vector,
     _bits_of,
     _scaled_form,
-    _validated_selling,
     quadratic_form,
     selling_parameters,
 )
@@ -71,40 +66,32 @@ class Candidate(NamedTuple):
 
 
 def short_vector(
-    g: GramMatrix,
+    lattice: Superbase | GramMatrix,
     algorithm: str = "stoer-wagner",
     *,
     seed: int = 0,
     trials: int | None = None,
-    superbase: Superbase | None = None,
 ) -> ShortVectorResult:
     """Compute a shortest nonzero lattice vector via a graph minimum cut.
 
-    `algorithm` is one of "stoer-wagner" (deterministic, the default),
-    "karger" (randomized; honors `seed` and `trials`, with a trial count
-    of ceil((log2(n+1))^2) + 8 when `trials` is None), or "brute"
+    `lattice` is a validated Superbase, whose Selling parameters give the
+    graph and whose vectors give the result's coordinates, or a validated
+    GramMatrix, which gives no coordinates.  `algorithm` is one of
+    "stoer-wagner" (deterministic, the default), "karger" (randomized;
+    honors `seed` and `trials`, with a trial count of
+    ceil((log2(n+1))^2) + 8 when `trials` is None), or "brute"
     (exhaustive cut enumeration, small inputs only).
 
-    When `superbase` is given it must reproduce the values of `g` (checked
-    unless `g` is the matrix the superbase's own validation built), and
-    the result then includes the vector's coordinates.  Before returning,
-    the edges crossing the cut side and the coordinates must both weigh
-    exactly the cut weight.
-
-    Raises GramCoordsMismatch, ZeroWeightCut if the minimum cut has
-    weight zero, which is possible only when an invalid matrix bypassed
-    validation, or CertificateError if the self-check fails.
+    Before returning, the edges crossing the cut side and any coordinates
+    must both weigh exactly the cut weight.  Raises ZeroWeightCut if the
+    minimum cut has weight zero, which is possible only when an invalid
+    matrix bypassed validation, or CertificateError if the self-check
+    fails.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
-    if superbase is not None and g is not _validated_selling(superbase):
-        h = selling_parameters(superbase)  # equal values, maybe other scales
-        if h.size != g.size or any(x * g.scale != y * h.scale for a, b in
-                                   zip(h.rows, g.rows) for x, y in zip(a, b)):
-            raise GramCoordsMismatch("the supplied coordinates do not "
-                                     "reproduce the supplied Gram matrix")
 
-    graph = graph_from_gram(g)
+    graph = graph_from_gram(_gram_of(lattice))
     if algorithm == "stoer-wagner":
         cut = stoer_wagner(graph)
     elif algorithm == "brute":
@@ -119,7 +106,8 @@ def short_vector(
             "minimum cut weight is 0; the input cannot be the Selling "
             "matrix of a lattice"
         )
-    coordinates = superbase.subset_sum(cut.side) if superbase is not None else None
+    coordinates = lattice.subset_sum(cut.side) \
+        if isinstance(lattice, Superbase) else None
     if cut_weight(graph, cut.side).weight != cut.weight or \
             coordinates is not None and \
             sum(x * x for x in coordinates) != cut.weight:
@@ -127,6 +115,13 @@ def short_vector(
             f"the answer does not certify its squared length {cut.weight}"
         )
     return ShortVectorResult(cut.side, cut.weight, coordinates)
+
+
+def _gram_of(lattice: Superbase | GramMatrix) -> GramMatrix:
+    """The Gram matrix of `lattice`: its Selling parameters or itself."""
+    if isinstance(lattice, Superbase):
+        return selling_parameters(lattice)
+    return lattice
 
 
 def brute_force_short_vector(g: GramMatrix) -> ShortVectorResult:
@@ -189,12 +184,14 @@ def candidate_vectors(sb: Superbase) -> list[Candidate]:
     return keyed
 
 
-def verify_reduction(g: GramMatrix, u) -> tuple[Fraction, Fraction]:
+def verify_reduction(lattice: Superbase | GramMatrix,
+                     u) -> tuple[Fraction, Fraction]:
     """Evaluate one assignment both ways: quadratic form and cut weight.
 
-    Returns (Q(u), W(C, complement)) where C is the support of `u`.  The
-    two are equal for every proper assignment on a valid Gram matrix;
-    callers assert the equality they care about.
+    `lattice` is a validated Superbase or GramMatrix, as for
+    :func:`short_vector`.  Returns (Q(u), W(C, complement)) where C is the
+    support of `u`.  The two are equal for every proper assignment on a
+    valid lattice; callers assert the equality they care about.
 
     Raises ImproperAssignment when u is all zeros or all ones.
     """
@@ -203,6 +200,7 @@ def verify_reduction(g: GramMatrix, u) -> tuple[Fraction, Fraction]:
         raise ImproperAssignment(
             "assignment must contain at least one 1 and at least one 0"
         )
+    g = _gram_of(lattice)
     q_value = quadratic_form(g, bits)
     side = tuple(i for i, b in enumerate(bits) if b)
     cut = cut_weight(graph_from_gram(g), side)

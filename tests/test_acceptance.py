@@ -79,7 +79,7 @@ def test_criterion_1_example3d_golden():
         start = time.monotonic()
         sb = gen_example3d()
         g = selling_parameters(sb)
-        result = short_vector(g, superbase=sb)
+        result = short_vector(sb)
         assert result.squared_length == F(1, 2)
         assert result.subset in ((0, 1), (2, 3))
         if result.subset == (0, 1):
@@ -107,7 +107,7 @@ def test_criterion_2_an_family():
                 1 for v in chosen if (v + 1) % (n + 1) not in chosen
             )
             assert boundary == 1  # a cyclic interval
-            result = short_vector(g, superbase=sb)
+            result = short_vector(sb)
             assert result.squared_length == 2
             coords = sorted(result.coordinates)
             assert coords == [-1] + [0] * (n - 1) + [1]  # e_i - e_j
@@ -223,7 +223,7 @@ def test_criterion_8_structural_invariants():
                 bits = [rng.randrange(2) for _ in range(size)]
                 flipped = [1 - b for b in bits]
                 assert quadratic_form(g, bits) == quadratic_form(g, flipped)
-            result = short_vector(g, superbase=sb)
+            result = short_vector(g if sb is None else sb)
             assert result.squared_length > 0  # min-cut weight > 0
             assert 0 < len(result.subset) < size
             bits = [1 if i in result.subset else 0 for i in range(size)]

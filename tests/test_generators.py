@@ -66,7 +66,7 @@ def test_anstar_gram_values():
 def test_a1star_short_vector():
     sb = gen_anstar(1)
     assert sb.vectors == ((F(1, 2), F(-1, 2)), (F(-1, 2), F(1, 2)))
-    result = short_vector(selling_parameters(sb), superbase=sb)
+    result = short_vector(sb)
     assert result.squared_length == F(1, 2)
 
 

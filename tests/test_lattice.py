@@ -275,6 +275,21 @@ def test_binary_assignment_basics():
         BinaryAssignment((0, 2))
 
 
+@pytest.mark.parametrize("index", [-1, 3, 7])
+def test_from_subset_refuses_an_index_out_of_range(index):
+    assert BinaryAssignment.from_subset([0, 2], 3).bits == (1, 0, 1)
+    with pytest.raises(ValueError, match=f"index {index} is out of range 0..2"):
+        BinaryAssignment.from_subset([1, index], 3)
+
+
+@pytest.mark.parametrize("index", [-1, 4, 9])
+def test_subset_sum_refuses_an_index_out_of_range(index):
+    sb = gen_an(3)
+    assert sb.subset_sum((0, 3)) == (0, -1, 0, 1)
+    with pytest.raises(ValueError, match=f"index {index} is out of range 0..3"):
+        sb.subset_sum((0, index))
+
+
 # --- structural invariants -------------------------------------------------
 
 def _instances():

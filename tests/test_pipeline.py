@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+import latcut.lattice
 import latcut.pipeline
 from latcut import (
+    ALGORITHMS,
     CertificateError,
     Cut,
-    GramCoordsMismatch,
     GramMatrix,
     ImproperAssignment,
     Superbase,
@@ -40,16 +41,14 @@ def _unit_difference(vec):
 # --- short_vector ------------------------------------------------------------
 
 def test_an_short_vector_is_unit_difference():
-    sb = gen_an(3)
-    g = selling_parameters(sb)
-    result = short_vector(g, superbase=sb)
+    result = short_vector(gen_an(3))
     assert result.squared_length == 2
     assert _unit_difference(result.coordinates)
 
 
 def test_anstar_short_vector_is_a_superbase_vector():
     sb = gen_anstar(3)
-    result = short_vector(selling_parameters(sb), superbase=sb)
+    result = short_vector(sb)
     assert result.squared_length == F(3, 4)
     side = result.subset
     assert len(side) in (1, 3)
@@ -59,7 +58,7 @@ def test_anstar_short_vector_is_a_superbase_vector():
 
 def test_example3d_short_vector():
     sb = gen_example3d()
-    result = short_vector(selling_parameters(sb), superbase=sb)
+    result = short_vector(sb)
     assert result.squared_length == F(1, 2)
     assert result.subset in ((0, 1), (2, 3))
     expected = (F(1, 2), F(1, 2), F(0)) if result.subset == (0, 1) \
@@ -90,46 +89,26 @@ def test_unknown_algorithm_rejected():
         short_vector(selling_parameters(gen_an(2)), "magic")
 
 
-def test_gram_coords_mismatch():
-    sb = gen_an(3)
-    wrong = selling_parameters(gen_anstar(3))
-    with pytest.raises(GramCoordsMismatch):
-        short_vector(wrong, superbase=sb)
+def test_a_validated_superbase_is_solved_from_its_memo(monkeypatch):
+    """short_vector(sb) on the superbase validated last takes the Gram
+    matrix its validation built, and reads no Fraction view."""
+    def refuse(*_):
+        raise AssertionError("products recomputed or a Fraction view read")
 
-
-def test_validated_matrix_skips_the_coordinate_check(monkeypatch):
-    sb = gen_anstar(4)
-    g = selling_parameters(sb)
-
-    def recompute(_):
-        raise AssertionError("Selling parameters computed a second time")
-
-    monkeypatch.setattr(latcut.pipeline, "selling_parameters", recompute)
-    assert short_vector(g, superbase=sb).squared_length == F(4, 5)
-
-
-def test_the_coordinate_check_compares_integers(monkeypatch):
-    sb = gen_anstar(4)
-    g = validate_gram(selling_parameters(sb).entries)  # not the memo's object
-    assert g == selling_parameters(sb)
-
-    def refuse(self):
-        raise AssertionError("GramMatrix.entries was read")
-
-    monkeypatch.setattr(GramMatrix, "entries", property(refuse))
-    assert short_vector(g, superbase=sb).squared_length == F(4, 5)
-
-
-def test_the_coordinate_check_compares_values_not_scales():
-    sb = gen_anstar(3)
-    g = selling_parameters(sb)
-    doubled = GramMatrix(tuple(tuple(2 * x for x in row) for row in g.rows),
-                         2 * g.scale)
-    assert doubled.entries == g.entries and doubled != g
-    assert short_vector(doubled, superbase=sb).squared_length == F(3, 4)
-    different = GramMatrix(doubled.rows, 3 * g.scale)
-    with pytest.raises(GramCoordsMismatch):
-        short_vector(different, superbase=sb)
+    rows = [[1, F(-1, 2), 0], [F(-1, 2), 1, 0], [0, 0, 1], [F(-1, 2), F(-1, 2), -1]]
+    cases = [(lambda: gen_anstar(4), F(4, 5)),
+             (lambda: validate_superbase(rows), F(1, 2))]
+    for validated, expected in cases:
+        sb = validated()  # the superbase validated last
+        with monkeypatch.context() as patched:
+            patched.setattr(latcut.lattice, "_pairwise_products", refuse)
+            patched.setattr(Superbase, "vectors", property(refuse))
+            patched.setattr(GramMatrix, "entries", property(refuse))
+            result = short_vector(sb)
+            with pytest.raises(AssertionError):  # the patch is live
+                short_vector(Superbase(sb.rows, sb.scale))
+        assert result.squared_length == expected
+        assert sum(x * x for x in result.coordinates) == expected
 
 
 def test_corrupted_cut_fails_its_certificate(monkeypatch):
@@ -143,13 +122,12 @@ def test_corrupted_cut_fails_its_certificate(monkeypatch):
 
 def test_corrupted_coordinates_fail_the_certificate(monkeypatch):
     sb = gen_example3d()
-    g = selling_parameters(sb)
-    assert short_vector(g, superbase=sb).squared_length == F(1, 2)
+    assert short_vector(sb).squared_length == F(1, 2)
     monkeypatch.setattr(
         Superbase, "subset_sum", lambda self, subset: (F(1), F(0), F(0))
     )
     with pytest.raises(CertificateError):
-        short_vector(g, superbase=sb)
+        short_vector(sb)
 
 
 def test_zero_weight_cut_detected():
@@ -296,22 +274,22 @@ def test_verify_reduction_random_pairs():
 # --- certificates ------------------------------------------------------------
 
 def test_certificates_are_sound():
-    cases = [
-        (gen_an(5), None),
-        (gen_anstar(4), None),
-        (gen_zn(6), None),
-        (gen_example3d(), None),
-    ]
-    for seed in seeds_from(5050, 5):
-        cases.append((random_superbase(4, seed=seed), None))
-    for sb, _ in cases:
+    cases = [gen_an(5), gen_anstar(4), gen_zn(6), gen_example3d()]
+    cases += [random_superbase(4, seed=seed) for seed in seeds_from(5050, 5)]
+    for sb in cases:
         g = selling_parameters(sb)
         size = g.size
-        for algorithm in ("stoer-wagner", "brute", "karger"):
-            result = short_vector(g, algorithm, seed=3, superbase=sb)
+        for algorithm in ALGORITHMS:
+            result = short_vector(sb, algorithm, seed=3)
+            gram_only = short_vector(g, algorithm, seed=3)
+            assert gram_only.subset == result.subset
+            assert gram_only.squared_length == result.squared_length
+            assert gram_only.coordinates is None
             assert 0 < len(result.subset) < size
             bits = [1 if i in result.subset else 0 for i in range(size)]
             assert quadratic_form(g, bits) == result.squared_length
+            assert verify_reduction(sb, bits) == verify_reduction(g, bits) \
+                == (result.squared_length,) * 2
             assert sum(x * x for x in result.coordinates) == \
                 result.squared_length
             assert result.squared_length > 0
@@ -325,16 +303,18 @@ def test_the_solve_path_builds_no_fraction_view_of_the_graph(monkeypatch):
 
     monkeypatch.setattr(WeightedGraph, "weights", property(refuse))
     monkeypatch.setattr(WeightedGraph, "weight", refuse)
-    cases = [(gen_random_gram(6, seed=11), None)] + [
-        (selling_parameters(sb), sb)
-        for sb in (gen_example3d(), gen_anstar(5), random_superbase(4, seed=7))]
-    for g, sb in cases:
+    lattices = [gen_random_gram(6, seed=11)]
+    for sb in (gen_example3d(), gen_anstar(5), random_superbase(4, seed=7)):
+        lattices += [sb, selling_parameters(sb)]
+    for lattice in lattices:
+        g = lattice if isinstance(lattice, GramMatrix) \
+            else selling_parameters(lattice)
         expected = brute_force_short_vector(g).squared_length
         for algorithm in ("stoer-wagner", "brute"):
-            result = short_vector(g, algorithm, superbase=sb)
+            result = short_vector(lattice, algorithm)
             assert result.squared_length == expected
         # Karger-Stein's weight is an upper bound on the minimum.
-        result = short_vector(g, "karger", seed=3, superbase=sb)
+        result = short_vector(lattice, "karger", seed=3)
         assert result.squared_length >= expected
-        q_value, cut_value = verify_reduction(g, [1] + [0] * (g.size - 1))
+        q_value, cut_value = verify_reduction(lattice, [1] + [0] * (g.size - 1))
         assert q_value == cut_value > 0

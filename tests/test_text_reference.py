@@ -36,7 +36,7 @@ from latcut import (  # noqa: E402
     validate_gram,
     validate_superbase,
 )
-from latcut import cli  # noqa: E402
+from latcut import cli, pipeline  # noqa: E402
 
 F = Fraction
 
@@ -56,7 +56,7 @@ def program(text):
 
 def command_line(text):
     """The route every command takes from file text to a Gram matrix."""
-    return solved(cli._load(cli.parse_input(text))[1])
+    return solved(pipeline._gram_of(cli._load(cli.parse_input(text))))
 
 
 def solved(g):
