@@ -3,8 +3,10 @@
 Three routes to the same answer, kept deliberately independent so they
 can cross-check each other:
 
-* :func:`stoer_wagner`: deterministic maximum-adjacency phases with a
-  lazy-deletion heap, O(|V||E| log |V|): every relaxation pushes.
+* :func:`stoer_wagner`: deterministic maximum-adjacency phases.  A phase
+  on a dense graph scans for each next vertex, O(|V|^2), so O(|V|^3) in
+  all; one on a sparse graph keeps a lazy-deletion heap, O(|E| log |V|),
+  since every relaxation pushes.  Both give the same cuts.
 * :func:`karger_stein`: randomized recursive contraction, reproducible
   for a fixed (seed, trials) pair.
 * :func:`brute_force_mincut`: exhaustive enumeration, the oracle.
@@ -32,7 +34,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Callable, Iterable, Sequence
 
-from .errors import EmptySide, TooLarge
+from .errors import EmptySide, ObtuseViolation, TooLarge
 from .lattice import GramMatrix, _capped, _scaled, as_rational
 from .rng import Xoshiro256StarStar, derive_seeds
 
@@ -40,6 +42,13 @@ BRUTE_FORCE_LIMIT = 24
 
 # Below this many supervertices Karger-Stein switches to exhaustive search.
 _CONTRACTION_BASE = 6
+
+# A Stoer-Wagner phase scans its keys when _SCAN_DENSITY * |E| >= |V|^2,
+# that is when about a quarter or more of all vertex pairs are edges, and
+# uses the heap otherwise.  Timed per phase on random graphs of 17 to 129
+# vertices, a scan took 0.48-1.03 times the heap's time where |V|^2 <= 8|E|
+# and 0.95-1.16 times where |V|^2 >= 16|E| (the sweep is in CHANGES.md).
+_SCAN_DENSITY = 8
 
 # (weight over the graph's common denominator, sorted side)
 _ScaledCut = tuple[int, tuple[int, ...]]
@@ -120,13 +129,20 @@ def graph_from_gram(g: GramMatrix) -> WeightedGraph:
     """Graph whose edge weights are the negated off-diagonal Gram entries.
 
     Vertex i stands for superbase vector i; a strictly negative q_ij
-    becomes an edge of weight -q_ij, and q_ij = 0 means no edge.  The
-    diagonal is ignored.  The graph keeps `g.scale`, which zero row sums
-    make the edge weights' common denominator; past the cap, TooLarge.
+    becomes an edge of weight -q_ij, and q_ij = 0 means no edge.  A
+    positive q_ij, which no edge weight can stand for, raises
+    ObtuseViolation, as validation would.  Only the upper triangle is
+    read, and the diagonal is ignored.  The graph keeps `g.scale`, which
+    zero row sums make the edge weights' common denominator; past the
+    cap, TooLarge.
     """
     adj: tuple[dict[int, int], ...] = tuple({} for _ in g.rows)
     for i, row in enumerate(g.rows):
-        for j, x in enumerate(row[i + 1:], i + 1):
+        tail = row[i + 1:]
+        if max(tail, default=0) > 0:
+            j = next(j for j, x in enumerate(tail, i + 1) if x > 0)
+            raise ObtuseViolation((i, j), Fraction(row[j], g.scale))
+        for j, x in enumerate(tail, i + 1):
             if x < 0:
                 adj[i][j] = adj[j][i] = -x
     return WeightedGraph(adj, _capped(g.scale, "edge weights"))
@@ -153,38 +169,87 @@ def stoer_wagner(graph: WeightedGraph) -> Cut:
 
     Repeats maximum-adjacency phases, each time merging the two vertices
     added last; the lightest cut-of-the-phase is a global minimum cut.
-    A phase starts from an empty heap, which holds only vertices of
-    positive key; when it is empty the lowest unreached vertex goes next,
-    so vertex 0 starts every phase and is never merged away.  Ties break
-    toward lower indices, so the result is a pure function of the graph.
+    A phase on a dense graph (see `_SCAN_DENSITY`) finds each next vertex
+    by scanning every key, O(|V|^2) per phase; on a sparse one it keeps a
+    lazy-deletion heap, O(|E| log |V|) per phase.  Both add the vertex of
+    largest key, the lowest index among equal keys, so they add the same
+    vertices in the same order: vertex 0 starts every phase and is never
+    merged away, and the result is a pure function of the graph.
     A disconnected graph legitimately yields a weight-0 cut.
     """
     state = _Contraction.from_adjacency(graph.adjacency)
+    adj = state.adj
+    edges = sum(map(len, graph.adjacency)) // 2
     best: tuple[int, tuple[int, ...]] | None = None  # weight, members
 
-    while len(state.adj) > 1:
-        key = dict.fromkeys(state.adj, 0)
-        unreached = filter(key.__contains__, state.adj)  # ascending, lazy
-        heap: list[tuple[int, int]] = []
-        s = t = 0
-        while key:
-            neg, v = heappop(heap) if heap else (0, next(unreached))
-            if key.get(v) != -neg:
-                continue  # already added, or a stale key
-            del key[v]
-            s, t, phase_cut = t, v, -neg
-            for u, w in state.adj[v].items():
-                k = key.get(u)
-                if k is not None:
-                    key[u] = k = k + w
-                    heappush(heap, (-k, u))
-
+    while len(adj) > 1:
+        if _SCAN_DENSITY * edges >= len(adj) ** 2:
+            s, t, phase_cut = _scan_phase(adj)
+        else:
+            s, t, phase_cut = _heap_phase(adj)
         if best is None or phase_cut < best[0]:
             best = (phase_cut, state.members[t])
+        # Of the edges touching s or t, the merge keeps one per neighbour
+        # of the merged vertex: it drops {s, t} and joins each common
+        # neighbour's two edges into one.
+        touching = len(adj[s]) + len(adj[t]) - (t in adj[s])
         state.merge(s, t)
+        edges -= touching - len(adj[s])
 
     assert best is not None
     return Cut(tuple(sorted(best[1])), Fraction(best[0], graph.scale))
+
+
+def _scan_phase(adj: dict[int, dict[int, int]]) -> tuple[int, int, int]:
+    """One maximum-adjacency phase by scanning: (s, t, cut of the phase).
+
+    `key` is built ascending and only ever popped, so `max` returns the
+    lowest index among the largest keys.  Each added vertex's weights go
+    to the keys it still reaches, walking whichever of its neighbours and
+    the keys left is shorter.
+    """
+    key = dict.fromkeys(adj, 0)
+    s = t = 0
+    while key:
+        v = max(key, key=key.__getitem__)
+        s, t, phase_cut = t, v, key.pop(v)
+        nbrs = adj[v]
+        if len(key) < len(nbrs):
+            for u in key:
+                w = nbrs.get(u)
+                if w:
+                    key[u] += w
+        else:
+            for u, w in nbrs.items():
+                if u in key:
+                    key[u] += w
+    return s, t, phase_cut
+
+
+def _heap_phase(adj: dict[int, dict[int, int]]) -> tuple[int, int, int]:
+    """One maximum-adjacency phase from a heap: (s, t, cut of the phase).
+
+    The heap starts empty and holds only vertices of positive key, the
+    largest key and then the lowest index first; a stale entry is below
+    its vertex's key and is skipped.  When the heap is empty every key
+    left is 0, and the lowest unreached vertex goes next.
+    """
+    key = dict.fromkeys(adj, 0)
+    unreached = filter(key.__contains__, adj)  # ascending, lazy
+    heap: list[tuple[int, int]] = []
+    s = t = 0
+    while key:
+        neg, v = heappop(heap) if heap else (0, next(unreached))
+        if key.get(v) != -neg:
+            continue  # already added, or a stale key
+        del key[v]
+        s, t, phase_cut = t, v, -neg
+        for u, w in adj[v].items():
+            k = key.get(u)
+            if k is not None:
+                key[u] = k = k + w
+                heappush(heap, (-k, u))
+    return s, t, phase_cut
 
 
 def default_trial_count(vertex_count: int) -> int:

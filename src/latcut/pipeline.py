@@ -83,10 +83,10 @@ def short_vector(
     (exhaustive cut enumeration, small inputs only).
 
     Before returning, the edges crossing the cut side and any coordinates
-    must both weigh exactly the cut weight.  Raises ZeroWeightCut if the
-    minimum cut has weight zero, which is possible only when an invalid
-    matrix bypassed validation, or CertificateError if the self-check
-    fails.
+    must both weigh exactly the cut weight.  Raises ObtuseViolation on a
+    positive off-diagonal Selling parameter, ZeroWeightCut if the minimum
+    cut has weight zero (both possible only when an invalid matrix
+    bypassed validation), or CertificateError if the self-check fails.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
@@ -193,7 +193,8 @@ def verify_reduction(lattice: Superbase | GramMatrix,
     support of `u`.  The two are equal for every proper assignment on a
     valid lattice; callers assert the equality they care about.
 
-    Raises ImproperAssignment when u is all zeros or all ones.
+    Raises ImproperAssignment when u is all zeros or all ones, and
+    ObtuseViolation on a positive off-diagonal Selling parameter.
     """
     bits = _bits_of(u)
     if not 0 < sum(bits) < len(bits):

@@ -255,11 +255,30 @@ def graphs(draw):
         for i, j, w in edges])
 
 
+@st.composite
+def dense_graphs(draw):
+    """2..30 vertices, at least 3/4 of all pairs joined by weight 1 or 2:
+    Stoer-Wagner scans for its vertices there, and many keys tie."""
+    count = draw(st.integers(2, 30))
+    pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
+    absent = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs) // 4))
+    weights = draw(st.lists(st.sampled_from((1, 2)),
+                            min_size=len(pairs), max_size=len(pairs)))
+    return WeightedGraph.from_edges(count, [
+        (i, j, w) for (i, j), w in zip(pairs, weights) if (i, j) not in absent])
+
+
 # --- properties ----------------------------------------------------------------------
 
 @settings(max_examples=600)
 @given(graphs())
 def test_stoer_wagner_matches_the_reference(graph):
+    assert mincut.stoer_wagner(graph) == stoer_wagner(graph)
+
+
+@settings(max_examples=200)
+@given(dense_graphs())
+def test_stoer_wagner_matches_the_reference_on_dense_graphs(graph):
     assert mincut.stoer_wagner(graph) == stoer_wagner(graph)
 
 
@@ -307,7 +326,12 @@ def test_karger_stein_matches_the_reference_on_the_families(gen, n):
             karger_stein(graph, seed, 1)
 
 
-@pytest.mark.parametrize("n, density", [(52, F(1)), (52, F(1, 2))])
+@pytest.mark.parametrize("n, density", [
+    (52, F(1)), (52, F(1, 2)),
+    # With `_SCAN_DENSITY` at 8, densities 1/10 and 1/6 start sparse and
+    # turn dense under contraction, so one run takes phases of both kinds;
+    # 1/4 is dense from the start.
+    (60, F(1, 10)), (60, F(1, 6)), (60, F(1, 4))])
 def test_stoer_wagner_matches_the_reference_on_dense_gram(n, density):
     graph = graph_from_gram(gen_random_gram(n, 7, density))
     assert mincut.stoer_wagner(graph) == stoer_wagner(graph)

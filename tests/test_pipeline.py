@@ -1,3 +1,4 @@
+import io
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from latcut import (
     Cut,
     GramMatrix,
     ImproperAssignment,
+    ObtuseViolation,
     Superbase,
     TooLarge,
     WeightedGraph,
@@ -28,6 +30,7 @@ from latcut import (
     validate_superbase,
     verify_reduction,
 )
+from latcut.cli import run_cli
 from conftest import random_superbase, seeds_from
 
 F = Fraction
@@ -128,6 +131,40 @@ def test_corrupted_coordinates_fail_the_certificate(monkeypatch):
     )
     with pytest.raises(CertificateError):
         short_vector(sb)
+
+
+# Inputs built past validation whose first two vectors have inner product
+# 1 > 0, each with the file that carries the same numbers.
+OBTUSE_GRAM = (GramMatrix(((1, 1, -2), (1, 1, -2), (-2, -2, 4)), 1),
+               "gram 3\n1 1 -2\n1 1 -2\n-2 -2 4\n")
+OBTUSE_SUPERBASE = (Superbase(((1, 0), (1, 1), (-2, -1)), 1),
+                    "superbase 3 2\n1 0\n1 1\n-2 -1\n")
+
+
+def _cli_error(text):
+    """The exit code and message `svp` gives for the file `text`."""
+    err = io.StringIO()
+    code = run_cli(["svp", "-"], stdin=io.StringIO(text),
+                   stdout=io.StringIO(), stderr=err)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("lattice, text", [OBTUSE_GRAM, OBTUSE_SUPERBASE],
+                         ids=["gram", "superbase"])
+def test_positive_off_diagonal_raises_what_the_cli_reports(lattice, text):
+    # The Gram matrix once gave subset (1,) at squared length 2 although
+    # Q there is 1; the superbase raised CertificateError.
+    with pytest.raises(ObtuseViolation) as caught:
+        short_vector(lattice)
+    assert (caught.value.pair, caught.value.value) == ((0, 1), 1)
+    assert _cli_error(text) == (1, f"error: {caught.value}\n")
+
+
+def test_verify_reduction_rejects_a_positive_off_diagonal():
+    # It once returned the unequal pair (1, 2) for the superbase.
+    for lattice, _ in (OBTUSE_GRAM, OBTUSE_SUPERBASE):
+        with pytest.raises(ObtuseViolation):
+            verify_reduction(lattice, [1, 0, 0])
 
 
 def test_zero_weight_cut_detected():
