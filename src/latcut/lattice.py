@@ -17,6 +17,7 @@ Indices are 0-based everywhere in this API.  Only the CLI renders them
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -331,26 +332,43 @@ def validate_gram(entries) -> GramMatrix:
             )
     g = g or GramMatrix(*_scaled(rows))
 
-    scaled, scale = g.rows, g.scale
-    for i in range(size):
-        for j in range(i + 1, size):
-            if scaled[i][j] != scaled[j][i]:
-                raise NotSymmetric(
-                    f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ: "
-                    f"{Fraction(scaled[i][j], scale)} vs "
-                    f"{Fraction(scaled[j][i], scale)}"
-                )
-            if scaled[i][j] > 0:
-                raise ObtuseViolation((i, j), Fraction(scaled[i][j], scale))
-
-    for i, row in enumerate(scaled):
-        if sum(row):
-            raise RowSumNotZero(i, Fraction(sum(row), scale))
-
-    unreachable = _first_unreachable(scaled)
+    _check_laplacian(g.rows, g.scale, all(
+        max(row[i + 1:], default=0) <= 0 for i, row in enumerate(g.rows)))
+    unreachable = _first_unreachable(g.rows)
     if unreachable is not None:
         raise WrongRank(unreachable)
     return g
+
+
+def _check_laplacian(rows: Sequence[Sequence[int]], scale: int,
+                     nonpositive: bool) -> None:
+    """Raise what :func:`validate_gram` raises first on a square integer
+    matrix that is not symmetric, has a positive off-diagonal entry or has
+    a nonzero row sum.
+
+    NotSymmetric or ObtuseViolation comes at the first offending entry
+    (i, j), i < j, in row-major order, the asymmetry first; only then does
+    RowSumNotZero come, at the first row that does not sum to zero.  The
+    caller says whether it found every entry above the diagonal
+    nonpositive; if so, a valid matrix passes without a Python loop over
+    its entries.
+    """
+    # zip hands each column to `eq` and reuses its tuple for the next one.
+    if nonpositive and all(map(operator.eq, map(tuple, rows), zip(*rows))) \
+            and not any(map(sum, rows)):
+        return
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row[i + 1:], i + 1):
+            if x != rows[j][i]:
+                raise NotSymmetric(
+                    f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ: "
+                    f"{Fraction(x, scale)} vs {Fraction(rows[j][i], scale)}"
+                )
+            if x > 0:
+                raise ObtuseViolation((i, j), Fraction(x, scale))
+    for i, row in enumerate(rows):
+        if sum(row):
+            raise RowSumNotZero(i, Fraction(sum(row), scale))
 
 
 def _bits_of(u) -> tuple[int, ...]:

@@ -19,10 +19,15 @@ stays exact, so ties and minima are bit-reproducible.
 
 Brute force and the Karger-Stein base case share one exhaustive walker,
 :func:`_gray_min_cut`: it visits the sides in reflected Gray-code order,
-moving one vertex per step at O(degree) cost.  Each caller breaks ties by
-a total order of its own, so the answer does not depend on the walk
-order: brute force takes the smallest (weight, size, sorted indices), the
-base case the smallest (weight, mask over the sorted supervertices).
+moving one vertex per step.  It keeps every vertex's weight into the side
+as one field of a single packed integer, so a step reads one field and
+adds or subtracts one packed row, with no loop over the moved vertex's
+neighbours.  Each caller breaks ties by a total order of its own, so the
+answer does not depend on the walk order: brute force takes the smallest
+(weight, size, sorted indices), the base case the smallest (weight, mask
+over the sorted supervertices).  Karger-Stein keeps the total edge weight
+and each vertex's upper-row sum up to date across merges, so a pick skips
+whole rows and sorts only the one it lands in.
 """
 
 from __future__ import annotations
@@ -32,10 +37,11 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Callable, Iterable, Sequence
+from itertools import chain, compress
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import EmptySide, ObtuseViolation, TooLarge
-from .lattice import GramMatrix, _capped, _scaled, as_rational
+from .errors import EmptySide, TooLarge
+from .lattice import GramMatrix, _capped, _check_laplacian, _scaled, as_rational
 from .rng import Xoshiro256StarStar, derive_seeds
 
 BRUTE_FORCE_LIMIT = 24
@@ -50,8 +56,10 @@ _CONTRACTION_BASE = 6
 # and 0.95-1.16 times where |V|^2 >= 16|E| (the sweep is in CHANGES.md).
 _SCAN_DENSITY = 8
 
-# (weight over the graph's common denominator, sorted side)
-_ScaledCut = tuple[int, tuple[int, ...]]
+# A cut Karger-Stein found: (weight over the graph's common denominator,
+# side mask over the state's supervertices in ascending order, state).
+# Only the winner's side is gathered, by `_side`.
+_Found = tuple[int, int, "_Contraction"]
 
 
 @dataclass(frozen=True)
@@ -129,22 +137,22 @@ def graph_from_gram(g: GramMatrix) -> WeightedGraph:
     """Graph whose edge weights are the negated off-diagonal Gram entries.
 
     Vertex i stands for superbase vector i; a strictly negative q_ij
-    becomes an edge of weight -q_ij, and q_ij = 0 means no edge.  A
-    positive q_ij, which no edge weight can stand for, raises
-    ObtuseViolation, as validation would.  Only the upper triangle is
-    read, and the diagonal is ignored.  The graph keeps `g.scale`, which
-    zero row sums make the edge weights' common denominator; past the
-    cap, TooLarge.
+    becomes an edge of weight -q_ij, and q_ij = 0 means no edge.  A matrix
+    that is not symmetric, has a positive off-diagonal entry or has a
+    nonzero row sum, none of which a graph can stand for, raises
+    NotSymmetric, ObtuseViolation or RowSumNotZero, as validation would.
+    The graph keeps `g.scale`, which zero row sums make the edge weights'
+    common denominator; past the cap, TooLarge.
     """
-    adj: tuple[dict[int, int], ...] = tuple({} for _ in g.rows)
-    for i, row in enumerate(g.rows):
-        tail = row[i + 1:]
-        if max(tail, default=0) > 0:
-            j = next(j for j, x in enumerate(tail, i + 1) if x > 0)
-            raise ObtuseViolation((i, j), Fraction(row[j], g.scale))
-        for j, x in enumerate(tail, i + 1):
-            if x < 0:
-                adj[i][j] = adj[j][i] = -x
+    rows = g.rows
+    adj: tuple[dict[int, int], ...] = tuple({} for _ in rows)
+    vertices = range(len(rows))
+    for i, row in enumerate(rows):
+        for j in compress(vertices[i + 1:], row[i + 1:]):
+            adj[i][j] = adj[j][i] = -row[j]
+    # A positive entry above the diagonal became a negative weight.
+    weights = chain.from_iterable(map(dict.values, adj))
+    _check_laplacian(rows, g.scale, min(weights, default=0) >= 0)
     return WeightedGraph(adj, _capped(g.scale, "edge weights"))
 
 
@@ -289,10 +297,10 @@ class _Contraction:
         )
 
     def clone(self) -> "_Contraction":
-        return _Contraction(
-            {v: dict(nbrs) for v, nbrs in self.adj.items()},
-            dict(self.members),
-        )
+        twin = object.__new__(type(self))
+        twin.adj = {v: dict(nbrs) for v, nbrs in self.adj.items()}
+        twin.members = dict(self.members)
+        return twin
 
     def merge(self, keep: int, drop: int) -> None:
         """Contract `drop` into `keep`, adding up parallel edge weights."""
@@ -306,30 +314,84 @@ class _Contraction:
         kept.pop(drop, None)
         self.members[keep] += self.members.pop(drop)
 
+
+class _SampledContraction(_Contraction):
+    """A contraction state that also picks edges by weight, for
+    Karger-Stein.  Stoer-Wagner merges a plain one, which pays nothing for
+    sums it never reads.
+
+    It keeps two running sums: `total`, the weight of all edges, and
+    `upper[i]`, the weight of the edges {i, j} with j > i, keyed in the
+    same ascending order as `adj`.  `merge` updates both in O(deg drop);
+    `clone` copies them."""
+
+    __slots__ = ("total", "upper")
+
+    def __init__(self, adj: dict[int, dict[int, int]],
+                 members: dict[int, tuple[int, ...]]):
+        super().__init__(adj, members)
+        self.upper = {i: sum([w for j, w in nbrs.items() if j > i])
+                      for i, nbrs in adj.items()}
+        self.total = sum(self.upper.values())
+
+    def clone(self) -> "_SampledContraction":
+        twin = super().clone()
+        twin.total = self.total
+        twin.upper = dict(self.upper)
+        return twin
+
+    def merge(self, keep: int, drop: int) -> None:
+        """Contract `drop` into `keep`, and move the sums with the edges.
+
+        Edge {u, drop} becomes part of {u, keep}: its weight leaves u's
+        upper-row sum if u < drop and joins it if u < keep, and otherwise
+        counts toward keep's.  Edge {keep, drop} itself leaves the graph.
+        """
+        upper = self.upper
+        joined = self.adj[keep].get(drop, 0)
+        self.total -= joined
+        keep_upper = upper[keep] - joined if keep < drop else upper[keep]
+        del upper[drop]
+        for u, w in self.adj[drop].items():
+            if u == keep:
+                continue
+            if u < keep:
+                if u > drop:
+                    upper[u] += w
+            elif u < drop:
+                upper[u] -= w
+                keep_upper += w
+            else:
+                keep_upper += w
+        upper[keep] = keep_upper
+        super().merge(keep, drop)
+
     def pick_weighted_edge(self, rng: Xoshiro256StarStar):
         """A random edge, chosen with probability proportional to weight.
 
-        With u uniform in [0, 2^64), the walk stops at the first edge whose
-        running total acc satisfies total * u / 2^64 < acc, compared
-        exactly in integers.
+        With u uniform in [0, 2^64), the edges {i, j}, i < j, are taken in
+        ascending (i, j) order, and the pick is the first one whose running
+        total acc satisfies total * u / 2^64 < acc, compared exactly in
+        integers.  Whole rows are skipped by their upper-row sums, so only
+        the chosen row is sorted and walked.
         """
-        rows = self.adj.items()
-        total = sum(w for i, nbrs in rows for j, w in nbrs.items() if j > i)
-        if not total:
+        if not self.total:
             return None
-        threshold = total * rng.next_u64()
+        # floor(total * u / 2^64) < acc exactly when total * u / 2^64 < acc
+        threshold = self.total * rng.next_u64() >> 64
         acc = 0
-        for i, nbrs in rows:
-            for j in sorted(nbrs):
-                if j <= i:
-                    continue
-                acc += nbrs[j]
-                if threshold < acc << 64:
-                    return (i, j)
+        for i, row_sum in self.upper.items():
+            if threshold < acc + row_sum:
+                nbrs = self.adj[i]
+                for j in sorted([j for j in nbrs if j > i]):
+                    acc += nbrs[j]
+                    if threshold < acc:
+                        return (i, j)
+            acc += row_sum
         raise AssertionError("weighted edge walk must terminate")
 
 
-def _contract_to(state: _Contraction, target: int,
+def _contract_to(state: _SampledContraction, target: int,
                  rng: Xoshiro256StarStar) -> bool:
     """Contract random edges until `target` vertices remain.
 
@@ -344,34 +406,43 @@ def _contract_to(state: _Contraction, target: int,
     return True
 
 
-def _exhaustive_cut(state: _Contraction) -> _ScaledCut:
-    """Best (weight, side) of a small contracted graph by enumeration.
+def _exhaustive_cut(state: _Contraction) -> _Found:
+    """The lightest cut of a small contracted graph, by enumeration.
 
-    The supervertices, ascending, are relabelled 0..k-1, so a side is a bit
-    mask that contains the lowest one.  The winner is the first lightest
-    side in ascending mask order, i.e. the minimum of (weight, mask);
-    that is a total order, so walking the sides in Gray-code order
-    (:func:`_gray_min_cut`) finds the same side.
+    A side is a mask over the supervertices in ascending order, so it
+    contains the lowest one.  The winner is the first lightest side in
+    ascending mask order, i.e. the minimum of (weight, mask); that is a
+    total order, so walking the sides in Gray-code order
+    (:func:`_gray_min_cut`, straight on the state's maps) finds the same
+    side.
     """
-    verts = list(state.adj)
-    label = {v: k for k, v in enumerate(verts)}
-    adj = [{label[u]: w for u, w in state.adj[v].items()} for v in verts]
-    weight, mask = _gray_min_cut(adj, operator.lt)
-    side = [m for k, v in enumerate(verts) if mask >> k & 1
+    weight, mask = _gray_min_cut(state.adj, operator.lt)
+    return weight, mask, state
+
+
+def _side(found: _Found) -> tuple[int, ...]:
+    """The original vertices on the masked side of a found cut, sorted."""
+    _, mask, state = found
+    side = [m for k, v in enumerate(state.adj) if mask >> k & 1
             for m in state.members[v]]
-    return weight, tuple(sorted(side))
+    return tuple(sorted(side))
 
 
-def _recursive_contraction(state: _Contraction,
-                           rng: Xoshiro256StarStar) -> _ScaledCut:
+def _recursive_contraction(state: _SampledContraction,
+                           rng: Xoshiro256StarStar) -> _Found:
+    """The lighter cut of two branches, each contracted from `state`.
+
+    The first branch contracts a copy and the second `state` itself, which
+    nothing reads afterwards; a found cut keeps its state, which nothing
+    changes afterwards either.
+    """
     if len(state.adj) <= _CONTRACTION_BASE:
         return _exhaustive_cut(state)
     target = _subproblem_size(len(state.adj))
-    best: _ScaledCut | None = None
-    for _ in range(2):
-        branch = state.clone()
+    best: _Found | None = None
+    for branch in (state.clone(), state):
         if not _contract_to(branch, target, rng):
-            return 0, tuple(sorted(branch.members[min(branch.adj)]))
+            return 0, 1, branch  # the lowest supervertex, cut off
         candidate = _recursive_contraction(branch, rng)
         if best is None or candidate[0] < best[0]:
             best = candidate
@@ -391,22 +462,23 @@ def karger_stein(graph: WeightedGraph, seed: int, trials: int) -> Cut:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    best: _ScaledCut | None = None
+    best: _Found | None = None
     for trial_seed in derive_seeds(seed, trials):
         rng = Xoshiro256StarStar(trial_seed)
         candidate = _recursive_contraction(
-            _Contraction.from_adjacency(graph.adjacency), rng)
+            _SampledContraction.from_adjacency(graph.adjacency), rng)
         if best is None or candidate[0] < best[0]:
             best = candidate
     assert best is not None
-    return Cut(best[1], Fraction(best[0], graph.scale))
+    return Cut(_side(best), Fraction(best[0], graph.scale))
 
 
 def brute_force_mincut(graph: WeightedGraph) -> Cut:
     """Exhaustive minimum cut; the oracle the fast algorithms are tested against.
 
     Enumerates every side containing vertex 0 (each distinct cut exactly
-    once), in Gray-code order at O(degree) per side.  Ties break toward the
+    once), in Gray-code order at one packed-row addition per side (see
+    :func:`_gray_min_cut`).  Ties break toward the
     smaller side, then the lexicographically smallest sorted index list: a
     total order, so the result is the minimum of (weight, size, indices)
     whatever the walk order.  Refuses graphs with more than 24 vertices.
@@ -417,7 +489,8 @@ def brute_force_mincut(graph: WeightedGraph) -> Cut:
             f"{count} vertices means {2 ** (count - 1) - 1} cuts; "
             f"the exhaustive limit is {BRUTE_FORCE_LIMIT} vertices"
         )
-    weight, mask = _gray_min_cut(graph.adjacency, _fewer_then_lower_indices)
+    weight, mask = _gray_min_cut(dict(enumerate(graph.adjacency)),
+                                 _fewer_then_lower_indices)
     return Cut(_mask_indices(mask), Fraction(weight, graph.scale))
 
 
@@ -430,25 +503,37 @@ def _mask_indices(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _gray_min_cut(adj: Sequence[dict[int, int]],
+def _gray_min_cut(adj: Mapping[int, Mapping[int, int]],
                   prefer: Callable[[int, int], bool]) -> tuple[int, int]:
-    """(weight, side mask) of a lightest cut of the graph on 0..k-1, k >= 2.
+    """(weight, side mask) of a lightest cut of a graph on k >= 2 vertices.
 
-    Walks every side that contains vertex 0, except the full side, in
-    reflected Gray-code order over vertices 1..k-1, so each step moves
-    one vertex v across.  It keeps the crossing weight and, for each
-    vertex u, into[u], the weight from u into the side; moving v changes
-    the weight by +-(deg v - 2 into[v]) and `into` only at v's
-    neighbours, so a side costs O(deg v) rather than O(|E|).  Between
-    sides of equal weight, `prefer(new, best)` decides; it must be a
-    strict total order, which makes the winner independent of the walk.
+    `adj` maps each vertex to its neighbours' weights; its keys, in
+    iteration order, are labelled 0..k-1, and bit k of a side mask stands
+    for label k.  Walks every side that contains label 0, except the full
+    side, in reflected Gray-code order over labels 1..k-1, so each step
+    moves one vertex v across.  It keeps the crossing weight and `into`,
+    one integer whose field for label u, `width` bits at bit (k-1-u) *
+    width, holds the weight from u into the side; label 0 never moves and
+    has no field, and the labels that move most often sit at the top,
+    where a shift reads them cheaply.  `rows[v]` packs v's own weights the
+    same way, so moving v changes the crossing weight by
+    +-(deg v - 2 into[v]) and `into` by +-rows[v]: a shift and a mask, then
+    one addition, with no loop over v's neighbours.  A field never leaves
+    [0, sum of degrees], which fits in `width` bits, so no carry or borrow
+    crosses into the next one.  Between sides of equal weight,
+    `prefer(new, best)` decides; it must be a strict total order, which
+    makes the winner independent of the walk.
     """
     count = len(adj)
-    neighbours = [tuple(nbrs.items()) for nbrs in adj]
-    degree = [sum(nbrs.values()) for nbrs in adj]
-    into = [0] * count
-    for u, w in neighbours[0]:
-        into[u] = w
+    degree = [sum(nbrs.values()) for nbrs in adj.values()]
+    width = sum(degree).bit_length() + 1
+    shift = [(count - 1 - k) * width for k in range(count)]
+    at = dict(zip(adj, shift))
+    first = next(iter(adj))
+    rows = [sum([w << at[u] for u, w in nbrs.items() if u != first])
+            for nbrs in adj.values()]
+    field = (1 << width) - 1
+    into = rows[0]
     side = 1
     weight = degree[0]
     best_weight, best_side = weight, side
@@ -457,14 +542,12 @@ def _gray_min_cut(adj: Sequence[dict[int, int]],
         v = (step & -step).bit_length()  # 1 + the step's trailing zeros
         side ^= 1 << v
         if side >> v & 1:
-            weight += degree[v] - 2 * into[v]
-            for u, w in neighbours[v]:
-                into[u] += w
+            weight += degree[v] - 2 * (into >> shift[v] & field)
+            into += rows[v]
         else:
-            weight += 2 * into[v] - degree[v]
-            for u, w in neighbours[v]:
-                into[u] -= w
-        if side != full and (weight < best_weight or
-                             weight == best_weight and prefer(side, best_side)):
+            weight += 2 * (into >> shift[v] & field) - degree[v]
+            into -= rows[v]
+        if weight <= best_weight and side != full and (
+                weight < best_weight or prefer(side, best_side)):
             best_weight, best_side = weight, side
     return best_weight, best_side

@@ -83,10 +83,12 @@ def short_vector(
     (exhaustive cut enumeration, small inputs only).
 
     Before returning, the edges crossing the cut side and any coordinates
-    must both weigh exactly the cut weight.  Raises ObtuseViolation on a
-    positive off-diagonal Selling parameter, ZeroWeightCut if the minimum
-    cut has weight zero (both possible only when an invalid matrix
-    bypassed validation), or CertificateError if the self-check fails.
+    must both weigh exactly the cut weight.  Raises NotSymmetric,
+    ObtuseViolation or RowSumNotZero, as validation would, on Selling
+    parameters that are not symmetric, have a positive off-diagonal entry
+    or a nonzero row sum, ZeroWeightCut if the minimum cut has weight zero
+    (all possible only when an invalid matrix bypassed validation), or
+    CertificateError if the self-check fails.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
@@ -194,7 +196,8 @@ def verify_reduction(lattice: Superbase | GramMatrix,
     valid lattice; callers assert the equality they care about.
 
     Raises ImproperAssignment when u is all zeros or all ones, and
-    ObtuseViolation on a positive off-diagonal Selling parameter.
+    NotSymmetric, ObtuseViolation or RowSumNotZero on Selling parameters
+    that validation would refuse for the same reason.
     """
     bits = _bits_of(u)
     if not 0 < sum(bits) < len(bits):

@@ -1,24 +1,31 @@
-"""Stoer-Wagner and Karger-Stein against frozen copies of an earlier version.
+"""Min-cut code against frozen copies of earlier versions.
 
 The references below are verbatim copies of `stoer_wagner` and of the
 Karger-Stein contraction code (`_Contraction`, `_contract_to`,
 `_exhaustive_cut`, `_recursive_contraction`, `karger_stein`) as they stood
 before the contraction core relied on its own ordering invariants: each
 Stoer-Wagner phase heapified every vertex at key 0 and special-cased
-vertex 0, and Karger-Stein sorted its vertex sets and copied member lists
-on every branch.  The current code must return the same `Cut`, side and
-weight, ties included: on small random graphs with unit, tied, parallel
-and zero weights, several components or no edges at all, and on the large
-tie-heavy Selling graphs of A_n, Z^n and A_n* that the golden files do not
-reach.
+vertex 0, and Karger-Stein sorted its vertex sets, copied member lists on
+every branch and re-summed every edge for each pick.  `brute_force_mincut`
+and the exhaustive walker `_gray_min_cut` are frozen as they stood before
+the walker packed its per-vertex weights into one integer: it kept a list
+and looped over the moved vertex's neighbours.  The current code must
+return the same `Cut`, side and weight, ties included: on small random
+graphs with unit, tied, parallel and zero weights, several components or
+no edges at all, on graphs whose weights need a common denominator near
+the 4096-bit cap, and on the large tie-heavy Selling graphs of A_n, Z^n
+and A_n* that the golden files do not reach.  The running sums of the
+current `_SampledContraction` are recounted after every merge and clone,
+and each pick must be the frozen pick.
 """
 
 from __future__ import annotations
 
+import copy
 import operator
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Sequence
+from typing import Callable, Sequence
 
 import pytest
 
@@ -36,9 +43,10 @@ from latcut import (  # noqa: E402
     mincut,
     selling_parameters,
 )
+from latcut.errors import TooLarge  # noqa: E402
 from latcut.mincut import (  # noqa: E402
+    BRUTE_FORCE_LIMIT,
     _CONTRACTION_BASE,
-    _gray_min_cut,
     _subproblem_size,
 )
 from latcut.rng import Xoshiro256StarStar, derive_seeds  # noqa: E402
@@ -229,6 +237,74 @@ def karger_stein(graph: WeightedGraph, seed: int, trials: int) -> Cut:
     return Cut(best[1], Fraction(best[0], graph.scale))
 
 
+def brute_force_mincut(graph: WeightedGraph) -> Cut:
+    """Exhaustive minimum cut; the oracle the fast algorithms are tested against.
+
+    Enumerates every side containing vertex 0 (each distinct cut exactly
+    once), in Gray-code order at O(degree) per side.  Ties break toward the
+    smaller side, then the lexicographically smallest sorted index list: a
+    total order, so the result is the minimum of (weight, size, indices)
+    whatever the walk order.  Refuses graphs with more than 24 vertices.
+    """
+    count = len(graph.adjacency)
+    if count > BRUTE_FORCE_LIMIT:
+        raise TooLarge(
+            f"{count} vertices means {2 ** (count - 1) - 1} cuts; "
+            f"the exhaustive limit is {BRUTE_FORCE_LIMIT} vertices"
+        )
+    weight, mask = _gray_min_cut(graph.adjacency, _fewer_then_lower_indices)
+    return Cut(_mask_indices(mask), Fraction(weight, graph.scale))
+
+
+def _fewer_then_lower_indices(a: int, b: int) -> bool:
+    """Whether side mask `a` beats `b`: smaller, then lower sorted indices."""
+    return (a.bit_count(), _mask_indices(a)) < (b.bit_count(), _mask_indices(b))
+
+
+def _mask_indices(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _gray_min_cut(adj: Sequence[dict[int, int]],
+                  prefer: Callable[[int, int], bool]) -> tuple[int, int]:
+    """(weight, side mask) of a lightest cut of the graph on 0..k-1, k >= 2.
+
+    Walks every side that contains vertex 0, except the full side, in
+    reflected Gray-code order over vertices 1..k-1, so each step moves
+    one vertex v across.  It keeps the crossing weight and, for each
+    vertex u, into[u], the weight from u into the side; moving v changes
+    the weight by +-(deg v - 2 into[v]) and `into` only at v's
+    neighbours, so a side costs O(deg v) rather than O(|E|).  Between
+    sides of equal weight, `prefer(new, best)` decides; it must be a
+    strict total order, which makes the winner independent of the walk.
+    """
+    count = len(adj)
+    neighbours = [tuple(nbrs.items()) for nbrs in adj]
+    degree = [sum(nbrs.values()) for nbrs in adj]
+    into = [0] * count
+    for u, w in neighbours[0]:
+        into[u] = w
+    side = 1
+    weight = degree[0]
+    best_weight, best_side = weight, side
+    full = (1 << count) - 1
+    for step in range(1, 1 << (count - 1)):
+        v = (step & -step).bit_length()  # 1 + the step's trailing zeros
+        side ^= 1 << v
+        if side >> v & 1:
+            weight += degree[v] - 2 * into[v]
+            for u, w in neighbours[v]:
+                into[u] += w
+        else:
+            weight += 2 * into[v] - degree[v]
+            for u, w in neighbours[v]:
+                into[u] -= w
+        if side != full and (weight < best_weight or
+                             weight == best_weight and prefer(side, best_side)):
+            best_weight, best_side = weight, side
+    return best_weight, best_side
+
+
 # --- strategies ----------------------------------------------------------------------
 
 # Few distinct values, so that many cuts tie; 0 drops the edge.
@@ -266,6 +342,29 @@ def dense_graphs(draw):
                             min_size=len(pairs), max_size=len(pairs)))
     return WeightedGraph.from_edges(count, [
         (i, j, w) for (i, j), w in zip(pairs, weights) if (i, j) not in absent])
+
+
+# Weights over 2^a * 3^b with a <= 2040 and b <= 1287, so that their common
+# denominator is just under the 4096-bit cap and the scaled weights are
+# integers of up to about 4080 bits.
+CAP_EXPONENTS = (2040, 1287)
+
+
+@st.composite
+def cap_graphs(draw):
+    """2..12 vertices with weights drawn from a few fractions whose common
+    denominator is near the cap; one of them sets the full denominator,
+    and reuse makes sides tie."""
+    count = draw(st.integers(2, 12))
+    odd = st.integers(1, 2 ** 64).map(lambda x: 6 * x + 1)
+    exponents = st.tuples(st.integers(0, CAP_EXPONENTS[0]),
+                          st.integers(0, CAP_EXPONENTS[1]))
+    pool = [F(draw(odd), 2 ** a * 3 ** b) for a, b in
+            [CAP_EXPONENTS] + draw(st.lists(exponents, min_size=1, max_size=3))]
+    weight = st.sampled_from(pool + [0] * draw(st.integers(0, 4)))
+    pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
+    return WeightedGraph.from_edges(
+        count, [(0, 1, pool[0])] + [(i, j, draw(weight)) for i, j in pairs])
 
 
 # --- properties ----------------------------------------------------------------------
@@ -324,6 +423,51 @@ def test_karger_stein_matches_the_reference_on_the_families(gen, n):
     for seed in range(3):
         assert mincut.karger_stein(graph, seed, 1) == \
             karger_stein(graph, seed, 1)
+
+
+@settings(max_examples=400)
+@given(graphs())
+def test_brute_force_matches_the_reference(graph):
+    assert mincut.brute_force_mincut(graph) == brute_force_mincut(graph)
+
+
+@settings(max_examples=60)
+@given(cap_graphs(), st.integers(0, 2 ** 64 - 1))
+def test_exhaustive_walks_match_the_reference_near_the_cap(graph, seed):
+    assert graph.scale.bit_length() > 4000
+    assert mincut.brute_force_mincut(graph) == brute_force_mincut(graph)
+    assert mincut.karger_stein(graph, seed, 2) == karger_stein(graph, seed, 2)
+
+
+def _recount(state) -> None:
+    """The running sums of `state` against a count from its maps."""
+    upper = {i: sum(w for j, w in nbrs.items() if j > i)
+             for i, nbrs in state.adj.items()}
+    assert list(state.upper.items()) == list(upper.items())
+    assert state.total == sum(upper.values())
+
+
+@settings(max_examples=300)
+@given(graphs(), st.data())
+def test_contraction_sums_and_picks_survive_merges_and_clones(graph, data):
+    """Random merges and clones on a set of states: after each step every
+    state's sums equal a recount, and its pick, from a generator in a given
+    state, is the edge the frozen pick takes from a copy of it."""
+    states = [mincut._SampledContraction.from_adjacency(graph.adjacency)]
+    rng = Xoshiro256StarStar(data.draw(st.integers(0, 2 ** 64 - 1)))
+    for _ in range(data.draw(st.integers(0, 2 * graph.vertex_count))):
+        state = data.draw(st.sampled_from(states))
+        if len(state.adj) > 1 and data.draw(st.integers(0, 3)):
+            keep, drop = data.draw(st.permutations(list(state.adj)))[:2]
+            state.merge(keep, drop)
+        else:
+            states.append(state.clone())
+        for state in states:
+            _recount(state)
+            frozen = copy.deepcopy(rng)
+            assert state.pick_weighted_edge(rng) == \
+                _Contraction(state.adj, {}).pick_weighted_edge(frozen)
+            assert rng.next_u64() == frozen.next_u64()
 
 
 @pytest.mark.parametrize("n, density", [

@@ -14,6 +14,7 @@ from latcut import (
     ObtuseViolation,
     Superbase,
     TooLarge,
+    ValidationError,
     WeightedGraph,
     ZeroWeightCut,
     brute_force_short_vector,
@@ -165,6 +166,39 @@ def test_verify_reduction_rejects_a_positive_off_diagonal():
     for lattice, _ in (OBTUSE_GRAM, OBTUSE_SUPERBASE):
         with pytest.raises(ObtuseViolation):
             verify_reduction(lattice, [1, 0, 0])
+
+
+# Gram matrices built past validation that break symmetry or a row sum,
+# each with the file that carries the same numbers.  The last two put a
+# positive entry before an asymmetric one, and a positive entry in a
+# matrix whose row sums are wrong: the entry comes first, as in
+# validate_gram.
+UNCHECKED_GRAMS = [
+    # Once gave squared length 1 for subset (1,), where Q is 5.
+    (((5, -1), (-1, 5)), "gram 2\n5 -1\n-1 5\n"),
+    # verify_reduction once returned (2, 3) at [0, 1, 0].
+    (((2, -1, -1), (0, 2, -2), (-1, -1, 2)),
+     "gram 3\n2 -1 -1\n0 2 -2\n-1 -1 2\n"),
+    (((1, 1, -2), (1, 1, 0), (-2, -2, 4)), "gram 3\n1 1 -2\n1 1 0\n-2 -2 4\n"),
+    (((0, 1, -1), (1, 3, -1), (-1, -1, 3)), "gram 3\n0 1 -1\n1 3 -1\n-1 -1 3\n"),
+]
+
+
+@pytest.mark.parametrize("rows, text", UNCHECKED_GRAMS,
+                         ids=["row-sum", "asymmetric", "obtuse-first",
+                              "obtuse-before-row-sum"])
+def test_unchecked_gram_raises_what_validation_raises(rows, text):
+    g = GramMatrix(rows, 1)
+    with pytest.raises(ValidationError) as expected:
+        validate_gram(g)
+    for solve in (lambda: short_vector(g),
+                  lambda: short_vector(g, "brute"),
+                  lambda: verify_reduction(g, [0, 1] + [0] * (len(rows) - 2))):
+        with pytest.raises(ValidationError) as caught:
+            solve()
+        assert type(caught.value) is type(expected.value)
+        assert str(caught.value) == str(expected.value)
+    assert _cli_error(text) == (1, f"error: {expected.value}\n")
 
 
 def test_zero_weight_cut_detected():

@@ -30,7 +30,7 @@ from latcut import (  # noqa: E402
     quadratic_form,
 )
 from latcut.lattice import _scaled  # noqa: E402
-from latcut.mincut import _Contraction, _exhaustive_cut  # noqa: E402
+from latcut.mincut import _Contraction, _exhaustive_cut, _side  # noqa: E402
 
 F = Fraction
 
@@ -56,6 +56,12 @@ def reference_brute_force_mincut(graph):
         if best is None or key < best:
             best = key
     return Cut(best[2], Fraction(best[0], scale))
+
+
+def exhaustive_cut(state):
+    """The base case's (weight, sorted side)."""
+    found = _exhaustive_cut(state)
+    return found[0], _side(found)
 
 
 def reference_exhaustive_cut(state):
@@ -158,7 +164,7 @@ def test_brute_force_mincut_matches_the_ascending_enumeration(graph):
 @given(contraction_states())
 def test_exhaustive_cut_matches_the_ascending_enumeration(state):
     adj = {v: dict(nbrs) for v, nbrs in state.adj.items()}
-    assert _exhaustive_cut(state) == reference_exhaustive_cut(state)
+    assert exhaustive_cut(state) == reference_exhaustive_cut(state)
     assert state.adj == adj  # the walk leaves the state alone
 
 
@@ -180,7 +186,7 @@ def test_walks_match_on_every_small_unit_weight_graph():
                  for v, nbrs in enumerate(adj)},
                 {2 * v + 3: (2 * v + 3, 2 * v + 4) for v in range(count)},
             )
-            assert _exhaustive_cut(state) == reference_exhaustive_cut(state)
+            assert exhaustive_cut(state) == reference_exhaustive_cut(state)
 
 
 @given(superbases())
