@@ -103,17 +103,13 @@ def parse_input(text: str) -> Superbase | GramMatrix:
                 f"row {len(rows) + 1} has {len(words)} entries, "
                 f"expected {expected_cols}",
             )
-        for k, token in enumerate(words):
-            if token not in position:
-                try:
-                    distinct.append(_token_value(token))
-                except (ValueError, ZeroDivisionError):
-                    column = _tokens_with_columns(line)[k][1]
-                    raise ParseError(
-                        lineno, column, f"cannot parse {token!r} as a rational"
-                    ) from None
-                position[token] = len(position)
-        rows.append(tuple([position[token] for token in words]))
+        for token in set(words).difference(position):
+            try:
+                distinct.append(_token_value(token))
+            except (ValueError, ZeroDivisionError):
+                raise _first_bad_token(line, lineno) from None
+            position[token] = len(position)
+        rows.append(tuple(list(map(position.__getitem__, words))))
 
     if kind is None:
         raise ParseError(max(last_line, 1), 1, "missing header line")
@@ -123,6 +119,17 @@ def parse_input(text: str) -> Superbase | GramMatrix:
         )
     (values,), scale = _scaled([distinct])
     return kind(tuple([tuple([values[p] for p in row]) for row in rows]), scale)
+
+
+def _first_bad_token(line: str, lineno: int) -> ParseError:
+    """The error for the first token of `line` that does not parse."""
+    for token, column in _tokens_with_columns(line):
+        try:
+            _token_value(token)
+        except (ValueError, ZeroDivisionError):
+            return ParseError(
+                lineno, column, f"cannot parse {token!r} as a rational")
+    raise AssertionError("a token of the line failed to parse")
 
 
 def _tokens_with_columns(line: str) -> list[tuple[str, int]]:
@@ -319,13 +326,20 @@ def _cmd_svp(args, stdin, stdout, stderr) -> int:
     if args.algorithm == "karger" and trials is None:
         trials = default_trial_count(lattice.n + 1)
     result = short_vector(lattice, args.algorithm, seed=seed, trials=trials)
+    coordinates = None
+    if result.coordinates is not None:
+        # short_vector builds one Fraction per distinct value, and the
+        # result keeps them alive: one string per id formats each once.
+        distinct = {id(x): x for x in result.coordinates}
+        strings = {k: str(x) for k, x in distinct.items()}
+        coordinates = [strings[id(x)] for x in result.coordinates]
     if args.json:
         payload: dict = {
             "subset": _indices_1based(result.subset),
             "squared_length": str(result.squared_length),
         }
-        if result.coordinates is not None:
-            payload["coordinates"] = [str(x) for x in result.coordinates]
+        if coordinates is not None:
+            payload["coordinates"] = coordinates
         payload["algorithm"] = args.algorithm
         if args.algorithm == "karger":
             payload["seed"] = seed
@@ -335,8 +349,8 @@ def _cmd_svp(args, stdin, stdout, stderr) -> int:
         lines = [
             "subset: " + " ".join(map(str, _indices_1based(result.subset))),
             f"squared length: {result.squared_length}"]
-        if result.coordinates is not None:
-            lines.append("vector: " + " ".join(map(str, result.coordinates)))
+        if coordinates is not None:
+            lines.append("vector: " + " ".join(coordinates))
         lines.append(f"algorithm: {args.algorithm}")
         if args.algorithm == "karger":
             lines += [f"seed: {seed}", f"trials: {trials}"]

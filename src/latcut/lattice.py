@@ -66,6 +66,11 @@ def as_rational(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def _fractions(values: Iterable[int], scale: int) -> Vector:
+    """`values` over `scale`, one Fraction per distinct value."""
+    return tuple(map(cache(lambda x: Fraction(x, scale)), values))
+
+
 def _fraction_view(self) -> Matrix:
     """`rows` over `scale` as Fractions, one object per distinct value."""
     fraction = cache(lambda x: Fraction(x, self.scale))
@@ -106,11 +111,13 @@ class Superbase:
 
     def subset_sum(self, subset: Iterable[int]) -> Vector:
         """Componentwise sum of the vectors selected by `subset`."""
-        total = [0] * self.m
-        for i in subset:
-            for k, value in enumerate(self.rows[_index(i, len(self.rows))]):
-                total[k] += value
-        return tuple([Fraction(x, self.scale) for x in total])
+        return _fractions(self._subset_total(subset), self.scale)
+
+    def _subset_total(self, subset: Iterable[int]) -> tuple[int, ...]:
+        """`subset_sum` over `scale`: the selected integer rows, summed."""
+        rows = self.rows
+        chosen = [rows[_index(i, len(rows))] for i in subset]
+        return tuple(map(sum, zip(*chosen))) if chosen else (0,) * self.m
 
 
 @dataclass(frozen=True)
@@ -275,9 +282,7 @@ def validate_superbase(vectors) -> Superbase:
             )
     sb = sb or Superbase(*_scaled(rows))
 
-    for k, total in enumerate(map(sum, zip(*sb.rows))):
-        if total:
-            raise SumNotZero(k, Fraction(total, sb.scale))
+    _check_column_sums(sb)
     g = _pairwise_products(sb)
     for i, row in enumerate(g.rows):
         for j in range(i + 1, len(row)):
@@ -296,15 +301,25 @@ def selling_parameters(sb: Superbase) -> GramMatrix:
     """The (n+1) x (n+1) matrix of pairwise inner products of `sb`.
 
     Integers over s**2 for the coordinates' common denominator s, reduced
-    to the canonical scale.  A validated superbase always yields a valid
-    GramMatrix, so no checks are repeated here.  Called on the superbase
-    validated last, it returns the matrix that validation built, so
+    to the canonical scale.  Called on the superbase validated last, it
+    returns the matrix that validation built, so
     `short_vector(validate_superbase(rows))` computes the products once.
+    Otherwise it first raises SumNotZero, as validation would, when the
+    vectors do not sum to zero; their products would only fail the
+    Laplacian's row sums later, under another name.
     """
     last = _last_validated
     if last is not None and last[0] is sb:
         return last[1]
+    _check_column_sums(sb)
     return _pairwise_products(sb)
+
+
+def _check_column_sums(sb: Superbase) -> None:
+    """SumNotZero at the first component of `sb` that does not sum to 0."""
+    for k, total in enumerate(map(sum, zip(*sb.rows))):
+        if total:
+            raise SumNotZero(k, Fraction(total, sb.scale))
 
 
 def validate_gram(entries) -> GramMatrix:

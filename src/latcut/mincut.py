@@ -6,7 +6,16 @@ can cross-check each other:
 * :func:`stoer_wagner`: deterministic maximum-adjacency phases.  A phase
   on a dense graph scans for each next vertex, O(|V|^2), so O(|V|^3) in
   all; one on a sparse graph keeps a lazy-deletion heap, O(|E| log |V|),
-  since every relaxation pushes.  Both give the same cuts.
+  since every relaxation pushes.  Both give the same cuts.  The phases
+  stop once their keys prove that no later phase can be lighter: by the
+  Stoer-Wagner lemma (Stoer & Wagner, JACM 44(4), 1997) applied to every
+  prefix of a phase, as Nagamochi & Ibaraki do (SIAM J. Discrete Math.
+  5(1), 1992), each key after the first bounds from below every cut that
+  separates its vertex from the one added before it.  Every cut
+  separates some such pair, so the smallest of those keys bounds every
+  cut of the phase's graph and of its contractions, which are all that
+  later phases see.  A tie never replaces the best cut, so stopping once
+  the best cut is no heavier leaves the answer unchanged.
 * :func:`karger_stein`: randomized recursive contraction, reproducible
   for a fixed (seed, trials) pair.
 * :func:`brute_force_mincut`: exhaustive enumeration, the oracle.
@@ -36,7 +45,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import chain, compress
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -184,19 +193,38 @@ def stoer_wagner(graph: WeightedGraph) -> Cut:
     vertices in the same order: vertex 0 starts every phase and is never
     merged away, and the result is a pure function of the graph.
     A disconnected graph legitimately yields a weight-0 cut.
+
+    It stops as soon as no later phase can find a lighter cut.  A phase
+    on the current graph H adds v_0, ..., v_{k-1} with keys
+    r_i = w({v_0..v_{i-1}}, v_i).  For i >= 1, v_0..v_i is a
+    maximum-adjacency order of the subgraph they induce, so by the
+    Stoer-Wagner lemma r_i is a minimum v_{i-1}-v_i cut of that subgraph,
+    and H, which only adds nonnegative edges, has none lighter.  Every cut
+    of H separates some consecutive pair, so no cut of H weighs less than
+    low = min_{i>=1} r_i.  Later graphs are contractions of H, so every
+    later cut of the phase is a cut of H.  Once the lightest cut so far
+    weighs at most the largest `low` seen, no later phase is strictly
+    lighter; the answer changes only on a strictly lighter cut, so
+    stopping there returns the same `Cut`.  On a star the first phase
+    proves it; the last phase, on two vertices, always does, which saves
+    its merge.
     """
     state = _Contraction.from_adjacency(graph.adjacency)
     adj = state.adj
     edges = sum(map(len, graph.adjacency)) // 2
     best: tuple[int, tuple[int, ...]] | None = None  # weight, members
+    bound = 0  # no cut of the current graph is lighter
 
     while len(adj) > 1:
         if _SCAN_DENSITY * edges >= len(adj) ** 2:
-            s, t, phase_cut = _scan_phase(adj)
+            s, t, phase_cut, low = _scan_phase(adj)
         else:
-            s, t, phase_cut = _heap_phase(adj)
+            s, t, phase_cut, low = _heap_phase(adj)
         if best is None or phase_cut < best[0]:
             best = (phase_cut, state.members[t])
+        bound = max(bound, low)
+        if best[0] <= bound:
+            break
         # Of the edges touching s or t, the merge keeps one per neighbour
         # of the merged vertex: it drops {s, t} and joins each common
         # neighbour's two edges into one.
@@ -208,19 +236,26 @@ def stoer_wagner(graph: WeightedGraph) -> Cut:
     return Cut(tuple(sorted(best[1])), Fraction(best[0], graph.scale))
 
 
-def _scan_phase(adj: dict[int, dict[int, int]]) -> tuple[int, int, int]:
-    """One maximum-adjacency phase by scanning: (s, t, cut of the phase).
+def _scan_phase(adj: dict[int, dict[int, int]]) -> tuple[int, int, int, int]:
+    """One maximum-adjacency phase by scanning: (s, t, cut of the phase,
+    the smallest key of any vertex added after vertex 0).
 
-    `key` is built ascending and only ever popped, so `max` returns the
-    lowest index among the largest keys.  Each added vertex's weights go
-    to the keys it still reaches, walking whichever of its neighbours and
-    the keys left is shorter.
+    Vertex 0 is added first, so `key` starts from its weights.  `key` is
+    built ascending and only ever popped, so `max` returns the lowest
+    index among the largest keys.  Each added vertex's weights go to the
+    keys it still reaches, walking whichever of its neighbours and the
+    keys left is shorter.
     """
     key = dict.fromkeys(adj, 0)
+    del key[0]
+    key.update(adj[0])
     s = t = 0
+    low = math.inf
     while key:
         v = max(key, key=key.__getitem__)
         s, t, phase_cut = t, v, key.pop(v)
+        if phase_cut < low:
+            low = phase_cut
         nbrs = adj[v]
         if len(key) < len(nbrs):
             for u in key:
@@ -231,33 +266,41 @@ def _scan_phase(adj: dict[int, dict[int, int]]) -> tuple[int, int, int]:
             for u, w in nbrs.items():
                 if u in key:
                     key[u] += w
-    return s, t, phase_cut
+    return s, t, phase_cut, low
 
 
-def _heap_phase(adj: dict[int, dict[int, int]]) -> tuple[int, int, int]:
-    """One maximum-adjacency phase from a heap: (s, t, cut of the phase).
+def _heap_phase(adj: dict[int, dict[int, int]]) -> tuple[int, int, int, int]:
+    """One maximum-adjacency phase from a heap: (s, t, cut of the phase,
+    the smallest key of any vertex added after vertex 0).
 
-    The heap starts empty and holds only vertices of positive key, the
-    largest key and then the lowest index first; a stale entry is below
-    its vertex's key and is skipped.  When the heap is empty every key
-    left is 0, and the lowest unreached vertex goes next.
+    Vertex 0 is added first, so the keys and the heap start from its
+    weights.  The heap holds only vertices of positive key, the largest
+    key and then the lowest index first; a stale entry is below its
+    vertex's key and is skipped.  When the heap is empty every key left
+    is 0, and the lowest unreached vertex goes next.
     """
     key = dict.fromkeys(adj, 0)
+    del key[0]
+    key.update(adj[0])
+    heap = [(-w, u) for u, w in adj[0].items()]
+    heapify(heap)
     unreached = filter(key.__contains__, adj)  # ascending, lazy
-    heap: list[tuple[int, int]] = []
     s = t = 0
+    low = math.inf
     while key:
         neg, v = heappop(heap) if heap else (0, next(unreached))
         if key.get(v) != -neg:
             continue  # already added, or a stale key
         del key[v]
         s, t, phase_cut = t, v, -neg
+        if phase_cut < low:
+            low = phase_cut
         for u, w in adj[v].items():
             k = key.get(u)
             if k is not None:
                 key[u] = k = k + w
                 heappush(heap, (-k, u))
-    return s, t, phase_cut
+    return s, t, phase_cut, low
 
 
 def default_trial_count(vertex_count: int) -> int:

@@ -25,6 +25,7 @@ from .lattice import (
     Superbase,
     Vector,
     _bits_of,
+    _fractions,
     _scaled_form,
     quadratic_form,
     selling_parameters,
@@ -83,8 +84,10 @@ def short_vector(
     (exhaustive cut enumeration, small inputs only).
 
     Before returning, the edges crossing the cut side and any coordinates
-    must both weigh exactly the cut weight.  Raises NotSymmetric,
-    ObtuseViolation or RowSumNotZero, as validation would, on Selling
+    must both weigh exactly the cut weight; the coordinates are checked in
+    integers, their squares over the superbase's scale squared.  Raises
+    SumNotZero, as validation would, on a superbase whose vectors do not
+    sum to zero, NotSymmetric, ObtuseViolation or RowSumNotZero on Selling
     parameters that are not symmetric, have a positive off-diagonal entry
     or a nonzero row sum, ZeroWeightCut if the minimum cut has weight zero
     (all possible only when an invalid matrix bypassed validation), or
@@ -108,14 +111,15 @@ def short_vector(
             "minimum cut weight is 0; the input cannot be the Selling "
             "matrix of a lattice"
         )
-    coordinates = lattice.subset_sum(cut.side) \
+    total = lattice._subset_total(cut.side) \
         if isinstance(lattice, Superbase) else None
     if cut_weight(graph, cut.side).weight != cut.weight or \
-            coordinates is not None and \
-            sum(x * x for x in coordinates) != cut.weight:
+            total is not None and \
+            sum(map(mul, total, total)) != cut.weight * lattice.scale ** 2:
         raise CertificateError(
             f"the answer does not certify its squared length {cut.weight}"
         )
+    coordinates = None if total is None else _fractions(total, lattice.scale)
     return ShortVectorResult(cut.side, cut.weight, coordinates)
 
 
@@ -195,9 +199,10 @@ def verify_reduction(lattice: Superbase | GramMatrix,
     support of `u`.  The two are equal for every proper assignment on a
     valid lattice; callers assert the equality they care about.
 
-    Raises ImproperAssignment when u is all zeros or all ones, and
-    NotSymmetric, ObtuseViolation or RowSumNotZero on Selling parameters
-    that validation would refuse for the same reason.
+    Raises ImproperAssignment when u is all zeros or all ones, SumNotZero
+    on a superbase whose vectors do not sum to zero, and NotSymmetric,
+    ObtuseViolation or RowSumNotZero on Selling parameters that validation
+    would refuse for the same reason.
     """
     bits = _bits_of(u)
     if not 0 < sum(bits) < len(bits):

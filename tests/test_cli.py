@@ -100,6 +100,22 @@ def test_bad_token_reports_line_and_column():
         assert info.value.column == column
 
 
+@pytest.mark.parametrize("text, line, column, named", [
+    ("gram 3\n2 -1 -1\n-1 2 -1\nz y x\n", 4, 1, "'z'"),
+    ("gram 3\n2 -1 -1\n-1 5/4 1e5\nq q q\n", 3, 8, "'1e5'"),
+    ("gram 3\n2 -1 -1\n-1 ok 2/0\n-1 -1 2\n", 3, 4, "'ok'"),
+    ("gram 3\n2 -1 -1\n-1 2/0 ok\n-1 -1 2\n", 3, 4, "'2/0'"),
+], ids=["three-bad", "good-new-then-bad", "bad-then-zero-divisor",
+        "zero-divisor-then-bad"])
+def test_the_first_bad_token_of_a_row_is_reported(text, line, column, named):
+    # Each row's new tokens are parsed as a set; the error still names the
+    # first bad one in line order.
+    with pytest.raises(ParseError) as info:
+        parse_input(text)
+    assert (info.value.line, info.value.column) == (line, column)
+    assert named in str(info.value)
+
+
 def test_huge_exponent_exits_2_at_once():
     # Fraction("1e999999999") alone would build a 415 MB integer.
     started = time.perf_counter()

@@ -12,9 +12,11 @@ the walker packed its per-vertex weights into one integer: it kept a list
 and looped over the moved vertex's neighbours.  The current code must
 return the same `Cut`, side and weight, ties included: on small random
 graphs with unit, tied, parallel and zero weights, several components or
-no edges at all, on graphs whose weights need a common denominator near
-the 4096-bit cap, and on the large tie-heavy Selling graphs of A_n, Z^n
-and A_n* that the golden files do not reach.  The running sums of the
+no edges at all, on stars, paths and trees, where the current
+Stoer-Wagner stops phases early while the frozen one runs them all, on
+graphs whose weights need a common denominator near the 4096-bit cap,
+and on the large tie-heavy Selling graphs of A_n, Z^n and A_n* that the
+golden files do not reach.  The running sums of the
 current `_SampledContraction` are recounted after every merge and clone,
 and each pick must be the frozen pick.
 """
@@ -344,6 +346,38 @@ def dense_graphs(draw):
         (i, j, w) for (i, j), w in zip(pairs, weights) if (i, j) not in absent])
 
 
+@st.composite
+def sparse_graphs(draw):
+    """Stars, paths and random trees on 2..40 vertices with a few extra
+    edges and pendant vertices, relabelled at random: the early keys of a
+    phase often prove that no later phase is lighter, so Stoer-Wagner
+    stops early.  Some are split into several components."""
+    count = draw(st.integers(2, 40))
+    shape = draw(st.sampled_from(("star", "path", "tree")))
+    if shape == "star":
+        centre = draw(st.integers(0, count - 1))
+        pairs = [(centre, v) for v in range(count) if v != centre]
+    elif shape == "path":
+        pairs = [(v - 1, v) for v in range(1, count)]
+    else:
+        pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, count)]
+    vertex = st.integers(0, count - 1)
+    pairs += draw(st.lists(st.tuples(vertex, vertex)
+                           .filter(lambda e: e[0] != e[1]), max_size=3))
+    pendants = draw(st.integers(0, 4))
+    for pendant in range(count, count + pendants):
+        pairs.append((draw(st.integers(0, pendant - 1)), pendant))
+    count += pendants
+    label = draw(st.permutations(range(count)))
+    split = draw(st.integers(0, 3 * count))  # 1..count-1 cuts it apart
+    edges = []
+    for i, j in pairs:
+        i, j = label[i], label[j]
+        if not min(i, j) < split <= max(i, j):
+            edges.append((i, j, draw(st.sampled_from(WEIGHTS[1:]))))
+    return WeightedGraph.from_edges(count, edges)
+
+
 # Weights over 2^a * 3^b with a <= 2040 and b <= 1287, so that their common
 # denominator is just under the 4096-bit cap and the scaled weights are
 # integers of up to about 4080 bits.
@@ -379,6 +413,29 @@ def test_stoer_wagner_matches_the_reference(graph):
 @given(dense_graphs())
 def test_stoer_wagner_matches_the_reference_on_dense_graphs(graph):
     assert mincut.stoer_wagner(graph) == stoer_wagner(graph)
+
+
+@settings(max_examples=400)
+@given(sparse_graphs())
+def test_stoer_wagner_matches_the_reference_when_it_stops_early(graph):
+    assert mincut.stoer_wagner(graph) == stoer_wagner(graph)
+
+
+@pytest.mark.parametrize("gen, n, merges", [(gen_zn, 200, 0), (gen_an, 20, 19)],
+                         ids=["zn200", "an20"])
+def test_stoer_wagner_stops_once_no_later_phase_can_be_lighter(
+        monkeypatch, gen, n, merges):
+    # The star's first phase proves its weight-1 cut: no merge at all.  The
+    # cycle's keys prove nothing until its last phase, on two vertices,
+    # whose merge could not change the answer.
+    counted = []
+    merge = mincut._Contraction.merge
+    monkeypatch.setattr(mincut._Contraction, "merge",
+                        lambda self, keep, drop: counted.append(
+                            merge(self, keep, drop)))
+    graph = graph_from_gram(selling_parameters(gen(n)))
+    assert mincut.stoer_wagner(graph) == stoer_wagner(graph)
+    assert len(counted) == merges
 
 
 @settings(max_examples=300)

@@ -127,8 +127,10 @@ def test_corrupted_cut_fails_its_certificate(monkeypatch):
 def test_corrupted_coordinates_fail_the_certificate(monkeypatch):
     sb = gen_example3d()
     assert short_vector(sb).squared_length == F(1, 2)
+    # The certificate checks the integer sum that the coordinates are
+    # built from: here the vector (1, 0, 0).
     monkeypatch.setattr(
-        Superbase, "subset_sum", lambda self, subset: (F(1), F(0), F(0))
+        Superbase, "_subset_total", lambda self, subset: (self.scale, 0, 0)
     )
     with pytest.raises(CertificateError):
         short_vector(sb)
@@ -196,6 +198,32 @@ def test_unchecked_gram_raises_what_validation_raises(rows, text):
                   lambda: verify_reduction(g, [0, 1] + [0] * (len(rows) - 2))):
         with pytest.raises(ValidationError) as caught:
             solve()
+        assert type(caught.value) is type(expected.value)
+        assert str(caught.value) == str(expected.value)
+    assert _cli_error(text) == (1, f"error: {expected.value}\n")
+
+
+# Superbases built past validation whose vectors do not sum to zero, each
+# with the file that carries the same numbers.  In the second, vectors 1
+# and 2 also have inner product 1 > 0; the sum is checked first, as in
+# validate_superbase.
+UNCHECKED_SUPERBASES = [
+    # Once raised RowSumNotZero from the Selling parameters.
+    (((1, 0), (0, 1), (-1, 0)), "superbase 3 2\n1 0\n0 1\n-1 0\n"),
+    (((1, 0), (1, 1), (-1, 0)), "superbase 3 2\n1 0\n1 1\n-1 0\n"),
+]
+
+
+@pytest.mark.parametrize("rows, text", UNCHECKED_SUPERBASES,
+                         ids=["sum", "sum-before-obtuse"])
+def test_unchecked_superbase_raises_what_validation_raises(rows, text):
+    with pytest.raises(ValidationError) as expected:
+        validate_superbase(Superbase(rows, 1))
+    for solve in (lambda sb: short_vector(sb),
+                  lambda sb: short_vector(sb, "brute"),
+                  lambda sb: verify_reduction(sb, [0, 1, 0])):
+        with pytest.raises(ValidationError) as caught:
+            solve(Superbase(rows, 1))  # a fresh object misses the memo
         assert type(caught.value) is type(expected.value)
         assert str(caught.value) == str(expected.value)
     assert _cli_error(text) == (1, f"error: {expected.value}\n")
