@@ -26,7 +26,6 @@ from .errors import (
     TooLarge,
     ValidationError,
     WrongRank,
-    ZeroWeightCut,
 )
 from .generators import (
     FAMILIES,
@@ -39,7 +38,6 @@ from .generators import (
     generate,
 )
 from .lattice import (
-    BinaryAssignment,
     GramMatrix,
     Superbase,
     as_rational,
@@ -74,7 +72,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGORITHMS",
     "BRUTE_FORCE_LIMIT",
-    "BinaryAssignment",
     "Candidate",
     "CertificateError",
     "Cut",
@@ -99,7 +96,6 @@ __all__ = [
     "ValidationError",
     "WeightedGraph",
     "WrongRank",
-    "ZeroWeightCut",
     "as_rational",
     "brute_force_mincut",
     "brute_force_short_vector",

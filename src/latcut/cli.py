@@ -6,7 +6,9 @@ line is one row of whitespace-separated rationals (``5/4``, ``-1``,
 ``0.25``; see :func:`latcut.lattice.as_rational` for the token grammar).
 ``#`` starts a comment, blank lines are skipped, and ``-`` as a file name
 means standard input.  The parser scales its distinct tokens to integers
-once, and the validators check the Superbase or GramMatrix it returns.
+once and returns an unvalidated Superbase or GramMatrix.  `svp` hands it
+to :func:`latcut.pipeline.short_vector`, which checks what it solves;
+`validate`, `candidates` and `verify` check it with the validators first.
 
 All user-facing indices are 1-based; the library underneath is 0-based.
 Exit codes: 0 success, 1 validation or computation failure, 2 usage,
@@ -296,8 +298,8 @@ def _read_text(path: str, stdin) -> str:
 
 
 def _load(parsed: Superbase | GramMatrix) -> Superbase | GramMatrix:
-    """Validate a parsed file into the one object every command takes; a
-    Superbase's Selling parameters are then the matrix validation built."""
+    """Validate a parsed file, so that the command refuses an invalid
+    lattice before it reads anything else."""
     if isinstance(parsed, Superbase):
         return validate_superbase(parsed)
     return validate_gram(parsed)
@@ -320,7 +322,7 @@ def _cmd_svp(args, stdin, stdout, stderr) -> int:
     if args.algorithm != "karger":
         _warn_ignored((("--seed", args.seed), ("--trials", args.trials)),
                       "--algorithm karger", stderr)
-    lattice = _load(parse_input(_read_text(args.file, stdin)))
+    lattice = parse_input(_read_text(args.file, stdin))
     seed = args.seed if args.seed is not None else 0
     trials = args.trials
     if args.algorithm == "karger" and trials is None:

@@ -103,10 +103,6 @@ class CertificateError(LatCutError):
     """A computed answer failed its own consistency check: a latcut bug."""
 
 
-class ZeroWeightCut(LatCutError):
-    """The minimum cut has weight zero, which no valid input can produce."""
-
-
 class ImproperAssignment(LatCutError):
     """A binary assignment is all zeros or all ones."""
 

@@ -7,8 +7,16 @@ MAX_DENOMINATOR_BITS; the generators build their integers directly.
 A matrix of pairwise superbase products is a weighted graph Laplacian
 (nonpositive off the diagonal, zero row sums), hence positive semidefinite
 with rank equal to its side minus the number of connected components of
-its support; so both validators check rank by one graph traversal instead
-of by elimination.
+its support; so rank is checked by one graph traversal instead of by
+elimination.
+
+Who checks what: :func:`selling_parameters` checks a superbase's shape
+and column sums before it takes the products, and :func:`_check_gram`
+checks a Gram matrix's shape, symmetry, signs, row sums and connectivity.
+The validators run both, and so does the pipeline, through
+`graph_from_gram`, on the lattice it solves: each condition once, with
+the same classes and messages, a superbase's disconnected Selling graph
+reported as RankDeficient by :func:`_superbase_rank`.
 
 Indices are 0-based everywhere in this API.  Only the CLI renders them
 1-based.
@@ -18,6 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -90,9 +99,9 @@ class Superbase:
     """n+1 exact-rational vectors in ambient dimension m that sum to zero.
 
     Coordinates are `rows` over `scale`, canonical as in GramMatrix.
-    Construct through :func:`validate_superbase`; the parser and the
-    generators build one over the canonical scale and pass it there.
-    `vectors` is a Fraction view.
+    The parser and the generators build one over the canonical scale;
+    :func:`validate_superbase` and the pipeline check it.  `vectors` is a
+    Fraction view.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -128,9 +137,10 @@ class GramMatrix:
     entries' reduced denominators, so equal matrices compare equal.  Valid
     instances are graph Laplacians with flipped sign conventions:
     nonpositive off the diagonal, rows summing to zero, rank one less than
-    the side.  Construct through :func:`validate_gram` (the parser and
-    `gen_random_gram` pass it one they built over the canonical scale) or
-    :func:`selling_parameters`; `entries` is a Fraction view for callers.
+    the side.  The parser and `gen_random_gram` build one over the
+    canonical scale, and :func:`selling_parameters` returns one;
+    :func:`validate_gram` and the pipeline check it.  `entries` is a
+    Fraction view for callers.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -145,38 +155,6 @@ class GramMatrix:
     def n(self) -> int:
         """Lattice dimension: one less than the matrix side."""
         return len(self.rows) - 1
-
-
-@dataclass(frozen=True)
-class BinaryAssignment:
-    """A 0/1 value per superbase vector; selects the subset with 1s."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.bits:
-            raise ValueError("assignment cannot be empty")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("assignment entries must be 0 or 1")
-
-    @classmethod
-    def from_subset(cls, subset: Iterable[int], length: int) -> "BinaryAssignment":
-        bits = [0] * length
-        for i in subset:
-            bits[_index(i, length)] = 1
-        return cls(tuple(bits))
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.bits) if b)
-
-    @property
-    def is_proper(self) -> bool:
-        """True when at least one bit is 1 and at least one is 0."""
-        return 0 < sum(self.bits) < len(self.bits)
-
-    def complement(self) -> "BinaryAssignment":
-        return BinaryAssignment(tuple(1 - b for b in self.bits))
 
 
 def _index(i: int, count: int) -> int:
@@ -250,14 +228,6 @@ def _first_unreachable(q: Sequence[Sequence[int]]) -> int | None:
     return next((j for j, seen in enumerate(reached) if not seen), None)
 
 
-# The superbase validated last and the Selling parameters its validation
-# computed, so the selling_parameters() call that usually follows does not
-# redo every pairwise product.  Only the latest pair is held: keeping the
-# matrix on every Superbase would double the memory of a program that
-# holds many of them.
-_last_validated: tuple[Superbase, GramMatrix] | None = None
-
-
 def validate_superbase(vectors) -> Superbase:
     """Check the superbase conditions and return a validated Superbase.
 
@@ -265,13 +235,30 @@ def validate_superbase(vectors) -> Superbase:
     and returned as it stands.  Verifies, in order: consistent shape,
     componentwise zero sum, all pairwise inner products nonpositive, and
     linear independence of the first n vectors, which for such vectors
-    means the graph of nonzero inner products is connected.
+    means the graph of nonzero inner products is connected.  The last two
+    are the checks :func:`validate_gram` makes of the Selling parameters.
 
     Raises ShapeMismatch, SumNotZero, ObtuseViolation, RankDeficient, or
     TooLarge if the coordinates' common denominator passes the cap.
     """
-    sb = vectors if isinstance(vectors, Superbase) else None
-    rows = sb.rows if sb else [list(map(as_rational, row)) for row in vectors]
+    sb = vectors if isinstance(vectors, Superbase) else Superbase(
+        *_scaled([list(map(as_rational, row)) for row in vectors]))
+    g = selling_parameters(sb)
+    with _superbase_rank():
+        _check_gram(g.rows, g.scale)
+    return sb
+
+
+def selling_parameters(sb: Superbase) -> GramMatrix:
+    """The (n+1) x (n+1) matrix of pairwise inner products of `sb`.
+
+    Integers over s**2 for the coordinates' common denominator s, reduced
+    to the canonical scale.  First raises ShapeMismatch or SumNotZero, as
+    validation would, when the rows are fewer than 2 or of unequal
+    lengths or do not sum to zero; otherwise the products would only fail
+    later, under another name, or not at all.
+    """
+    rows = sb.rows
     if len(rows) < 2:
         raise ShapeMismatch("a superbase needs at least 2 vectors")
     m = len(rows[0])
@@ -280,53 +267,28 @@ def validate_superbase(vectors) -> Superbase:
             raise ShapeMismatch(
                 f"vector {idx + 1} has length {len(row)}, expected {m}"
             )
-    sb = sb or Superbase(*_scaled(rows))
-
-    _check_column_sums(sb)
-    g = _pairwise_products(sb)
-    for i, row in enumerate(g.rows):
-        for j in range(i + 1, len(row)):
-            if row[j] > 0:
-                raise ObtuseViolation((i, j), Fraction(row[j], g.scale))
-
-    unreachable = _first_unreachable(g.rows)
-    if unreachable is not None:
-        raise RankDeficient(unreachable)
-    global _last_validated
-    _last_validated = (sb, g)
-    return sb
-
-
-def selling_parameters(sb: Superbase) -> GramMatrix:
-    """The (n+1) x (n+1) matrix of pairwise inner products of `sb`.
-
-    Integers over s**2 for the coordinates' common denominator s, reduced
-    to the canonical scale.  Called on the superbase validated last, it
-    returns the matrix that validation built, so
-    `short_vector(validate_superbase(rows))` computes the products once.
-    Otherwise it first raises SumNotZero, as validation would, when the
-    vectors do not sum to zero; their products would only fail the
-    Laplacian's row sums later, under another name.
-    """
-    last = _last_validated
-    if last is not None and last[0] is sb:
-        return last[1]
-    _check_column_sums(sb)
+    for k, total in enumerate(map(sum, zip(*rows))):
+        if total:
+            raise SumNotZero(k, Fraction(total, sb.scale))
     return _pairwise_products(sb)
 
 
-def _check_column_sums(sb: Superbase) -> None:
-    """SumNotZero at the first component of `sb` that does not sum to 0."""
-    for k, total in enumerate(map(sum, zip(*sb.rows))):
-        if total:
-            raise SumNotZero(k, Fraction(total, sb.scale))
+@contextmanager
+def _superbase_rank():
+    """Report a disconnected Selling graph as a superbase's RankDeficient:
+    its first n vectors are dependent.  Every caller that checks the
+    Selling parameters of a superbase checks them inside this block."""
+    try:
+        yield
+    except WrongRank as exc:
+        raise RankDeficient(exc.vector) from None
 
 
 def validate_gram(entries) -> GramMatrix:
     """Check Selling-parameter invariants and return a validated GramMatrix.
 
     `entries` is rows of exact scalars, or a GramMatrix, which is checked
-    and returned as it stands.  Verifies symmetry, nonpositive
+    and returned as it stands.  Verifies shape, symmetry, nonpositive
     off-diagonal entries and zero row sums, which make the matrix a
     weighted graph Laplacian and so positive semidefinite; its rank is
     then side - 1 exactly when the off-diagonal support graph is connected.
@@ -335,8 +297,28 @@ def validate_gram(entries) -> GramMatrix:
     or WrongRank, and TooLarge if the entries' common denominator is
     longer than MAX_DENOMINATOR_BITS.
     """
-    g = entries if isinstance(entries, GramMatrix) else None
-    rows = g.rows if g else [list(map(as_rational, row)) for row in entries]
+    g = entries if isinstance(entries, GramMatrix) else GramMatrix(
+        *_scaled([list(map(as_rational, row)) for row in entries]))
+    _check_gram(g.rows, g.scale)
+    return g
+
+
+def _check_gram(rows: Sequence[Sequence[int]], scale: int,
+                nonpositive: bool | None = None) -> None:
+    """Raise what :func:`validate_gram` raises first on integer rows that
+    are not the Selling parameters of a lattice.
+
+    In order: ShapeMismatch unless the side is at least 2 and every row
+    that long; NotSymmetric or ObtuseViolation at the first offending
+    entry (i, j), i < j, in row-major order, the asymmetry first;
+    RowSumNotZero at the first row that does not sum to zero; and
+    WrongRank at the first vector the graph of nonzero entries does not
+    reach.  :func:`validate_gram`, :func:`validate_superbase` and
+    :func:`latcut.mincut.graph_from_gram` all check here.  A caller that
+    already knows whether every entry above the diagonal is nonpositive
+    says so; if it is, a valid matrix passes without a Python loop over
+    its entries.
+    """
     size = len(rows)
     if size < 2:
         raise ShapeMismatch("a Gram matrix needs side >= 2")
@@ -345,50 +327,31 @@ def validate_gram(entries) -> GramMatrix:
             raise ShapeMismatch(
                 f"row {idx + 1} has length {len(row)}, expected {size}"
             )
-    g = g or GramMatrix(*_scaled(rows))
-
-    _check_laplacian(g.rows, g.scale, all(
-        max(row[i + 1:], default=0) <= 0 for i, row in enumerate(g.rows)))
-    unreachable = _first_unreachable(g.rows)
+    if nonpositive is None:
+        nonpositive = all(max(row[i + 1:], default=0) <= 0
+                          for i, row in enumerate(rows))
+    # zip hands each column to `eq` and reuses its tuple for the next one.
+    if not (nonpositive and all(map(operator.eq, map(tuple, rows), zip(*rows)))
+            and not any(map(sum, rows))):
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row[i + 1:], i + 1):
+                if x != rows[j][i]:
+                    raise NotSymmetric(
+                        f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) "
+                        f"differ: {Fraction(x, scale)} vs "
+                        f"{Fraction(rows[j][i], scale)}"
+                    )
+                if x > 0:
+                    raise ObtuseViolation((i, j), Fraction(x, scale))
+        for i, row in enumerate(rows):
+            if sum(row):
+                raise RowSumNotZero(i, Fraction(sum(row), scale))
+    unreachable = _first_unreachable(rows)
     if unreachable is not None:
         raise WrongRank(unreachable)
-    return g
-
-
-def _check_laplacian(rows: Sequence[Sequence[int]], scale: int,
-                     nonpositive: bool) -> None:
-    """Raise what :func:`validate_gram` raises first on a square integer
-    matrix that is not symmetric, has a positive off-diagonal entry or has
-    a nonzero row sum.
-
-    NotSymmetric or ObtuseViolation comes at the first offending entry
-    (i, j), i < j, in row-major order, the asymmetry first; only then does
-    RowSumNotZero come, at the first row that does not sum to zero.  The
-    caller says whether it found every entry above the diagonal
-    nonpositive; if so, a valid matrix passes without a Python loop over
-    its entries.
-    """
-    # zip hands each column to `eq` and reuses its tuple for the next one.
-    if nonpositive and all(map(operator.eq, map(tuple, rows), zip(*rows))) \
-            and not any(map(sum, rows)):
-        return
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row[i + 1:], i + 1):
-            if x != rows[j][i]:
-                raise NotSymmetric(
-                    f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ: "
-                    f"{Fraction(x, scale)} vs {Fraction(rows[j][i], scale)}"
-                )
-            if x > 0:
-                raise ObtuseViolation((i, j), Fraction(x, scale))
-    for i, row in enumerate(rows):
-        if sum(row):
-            raise RowSumNotZero(i, Fraction(sum(row), scale))
 
 
 def _bits_of(u) -> tuple[int, ...]:
-    if isinstance(u, BinaryAssignment):
-        return u.bits
     bits = tuple(u)
     if any(b not in (0, 1) for b in bits):
         raise ValueError("assignment entries must be 0 or 1")
@@ -404,7 +367,7 @@ def quadratic_form(g: GramMatrix, u) -> Fraction:
     """Evaluate sum_ij q_ij u_i u_j for a 0/1 assignment u.
 
     Equals the squared Euclidean length of the superbase subset sum
-    selected by u.  Accepts a BinaryAssignment or any 0/1 sequence.
+    selected by u, any sequence of 0s and 1s.
     """
     bits = _bits_of(u)
     if len(bits) != g.size:

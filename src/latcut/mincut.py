@@ -50,7 +50,7 @@ from itertools import chain, compress
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import EmptySide, TooLarge
-from .lattice import GramMatrix, _capped, _check_laplacian, _scaled, as_rational
+from .lattice import GramMatrix, _capped, _check_gram, _scaled, as_rational
 from .rng import Xoshiro256StarStar, derive_seeds
 
 BRUTE_FORCE_LIMIT = 24
@@ -78,8 +78,8 @@ class WeightedGraph:
     `adjacency[i][j]` is the weight of edge {i, j} times `scale`, stored
     both ways and only when positive; loops cannot change any cut, so
     none are stored.  Build through :meth:`from_edges`.  The cut
-    algorithms read `adjacency` and `scale` only; `vertex_count`,
-    `weights` and `weight` are views for callers.  Treat as immutable.
+    algorithms read `adjacency` and `scale` only; `vertex_count` and
+    `weights` are views for callers.  Treat as immutable.
     """
 
     adjacency: tuple[dict[int, int], ...]
@@ -124,11 +124,6 @@ class WeightedGraph:
                 for i, nbrs in enumerate(self.adjacency)
                 for j, w in nbrs.items() if i < j}
 
-    def weight(self, i: int, j: int) -> Fraction:
-        """The weight of edge {i, j}: zero when there is none."""
-        nbrs = self.adjacency[i] if 0 <= i < len(self.adjacency) else {}
-        return Fraction(nbrs.get(j, 0), self.scale)
-
 
 @dataclass(frozen=True)
 class Cut:
@@ -146,22 +141,24 @@ def graph_from_gram(g: GramMatrix) -> WeightedGraph:
     """Graph whose edge weights are the negated off-diagonal Gram entries.
 
     Vertex i stands for superbase vector i; a strictly negative q_ij
-    becomes an edge of weight -q_ij, and q_ij = 0 means no edge.  A matrix
-    that is not symmetric, has a positive off-diagonal entry or has a
-    nonzero row sum, none of which a graph can stand for, raises
-    NotSymmetric, ObtuseViolation or RowSumNotZero, as validation would.
+    becomes an edge of weight -q_ij, and q_ij = 0 means no edge.  The
+    matrix is checked as :func:`latcut.lattice.validate_gram` checks it,
+    with the same classes and messages: its shape, symmetry, signs and
+    row sums, and that the graph is connected, so that no cut weighs 0.
     The graph keeps `g.scale`, which zero row sums make the edge weights'
     common denominator; past the cap, TooLarge.
     """
     rows = g.rows
     adj: tuple[dict[int, int], ...] = tuple({} for _ in rows)
     vertices = range(len(rows))
+    # Runs before the shape check, and is safe on rows of any length:
+    # j < len(rows), and j indexes the row it came from.
     for i, row in enumerate(rows):
         for j in compress(vertices[i + 1:], row[i + 1:]):
             adj[i][j] = adj[j][i] = -row[j]
     # A positive entry above the diagonal became a negative weight.
     weights = chain.from_iterable(map(dict.values, adj))
-    _check_laplacian(rows, g.scale, min(weights, default=0) >= 0)
+    _check_gram(rows, g.scale, min(weights, default=0) >= 0)
     return WeightedGraph(adj, _capped(g.scale, "edge weights"))
 
 

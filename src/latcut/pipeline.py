@@ -6,8 +6,11 @@ built from its Selling parameters, and the cut side names the superbase
 subset to sum.  This module wires that equivalence together, on the
 integers a Superbase and a GramMatrix hold: a Superbase gives the graph
 through its Selling parameters and the answer's coordinates, a GramMatrix
-the graph alone.  It also carries the exhaustive subset oracle used to
-test it.
+the graph alone.  It is the one gate of a solve: :func:`short_vector` and
+:func:`verify_reduction` take the lattice as it was built, and
+`selling_parameters` and `graph_from_gram` check it as they go, each
+condition once, with the classes and messages validation gives.  It also
+carries the exhaustive subset oracle used to test the reduction.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from itertools import compress
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .errors import CertificateError, ImproperAssignment, TooLarge, ZeroWeightCut
+from .errors import CertificateError, ImproperAssignment, TooLarge
 from .lattice import (
     GramMatrix,
     Superbase,
@@ -27,11 +30,13 @@ from .lattice import (
     _bits_of,
     _fractions,
     _scaled_form,
+    _superbase_rank,
     quadratic_form,
     selling_parameters,
 )
 from .mincut import (
     BRUTE_FORCE_LIMIT,
+    WeightedGraph,
     brute_force_mincut,
     cut_weight,
     default_trial_count,
@@ -75,28 +80,27 @@ def short_vector(
 ) -> ShortVectorResult:
     """Compute a shortest nonzero lattice vector via a graph minimum cut.
 
-    `lattice` is a validated Superbase, whose Selling parameters give the
-    graph and whose vectors give the result's coordinates, or a validated
-    GramMatrix, which gives no coordinates.  `algorithm` is one of
-    "stoer-wagner" (deterministic, the default), "karger" (randomized;
-    honors `seed` and `trials`, with a trial count of
-    ceil((log2(n+1))^2) + 8 when `trials` is None), or "brute"
-    (exhaustive cut enumeration, small inputs only).
+    `lattice` is a Superbase, whose Selling parameters give the graph and
+    whose vectors give the result's coordinates, or a GramMatrix, which
+    gives no coordinates; either is checked here, so it need not have
+    been validated.  `algorithm` is one of "stoer-wagner" (deterministic,
+    the default), "karger" (randomized; honors `seed` and `trials`, with
+    a trial count of ceil((log2(n+1))^2) + 8 when `trials` is None), or
+    "brute" (exhaustive cut enumeration, small inputs only).
 
-    Before returning, the edges crossing the cut side and any coordinates
-    must both weigh exactly the cut weight; the coordinates are checked in
-    integers, their squares over the superbase's scale squared.  Raises
-    SumNotZero, as validation would, on a superbase whose vectors do not
-    sum to zero, NotSymmetric, ObtuseViolation or RowSumNotZero on Selling
-    parameters that are not symmetric, have a positive off-diagonal entry
-    or a nonzero row sum, ZeroWeightCut if the minimum cut has weight zero
-    (all possible only when an invalid matrix bypassed validation), or
-    CertificateError if the self-check fails.
+    Raises what :func:`latcut.lattice.validate_superbase` or
+    :func:`latcut.lattice.validate_gram` raises on the same lattice,
+    class and message, before any cut is computed; a connected graph has
+    no cut of weight 0.  Before returning, the edges crossing the cut
+    side and any coordinates must both weigh exactly the cut weight; the
+    coordinates are checked in integers, their squares over the
+    superbase's scale squared.  Raises CertificateError if that
+    self-check fails.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
 
-    graph = graph_from_gram(_gram_of(lattice))
+    _, graph = _gram_and_graph(lattice)
     if algorithm == "stoer-wagner":
         cut = stoer_wagner(graph)
     elif algorithm == "brute":
@@ -106,11 +110,6 @@ def short_vector(
             trials = default_trial_count(graph.vertex_count)
         cut = karger_stein(graph, seed, trials)
 
-    if not cut.weight:
-        raise ZeroWeightCut(
-            "minimum cut weight is 0; the input cannot be the Selling "
-            "matrix of a lattice"
-        )
     total = lattice._subset_total(cut.side) \
         if isinstance(lattice, Superbase) else None
     if cut_weight(graph, cut.side).weight != cut.weight or \
@@ -123,11 +122,15 @@ def short_vector(
     return ShortVectorResult(cut.side, cut.weight, coordinates)
 
 
-def _gram_of(lattice: Superbase | GramMatrix) -> GramMatrix:
-    """The Gram matrix of `lattice`: its Selling parameters or itself."""
-    if isinstance(lattice, Superbase):
-        return selling_parameters(lattice)
-    return lattice
+def _gram_and_graph(
+        lattice: Superbase | GramMatrix) -> tuple[GramMatrix, WeightedGraph]:
+    """The Gram matrix of `lattice` (its Selling parameters or itself) and
+    its cut graph, the lattice checked on the way, as validation would."""
+    if not isinstance(lattice, Superbase):
+        return lattice, graph_from_gram(lattice)
+    g = selling_parameters(lattice)
+    with _superbase_rank():
+        return g, graph_from_gram(g)
 
 
 def brute_force_short_vector(g: GramMatrix) -> ShortVectorResult:
@@ -194,23 +197,21 @@ def verify_reduction(lattice: Superbase | GramMatrix,
                      u) -> tuple[Fraction, Fraction]:
     """Evaluate one assignment both ways: quadratic form and cut weight.
 
-    `lattice` is a validated Superbase or GramMatrix, as for
+    `lattice` is a Superbase or GramMatrix, checked as for
     :func:`short_vector`.  Returns (Q(u), W(C, complement)) where C is the
     support of `u`.  The two are equal for every proper assignment on a
     valid lattice; callers assert the equality they care about.
 
-    Raises ImproperAssignment when u is all zeros or all ones, SumNotZero
-    on a superbase whose vectors do not sum to zero, and NotSymmetric,
-    ObtuseViolation or RowSumNotZero on Selling parameters that validation
-    would refuse for the same reason.
+    Raises ImproperAssignment when u is all zeros or all ones, then what
+    validation raises on the lattice, then LengthMismatch when u does not
+    have one entry per vector.
     """
     bits = _bits_of(u)
     if not 0 < sum(bits) < len(bits):
         raise ImproperAssignment(
             "assignment must contain at least one 1 and at least one 0"
         )
-    g = _gram_of(lattice)
+    g, graph = _gram_and_graph(lattice)
     q_value = quadratic_form(g, bits)
     side = tuple(i for i, b in enumerate(bits) if b)
-    cut = cut_weight(graph_from_gram(g), side)
-    return q_value, cut.weight
+    return q_value, cut_weight(graph, side).weight

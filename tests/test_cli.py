@@ -377,6 +377,38 @@ def test_verify_bad_bits_is_exit_2():
     assert code == 2
 
 
+# Two components, {1, 2} and {3, 4}: vector 3 is the first one missed.
+DISCONNECTED_GRAM_FILE = "gram 4\n1 -1 0 0\n-1 1 0 0\n0 0 1 -1\n0 0 -1 1\n"
+WRONG_RANK = ("error: vector 3 cannot be reached from vector 1 in the Selling "
+              "graph, so the rank is less than side - 1\n")
+
+
+def test_verify_checks_the_file_before_the_assignment():
+    assert run(["verify", "-", "--assignment", "1,x,0,0"],
+               stdin_text=DISCONNECTED_GRAM_FILE) == (1, "", WRONG_RANK)
+
+
+def test_candidates_checks_the_file_before_asking_for_coordinates():
+    assert run(["candidates", "-"], stdin_text=DISCONNECTED_GRAM_FILE) == (
+        1, "", WRONG_RANK)
+
+
+def test_svp_brute_checks_the_file_before_its_size_limit():
+    # A path on 25 vertices without the edge {12, 13}: too large for brute
+    # force, but its rank is checked first.
+    size = 25
+    rows = [[0] * size for _ in range(size)]
+    for i in range(size - 1):
+        if i != 11:
+            rows[i][i + 1] = rows[i + 1][i] = -1
+    for i, row in enumerate(rows):
+        row[i] = -sum(row)
+    text = format_gram(GramMatrix(tuple(map(tuple, rows)), 1))
+    assert run(["svp", "-", "--algorithm", "brute"], stdin_text=text) == (
+        1, "", "error: vector 13 cannot be reached from vector 1 in the "
+        "Selling graph, so the rank is less than side - 1\n")
+
+
 def test_a_value_error_from_the_library_is_exit_1(monkeypatch):
     def fail(*_, **__):
         raise ValueError("not a usage problem")

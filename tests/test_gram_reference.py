@@ -1,12 +1,14 @@
 """The Gram matrix checks against the plain per-entry loop they replaced.
 
-`validate_gram` and `graph_from_gram` share one check of symmetry, signs
-and row sums that loops over rows and leaves the entries to C.  The
+`validate_gram` and `graph_from_gram` share one check of shape, symmetry,
+signs, row sums and connectivity that loops over rows and leaves the
+entries to C.  The
 reference below is the loop `validate_gram` ran before: every pair (i, j),
 i < j, in row-major order, asymmetry before sign, and then every row sum.
 On small integer matrices, often symmetric, often with zero row sums, and
 over two scales, both must raise the reference's exception with its
-message, or accept the matrix; `graph_from_gram` then builds the edges of
+message, or accept the matrix; on a disconnected one both raise the same
+WrongRank, and on a connected one `graph_from_gram` builds the edges of
 the negated off-diagonal entries.
 """
 
@@ -82,9 +84,11 @@ def test_checks_match_the_reference(rows, scale):
     validated = _outcome(lambda: validate_gram(g))
     if expected is None:
         assert validated is None or validated[0] is WrongRank
-        assert graph_from_gram(g).adjacency == tuple(
-            {j: -x for j, x in enumerate(row) if j != i and x}
-            for i, row in enumerate(rows))
+        assert _outcome(lambda: graph_from_gram(g)) == validated
+        if validated is None:
+            assert graph_from_gram(g).adjacency == tuple(
+                {j: -x for j, x in enumerate(row) if j != i and x}
+                for i, row in enumerate(rows))
     else:
         assert validated == expected
         assert _outcome(lambda: graph_from_gram(g)) == expected

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from latcut import (
-    BinaryAssignment,
     LengthMismatch,
     NotSymmetric,
     ObtuseViolation,
@@ -213,13 +212,11 @@ def test_zero_diagonal_is_wrong_rank():
     assert "vector 2 cannot be reached from vector 1" in str(info.value)
 
 
-def test_selling_parameters_reuse_the_validated_matrix():
+def test_selling_parameters_are_computed_afresh_on_every_call():
     sb = validate_superbase(A3_VECTORS)
     g = selling_parameters(sb)
-    assert selling_parameters(sb) is g
-    # an equal superbase that was not validated last gets a fresh, equal matrix
-    other = validate_superbase(A3_VECTORS)
     fresh = selling_parameters(sb)
+    other = validate_superbase(A3_VECTORS)
     assert fresh is not g and fresh == g == selling_parameters(other)
 
 
@@ -255,31 +252,6 @@ def test_length_mismatch():
     g = selling_parameters(gen_an(3))
     with pytest.raises(LengthMismatch):
         quadratic_form(g, [1, 0, 1])
-
-
-def test_accepts_binary_assignment_objects():
-    g = selling_parameters(gen_an(3))
-    u = BinaryAssignment.from_subset([0, 1], 4)
-    assert quadratic_form(g, u) == 2
-
-
-# --- BinaryAssignment ------------------------------------------------------
-
-def test_binary_assignment_basics():
-    u = BinaryAssignment((1, 0, 1, 0))
-    assert u.support == (0, 2)
-    assert u.is_proper
-    assert u.complement().bits == (0, 1, 0, 1)
-    assert not BinaryAssignment((1, 1)).is_proper
-    with pytest.raises(ValueError):
-        BinaryAssignment((0, 2))
-
-
-@pytest.mark.parametrize("index", [-1, 3, 7])
-def test_from_subset_refuses_an_index_out_of_range(index):
-    assert BinaryAssignment.from_subset([0, 2], 3).bits == (1, 0, 1)
-    with pytest.raises(ValueError, match=f"index {index} is out of range 0..2"):
-        BinaryAssignment.from_subset([1, index], 3)
 
 
 @pytest.mark.parametrize("index", [-1, 4, 9])

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import latcut.cli
 import latcut.lattice
+import latcut.mincut
 import latcut.pipeline
 from latcut import (
     ALGORITHMS,
@@ -12,11 +14,13 @@ from latcut import (
     GramMatrix,
     ImproperAssignment,
     ObtuseViolation,
+    RankDeficient,
+    ShapeMismatch,
     Superbase,
     TooLarge,
     ValidationError,
     WeightedGraph,
-    ZeroWeightCut,
+    WrongRank,
     brute_force_short_vector,
     candidate_vectors,
     gen_an,
@@ -31,7 +35,7 @@ from latcut import (
     validate_superbase,
     verify_reduction,
 )
-from latcut.cli import run_cli
+from latcut.cli import format_gram, format_superbase, run_cli
 from conftest import random_superbase, seeds_from
 
 F = Fraction
@@ -93,26 +97,41 @@ def test_unknown_algorithm_rejected():
         short_vector(selling_parameters(gen_an(2)), "magic")
 
 
-def test_a_validated_superbase_is_solved_from_its_memo(monkeypatch):
-    """short_vector(sb) on the superbase validated last takes the Gram
-    matrix its validation built, and reads no Fraction view."""
-    def refuse(*_):
-        raise AssertionError("products recomputed or a Fraction view read")
+def test_one_svp_op_checks_each_condition_once(monkeypatch):
+    """`svp` solves the parsed lattice: it calls no validator, takes a
+    superbase's products once, runs the shared check once, and reads no
+    Fraction view."""
+    rational = Superbase(((2, -1, 0), (-1, 2, 0), (0, 0, 2), (-1, -1, -2)), 2)
+    cases = [(format_superbase(gen_anstar(4)), 1),
+             (format_superbase(rational), 1),
+             (format_gram(gen_random_gram(6, seed=5)), 0)]
+    calls = {}
 
-    rows = [[1, F(-1, 2), 0], [F(-1, 2), 1, 0], [0, 0, 1], [F(-1, 2), F(-1, 2), -1]]
-    cases = [(lambda: gen_anstar(4), F(4, 5)),
-             (lambda: validate_superbase(rows), F(1, 2))]
-    for validated, expected in cases:
-        sb = validated()  # the superbase validated last
-        with monkeypatch.context() as patched:
-            patched.setattr(latcut.lattice, "_pairwise_products", refuse)
-            patched.setattr(Superbase, "vectors", property(refuse))
-            patched.setattr(GramMatrix, "entries", property(refuse))
-            result = short_vector(sb)
-            with pytest.raises(AssertionError):  # the patch is live
-                short_vector(Superbase(sb.rows, sb.scale))
-        assert result.squared_length == expected
-        assert sum(x * x for x in result.coordinates) == expected
+    def counted(key, original):
+        def count(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        return count
+
+    def refuse(*_):
+        raise AssertionError("a validator ran or a Fraction view was read")
+
+    check = counted("check", latcut.lattice._check_gram)
+    monkeypatch.setattr(latcut.lattice, "_pairwise_products",
+                        counted("products", latcut.lattice._pairwise_products))
+    monkeypatch.setattr(latcut.lattice, "_check_gram", check)
+    monkeypatch.setattr(latcut.mincut, "_check_gram", check)
+    for name in ("validate_superbase", "validate_gram"):
+        monkeypatch.setattr(latcut.cli, name, refuse)
+    monkeypatch.setattr(Superbase, "vectors", property(refuse))
+    monkeypatch.setattr(GramMatrix, "entries", property(refuse))
+    for text, products in cases:
+        calls.update(products=0, check=0)
+        out, err = io.StringIO(), io.StringIO()
+        assert run_cli(["svp", "-"], stdin=io.StringIO(text),
+                       stdout=out, stderr=err) == 0, err.getvalue()
+        assert calls == {"products": products, "check": 1}
+        assert out.getvalue().startswith("subset: ")
 
 
 def test_corrupted_cut_fails_its_certificate(monkeypatch):
@@ -223,22 +242,68 @@ def test_unchecked_superbase_raises_what_validation_raises(rows, text):
                   lambda sb: short_vector(sb, "brute"),
                   lambda sb: verify_reduction(sb, [0, 1, 0])):
         with pytest.raises(ValidationError) as caught:
-            solve(Superbase(rows, 1))  # a fresh object misses the memo
+            solve(Superbase(rows, 1))
         assert type(caught.value) is type(expected.value)
         assert str(caught.value) == str(expected.value)
     assert _cli_error(text) == (1, f"error: {expected.value}\n")
 
 
+# Lattices built past validation whose Selling graph has two components,
+# so a cut of weight 0, each with the file that carries the same numbers.
+DISCONNECTED = [
+    (GramMatrix(((1, -1, 0, 0), (-1, 1, 0, 0), (0, 0, 1, -1), (0, 0, -1, 1)), 1),
+     "gram 4\n1 -1 0 0\n-1 1 0 0\n0 0 1 -1\n0 0 -1 1\n", WrongRank,
+     "the rank is less than side - 1"),
+    (Superbase(((1, 0), (-1, 0), (0, 1), (0, -1)), 1),
+     "superbase 4 2\n1 0\n-1 0\n0 1\n0 -1\n", RankDeficient,
+     "the first n vectors span less than n dimensions"),
+]
+
+
 def test_zero_weight_cut_detected():
-    # a disconnected Laplacian smuggled past validation
-    block = (
-        (1, -1, 0, 0),
-        (-1, 1, 0, 0),
-        (0, 0, 1, -1),
-        (0, 0, -1, 1),
-    )
-    with pytest.raises(ZeroWeightCut):
-        short_vector(GramMatrix(block, 1))
+    """A disconnected lattice is refused before any cut, with the class
+    and message validation and the CLI give, never solved at weight 0."""
+    for lattice, text, error, consequence in DISCONNECTED:
+        message = ("vector 3 cannot be reached from vector 1 in the Selling "
+                   f"graph, so {consequence}")
+        solves = [lambda a=a: short_vector(lattice, a) for a in ALGORITHMS]
+        solves += [lambda: verify_reduction(lattice, [1, 0, 1, 0]),
+                   lambda: validate_gram(lattice)
+                   if isinstance(lattice, GramMatrix)
+                   else validate_superbase(lattice)]
+        for solve in solves:
+            with pytest.raises(ValidationError) as caught:
+                solve()
+            assert type(caught.value) is error
+            assert (caught.value.vector, str(caught.value)) == (2, message)
+        assert _cli_error(text) == (1, f"error: {message}\n")
+
+
+# Lattices built past validation with too few vectors or rows of unequal
+# lengths, which no file can carry, and validation's message for each.
+UNCHECKED_SHAPES = [
+    (Superbase(((1, 0), (-1,)), 1), "vector 2 has length 1, expected 2"),
+    (Superbase(((0, 0),), 1), "a superbase needs at least 2 vectors"),
+    (GramMatrix(((0,),), 1), "a Gram matrix needs side >= 2"),
+    (GramMatrix(((1, -1), (-1, 1, 0)), 1), "row 2 has length 3, expected 2"),
+    (GramMatrix(((1, -1, 0), (-1, 1)), 1), "row 1 has length 3, expected 2"),
+]
+
+
+@pytest.mark.parametrize("lattice, message", UNCHECKED_SHAPES,
+                         ids=["ragged-superbase", "one-vector", "side-1",
+                              "long-row", "long-first-row"])
+def test_unchecked_shape_raises_what_validation_raises(lattice, message):
+    # The ragged superbase once gave subset (1,) at squared length 1; the
+    # one-vector superbase and the 1 x 1 matrix failed an assertion.
+    validate = validate_gram if isinstance(lattice, GramMatrix) \
+        else validate_superbase
+    solves = [lambda a=a: short_vector(lattice, a) for a in ALGORITHMS]
+    solves += [lambda: verify_reduction(lattice, [1, 0]),
+               lambda: validate(lattice)]
+    for solve in solves:
+        with pytest.raises(ShapeMismatch, match=f"^{message}$"):
+            solve()
 
 
 # --- brute_force_short_vector --------------------------------------------------
@@ -401,7 +466,6 @@ def test_the_solve_path_builds_no_fraction_view_of_the_graph(monkeypatch):
         raise AssertionError("a Fraction view of the graph was built")
 
     monkeypatch.setattr(WeightedGraph, "weights", property(refuse))
-    monkeypatch.setattr(WeightedGraph, "weight", refuse)
     lattices = [gen_random_gram(6, seed=11)]
     for sb in (gen_example3d(), gen_anstar(5), random_superbase(4, seed=7)):
         lattices += [sb, selling_parameters(sb)]

@@ -1,9 +1,9 @@
 """From file text to cut graph, against a plain-Fraction reference.
 
 The program parses a `gram` or `superbase` file into integers over one
-common denominator, validates them, takes the Selling parameters and
-builds the cut graph on integers as well; the library route hands the
-validators rows of tokens instead.  The reference below does the same in
+common denominator, takes the Selling parameters and builds the cut graph
+on integers as well, checking the lattice on the way as `svp` does; the
+library route hands the validators rows of tokens instead.  The reference below does the same in
 Fraction arithmetic, straight from the definitions: every check, the
 Gram matrix, the edge weights, the exhaustive minimum cut (smallest
 weight, then size, then sorted indices) and the exhaustive subset oracle
@@ -55,12 +55,12 @@ def program(text):
 
 
 def command_line(text):
-    """The route every command takes from file text to a Gram matrix."""
-    return solved(pipeline._gram_of(cli._load(cli.parse_input(text))))
+    """The route `svp` takes from file text to the checked cut graph."""
+    return solved(*pipeline._gram_and_graph(cli.parse_input(text)))
 
 
-def solved(g):
-    graph = graph_from_gram(g)
+def solved(g, graph=None):
+    graph = graph_from_gram(g) if graph is None else graph
     cut = brute_force_mincut(graph)
     oracle = brute_force_short_vector(g)
     return (g.entries, graph.weights, (cut.side, cut.weight),

@@ -23,6 +23,7 @@ from latcut import (  # noqa: E402
     GramMatrix,
     Superbase,
     WeightedGraph,
+    WrongRank,
     brute_force_mincut,
     brute_force_short_vector,
     candidate_vectors,
@@ -197,7 +198,13 @@ def test_candidate_vectors_match_the_ascending_enumeration(sb):
 @given(graphs(max_vertices=10))
 def test_brute_force_mincut_matches_the_subset_oracle(graph):
     g = laplacian(graph)
-    cut = brute_force_mincut(graph_from_gram(g))
+    cut = brute_force_mincut(graph)
     assert cut.weight == brute_force_short_vector(g).squared_length
+    # graph_from_gram rebuilds a connected graph and refuses the rest.
+    if cut.weight:
+        assert graph_from_gram(g) == graph
+    else:
+        with pytest.raises(WrongRank):
+            graph_from_gram(g)
     bits = [1 if i in cut.side else 0 for i in range(g.size)]
     assert quadratic_form(g, bits) == cut.weight
