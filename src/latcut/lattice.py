@@ -210,18 +210,19 @@ def _pairwise_products(sb: Superbase) -> GramMatrix:
                       sb.scale * sb.scale // common)
 
 
-def _first_unreachable(q: Sequence[Sequence[int]]) -> int | None:
-    """Lowest index not joined to index 0 through nonzero off-diagonal q_ij.
+def _first_unreachable(neighbours: Sequence[Iterable[int]]) -> int | None:
+    """Lowest index not joined to index 0 in the graph where i is joined
+    to each index in `neighbours[i]`; each is iterated at most once.
 
     For a symmetric matrix with nonpositive off-diagonal entries and zero
     row sums (a weighted graph Laplacian) the rank is the side minus the
-    number of connected components of this support graph, so None means
-    rank exactly side - 1.  Python code sees only each row's nonzeros.
+    number of connected components of its support graph, so None means
+    rank exactly side - 1.
     """
-    reached = [True] + [False] * (len(q) - 1)
+    reached = [True] + [False] * (len(neighbours) - 1)
     stack = [0]
     while stack:
-        for j in compress(range(len(q)), q[stack.pop()]):
+        for j in neighbours[stack.pop()]:
             if not reached[j]:
                 reached[j] = True
                 stack.append(j)
@@ -304,7 +305,8 @@ def validate_gram(entries) -> GramMatrix:
 
 
 def _check_gram(rows: Sequence[Sequence[int]], scale: int,
-                nonpositive: bool | None = None) -> None:
+                nonpositive: bool | None = None,
+                adjacency: Sequence[Iterable[int]] | None = None) -> None:
     """Raise what :func:`validate_gram` raises first on integer rows that
     are not the Selling parameters of a lattice.
 
@@ -317,7 +319,11 @@ def _check_gram(rows: Sequence[Sequence[int]], scale: int,
     :func:`latcut.mincut.graph_from_gram` all check here.  A caller that
     already knows whether every entry above the diagonal is nonpositive
     says so; if it is, a valid matrix passes without a Python loop over
-    its entries.
+    its entries.  A caller that has built the graph of the nonzero
+    entries above the diagonal, both ways, passes each vertex's
+    neighbours as `adjacency`, and connectivity is walked there instead
+    of over the rows; once the checks before it pass, the two graphs are
+    the same.
     """
     size = len(rows)
     if size < 2:
@@ -346,7 +352,10 @@ def _check_gram(rows: Sequence[Sequence[int]], scale: int,
         for i, row in enumerate(rows):
             if sum(row):
                 raise RowSumNotZero(i, Fraction(sum(row), scale))
-    unreachable = _first_unreachable(rows)
+    if adjacency is None:
+        # Python code sees only each row's nonzeros.
+        adjacency = [compress(range(size), row) for row in rows]
+    unreachable = _first_unreachable(adjacency)
     if unreachable is not None:
         raise WrongRank(unreachable)
 

@@ -15,7 +15,12 @@ can cross-check each other:
   separates some such pair, so the smallest of those keys bounds every
   cut of the phase's graph and of its contractions, which are all that
   later phases see.  A tie never replaces the best cut, so stopping once
-  the best cut is no heavier leaves the answer unchanged.
+  the best cut is no heavier leaves the answer unchanged.  When the first
+  phase's keys prove nothing, as on cycles and complete graphs, value-only
+  contraction tests (Padberg & Rinaldi, Math. Programming 47, 1990) try
+  once to show that no cut is lighter than the best so far.  They merge
+  nothing that the phases see, so every phase, merge and tie is as
+  before; when they succeed the phases stop there, with the same answer.
 * :func:`karger_stein`: randomized recursive contraction, reproducible
   for a fixed (seed, trials) pair.
 * :func:`brute_force_mincut`: exhaustive enumeration, the oracle.
@@ -144,8 +149,9 @@ def graph_from_gram(g: GramMatrix) -> WeightedGraph:
     becomes an edge of weight -q_ij, and q_ij = 0 means no edge.  The
     matrix is checked as :func:`latcut.lattice.validate_gram` checks it,
     with the same classes and messages: its shape, symmetry, signs and
-    row sums, and that the graph is connected, so that no cut weighs 0.
-    The graph keeps `g.scale`, which zero row sums make the edge weights'
+    row sums, and that the graph is connected, so that no cut weighs 0;
+    connectivity is walked over the graph just built, not the rows.  The
+    graph keeps `g.scale`, which zero row sums make the edge weights'
     common denominator; past the cap, TooLarge.
     """
     rows = g.rows
@@ -158,7 +164,7 @@ def graph_from_gram(g: GramMatrix) -> WeightedGraph:
             adj[i][j] = adj[j][i] = -row[j]
     # A positive entry above the diagonal became a negative weight.
     weights = chain.from_iterable(map(dict.values, adj))
-    _check_gram(rows, g.scale, min(weights, default=0) >= 0)
+    _check_gram(rows, g.scale, min(weights, default=0) >= 0, adj)
     return WeightedGraph(adj, _capped(g.scale, "edge weights"))
 
 
@@ -205,6 +211,15 @@ def stoer_wagner(graph: WeightedGraph) -> Cut:
     stopping there returns the same `Cut`.  On a star the first phase
     proves it; the last phase, on two vertices, always does, which saves
     its merge.
+
+    When the first phase's keys fall short, `_cuts_at_least` tries once
+    to prove the same thing by the value-only contraction tests of
+    Padberg and Rinaldi: that no cut of the graph is lighter than the
+    first phase's cut.  It reads the maps and changes nothing, at most
+    one phase's work, so if it fails the phases go on exactly as before;
+    if it succeeds no later phase can be strictly lighter, and stopping
+    returns the same `Cut`.  It proves cycles and complete graphs with
+    uniform weights, whose keys prove nothing until the last phase.
     """
     state = _Contraction.from_adjacency(graph.adjacency)
     adj = state.adj
@@ -220,7 +235,9 @@ def stoer_wagner(graph: WeightedGraph) -> Cut:
         if best is None or phase_cut < best[0]:
             best = (phase_cut, state.members[t])
         bound = max(bound, low)
-        if best[0] <= bound:
+        # Contraction tests, once, after the first phase.
+        if best[0] <= bound or len(adj) == len(graph.adjacency) and \
+                _cuts_at_least(graph.adjacency, best[0]):
             break
         # Of the edges touching s or t, the merge keeps one per neighbour
         # of the merged vertex: it drops {s, t} and joins each common
@@ -231,6 +248,62 @@ def stoer_wagner(graph: WeightedGraph) -> Cut:
 
     assert best is not None
     return Cut(tuple(sorted(best[1])), Fraction(best[0], graph.scale))
+
+
+def _cuts_at_least(adjacency: Sequence[dict[int, int]], bound: int) -> bool:
+    """Whether no cut of the graph weighs less than `bound` > 0, proven by
+    contraction; False when the proof fails.
+
+    Padberg-Rinaldi tests (Math. Programming 47, 1990), used for the value
+    only: the maps are read, never changed.  It grows one supervertex M
+    from vertex 0, each time joining to it the first vertex x in M's map,
+    with w = w(M, x), when one of these tests shows that every cut which
+    separates M from x weighs at least `bound`:
+
+    * PR4, w + sum over u of min(w(M, u), w(x, u)) >= bound: every such
+      cut crosses the edge and one edge of each path M-u-x.  PR1,
+      w >= bound, is the case with no paths.
+    * PR2, 2 w >= min(d(M), d(x)) >= bound for the degrees d: such a cut
+      is the smaller-degree endpoint alone, which weighs at least
+      `bound`, or moving that endpoint across gives a cut no heavier that
+      keeps M and x together.
+
+    So each join keeps min(bound, lightest cut), and every cut of the
+    contracted graph is a cut of the original.  The degree of each new M
+    is such a cut; one below `bound` ends the attempt, so d(M) stays at
+    least `bound`.  Once two vertices are left, their one cut is d(M), and
+    no cut of the original weighs less than `bound`.
+
+    A join walks x's map once, and the tests need nothing else: the walk
+    skips the vertices already in M, whose weights make up w, and sums
+    the paths and the rest of d(x) while it adds x's weights to M's map.
+    No map is walked twice, so an attempt, failed or not, costs at most
+    one heap phase, which walks every map once.
+    """
+    kept = dict(adjacency[0])  # w(M, u) for each u outside M
+    inside = [False] * len(adjacency)
+    inside[0] = True
+    degree = sum(kept.values())  # d(M)
+    if degree < bound:
+        return False
+    for _ in range(len(adjacency) - 2):
+        x = next(iter(kept))  # d(M) >= bound > 0, so M has a neighbour
+        w = kept.pop(x)
+        inside[x] = True
+        paths = rest = 0  # rest: d(x) - w
+        for u, wu in adjacency[x].items():
+            if inside[u]:
+                continue
+            k = kept.get(u, 0)
+            paths += k if k < wu else wu
+            rest += wu
+            kept[u] = k + wu
+        if not (w + paths >= bound or 2 * w >= min(degree, w + rest) >= bound):
+            return False
+        degree += rest - w
+        if degree < bound:
+            return False
+    return True
 
 
 def _scan_phase(adj: dict[int, dict[int, int]]) -> tuple[int, int, int, int]:

@@ -84,3 +84,10 @@ def random_graph(vertex_count: int, seed: int,
                     (i, j, Fraction(rng.randrange(9), 1 + rng.randrange(4)))
                 )
     return WeightedGraph.from_edges(vertex_count, edges)
+
+
+def hypercube(dimension: int) -> WeightedGraph:
+    """The unit-weight hypercube: vertices joined when they differ in one bit."""
+    return WeightedGraph.from_edges(2 ** dimension, [
+        (v, v | 1 << b, 1) for v in range(2 ** dimension)
+        for b in range(dimension) if not v >> b & 1])

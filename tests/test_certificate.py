@@ -1,0 +1,212 @@
+"""The contraction certificate that lets Stoer-Wagner stop after one phase.
+
+`mincut._cuts_at_least(adjacency, bound)` answers True only when no cut of
+the graph weighs less than `bound`.  It must never answer True above the
+true minimum cut weight, which brute force gives here; it must answer True
+at that weight on cycles, stars and uniform complete graphs, where
+Stoer-Wagner's keys prove nothing; and a failed attempt must cost no more
+than one phase: it walks each neighbour map at most once.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from latcut import (  # noqa: E402
+    WeightedGraph,
+    brute_force_mincut,
+    gen_an,
+    gen_anstar,
+    gen_random_gram,
+    graph_from_gram,
+    selling_parameters,
+)
+from latcut.mincut import (  # noqa: E402
+    _Contraction,
+    _cuts_at_least,
+    _scan_phase,
+)
+from conftest import hypercube  # noqa: E402
+
+F = Fraction
+
+# Few distinct values, so that many cuts tie; 0 drops the edge.
+WEIGHTS = (0, 1, 1, 2, 3, F(1, 2), F(3, 4), F(5, 3))
+
+
+def lightest(graph: WeightedGraph) -> int:
+    """The minimum cut weight over the graph's common denominator."""
+    return brute_force_mincut(graph).weight * graph.scale
+
+
+@st.composite
+def graphs(draw):
+    """2..10 vertices: random weights, sometimes all 1, with pendant
+    vertices, heavy edges and zero weights, so that some tests pass and
+    some cuts are light."""
+    count = draw(st.integers(2, 10))
+    pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
+    weight = st.sampled_from(WEIGHTS + (0,) * draw(st.integers(0, 12))
+                             + (draw(st.integers(4, 12)),))
+    edges = [(i, j, draw(weight)) for i, j in pairs]
+    if draw(st.booleans()):
+        edges = [(i, j, 1 if w else 0) for i, j, w in edges]
+    return WeightedGraph.from_edges(count, edges)
+
+
+def cycle(count: int, weight=1) -> WeightedGraph:
+    return WeightedGraph.from_edges(
+        count, [(v, (v + 1) % count, weight) for v in range(count)])
+
+
+def complete(count: int, weight=1) -> WeightedGraph:
+    return WeightedGraph.from_edges(count, [
+        (i, j, weight) for i in range(count) for j in range(i + 1, count)])
+
+
+def star(count: int, centre: int, weights) -> WeightedGraph:
+    leaves = [v for v in range(count) if v != centre]
+    return WeightedGraph.from_edges(count, [
+        (centre, v, w) for v, w in zip(leaves, weights)])
+
+
+def two_cliques(size: int) -> WeightedGraph:
+    """Two unit-weight complete graphs on 0..size-1 and size..2 size-1,
+    joined by one unit edge {size-1, size}: the attempt joins the whole
+    first clique before the bridge shows a light cut."""
+    return WeightedGraph.from_edges(2 * size, [
+        (i + base, j + base, 1) for base in (0, size)
+        for i in range(size) for j in range(i + 1, size)]
+        + [(size - 1, size, 1)])
+
+
+# --- soundness ---------------------------------------------------------------------
+
+@settings(max_examples=1500)
+@given(graphs(), st.data())
+def test_never_proves_a_bound_above_the_minimum_cut(graph, data):
+    weight = lightest(graph)
+    assert not _cuts_at_least(graph.adjacency, weight + 1)
+    bound = data.draw(st.integers(1, weight + 2 * graph.scale))
+    assert bound <= weight or not _cuts_at_least(graph.adjacency, bound)
+
+
+def test_a_light_pendant_vertex_is_not_joined_by_its_half_degree():
+    # Vertex 2 hangs on vertex 0 by weight 1: 2 w >= d(2), but d(2) = 1 is
+    # itself a cut below the bound 2.
+    graph = WeightedGraph.from_edges(3, [(0, 2, 1), (0, 1, 3)])
+    assert lightest(graph) == 1
+    assert not _cuts_at_least(graph.adjacency, 2)
+    assert _cuts_at_least(graph.adjacency, 1)
+
+
+def test_a_light_degree_of_the_joined_vertex_ends_the_attempt():
+    # Joining 1 to 0 passes the tests (w = 5), but leaves a degree of 1.
+    graph = WeightedGraph.from_edges(3, [(0, 1, 5), (1, 2, 1)])
+    assert lightest(graph) == 1
+    assert not _cuts_at_least(graph.adjacency, 2)
+
+
+# --- completeness where the keys prove nothing -------------------------------------
+
+@pytest.mark.parametrize("count", range(3, 41))
+def test_proves_the_cycle(count):
+    for weight in (1, F(2, 3)):
+        graph = cycle(count, weight)
+        bound = 2 * weight * graph.scale
+        if count <= 12:
+            assert bound == lightest(graph)
+        assert _cuts_at_least(graph.adjacency, bound)
+        assert not _cuts_at_least(graph.adjacency, bound + 1)
+
+
+@pytest.mark.parametrize("count", range(2, 31))
+def test_proves_the_uniform_complete_graph(count):
+    graph = complete(count, F(1, 3))
+    bound = (count - 1) * graph.scale // 3
+    if count <= 12:
+        assert bound == lightest(graph)
+    assert _cuts_at_least(graph.adjacency, bound)
+    assert not _cuts_at_least(graph.adjacency, bound + 1)
+
+
+@pytest.mark.parametrize("count", range(2, 13))
+def test_proves_the_star_from_its_centre_or_a_leaf(count):
+    weights = [1 + v % 3 for v in range(count - 1)]
+    for centre in (0, count - 1):
+        graph = star(count, centre, weights)
+        weight = lightest(graph)
+        assert _cuts_at_least(graph.adjacency, weight)
+        assert not _cuts_at_least(graph.adjacency, weight + 1)
+
+
+@pytest.mark.parametrize("gen, n", [(gen_an, 160), (gen_anstar, 48)])
+def test_proves_the_family_graphs(gen, n):
+    graph = graph_from_gram(selling_parameters(gen(n)))
+    # A_n: two unit edges of the cycle; A_n*: a vertex of K_{n+1}.
+    bound = 2 if gen is gen_an else n
+    assert _cuts_at_least(graph.adjacency, bound)
+    assert not _cuts_at_least(graph.adjacency, bound + 1)
+
+
+# --- work: one phase at most --------------------------------------------------------
+
+class _Walked(dict):
+    """A neighbour map that records each walk over its entries."""
+
+    def __init__(self, vertex, nbrs, log):
+        super().__init__(nbrs)
+        self.vertex, self.log = vertex, log
+
+    def items(self):
+        self.log.append((self.vertex, len(self)))
+        return super().items()
+
+
+def first_phase_cut(graph: WeightedGraph) -> int:
+    adj = _Contraction.from_adjacency(graph.adjacency).adj
+    return _scan_phase(adj)[2]
+
+
+def walks(graph: WeightedGraph, bound: int) -> tuple[bool, list]:
+    log: list[tuple[int, int]] = []
+    adjacency = [_Walked(v, nbrs, log) for v, nbrs in enumerate(graph.adjacency)]
+    return _cuts_at_least(adjacency, bound), log
+
+
+@pytest.mark.parametrize("graph", [
+    pytest.param(graph_from_gram(gen_random_gram(200, 1, F(1))), id="gram200"),
+    pytest.param(two_cliques(40), id="cliques40"),
+    pytest.param(hypercube(7), id="cube7"),
+])
+def test_a_failed_attempt_walks_each_map_at_most_once(graph):
+    # The bound is the cut of Stoer-Wagner's first phase, as stoer_wagner
+    # passes it; the true minimum is lighter or the tests cannot show it.
+    proved, log = walks(graph, first_phase_cut(graph))
+    assert not proved
+    walked = [v for v, _ in log]
+    assert len(walked) == len(set(walked))
+    edges = sum(map(len, graph.adjacency)) // 2
+    # Vertex 0's map is also copied once, with its degree summed.
+    touched = sum(size for _, size in log) + len(graph.adjacency[0])
+    assert touched <= edges + graph.vertex_count
+
+
+def test_the_two_cliques_fail_at_the_bridge():
+    graph = two_cliques(40)
+    assert first_phase_cut(graph) == 39
+    proved, log = walks(graph, 39)
+    assert not proved
+    # Every vertex of the first clique but 0 joined; none of the second.
+    assert sorted(v for v, _ in log) == list(range(1, 40))
+
+
+def test_a_proof_walks_each_map_at_most_once():
+    graph = complete(30)
+    proved, log = walks(graph, 29)
+    assert proved
+    walked = [v for v, _ in log]
+    assert len(walked) == len(set(walked)) == 28

@@ -52,6 +52,7 @@ from latcut.mincut import (  # noqa: E402
     _subproblem_size,
 )
 from latcut.rng import Xoshiro256StarStar, derive_seeds  # noqa: E402
+from conftest import hypercube  # noqa: E402
 
 F = Fraction
 
@@ -421,19 +422,28 @@ def test_stoer_wagner_matches_the_reference_when_it_stops_early(graph):
     assert mincut.stoer_wagner(graph) == stoer_wagner(graph)
 
 
-@pytest.mark.parametrize("gen, n, merges", [(gen_zn, 200, 0), (gen_an, 20, 19)],
-                         ids=["zn200", "an20"])
+@pytest.mark.parametrize("graph, merges", [
+    pytest.param(graph_from_gram(selling_parameters(gen_zn(200))), 0,
+                 id="zn200"),
+    pytest.param(graph_from_gram(selling_parameters(gen_an(20))), 0,
+                 id="an20"),
+    pytest.param(graph_from_gram(selling_parameters(gen_anstar(20))), 0,
+                 id="anstar20"),
+    pytest.param(hypercube(4), 14, id="cube4"),
+])
 def test_stoer_wagner_stops_once_no_later_phase_can_be_lighter(
-        monkeypatch, gen, n, merges):
-    # The star's first phase proves its weight-1 cut: no merge at all.  The
-    # cycle's keys prove nothing until its last phase, on two vertices,
-    # whose merge could not change the answer.
+        monkeypatch, graph, merges):
+    # The star's first phase proves its weight-1 cut by its keys.  The
+    # cycle's and the complete graph's keys prove nothing, but contraction
+    # tests prove their first phase's cut: no merge at all.  The
+    # hypercube has no triangle and no edge of half a degree, so the tests
+    # fail, and it merges as often as before they were tried: every phase
+    # runs, and the last, on two vertices, needs no merge.
     counted = []
     merge = mincut._Contraction.merge
     monkeypatch.setattr(mincut._Contraction, "merge",
                         lambda self, keep, drop: counted.append(
                             merge(self, keep, drop)))
-    graph = graph_from_gram(selling_parameters(gen(n)))
     assert mincut.stoer_wagner(graph) == stoer_wagner(graph)
     assert len(counted) == merges
 
