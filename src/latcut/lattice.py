@@ -11,12 +11,14 @@ its support; so rank is checked by one graph traversal instead of by
 elimination.
 
 Who checks what: :func:`selling_parameters` checks a superbase's shape
-and column sums before it takes the products, and :func:`_check_gram`
-checks a Gram matrix's shape, symmetry, signs, row sums and connectivity.
-The validators run both, and so does the pipeline, through
-`graph_from_gram`, on the lattice it solves: each condition once, with
-the same classes and messages, a superbase's disconnected Selling graph
-reported as RankDeficient by :func:`_superbase_rank`.
+and column sums before it takes the products, and :func:`_check_gram`,
+the one Laplacian check, checks a Gram matrix's shape, symmetry, signs,
+row sums and connectivity, applies the cap to its scale, and returns the
+cut graph it built.  The validators run both and drop the graph; the
+pipeline runs both, through `graph_from_gram`, on the lattice it solves
+and keeps it.  So every route checks each condition once, with the same
+classes and messages, a superbase's disconnected Selling graph reported
+as RankDeficient by :func:`_superbase_rank`.
 
 Indices are 0-based everywhere in this API.  Only the CLI renders them
 1-based.
@@ -30,7 +32,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -210,25 +212,6 @@ def _pairwise_products(sb: Superbase) -> GramMatrix:
                       sb.scale * sb.scale // common)
 
 
-def _first_unreachable(neighbours: Sequence[Iterable[int]]) -> int | None:
-    """Lowest index not joined to index 0 in the graph where i is joined
-    to each index in `neighbours[i]`; each is iterated at most once.
-
-    For a symmetric matrix with nonpositive off-diagonal entries and zero
-    row sums (a weighted graph Laplacian) the rank is the side minus the
-    number of connected components of its support graph, so None means
-    rank exactly side - 1.
-    """
-    reached = [True] + [False] * (len(neighbours) - 1)
-    stack = [0]
-    while stack:
-        for j in neighbours[stack.pop()]:
-            if not reached[j]:
-                reached[j] = True
-                stack.append(j)
-    return next((j for j, seen in enumerate(reached) if not seen), None)
-
-
 def validate_superbase(vectors) -> Superbase:
     """Check the superbase conditions and return a validated Superbase.
 
@@ -240,7 +223,8 @@ def validate_superbase(vectors) -> Superbase:
     are the checks :func:`validate_gram` makes of the Selling parameters.
 
     Raises ShapeMismatch, SumNotZero, ObtuseViolation, RankDeficient, or
-    TooLarge if the coordinates' common denominator passes the cap.
+    TooLarge if the coordinates' common denominator passes the cap, or
+    that of the Selling parameters, which can be its square.
     """
     sb = vectors if isinstance(vectors, Superbase) else Superbase(
         *_scaled([list(map(as_rational, row)) for row in vectors]))
@@ -295,8 +279,8 @@ def validate_gram(entries) -> GramMatrix:
     then side - 1 exactly when the off-diagonal support graph is connected.
 
     Raises ShapeMismatch, NotSymmetric, ObtuseViolation, RowSumNotZero,
-    or WrongRank, and TooLarge if the entries' common denominator is
-    longer than MAX_DENOMINATOR_BITS.
+    or WrongRank, and TooLarge if the entries' common denominator, or the
+    scale of a given GramMatrix, is longer than MAX_DENOMINATOR_BITS.
     """
     g = entries if isinstance(entries, GramMatrix) else GramMatrix(
         *_scaled([list(map(as_rational, row)) for row in entries]))
@@ -304,26 +288,22 @@ def validate_gram(entries) -> GramMatrix:
     return g
 
 
-def _check_gram(rows: Sequence[Sequence[int]], scale: int,
-                nonpositive: bool | None = None,
-                adjacency: Sequence[Iterable[int]] | None = None) -> None:
-    """Raise what :func:`validate_gram` raises first on integer rows that
-    are not the Selling parameters of a lattice.
+def _check_gram(rows: Sequence[Sequence[int]],
+                scale: int) -> tuple[dict[int, int], ...]:
+    """The cut graph of integer rows over `scale` that are the Selling
+    parameters of a lattice, or what :func:`validate_gram` raises first.
 
     In order: ShapeMismatch unless the side is at least 2 and every row
     that long; NotSymmetric or ObtuseViolation at the first offending
     entry (i, j), i < j, in row-major order, the asymmetry first;
-    RowSumNotZero at the first row that does not sum to zero; and
-    WrongRank at the first vector the graph of nonzero entries does not
-    reach.  :func:`validate_gram`, :func:`validate_superbase` and
-    :func:`latcut.mincut.graph_from_gram` all check here.  A caller that
-    already knows whether every entry above the diagonal is nonpositive
-    says so; if it is, a valid matrix passes without a Python loop over
-    its entries.  A caller that has built the graph of the nonzero
-    entries above the diagonal, both ways, passes each vertex's
-    neighbours as `adjacency`, and connectivity is walked there instead
-    of over the rows; once the checks before it pass, the two graphs are
-    the same.
+    RowSumNotZero at the first row that does not sum to zero; WrongRank
+    at the first vector the graph of nonzero entries does not reach; and
+    TooLarge if `scale`, which zero row sums make the edge weights'
+    common denominator, passes the cap.  Returns that graph as each
+    vertex's neighbours mapped to the negated entry, built from the
+    entries above the diagonal.  :func:`validate_gram`,
+    :func:`validate_superbase` and :func:`latcut.mincut.graph_from_gram`
+    all check here.
     """
     size = len(rows)
     if size < 2:
@@ -333,9 +313,14 @@ def _check_gram(rows: Sequence[Sequence[int]], scale: int,
             raise ShapeMismatch(
                 f"row {idx + 1} has length {len(row)}, expected {size}"
             )
-    if nonpositive is None:
-        nonpositive = all(max(row[i + 1:], default=0) <= 0
-                          for i, row in enumerate(rows))
+    adj: tuple[dict[int, int], ...] = tuple({} for _ in rows)
+    vertices = range(size)
+    # Python code sees only the nonzeros above the diagonal.
+    for i, row in enumerate(rows):
+        for j in compress(vertices[i + 1:], row[i + 1:]):
+            adj[i][j] = adj[j][i] = -row[j]
+    # A positive entry above the diagonal became a negative weight.
+    nonpositive = min(chain.from_iterable(map(dict.values, adj)), default=0) >= 0
     # zip hands each column to `eq` and reuses its tuple for the next one.
     if not (nonpositive and all(map(operator.eq, map(tuple, rows), zip(*rows)))
             and not any(map(sum, rows))):
@@ -352,12 +337,19 @@ def _check_gram(rows: Sequence[Sequence[int]], scale: int,
         for i, row in enumerate(rows):
             if sum(row):
                 raise RowSumNotZero(i, Fraction(sum(row), scale))
-    if adjacency is None:
-        # Python code sees only each row's nonzeros.
-        adjacency = [compress(range(size), row) for row in rows]
-    unreachable = _first_unreachable(adjacency)
-    if unreachable is not None:
-        raise WrongRank(unreachable)
+    # The rank of a Laplacian is its side minus the number of connected
+    # components of its support, so rank side - 1 means one component.
+    reached = [True] + [False] * (size - 1)
+    stack = [0]
+    while stack:
+        for j in adj[stack.pop()]:
+            if not reached[j]:
+                reached[j] = True
+                stack.append(j)
+    if not all(reached):
+        raise WrongRank(reached.index(False))
+    _capped(scale, "edge weights")
+    return adj
 
 
 def _bits_of(u) -> tuple[int, ...]:

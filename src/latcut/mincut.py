@@ -51,11 +51,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import chain, compress
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import EmptySide, TooLarge
-from .lattice import GramMatrix, _capped, _check_gram, _scaled, as_rational
+from .lattice import GramMatrix, _check_gram, _scaled, as_rational
 from .rng import Xoshiro256StarStar, derive_seeds
 
 BRUTE_FORCE_LIMIT = 24
@@ -83,8 +82,8 @@ class WeightedGraph:
     `adjacency[i][j]` is the weight of edge {i, j} times `scale`, stored
     both ways and only when positive; loops cannot change any cut, so
     none are stored.  Build through :meth:`from_edges`.  The cut
-    algorithms read `adjacency` and `scale` only; `vertex_count` and
-    `weights` are views for callers.  Treat as immutable.
+    algorithms read `adjacency` and `scale` only; `vertex_count` is a
+    view for callers.  Treat as immutable.
     """
 
     adjacency: tuple[dict[int, int], ...]
@@ -122,12 +121,6 @@ class WeightedGraph:
     def vertex_count(self) -> int:
         return len(self.adjacency)
 
-    @property
-    def weights(self) -> dict[tuple[int, int], Fraction]:
-        """Pairs (i, j) with i < j mapped to their strictly positive weight."""
-        return {(i, j): Fraction(w, self.scale)
-                for i, nbrs in enumerate(self.adjacency)
-                for j, w in nbrs.items() if i < j}
 
 
 @dataclass(frozen=True)
@@ -147,25 +140,13 @@ def graph_from_gram(g: GramMatrix) -> WeightedGraph:
 
     Vertex i stands for superbase vector i; a strictly negative q_ij
     becomes an edge of weight -q_ij, and q_ij = 0 means no edge.  The
-    matrix is checked as :func:`latcut.lattice.validate_gram` checks it,
+    graph keeps `g.scale`.  :func:`latcut.lattice._check_gram` builds it
+    and checks the matrix as :func:`latcut.lattice.validate_gram` does,
     with the same classes and messages: its shape, symmetry, signs and
-    row sums, and that the graph is connected, so that no cut weighs 0;
-    connectivity is walked over the graph just built, not the rows.  The
-    graph keeps `g.scale`, which zero row sums make the edge weights'
-    common denominator; past the cap, TooLarge.
+    row sums, that the graph is connected, so that no cut weighs 0, and
+    that the scale is within the cap.
     """
-    rows = g.rows
-    adj: tuple[dict[int, int], ...] = tuple({} for _ in rows)
-    vertices = range(len(rows))
-    # Runs before the shape check, and is safe on rows of any length:
-    # j < len(rows), and j indexes the row it came from.
-    for i, row in enumerate(rows):
-        for j in compress(vertices[i + 1:], row[i + 1:]):
-            adj[i][j] = adj[j][i] = -row[j]
-    # A positive entry above the diagonal became a negative weight.
-    weights = chain.from_iterable(map(dict.values, adj))
-    _check_gram(rows, g.scale, min(weights, default=0) >= 0, adj)
-    return WeightedGraph(adj, _capped(g.scale, "edge weights"))
+    return WeightedGraph(_check_gram(g.rows, g.scale), g.scale)
 
 
 def cut_weight(graph: WeightedGraph, side: Iterable[int]) -> Cut:

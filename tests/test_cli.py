@@ -13,7 +13,7 @@ import pytest
 import latcut
 from latcut import (
     GramMatrix, ParseError, ShapeError, Superbase, gen_random_gram, quadratic_form,
-    validate_gram,
+    selling_parameters, validate_gram,
 )
 from latcut.cli import _build_parser, format_gram, format_superbase, parse_input, run_cli
 from latcut.lattice import MAX_DENOMINATOR_BITS
@@ -561,6 +561,15 @@ def test_calls_in_one_process_match_fresh_processes():
     assert _build_parser() is _build_parser()
 
 
+def test_python_dash_m_latcut_runs_the_cli():
+    src = str(Path(latcut.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "latcut", "gen", "example3d"],
+                          capture_output=True, env=env)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == run(["gen", "example3d"])[1].encode()
+
+
 # --- the common denominator cap ----------------------------------------------------
 
 def two_vector_gram_file(denominator):
@@ -632,28 +641,59 @@ def test_superbase_coordinates_past_the_cap_exit_1():
                        f"than {MAX_DENOMINATOR_BITS} bits\n")
 
 
+EDGE_WEIGHTS_PAST_THE_CAP = (
+    "error: the edge weights need a common denominator of more than "
+    f"{MAX_DENOMINATOR_BITS} bits\n")
+
+
+def every_command(text):
+    """(exit code, stdout, stderr) of validate, candidates, svp and verify."""
+    return [run(args, stdin_text=text) for args in (
+        ["validate", "-"], ["candidates", "-"], ["svp", "-"],
+        ["verify", "-", "--assignment", "1,0,0,0"])]
+
+
+def power_of_two_superbase_file(k):
+    """The unit basis of Z^3 and minus its sum, all over 2**k."""
+    a = f"1/{2 ** k}"
+    return (f"superbase 4 3\n{a} 0 0\n0 {a} 0\n0 0 {a}\n"
+            f"-{a} -{a} -{a}\n")
+
+
 def test_superbase_coordinates_at_the_cap_are_accepted():
-    primes = primes_past(MAX_DENOMINATOR_BITS)[:-1]
-    assert math.prod(primes).bit_length() > MAX_DENOMINATOR_BITS - 16
-    text = prime_block_superbase_file(3, primes)
-    assert run(["validate", "-"], stdin_text=text) == (
-        0, f"valid superbase: n=3, vectors=4, ambient={len(primes)}\n", "")
-    code, out, err = run(["candidates", "-"], stdin_text=text)
-    assert (code, err, len(out.splitlines())) == (0, "", 14)
-    a = f"1/{2 ** (MAX_DENOMINATOR_BITS - 1)}"
-    text = f"superbase 3 2\n{a} 0\n0 {a}\n-{a} -{a}\n"
-    assert run(["validate", "-"], stdin_text=text) == (
-        0, "valid superbase: n=2, vectors=3, ambient=2\n", "")
+    """The cap binds on the Selling parameters, whose denominator is the
+    square of the coordinates' here: every command accepts a superbase
+    just within it and refuses one just past it, with the same error."""
+    primes = primes_past(MAX_DENOMINATOR_BITS // 2)
+    k = MAX_DENOMINATOR_BITS // 2
+    for within, past, ambient in (
+            (prime_block_superbase_file(3, primes[:-1]),
+             prime_block_superbase_file(3, primes), len(primes) - 1),
+            (power_of_two_superbase_file(k - 1),
+             power_of_two_superbase_file(k), 3)):
+        bits = [selling_parameters(parse_input(text)).scale.bit_length()
+                for text in (within, past)]
+        assert bits[0] in range(MAX_DENOMINATOR_BITS - 8, MAX_DENOMINATOR_BITS + 1)
+        assert bits[1] > MAX_DENOMINATOR_BITS
+        validated, listed, solved, verified = every_command(within)
+        assert validated == (
+            0, f"valid superbase: n=3, vectors=4, ambient={ambient}\n", "")
+        assert (listed[0], listed[2], len(listed[1].splitlines())) == (0, "", 14)
+        assert (solved[0], solved[2]) == (0, "")
+        assert "squared length: " in solved[1]
+        assert (verified[0], verified[2]) == (0, "")
+        assert verified[1].endswith("equal: yes\n")
+        assert every_command(past) == [(1, "", EDGE_WEIGHTS_PAST_THE_CAP)] * 4
 
 
 def test_selling_parameters_past_the_cap_name_the_edge_weights():
     """Coordinates within the cap can have Selling parameters past it; the
-    cut graph then refuses them, and says that its weights are too long."""
-    text = prime_block_superbase_file(3, primes_past(MAX_DENOMINATOR_BITS)[:-1])
-    for args in (["svp", "-"], ["verify", "-", "--assignment", "1,0,0,0"]):
-        assert run(args, stdin_text=text) == (
-            1, "", "error: the edge weights need a common denominator of "
-                   f"more than {MAX_DENOMINATOR_BITS} bits\n")
+    cut graph then refuses them in every command, and says that its
+    weights are too long."""
+    for text in (
+            prime_block_superbase_file(3, primes_past(MAX_DENOMINATOR_BITS)[:-1]),
+            power_of_two_superbase_file(MAX_DENOMINATOR_BITS - 1)):
+        assert every_command(text) == [(1, "", EDGE_WEIGHTS_PAST_THE_CAP)] * 4
 
 
 def test_an_answer_too_long_to_print_prints_nothing():

@@ -92,7 +92,9 @@ def test_zn_gram_and_star_graph():
         assert g.entries[i][n] == -1
     assert g.entries[n][n] == n
     graph = graph_from_gram(g)
-    assert graph.weights == {(i, n): 1 for i in range(n)}
+    assert graph.scale == 1
+    assert graph.adjacency == (*({n: 1} for _ in range(n)),
+                               {i: 1 for i in range(n)})
     assert brute_force_mincut(graph).weight == 1
 
 
@@ -154,7 +156,7 @@ def test_random_gram_connected_hence_positive_min_cut():
 def test_random_gram_density_one_is_complete():
     g = gen_random_gram(5, seed=3, density=1)
     graph = graph_from_gram(g)
-    assert len(graph.weights) == 15
+    assert sum(map(len, graph.adjacency)) == 2 * 15
 
 
 def test_random_gram_oracle_equivalence():

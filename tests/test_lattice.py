@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from latcut import (
+    GramMatrix,
     LengthMismatch,
     NotSymmetric,
     ObtuseViolation,
@@ -21,6 +22,7 @@ from latcut import (
     gen_example3d,
     gen_random_gram,
     gen_zn,
+    graph_from_gram,
     quadratic_form,
     selling_parameters,
     validate_gram,
@@ -347,6 +349,16 @@ def test_validate_gram_accepts_a_denominator_at_the_cap():
 def test_validate_gram_refuses_a_denominator_past_the_cap():
     with pytest.raises(TooLarge, match=f"more than {MAX_DENOMINATOR_BITS} bits"):
         validate_gram(_two_vector_gram(F(1, 2 ** MAX_DENOMINATOR_BITS)))
+
+
+def test_validate_gram_refuses_a_scaled_gram_past_the_cap():
+    """A GramMatrix built over a scale past the cap is refused as the cut
+    graph would refuse it."""
+    g = GramMatrix(((1, -1), (-1, 1)), 2 ** MAX_DENOMINATOR_BITS)
+    for check in (validate_gram, graph_from_gram):
+        with pytest.raises(TooLarge, match="the edge weights need a common "
+                           f"denominator of more than {MAX_DENOMINATOR_BITS}"):
+            check(g)
 
 
 def test_many_distinct_prime_denominators_are_refused():

@@ -19,7 +19,6 @@ from latcut import (
     Superbase,
     TooLarge,
     ValidationError,
-    WeightedGraph,
     WrongRank,
     brute_force_short_vector,
     candidate_vectors,
@@ -460,15 +459,17 @@ def test_certificates_are_sound():
 
 
 def test_the_solve_path_builds_no_fraction_view_of_the_graph(monkeypatch):
-    """The cut algorithms and the certificate read the graph's integers
-    only: with its Fraction views patched to raise, every route solves."""
+    """The graph is built from the lattice's integers, and the cut
+    algorithms and the certificate read the graph's integers only: with
+    the lattice's Fraction views patched to raise, every route solves."""
     def refuse(*_):
-        raise AssertionError("a Fraction view of the graph was built")
+        raise AssertionError("a Fraction view was built")
 
-    monkeypatch.setattr(WeightedGraph, "weights", property(refuse))
     lattices = [gen_random_gram(6, seed=11)]
     for sb in (gen_example3d(), gen_anstar(5), random_superbase(4, seed=7)):
         lattices += [sb, selling_parameters(sb)]
+    monkeypatch.setattr(GramMatrix, "entries", property(refuse))
+    monkeypatch.setattr(Superbase, "vectors", property(refuse))
     for lattice in lattices:
         g = lattice if isinstance(lattice, GramMatrix) \
             else selling_parameters(lattice)

@@ -12,6 +12,7 @@ same exception, with the same attributes and message, or agree on every
 value.  Files mix integer, ratio, unreduced ratio and decimal tokens.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -63,7 +64,7 @@ def solved(g, graph=None):
     graph = graph_from_gram(g) if graph is None else graph
     cut = brute_force_mincut(graph)
     oracle = brute_force_short_vector(g)
-    return (g.entries, graph.weights, (cut.side, cut.weight),
+    return (g.entries, (graph.adjacency, graph.scale), (cut.side, cut.weight),
             (oracle.subset, oracle.squared_length))
 
 
@@ -109,6 +110,9 @@ def reference(text):
         if unreached:
             raise WrongRank(unreached[0])
     weights = {(i, j): -q[i][j] for i, j in pairs if q[i][j] < 0}
+    scale = math.lcm(*(x.denominator for row in q for x in row))
+    adjacency = tuple({j: int(-q[i][j] * scale) for j in range(size)
+                       if j != i and q[i][j] < 0} for i in range(size))
     sides = [tuple(i for i in range(size) if mask >> i & 1)
              for mask in range(1, (1 << size) - 1)]
     cut = min((sum(w for (i, j), w in weights.items()
@@ -116,7 +120,7 @@ def reference(text):
               for side in sides if 0 in side)
     form = min((sum(q[i][j] for i in side for j in side), len(side), side)
                for side in sides)
-    return (tuple(map(tuple, q)), weights, (cut[2], cut[0]),
+    return (tuple(map(tuple, q)), (adjacency, scale), (cut[2], cut[0]),
             (form[2], form[0]))
 
 
