@@ -6,9 +6,9 @@ line is one row of whitespace-separated rationals (``5/4``, ``-1``,
 ``0.25``; see :func:`latcut.lattice.as_rational` for the token grammar).
 ``#`` starts a comment, blank lines are skipped, and ``-`` as a file name
 means standard input.  The parser scales its distinct tokens to integers
-once and returns an unvalidated Superbase or GramMatrix.  `svp` hands it
-to :func:`latcut.pipeline.short_vector`, which checks what it solves;
-`validate`, `candidates` and `verify` check it with the validators first.
+once and returns an unvalidated Superbase or GramMatrix.  `svp` and
+`verify` hand it to the pipeline, which checks what it uses; `validate`
+and `candidates` check it with the validators first.
 
 All user-facing indices are 1-based; the library underneath is 0-based.
 Exit codes: 0 success, 1 validation or computation failure, 2 usage,
@@ -30,7 +30,7 @@ from .generators import DEFAULT_DENSITY, FAMILIES, InstanceSpec, generate
 from .lattice import (
     GramMatrix,
     Superbase,
-    _scaled,
+    _entries,
     _token_value,
     as_rational,
     validate_gram,
@@ -119,7 +119,7 @@ def parse_input(text: str) -> Superbase | GramMatrix:
         raise ShapeError(
             last_line, f"expected {expected_rows} rows, found {len(rows)}"
         )
-    (values,), scale = _scaled([distinct])
+    (values,), scale = _entries([distinct])
     return kind(tuple([tuple([values[p] for p in row]) for row in rows]), scale)
 
 
@@ -419,11 +419,12 @@ def _cmd_gen(args, stdin, stdout, stderr) -> int:
 
 
 def _cmd_verify(args, stdin, stdout, stderr) -> int:
-    lattice = _load(parse_input(_read_text(args.file, stdin)))
+    lattice = parse_input(_read_text(args.file, stdin))
     bits = []
     for token in args.assignment.split(","):
         token = token.strip()
         if token not in ("0", "1"):
+            _load(lattice)  # an invalid file is refused first
             raise _UsageError(
                 f"assignment entries must be 0 or 1, got {token!r}"
             )

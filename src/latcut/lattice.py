@@ -1,9 +1,9 @@
 """Obtuse superbases, Selling parameters, and the binary quadratic form.
 
 Everything here is exact: scalars are ``fractions.Fraction`` at the API,
-and a Superbase or a GramMatrix holds integers over one denominator, which
-:func:`_scaled`, the one conversion from rationals, caps at
-MAX_DENOMINATOR_BITS; the generators build their integers directly.
+and a Superbase or a GramMatrix holds integers over one denominator, both
+capped at MAX_DENOMINATOR_BITS by :func:`_entries`; the generators build
+their integers directly.
 A matrix of pairwise superbase products is a weighted graph Laplacian
 (nonpositive off the diagonal, zero row sums), hence positive semidefinite
 with rank equal to its side minus the number of connected components of
@@ -15,10 +15,10 @@ and column sums before it takes the products, and :func:`_check_gram`,
 the one Laplacian check, checks a Gram matrix's shape, symmetry, signs,
 row sums and connectivity, applies the cap to its scale, and returns the
 cut graph it built.  The validators run both and drop the graph; the
-pipeline runs both, through `graph_from_gram`, on the lattice it solves
-and keeps it.  So every route checks each condition once, with the same
+pipeline runs both, through `graph_from_gram`, and keeps it.  Every
+command and library entry point checks its lattice once, with the same
 classes and messages, a superbase's disconnected Selling graph reported
-as RankDeficient by :func:`_superbase_rank`.
+as RankDeficient by :func:`_superbase_rank`; the generators check nothing.
 
 Indices are 0-based everywhere in this API.  Only the CLI renders them
 1-based.
@@ -170,7 +170,7 @@ def _scaled(rows: Sequence[Sequence[Fraction]],
             what: str = "entries") -> tuple[tuple[tuple[int, ...], ...], int]:
     """`rows` as integers over s, the lcm of their reduced denominators, and s.
 
-    Converts file tokens, library rows and `from_edges` weights.  Raises
+    Converts lattice entries and `from_edges` weights.  Raises
     TooLarge as soon as s passes MAX_DENOMINATOR_BITS, naming them `what`.
     """
     scale = 1
@@ -178,6 +178,19 @@ def _scaled(rows: Sequence[Sequence[Fraction]],
         scale = _capped(math.lcm(scale, denominator), what)
     return tuple([tuple([x.numerator * (scale // x.denominator) for x in row])
                   for row in rows]), scale
+
+
+def _entries(rows: Sequence[Sequence[Fraction]]
+             ) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """:func:`_scaled` on a lattice's entries, or TooLarge if an integer
+    passes MAX_DENOMINATOR_BITS, so that every answer stays printable."""
+    scaled, scale = _scaled(rows)
+    if max(map(abs, chain.from_iterable(scaled)),
+           default=0).bit_length() > MAX_DENOMINATOR_BITS:
+        raise TooLarge(f"the entries need integers of more than "
+                       f"{MAX_DENOMINATOR_BITS} bits over their common "
+                       "denominator")
+    return scaled, scale
 
 
 def _capped(scale: int, what: str) -> int:
@@ -223,11 +236,11 @@ def validate_superbase(vectors) -> Superbase:
     are the checks :func:`validate_gram` makes of the Selling parameters.
 
     Raises ShapeMismatch, SumNotZero, ObtuseViolation, RankDeficient, or
-    TooLarge if the coordinates' common denominator passes the cap, or
-    that of the Selling parameters, which can be its square.
+    TooLarge if the coordinates' integers or common denominator pass the
+    cap, or the Selling parameters' denominator, which can be its square.
     """
     sb = vectors if isinstance(vectors, Superbase) else Superbase(
-        *_scaled([list(map(as_rational, row)) for row in vectors]))
+        *_entries([list(map(as_rational, row)) for row in vectors]))
     g = selling_parameters(sb)
     with _superbase_rank():
         _check_gram(g.rows, g.scale)
@@ -279,11 +292,11 @@ def validate_gram(entries) -> GramMatrix:
     then side - 1 exactly when the off-diagonal support graph is connected.
 
     Raises ShapeMismatch, NotSymmetric, ObtuseViolation, RowSumNotZero,
-    or WrongRank, and TooLarge if the entries' common denominator, or the
-    scale of a given GramMatrix, is longer than MAX_DENOMINATOR_BITS.
+    or WrongRank, and TooLarge if the entries' integers or common
+    denominator, or a given GramMatrix's scale, pass MAX_DENOMINATOR_BITS.
     """
     g = entries if isinstance(entries, GramMatrix) else GramMatrix(
-        *_scaled([list(map(as_rational, row)) for row in entries]))
+        *_entries([list(map(as_rational, row)) for row in entries]))
     _check_gram(g.rows, g.scale)
     return g
 

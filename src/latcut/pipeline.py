@@ -202,16 +202,17 @@ def verify_reduction(lattice: Superbase | GramMatrix,
     support of `u`.  The two are equal for every proper assignment on a
     valid lattice; callers assert the equality they care about.
 
-    Raises ImproperAssignment when u is all zeros or all ones, then what
-    validation raises on the lattice, then LengthMismatch when u does not
-    have one entry per vector.
+    Raises ValueError unless each entry of u is 0 or 1, then what
+    validation raises on the lattice, then ImproperAssignment when u is
+    all zeros or all ones, then LengthMismatch when u has not one entry
+    per vector.
     """
     bits = _bits_of(u)
+    g, graph = _gram_and_graph(lattice)
     if not 0 < sum(bits) < len(bits):
         raise ImproperAssignment(
             "assignment must contain at least one 1 and at least one 0"
         )
-    g, graph = _gram_and_graph(lattice)
     q_value = quadratic_form(g, bits)
     side = tuple(i for i, b in enumerate(bits) if b)
     return q_value, cut_weight(graph, side).weight

@@ -12,9 +12,10 @@ import pytest
 
 import latcut
 from latcut import (
-    GramMatrix, ParseError, ShapeError, Superbase, gen_random_gram, quadratic_form,
-    selling_parameters, validate_gram,
+    GramMatrix, InstanceSpec, ParseError, ShapeError, Superbase, gen_random_gram,
+    generate, quadratic_form, selling_parameters, validate_gram,
 )
+from latcut.generators import FAMILIES
 from latcut.cli import _build_parser, format_gram, format_superbase, parse_input, run_cli
 from latcut.lattice import MAX_DENOMINATOR_BITS
 
@@ -697,14 +698,59 @@ def test_selling_parameters_past_the_cap_name_the_edge_weights():
 
 
 def test_an_answer_too_long_to_print_prints_nothing():
-    """Coordinates of 2500 digits give a squared length past Python's
-    4300-digit int-to-str limit: every command fails before writing."""
-    text = f"superbase 2 1\n{'9' * 2500}\n-{'9' * 2500}\n"
-    for args in (["svp", "-"], ["svp", "-", "--json"], ["candidates", "-"],
-                 ["verify", "-", "--assignment", "1,0"]):
-        code, out, err = run(args, stdin_text=text)
-        assert (code, out) == (1, "")
-        assert err.startswith("error: ")
+    """Coordinates of 2500 digits would give a squared length past
+    Python's 4300-digit int-to-str limit: every command refuses an integer
+    past the cap before writing, and answers one just within it."""
+    commands = (["validate", "-"], ["svp", "-"], ["svp", "-", "--json"],
+                ["candidates", "-"], ["verify", "-", "--assignment", "1,0"])
+    for big in ("9" * 2500, str(2 ** MAX_DENOMINATOR_BITS)):
+        text = f"superbase 2 1\n{big}\n-{big}\n"
+        for args in commands:
+            assert run(args, stdin_text=text) == (
+                1, "", "error: the entries need integers of more than "
+                f"{MAX_DENOMINATOR_BITS} bits over their common denominator\n")
+    within = 2 ** MAX_DENOMINATOR_BITS - 1
+    text = f"superbase 2 1\n{within}\n-{within}\n"
+    answers = [run(args, stdin_text=text) for args in commands]
+    assert answers[0] == (0, "valid superbase: n=1, vectors=2, ambient=1\n", "")
+    assert answers[1] == (0, f"subset: 2\nsquared length: {within ** 2}\n"
+                          f"vector: -{within}\nalgorithm: stoer-wagner\n", "")
+    assert json.loads(answers[2][1])["squared_length"] == str(within ** 2)
+    assert answers[3] == (0, f"1 | {within ** 2} | {within}\n"
+                          f"2 | {within ** 2} | -{within}\n", "")
+    assert answers[4] == (0, f"Q: {within ** 2}\ncut: {within ** 2}\n"
+                          "equal: yes\n", "")
+
+
+def test_each_command_checks_its_lattice_once(monkeypatch):
+    """Generating checks nothing.  One `validate`, `candidates`, `svp` or
+    `verify` op takes a superbase's products once and runs the Laplacian
+    check once, and `verify` still refuses an invalid file first."""
+    calls = {"products": 0, "check": 0}
+
+    def counted(key, original):
+        def count(*args):
+            calls[key] += 1
+            return original(*args)
+        return count
+
+    check = counted("check", latcut.lattice._check_gram)
+    monkeypatch.setattr(latcut.lattice, "_pairwise_products", counted(
+        "products", latcut.lattice._pairwise_products))
+    monkeypatch.setattr(latcut.lattice, "_check_gram", check)
+    monkeypatch.setattr(latcut.mincut, "_check_gram", check)
+    for family in FAMILIES:
+        generate(InstanceSpec(family, 3, seed=1))
+        assert run(["gen", family, "3", "--seed", "1"])[0] == 0
+    assert calls == {"products": 0, "check": 0}
+    for args in (["validate", "-"], ["candidates", "-"], ["svp", "-"],
+                 ["verify", "-", "--assignment", "1,1,0,0"]):
+        assert run(args, stdin_text=A3_FILE)[0] == 0
+        assert calls == {"products": 1, "check": 1}
+        calls.update(products=0, check=0)
+    assert run(["verify", "-", "--assignment", "1,1,1,1"],
+               stdin_text=DISCONNECTED_GRAM_FILE) == (1, "", WRONG_RANK)
+    assert calls == {"products": 0, "check": 1}
 
 
 def test_commands_never_build_the_fraction_view(monkeypatch, tmp_path):

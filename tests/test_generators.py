@@ -21,6 +21,7 @@ from latcut import (
     validate_gram,
     validate_superbase,
 )
+from latcut.generators import DEFAULT_DENSITY
 from conftest import seeds_from
 
 F = Fraction
@@ -177,23 +178,30 @@ def test_random_gram_rejects_bad_density():
 
 def test_every_family_validates_up_to_64():
     """Each generated superbase is the one its coordinates validate to,
-    over the canonical scale."""
-    for n in range(1, 65):
-        for make in (gen_an, gen_anstar, gen_zn):
-            sb = make(n)
-            assert validate_superbase(sb.vectors) == sb
+    over the canonical scale: the generators check nothing, so this is
+    their check, up to the largest n the benchmark generates."""
+    cases = [(make, n) for n in range(1, 65)
+             for make in (gen_an, gen_anstar, gen_zn)]
+    for make, n in cases + [(gen_an, 160), (gen_zn, 160), (gen_anstar, 48)]:
+        sb = make(n)
+        assert validate_superbase(sb.vectors) == sb
     sb = gen_example3d()
     assert validate_superbase(sb.vectors) == sb
 
 
 def test_200_random_grams_validate():
-    checked = 0
-    for seed in seeds_from(9000, 200):
-        n = 1 + seed % 10
-        g = gen_random_gram(n, seed=seed)
-        assert validate_gram(g.entries).n == n
-        checked += 1
-    assert checked == 200
+    """Each generated Gram matrix is the one its entries validate to, at
+    small n and at every n and density the benchmark generates."""
+    cases = [(1 + seed % 10, seed, DEFAULT_DENSITY)
+             for seed in seeds_from(9000, 200)]
+    cases += [(n, seed, density) for n, seed in zip(range(12, 53),
+                                                    seeds_from(9001, 41))
+              for density in (1, F(1, 2), F(1, 10))]
+    for n, seed, density in cases:
+        g = gen_random_gram(n, seed=seed, density=density)
+        assert g.n == n
+        assert validate_gram(g.entries) == g
+    assert len(cases) == 200 + 41 * 3
 
 
 # --- generate / InstanceSpec -----------------------------------------------------

@@ -351,6 +351,20 @@ def test_validate_gram_refuses_a_denominator_past_the_cap():
         validate_gram(_two_vector_gram(F(1, 2 ** MAX_DENOMINATOR_BITS)))
 
 
+def test_validators_refuse_integers_past_the_cap():
+    """An entry's integer over the common denominator is capped too; one
+    just within the cap is accepted."""
+    within = F(2 ** MAX_DENOMINATOR_BITS - 2, 3)
+    assert validate_gram(_two_vector_gram(within)).rows[0][0] == within * 3
+    assert validate_superbase([[within], [-within]]).scale == 3
+    for check, rows in ((validate_gram, _two_vector_gram(within + 1)),
+                        (validate_superbase, [[within + 1], [-within - 1]])):
+        with pytest.raises(TooLarge, match="the entries need integers of more "
+                           f"than {MAX_DENOMINATOR_BITS} bits over their "
+                           "common denominator"):
+            check(rows)
+
+
 def test_validate_gram_refuses_a_scaled_gram_past_the_cap():
     """A GramMatrix built over a scale past the cap is refused as the cut
     graph would refuse it."""
