@@ -89,7 +89,12 @@ def _fraction_view(self) -> Matrix:
 
 
 def _token_value(token: str) -> Fraction:
-    """The value of one token in the grammar of :func:`as_rational`."""
+    """The value of one token in the grammar of :func:`as_rational`; ASCII
+    `[+-]digits` and `[+-]digits/digits` are read with `int`."""
+    if token.isascii():
+        num, slash, den = token.partition("/")
+        if num[num[:1] in "+-":].isdigit() and (den.isdigit() or not slash):
+            return Fraction(int(num), int(den) if slash else 1)
     if not {"e", "E", "_"}.isdisjoint(token):
         raise ValueError(f"{token!r}: exponents and '_' digit separators "
                          f"are not accepted")

@@ -15,12 +15,13 @@ can cross-check each other:
   separates some such pair, so the smallest of those keys bounds every
   cut of the phase's graph and of its contractions, which are all that
   later phases see.  A tie never replaces the best cut, so stopping once
-  the best cut is no heavier leaves the answer unchanged.  When the first
-  phase's keys prove nothing, as on cycles and complete graphs, value-only
-  contraction tests (Padberg & Rinaldi, Math. Programming 47, 1990) try
-  once to show that no cut is lighter than the best so far.  They merge
-  nothing that the phases see, so every phase, merge and tie is as
-  before; when they succeed the phases stop there, with the same answer.
+  the best cut is no heavier leaves the answer unchanged.  When the keys
+  prove nothing, as on cycles and complete graphs, value-only contraction
+  tests (Padberg & Rinaldi, Math. Programming 47, 1990) try to show that no
+  cut of the graph contracted so far is lighter than the best so far, within
+  a tenth of the phases' work.  They merge nothing that the phases see, so
+  every phase, merge and tie is as before; when they succeed the phases stop
+  there, with the same answer.
 * :func:`karger_stein`: randomized recursive contraction, reproducible
   for a fixed (seed, trials) pair.
 * :func:`brute_force_mincut`: exhaustive enumeration, the oracle.
@@ -122,7 +123,6 @@ class WeightedGraph:
         return len(self.adjacency)
 
 
-
 @dataclass(frozen=True)
 class Cut:
     """One side of a graph cut together with its exact crossing weight.
@@ -193,20 +193,22 @@ def stoer_wagner(graph: WeightedGraph) -> Cut:
     proves it; the last phase, on two vertices, always does, which saves
     its merge.
 
-    When the first phase's keys fall short, `_cuts_at_least` tries once
-    to prove the same thing by the value-only contraction tests of
-    Padberg and Rinaldi: that no cut of the graph is lighter than the
-    first phase's cut.  It reads the maps and changes nothing, at most
-    one phase's work, so if it fails the phases go on exactly as before;
-    if it succeeds no later phase can be strictly lighter, and stopping
-    returns the same `Cut`.  It proves cycles and complete graphs with
-    uniform weights, whose keys prove nothing until the last phase.
+    When the keys fall short, `_cuts_at_least` tries to prove the same thing
+    by the value-only tests of Padberg and Rinaldi: that no cut of the
+    current graph H is lighter than the best so far.  It reads H's maps and
+    changes nothing, so if it fails the phases go on as before, and if it
+    succeeds none of them, on contractions of H, is strictly lighter.  It
+    runs after the first phase, and after a later one while the attempts
+    have walked at most a tenth of the map entries that the phases walked,
+    2|E| + |V| each, so failing attempts add at most a tenth to the phases'
+    work, and one attempt.  Cycles and uniform complete graphs take one phase.
     """
     state = _Contraction.from_adjacency(graph.adjacency)
     adj = state.adj
     edges = sum(map(len, graph.adjacency)) // 2
     best: tuple[int, tuple[int, ...]] | None = None  # weight, members
     bound = 0  # no cut of the current graph is lighter
+    phased = tried = 0  # map entries the phases and the attempts walked
 
     while len(adj) > 1:
         if _SCAN_DENSITY * edges >= len(adj) ** 2:
@@ -216,10 +218,14 @@ def stoer_wagner(graph: WeightedGraph) -> Cut:
         if best is None or phase_cut < best[0]:
             best = (phase_cut, state.members[t])
         bound = max(bound, low)
-        # Contraction tests, once, after the first phase.
-        if best[0] <= bound or len(adj) == len(graph.adjacency) and \
-                _cuts_at_least(graph.adjacency, best[0]):
+        if best[0] <= bound:
             break
+        phased += 2 * edges + len(adj)
+        if 10 * tried <= phased:  # contraction tests, within a tenth
+            proved, walked = _cuts_at_least(adj, best[0])
+            if proved:
+                break
+            tried += walked
         # Of the edges touching s or t, the merge keeps one per neighbour
         # of the merged vertex: it drops {s, t} and joins each common
         # neighbour's two edges into one.
@@ -231,10 +237,12 @@ def stoer_wagner(graph: WeightedGraph) -> Cut:
     return Cut(tuple(sorted(best[1])), Fraction(best[0], graph.scale))
 
 
-def _cuts_at_least(adjacency: Sequence[dict[int, int]], bound: int) -> bool:
+def _cuts_at_least(adj: Mapping[int, Mapping[int, int]],
+                   bound: int) -> tuple[bool, int]:
     """Whether no cut of the graph weighs less than `bound` > 0, proven by
-    contraction; False when the proof fails.
+    contraction (False when the proof fails), and the map entries walked.
 
+    `adj` is ascending and holds vertex 0, as `_Contraction.adj` does.
     Padberg-Rinaldi tests (Math. Programming 47, 1990), used for the value
     only: the maps are read, never changed.  It grows one supervertex M
     from vertex 0, each time joining to it the first vertex x in M's map,
@@ -258,21 +266,23 @@ def _cuts_at_least(adjacency: Sequence[dict[int, int]], bound: int) -> bool:
     A join walks x's map once, and the tests need nothing else: the walk
     skips the vertices already in M, whose weights make up w, and sums
     the paths and the rest of d(x) while it adds x's weights to M's map.
-    No map is walked twice, so an attempt, failed or not, costs at most
-    one heap phase, which walks every map once.
+    No map is walked twice, so an attempt, failed or not, walks at most
+    2|E| entries, vertex 0's copy included: no more than a phase.
     """
-    kept = dict(adjacency[0])  # w(M, u) for each u outside M
-    inside = [False] * len(adjacency)
+    kept = dict(adj[0])  # w(M, u) for each u outside M
+    walked = len(kept)
+    inside = [False] * (next(reversed(adj)) + 1)
     inside[0] = True
     degree = sum(kept.values())  # d(M)
     if degree < bound:
-        return False
-    for _ in range(len(adjacency) - 2):
+        return False, walked
+    for _ in range(len(adj) - 2):
         x = next(iter(kept))  # d(M) >= bound > 0, so M has a neighbour
         w = kept.pop(x)
         inside[x] = True
         paths = rest = 0  # rest: d(x) - w
-        for u, wu in adjacency[x].items():
+        walked += len(adj[x])
+        for u, wu in adj[x].items():
             if inside[u]:
                 continue
             k = kept.get(u, 0)
@@ -280,11 +290,11 @@ def _cuts_at_least(adjacency: Sequence[dict[int, int]], bound: int) -> bool:
             rest += wu
             kept[u] = k + wu
         if not (w + paths >= bound or 2 * w >= min(degree, w + rest) >= bound):
-            return False
+            return False, walked
         degree += rest - w
         if degree < bound:
-            return False
-    return True
+            return False, walked
+    return True, walked
 
 
 def _scan_phase(adj: dict[int, dict[int, int]]) -> tuple[int, int, int, int]:

@@ -1,11 +1,16 @@
-"""The contraction certificate that lets Stoer-Wagner stop after one phase.
+"""The contraction certificate that lets Stoer-Wagner stop early.
 
-`mincut._cuts_at_least(adjacency, bound)` answers True only when no cut of
-the graph weighs less than `bound`.  It must never answer True above the
-true minimum cut weight, which brute force gives here; it must answer True
-at that weight on cycles, stars and uniform complete graphs, where
+`mincut._cuts_at_least(adj, bound)` answers True only when no cut of the
+graph weighs less than `bound`.  It must never answer True above the true
+minimum cut weight, which brute force gives here, on the original maps or
+on contracted ones, as `stoer_wagner` retries it; it must answer True at
+that weight on cycles, stars and uniform complete graphs, where
 Stoer-Wagner's keys prove nothing; and a failed attempt must cost no more
-than one phase: it walks each neighbour map at most once.
+than one phase: it walks each neighbour map at most once, and reports the
+entries it walked.  `stoer_wagner` tries it after the first phase, and
+after a later one only while the attempts have walked at most a tenth of
+the entries its phases walked, so that failing attempts add at most a
+tenth to the phases' work, and one attempt.
 """
 
 from fractions import Fraction
@@ -24,6 +29,7 @@ from latcut import (  # noqa: E402
     graph_from_gram,
     selling_parameters,
 )
+from latcut import mincut  # noqa: E402
 from latcut.mincut import (  # noqa: E402
     _Contraction,
     _cuts_at_least,
@@ -40,6 +46,11 @@ WEIGHTS = (0, 1, 1, 2, 3, F(1, 2), F(3, 4), F(5, 3))
 def lightest(graph: WeightedGraph) -> int:
     """The minimum cut weight over the graph's common denominator."""
     return brute_force_mincut(graph).weight * graph.scale
+
+
+def proves(graph: WeightedGraph, bound: int) -> bool:
+    """`_cuts_at_least` on the graph's maps, keyed as `stoer_wagner`'s."""
+    return _cuts_at_least(dict(enumerate(graph.adjacency)), bound)[0]
 
 
 @st.composite
@@ -89,9 +100,9 @@ def two_cliques(size: int) -> WeightedGraph:
 @given(graphs(), st.data())
 def test_never_proves_a_bound_above_the_minimum_cut(graph, data):
     weight = lightest(graph)
-    assert not _cuts_at_least(graph.adjacency, weight + 1)
+    assert not proves(graph, weight + 1)
     bound = data.draw(st.integers(1, weight + 2 * graph.scale))
-    assert bound <= weight or not _cuts_at_least(graph.adjacency, bound)
+    assert bound <= weight or not proves(graph, bound)
 
 
 def test_a_light_pendant_vertex_is_not_joined_by_its_half_degree():
@@ -99,15 +110,34 @@ def test_a_light_pendant_vertex_is_not_joined_by_its_half_degree():
     # itself a cut below the bound 2.
     graph = WeightedGraph.from_edges(3, [(0, 2, 1), (0, 1, 3)])
     assert lightest(graph) == 1
-    assert not _cuts_at_least(graph.adjacency, 2)
-    assert _cuts_at_least(graph.adjacency, 1)
+    assert not proves(graph, 2)
+    assert proves(graph, 1)
 
 
 def test_a_light_degree_of_the_joined_vertex_ends_the_attempt():
     # Joining 1 to 0 passes the tests (w = 5), but leaves a degree of 1.
     graph = WeightedGraph.from_edges(3, [(0, 1, 5), (1, 2, 1)])
     assert lightest(graph) == 1
-    assert not _cuts_at_least(graph.adjacency, 2)
+    assert not proves(graph, 2)
+
+
+@settings(max_examples=500)
+@given(graphs(), st.data())
+def test_never_proves_a_bound_above_the_minimum_cut_of_a_contraction(graph, data):
+    # Stoer-Wagner retries on its contracted maps, whose keys are the
+    # surviving original ids; vertex 0 is never merged away.
+    state = _Contraction.from_adjacency(graph.adjacency)
+    for _ in range(data.draw(st.integers(0, graph.vertex_count - 2))):
+        keep, drop = data.draw(st.permutations(list(state.adj)))[:2]
+        state.merge(*sorted((keep, drop)))
+    index = {v: k for k, v in enumerate(state.adj)}
+    contracted = WeightedGraph.from_edges(len(index), [
+        (index[v], index[u], w) for v, nbrs in state.adj.items()
+        for u, w in nbrs.items() if v < u])
+    weight = lightest(contracted)  # integer weights: scale 1
+    assert not _cuts_at_least(state.adj, weight + 1)[0]
+    bound = data.draw(st.integers(1, weight + 2))
+    assert bound <= weight or not _cuts_at_least(state.adj, bound)[0]
 
 
 # --- completeness where the keys prove nothing -------------------------------------
@@ -119,8 +149,8 @@ def test_proves_the_cycle(count):
         bound = 2 * weight * graph.scale
         if count <= 12:
             assert bound == lightest(graph)
-        assert _cuts_at_least(graph.adjacency, bound)
-        assert not _cuts_at_least(graph.adjacency, bound + 1)
+        assert proves(graph, bound)
+        assert not proves(graph, bound + 1)
 
 
 @pytest.mark.parametrize("count", range(2, 31))
@@ -129,8 +159,8 @@ def test_proves_the_uniform_complete_graph(count):
     bound = (count - 1) * graph.scale // 3
     if count <= 12:
         assert bound == lightest(graph)
-    assert _cuts_at_least(graph.adjacency, bound)
-    assert not _cuts_at_least(graph.adjacency, bound + 1)
+    assert proves(graph, bound)
+    assert not proves(graph, bound + 1)
 
 
 @pytest.mark.parametrize("count", range(2, 13))
@@ -139,8 +169,8 @@ def test_proves_the_star_from_its_centre_or_a_leaf(count):
     for centre in (0, count - 1):
         graph = star(count, centre, weights)
         weight = lightest(graph)
-        assert _cuts_at_least(graph.adjacency, weight)
-        assert not _cuts_at_least(graph.adjacency, weight + 1)
+        assert proves(graph, weight)
+        assert not proves(graph, weight + 1)
 
 
 @pytest.mark.parametrize("gen, n", [(gen_an, 160), (gen_anstar, 48)])
@@ -148,8 +178,8 @@ def test_proves_the_family_graphs(gen, n):
     graph = graph_from_gram(selling_parameters(gen(n)))
     # A_n: two unit edges of the cycle; A_n*: a vertex of K_{n+1}.
     bound = 2 if gen is gen_an else n
-    assert _cuts_at_least(graph.adjacency, bound)
-    assert not _cuts_at_least(graph.adjacency, bound + 1)
+    assert proves(graph, bound)
+    assert not proves(graph, bound + 1)
 
 
 # --- work: one phase at most --------------------------------------------------------
@@ -173,8 +203,12 @@ def first_phase_cut(graph: WeightedGraph) -> int:
 
 def walks(graph: WeightedGraph, bound: int) -> tuple[bool, list]:
     log: list[tuple[int, int]] = []
-    adjacency = [_Walked(v, nbrs, log) for v, nbrs in enumerate(graph.adjacency)]
-    return _cuts_at_least(adjacency, bound), log
+    adj = {v: _Walked(v, nbrs, log) for v, nbrs in enumerate(graph.adjacency)}
+    proved, walked = _cuts_at_least(adj, bound)
+    # It reports every entry it walked: each walk, and vertex 0's map,
+    # copied once.
+    assert walked == sum(size for _, size in log) + len(graph.adjacency[0])
+    return proved, log
 
 
 @pytest.mark.parametrize("graph", [
@@ -210,3 +244,41 @@ def test_a_proof_walks_each_map_at_most_once():
     assert proved
     walked = [v for v, _ in log]
     assert len(walked) == len(set(walked)) == 28
+
+
+# --- retries: within a tenth of the phases' walks ---------------------------------
+
+def test_retries_walk_at_most_a_tenth_of_the_phases_entries(monkeypatch):
+    # Every attempt on the two cliques joins the first one before the
+    # bridge fails it, so only the budget limits the retries.
+    phased: list[int] = []  # 2|E| + |V| of each phase's graph
+    attempts: list[tuple[int, int]] = []  # (phases run, entries walked)
+
+    def counting(phase):
+        def run(adj):
+            phased.append(sum(map(len, adj.values())) + len(adj))
+            return phase(adj)
+        return run
+
+    def attempt(adj, bound):
+        proved, walked = _cuts_at_least(adj, bound)
+        assert not proved
+        attempts.append((len(phased), walked))
+        return proved, walked
+
+    monkeypatch.setattr(mincut, "_scan_phase", counting(mincut._scan_phase))
+    monkeypatch.setattr(mincut, "_heap_phase", counting(mincut._heap_phase))
+    monkeypatch.setattr(mincut, "_cuts_at_least", attempt)
+    assert mincut.stoer_wagner(two_cliques(40)).weight == 1
+    assert [phases for phases, _ in attempts] == [1, 6, 12, 18, 26, 35]
+    # An attempt runs after a phase exactly when the earlier attempts
+    # walked at most a tenth of the entries of the phases so far; the last
+    # phase proves its cut by its keys and needs none.
+    walked_at = dict(attempts)
+    tried = 0
+    for phases in range(1, len(phased)):
+        assert (10 * tried <= sum(phased[:phases])) == (phases in walked_at)
+        tried += walked_at.get(phases, 0)
+    # So all attempts walk at most a tenth of the phases' entries, and one
+    # attempt more: the first, which always runs, or the last.
+    assert tried <= sum(phased) / 10 + max(walked_at.values())

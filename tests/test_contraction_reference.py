@@ -15,8 +15,10 @@ graphs with unit, tied, parallel and zero weights, several components or
 no edges at all, on stars, paths and trees, where the current
 Stoer-Wagner stops phases early while the frozen one runs them all, on
 graphs whose weights need a common denominator near the 4096-bit cap,
-and on the large tie-heavy Selling graphs of A_n, Z^n and A_n* that the
-golden files do not reach.  The running sums of the
+on the large tie-heavy Selling graphs of A_n, Z^n and A_n* that the
+golden files do not reach, and on the `svp` graphs of the benchmark's
+`dense_gram` plan, where contraction tests retried on the contracted
+graph end the phases early.  The running sums of the
 current `_SampledContraction` are recounted after every merge and clone,
 and each pick must be the frozen pick.
 """
@@ -24,9 +26,12 @@ and each pick must be the frozen pick.
 from __future__ import annotations
 
 import copy
+import importlib.util
 import operator
+import sys
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from pathlib import Path
 from typing import Callable, Sequence
 
 import pytest
@@ -380,8 +385,9 @@ def sparse_graphs(draw):
 
 
 # Weights over 2^a * 3^b with a <= 2040 and b <= 1287, so that their common
-# denominator is just under the 4096-bit cap and the scaled weights are
-# integers of up to about 4080 bits.
+# denominator is just under the 4096-bit cap.  A numerator up to 6 * 2^64 + 1
+# over small a and b scales to an integer of up to about 4147 bits, past the
+# entry cap, which `WeightedGraph.from_edges` does not apply.
 CAP_EXPONENTS = (2040, 1287)
 
 
@@ -429,7 +435,9 @@ def test_stoer_wagner_matches_the_reference_when_it_stops_early(graph):
                  id="an20"),
     pytest.param(graph_from_gram(selling_parameters(gen_anstar(20))), 0,
                  id="anstar20"),
-    pytest.param(hypercube(4), 14, id="cube4"),
+    pytest.param(hypercube(4), 9, id="cube4"),
+    pytest.param(graph_from_gram(gen_random_gram(52, 7, F(1))), 25,
+                 id="gram52"),
 ])
 def test_stoer_wagner_stops_once_no_later_phase_can_be_lighter(
         monkeypatch, graph, merges):
@@ -437,8 +445,9 @@ def test_stoer_wagner_stops_once_no_later_phase_can_be_lighter(
     # cycle's and the complete graph's keys prove nothing, but contraction
     # tests prove their first phase's cut: no merge at all.  The
     # hypercube has no triangle and no edge of half a degree, so the tests
-    # fail, and it merges as often as before they were tried: every phase
-    # runs, and the last, on two vertices, needs no merge.
+    # fail on it; they succeed on the graph left after 9 merges, of the 14
+    # that running every phase takes (the last, on two vertices, needs
+    # none).  The Gram graph's tests succeed after 25 merges of 51.
     counted = []
     merge = mincut._Contraction.merge
     monkeypatch.setattr(mincut._Contraction, "merge",
@@ -547,3 +556,24 @@ def test_stoer_wagner_matches_the_reference_on_dense_gram(n, density):
     graph = graph_from_gram(gen_random_gram(n, 7, density))
     assert mincut.stoer_wagner(graph) == stoer_wagner(graph)
 
+
+
+def benchmark_plan(workload: str, seed: int):
+    """The instances of `perfbench/workloads.py`'s plan for one pass."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.plan(workload, seed)
+
+
+@pytest.mark.parametrize("inst", [
+    pytest.param(inst, id=f"n{inst.n}-d{inst.density}")
+    for inst in benchmark_plan("dense_gram", 1) if inst.command == ("svp",)])
+def test_stoer_wagner_matches_the_reference_on_the_dense_gram_plan(inst):
+    # Contraction tests retry on the contracted maps here, within their
+    # budget, and often end the phases early.
+    graph = graph_from_gram(
+        gen_random_gram(inst.n, inst.seed, Fraction(inst.density)))
+    assert mincut.stoer_wagner(graph) == stoer_wagner(graph)

@@ -10,6 +10,7 @@ weight, then size, then sorted indices) and the exhaustive subset oracle
 (smallest squared length, then size, then subset).  Both must raise the
 same exception, with the same attributes and message, or agree on every
 value.  Files mix integer, ratio, unreduced ratio and decimal tokens.
+Each token's value, or its exception, is `Fraction`'s.
 """
 
 import math
@@ -38,6 +39,7 @@ from latcut import (  # noqa: E402
     validate_superbase,
 )
 from latcut import cli, pipeline  # noqa: E402
+from latcut.lattice import _token_value  # noqa: E402
 
 F = Fraction
 
@@ -288,3 +290,29 @@ def test_the_files_reach_every_outcome():
         ("superbase", "valid"), ("superbase", SumNotZero),
         ("superbase", ObtuseViolation), ("superbase", RankDeficient),
     }
+
+
+def _value_or_error(parse, token):
+    try:
+        value = parse(token)
+    except (ValueError, ZeroDivisionError) as error:
+        return type(error), str(error)
+    return type(value), value
+
+
+# Integer, ratio and decimal characters; the exponents and '_' that are
+# refused; and non-ASCII digits, which `Fraction` reads and the fast path
+# leaves to it.
+TOKEN_CHARS = "0123456789+-/." + "eE_ " + "\u0663\uff13\u00b2"
+
+
+@settings(max_examples=2000)
+@given(st.one_of(
+    st.from_regex(r"\A[+-]?[0-9]{1,40}(/[+-]?[0-9]{0,40})?\Z"),
+    st.text(TOKEN_CHARS, max_size=12)))
+def test_a_token_has_fractions_value_or_exception(token):
+    got = _value_or_error(_token_value, token)
+    if {"e", "E", "_"}.isdisjoint(token):
+        assert got == _value_or_error(Fraction, token)
+    else:
+        assert got[0] is ValueError and "are not accepted" in got[1]
