@@ -10,15 +10,14 @@ with rank equal to its side minus the number of connected components of
 its support; so rank is checked by one graph traversal instead of by
 elimination.
 
-Who checks what: :func:`selling_parameters` checks a superbase's shape
-and column sums before it takes the products, and :func:`_check_gram`,
-the one Laplacian check, checks a Gram matrix's shape, symmetry, signs,
-row sums and connectivity, applies the cap to its scale, and returns the
-cut graph it built.  The validators run both and drop the graph; the
-pipeline runs both, through `graph_from_gram`, and keeps it.  Every
-command and library entry point checks its lattice once, with the same
-classes and messages, a superbase's disconnected Selling graph reported
-as RankDeficient by :func:`_superbase_rank`; the generators check nothing.
+Who checks what: products of vectors that sum to zero are symmetric
+with zero row sums, so :func:`_selling_graph` checks a superbase's shape
+and column sums and builds the cut graph straight from its products;
+:func:`_check_gram` checks a Gram matrix's shape, symmetry and row sums
+and builds its graph.  :func:`_check_graph` checks either graph's signs
+and connectivity and caps its scale.  The validators drop the graph and
+the pipeline keeps it, so no solve builds a dense Gram matrix.  Every
+entry point checks its lattice once; the generators check nothing.
 
 Indices are 0-based everywhere in this API.  Only the CLI renders them
 1-based.
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import math
 import operator
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -49,6 +47,7 @@ from .errors import (
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
+Adjacency = tuple[dict[int, int], ...]  # each vertex's neighbours: weights
 
 # Exact arithmetic scales every entry by the lcm of all denominators.  With
 # many distinct denominators that lcm, and every scaled entry, grows with
@@ -206,30 +205,6 @@ def _capped(scale: int, what: str) -> int:
     return scale
 
 
-def _pairwise_products(sb: Superbase) -> GramMatrix:
-    """All inner products q_ij of `sb`: its row products over sb.scale**2,
-    both divided by their gcd, which leaves the canonical scale."""
-    columns = [[(i, x) for i, x in enumerate(column) if x]
-               for column in zip(*sb.rows)]
-    count = sb.n + 1
-    numerators = [[0] * count for _ in range(count)]
-    for column in columns:
-        for a, (i, x) in enumerate(column):
-            row = numerators[i]
-            for j, y in column[a:]:
-                row[j] += x * y
-    common = sb.scale * sb.scale
-    for i, row in enumerate(numerators):
-        for j in range(i, count):
-            if row[j]:
-                numerators[j][i] = row[j]
-                common = math.gcd(common, row[j])
-    if common > 1:
-        numerators = [[x // common for x in row] for row in numerators]
-    return GramMatrix(tuple(map(tuple, numerators)),
-                      sb.scale * sb.scale // common)
-
-
 def validate_superbase(vectors) -> Superbase:
     """Check the superbase conditions and return a validated Superbase.
 
@@ -246,45 +221,59 @@ def validate_superbase(vectors) -> Superbase:
     """
     sb = vectors if isinstance(vectors, Superbase) else Superbase(
         *_entries([list(map(as_rational, row)) for row in vectors]))
-    g = selling_parameters(sb)
-    with _superbase_rank():
-        _check_gram(g.rows, g.scale)
+    _check_graph(*_selling_graph(sb), RankDeficient)
     return sb
 
 
 def selling_parameters(sb: Superbase) -> GramMatrix:
     """The (n+1) x (n+1) matrix of pairwise inner products of `sb`.
 
-    Integers over s**2 for the coordinates' common denominator s, reduced
-    to the canonical scale.  First raises ShapeMismatch or SumNotZero, as
-    validation would, when the rows are fewer than 2 or of unequal
-    lengths or do not sum to zero; otherwise the products would only fail
-    later, under another name, or not at all.
+    Read off the maps of :func:`_selling_graph`, over its scale, each
+    diagonal entry its row's weight sum; raises what that raises.
+    """
+    adj, scale = _selling_graph(sb)
+    side = range(len(adj))
+    return GramMatrix(tuple(tuple(sum(adj[i].values()) if i == j else
+                                  -adj[i].get(j, 0) for j in side)
+                            for i in side), scale)
+
+
+def _selling_graph(sb: Superbase) -> tuple[Adjacency, int]:
+    """The cut graph of `sb`'s Selling parameters, for :func:`_check_graph`,
+    and its scale; or ShapeMismatch, then SumNotZero at the first column
+    not summing to 0.  Products of vectors that sum to zero are symmetric
+    with zero row sums, so nothing else can fail here.  Weights are minus
+    the products over sb.scale**2, both divided by the products' gcd;
+    zero row sums make that the gcd over every entry: the canonical scale.
     """
     rows = sb.rows
     if len(rows) < 2:
         raise ShapeMismatch("a superbase needs at least 2 vectors")
-    m = len(rows[0])
     for idx, row in enumerate(rows):
-        if len(row) != m:
-            raise ShapeMismatch(
-                f"vector {idx + 1} has length {len(row)}, expected {m}"
-            )
-    for k, total in enumerate(map(sum, zip(*rows))):
-        if total:
-            raise SumNotZero(k, Fraction(total, sb.scale))
-    return _pairwise_products(sb)
-
-
-@contextmanager
-def _superbase_rank():
-    """Report a disconnected Selling graph as a superbase's RankDeficient:
-    its first n vectors are dependent.  Every caller that checks the
-    Selling parameters of a superbase checks them inside this block."""
-    try:
-        yield
-    except WrongRank as exc:
-        raise RankDeficient(exc.vector) from None
+        if len(row) != len(rows[0]):
+            raise ShapeMismatch(f"vector {idx + 1} has length {len(row)}, "
+                                f"expected {len(rows[0])}")
+    vertices = range(len(rows))
+    products = [[0] * len(rows) for _ in vertices]
+    # Python code sees only each column's nonzeros, above the diagonal.
+    for k, column in enumerate(zip(*rows)):
+        if sum(column):
+            raise SumNotZero(k, Fraction(sum(column), sb.scale))
+        support = list(compress(vertices, column))
+        for a, i in enumerate(support):
+            x, row = column[i], products[i]
+            for j in support[a + 1:]:
+                row[j] += x * column[j]
+    adj: Adjacency = tuple({} for _ in vertices)
+    common = sb.scale * sb.scale
+    for i, row in enumerate(products):
+        for j in compress(vertices[i + 1:], row[i + 1:]):
+            common = math.gcd(common, row[j])
+            adj[i][j] = adj[j][i] = -row[j]
+    if common > 1:
+        adj = tuple({j: w // common for j, w in neighbours.items()}
+                    for neighbours in adj)
+    return adj, sb.scale * sb.scale // common
 
 
 def validate_gram(entries) -> GramMatrix:
@@ -302,45 +291,34 @@ def validate_gram(entries) -> GramMatrix:
     """
     g = entries if isinstance(entries, GramMatrix) else GramMatrix(
         *_entries([list(map(as_rational, row)) for row in entries]))
-    _check_gram(g.rows, g.scale)
+    _check_graph(_check_gram(g.rows, g.scale), g.scale, WrongRank)
     return g
 
 
-def _check_gram(rows: Sequence[Sequence[int]],
-                scale: int) -> tuple[dict[int, int], ...]:
-    """The cut graph of integer rows over `scale` that are the Selling
-    parameters of a lattice, or what :func:`validate_gram` raises first.
-
-    In order: ShapeMismatch unless the side is at least 2 and every row
-    that long; NotSymmetric or ObtuseViolation at the first offending
-    entry (i, j), i < j, in row-major order, the asymmetry first;
-    RowSumNotZero at the first row that does not sum to zero; WrongRank
-    at the first vector the graph of nonzero entries does not reach; and
-    TooLarge if `scale`, which zero row sums make the edge weights'
-    common denominator, passes the cap.  Returns that graph as each
-    vertex's neighbours mapped to the negated entry, built from the
-    entries above the diagonal.  :func:`validate_gram`,
-    :func:`validate_superbase` and :func:`latcut.mincut.graph_from_gram`
-    all check here.
+def _check_gram(rows: Sequence[Sequence[int]], scale: int) -> Adjacency:
+    """The cut graph of integer rows over `scale`, for :func:`_check_graph`,
+    built from the entries above the diagonal, negated; or what outside
+    Gram input can get wrong first.  ShapeMismatch unless the side is at
+    least 2 and every row that long; then, entry by entry in row-major
+    order above the diagonal, NotSymmetric, or ObtuseViolation if a
+    positive entry comes first; then RowSumNotZero at the first row that
+    does not sum to zero.  Signs alone are left to `_check_graph`.
     """
     size = len(rows)
     if size < 2:
         raise ShapeMismatch("a Gram matrix needs side >= 2")
     for idx, row in enumerate(rows):
         if len(row) != size:
-            raise ShapeMismatch(
-                f"row {idx + 1} has length {len(row)}, expected {size}"
-            )
-    adj: tuple[dict[int, int], ...] = tuple({} for _ in rows)
+            raise ShapeMismatch(f"row {idx + 1} has length {len(row)}, "
+                                f"expected {size}")
+    adj: Adjacency = tuple({} for _ in rows)
     vertices = range(size)
     # Python code sees only the nonzeros above the diagonal.
     for i, row in enumerate(rows):
         for j in compress(vertices[i + 1:], row[i + 1:]):
             adj[i][j] = adj[j][i] = -row[j]
-    # A positive entry above the diagonal became a negative weight.
-    nonpositive = min(chain.from_iterable(map(dict.values, adj)), default=0) >= 0
     # zip hands each column to `eq` and reuses its tuple for the next one.
-    if not (nonpositive and all(map(operator.eq, map(tuple, rows), zip(*rows)))
+    if not (all(map(operator.eq, map(tuple, rows), zip(*rows)))
             and not any(map(sum, rows))):
         for i, row in enumerate(rows):
             for j, x in enumerate(row[i + 1:], i + 1):
@@ -355,9 +333,24 @@ def _check_gram(rows: Sequence[Sequence[int]],
         for i, row in enumerate(rows):
             if sum(row):
                 raise RowSumNotZero(i, Fraction(sum(row), scale))
+    return adj
+
+
+def _check_graph(adj: Adjacency, scale: int, unreachable: type) -> Adjacency:
+    """`adj`, the cut graph of Selling parameters over `scale`, checked as
+    both routes end: ObtuseViolation at the first positive parameter
+    (i, j), i < j, in row-major order, held as a negative weight;
+    `unreachable` (WrongRank for a Gram matrix, RankDeficient for a
+    superbase) at the first vertex not reached from vertex 0; TooLarge if
+    `scale`, the weights' common denominator, passes the cap.
+    """
+    if min(chain.from_iterable(map(dict.values, adj)), default=0) < 0:
+        i, j = min((i, j) for i, neighbours in enumerate(adj)
+                   for j, w in neighbours.items() if j > i and w < 0)
+        raise ObtuseViolation((i, j), Fraction(-adj[i][j], scale))
     # The rank of a Laplacian is its side minus the number of connected
     # components of its support, so rank side - 1 means one component.
-    reached = [True] + [False] * (size - 1)
+    reached = [True] + [False] * (len(adj) - 1)
     stack = [0]
     while stack:
         for j in adj[stack.pop()]:
@@ -365,7 +358,7 @@ def _check_gram(rows: Sequence[Sequence[int]],
                 reached[j] = True
                 stack.append(j)
     if not all(reached):
-        raise WrongRank(reached.index(False))
+        raise unreachable(reached.index(False))
     _capped(scale, "edge weights")
     return adj
 
@@ -382,16 +375,22 @@ def _scaled_form(rows: Sequence[Sequence[int]], support: Sequence[int]) -> int:
     return sum(rows[i][j] for i in support for j in support)
 
 
-def quadratic_form(g: GramMatrix, u) -> Fraction:
+def quadratic_form(lattice: GramMatrix | Superbase, u) -> Fraction:
     """Evaluate sum_ij q_ij u_i u_j for a 0/1 assignment u.
 
     Equals the squared Euclidean length of the superbase subset sum
-    selected by u, any sequence of 0s and 1s.
+    selected by u, any sequence of 0s and 1s.  On a Superbase that sum
+    is taken from its integer rows, squared over `scale` squared, so no
+    Selling parameters are built.
     """
     bits = _bits_of(u)
-    if len(bits) != g.size:
+    size = len(lattice.rows)
+    if len(bits) != size:
         raise LengthMismatch(
-            f"assignment has length {len(bits)}, Gram side is {g.size}"
+            f"assignment has length {len(bits)}, Gram side is {size}"
         )
     support = [i for i, b in enumerate(bits) if b]
-    return Fraction(_scaled_form(g.rows, support), g.scale)
+    if isinstance(lattice, Superbase):
+        total = lattice._subset_total(support)
+        return Fraction(sum(map(operator.mul, total, total)), lattice.scale ** 2)
+    return Fraction(_scaled_form(lattice.rows, support), lattice.scale)

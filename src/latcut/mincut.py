@@ -27,10 +27,10 @@ can cross-check each other:
 * :func:`brute_force_mincut`: exhaustive enumeration, the oracle.
 
 A :class:`WeightedGraph` holds its rational weights as Python ints over
-one common denominator, fixed when it is built (by :func:`graph_from_gram`
-from the Gram matrix's own).  All three algorithms run on those ints and
-divide once, when they build the returned :class:`Cut`; every comparison
-stays exact, so ties and minima are bit-reproducible.
+one common denominator, fixed when it is built: a Gram matrix's own, or
+a superbase's products' reduced one.  All three algorithms run on those
+ints and divide once, when they build the returned :class:`Cut`; every
+comparison stays exact, so ties and minima are bit-reproducible.
 
 Brute force and the Karger-Stein base case share one exhaustive walker,
 :func:`_gray_min_cut`: it visits the sides in reflected Gray-code order,
@@ -54,8 +54,9 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import EmptySide, TooLarge
-from .lattice import GramMatrix, _check_gram, _scaled, as_rational
+from .errors import EmptySide, TooLarge, WrongRank
+from .lattice import (GramMatrix, _check_graph, _check_gram, _scaled,
+                      as_rational)
 from .rng import Xoshiro256StarStar, derive_seeds
 
 BRUTE_FORCE_LIMIT = 24
@@ -140,13 +141,13 @@ def graph_from_gram(g: GramMatrix) -> WeightedGraph:
 
     Vertex i stands for superbase vector i; a strictly negative q_ij
     becomes an edge of weight -q_ij, and q_ij = 0 means no edge.  The
-    graph keeps `g.scale`.  :func:`latcut.lattice._check_gram` builds it
-    and checks the matrix as :func:`latcut.lattice.validate_gram` does,
-    with the same classes and messages: its shape, symmetry, signs and
-    row sums, that the graph is connected, so that no cut weighs 0, and
-    that the scale is within the cap.
+    graph keeps `g.scale`.  Checked as :func:`latcut.lattice.validate_gram`
+    checks, with its classes and messages: `_check_gram` checks the shape,
+    symmetry and row sums and builds the graph, and `_check_graph` its
+    signs, its connectivity, so that no cut weighs 0, and the cap.
     """
-    return WeightedGraph(_check_gram(g.rows, g.scale), g.scale)
+    return WeightedGraph(
+        _check_graph(_check_gram(g.rows, g.scale), g.scale, WrongRank), g.scale)
 
 
 def cut_weight(graph: WeightedGraph, side: Iterable[int]) -> Cut:

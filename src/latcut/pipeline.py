@@ -5,12 +5,12 @@ obtuse superbase equals the weight of a global minimum cut of the graph
 built from its Selling parameters, and the cut side names the superbase
 subset to sum.  This module wires that equivalence together, on the
 integers a Superbase and a GramMatrix hold: a Superbase gives the graph
-through its Selling parameters and the answer's coordinates, a GramMatrix
-the graph alone.  It is the one gate of a solve: :func:`short_vector` and
-:func:`verify_reduction` take the lattice as it was built, and
-`selling_parameters` and `graph_from_gram` check it as they go, each
-condition once, with the classes and messages validation gives.  It also
-carries the exhaustive subset oracle used to test the reduction.
+straight from its products and the answer's coordinates, a GramMatrix
+the graph alone.  It is the one gate of a solve: :func:`short_vector`
+and :func:`verify_reduction` take the lattice as it was built, and
+:func:`_graph` checks it, each condition once, with validation's classes
+and messages, and builds no dense Gram matrix.  It also carries the
+exhaustive subset oracle used to test the reduction.
 """
 
 from __future__ import annotations
@@ -22,17 +22,18 @@ from itertools import compress
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .errors import CertificateError, ImproperAssignment, TooLarge
+from .errors import (CertificateError, ImproperAssignment, RankDeficient,
+                     TooLarge)
 from .lattice import (
     GramMatrix,
     Superbase,
     Vector,
     _bits_of,
+    _check_graph,
     _fractions,
     _scaled_form,
-    _superbase_rank,
+    _selling_graph,
     quadratic_form,
-    selling_parameters,
 )
 from .mincut import (
     BRUTE_FORCE_LIMIT,
@@ -100,7 +101,7 @@ def short_vector(
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
 
-    _, graph = _gram_and_graph(lattice)
+    graph = _graph(lattice)
     if algorithm == "stoer-wagner":
         cut = stoer_wagner(graph)
     elif algorithm == "brute":
@@ -122,15 +123,14 @@ def short_vector(
     return ShortVectorResult(cut.side, cut.weight, coordinates)
 
 
-def _gram_and_graph(
-        lattice: Superbase | GramMatrix) -> tuple[GramMatrix, WeightedGraph]:
-    """The Gram matrix of `lattice` (its Selling parameters or itself) and
-    its cut graph, the lattice checked on the way, as validation would."""
+def _graph(lattice: Superbase | GramMatrix) -> WeightedGraph:
+    """The cut graph of `lattice`, checked on the way as validation would:
+    a superbase's straight from its products, a Gram matrix's from its
+    entries, with no Gram matrix built."""
     if not isinstance(lattice, Superbase):
-        return lattice, graph_from_gram(lattice)
-    g = selling_parameters(lattice)
-    with _superbase_rank():
-        return g, graph_from_gram(g)
+        return graph_from_gram(lattice)
+    adj, scale = _selling_graph(lattice)
+    return WeightedGraph(_check_graph(adj, scale, RankDeficient), scale)
 
 
 def brute_force_short_vector(g: GramMatrix) -> ShortVectorResult:
@@ -208,11 +208,11 @@ def verify_reduction(lattice: Superbase | GramMatrix,
     per vector.
     """
     bits = _bits_of(u)
-    g, graph = _gram_and_graph(lattice)
+    graph = _graph(lattice)
     if not 0 < sum(bits) < len(bits):
         raise ImproperAssignment(
             "assignment must contain at least one 1 and at least one 0"
         )
-    q_value = quadratic_form(g, bits)
+    q_value = quadratic_form(lattice, bits)
     side = tuple(i for i, b in enumerate(bits) if b)
     return q_value, cut_weight(graph, side).weight

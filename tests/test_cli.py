@@ -724,9 +724,10 @@ def test_an_answer_too_long_to_print_prints_nothing():
 
 def test_each_command_checks_its_lattice_once(monkeypatch):
     """Generating checks nothing.  One `validate`, `candidates`, `svp` or
-    `verify` op takes a superbase's products once and runs the Laplacian
-    check once, and `verify` still refuses an invalid file first."""
-    calls = {"products": 0, "check": 0}
+    `verify` op takes a superbase's products once and checks their graph
+    once, with no Gram check, and `verify` still refuses an invalid file
+    first, a Gram file with each check once."""
+    calls = {"products": 0, "graph": 0, "gram": 0}
 
     def counted(key, original):
         def count(*args):
@@ -734,23 +735,25 @@ def test_each_command_checks_its_lattice_once(monkeypatch):
             return original(*args)
         return count
 
-    check = counted("check", latcut.lattice._check_gram)
-    monkeypatch.setattr(latcut.lattice, "_pairwise_products", counted(
-        "products", latcut.lattice._pairwise_products))
-    monkeypatch.setattr(latcut.lattice, "_check_gram", check)
-    monkeypatch.setattr(latcut.mincut, "_check_gram", check)
+    for key, name, modules in (
+            ("products", "_selling_graph", ("lattice", "pipeline")),
+            ("graph", "_check_graph", ("lattice", "mincut", "pipeline")),
+            ("gram", "_check_gram", ("lattice", "mincut"))):
+        wrapped = counted(key, getattr(latcut.lattice, name))
+        for module in modules:
+            monkeypatch.setattr(getattr(latcut, module), name, wrapped)
     for family in FAMILIES:
         generate(InstanceSpec(family, 3, seed=1))
         assert run(["gen", family, "3", "--seed", "1"])[0] == 0
-    assert calls == {"products": 0, "check": 0}
+    assert calls == {"products": 0, "graph": 0, "gram": 0}
     for args in (["validate", "-"], ["candidates", "-"], ["svp", "-"],
                  ["verify", "-", "--assignment", "1,1,0,0"]):
         assert run(args, stdin_text=A3_FILE)[0] == 0
-        assert calls == {"products": 1, "check": 1}
-        calls.update(products=0, check=0)
+        assert calls == {"products": 1, "graph": 1, "gram": 0}
+        calls.update(products=0, graph=0)
     assert run(["verify", "-", "--assignment", "1,1,1,1"],
                stdin_text=DISCONNECTED_GRAM_FILE) == (1, "", WRONG_RANK)
-    assert calls == {"products": 0, "check": 1}
+    assert calls == {"products": 0, "graph": 1, "gram": 1}
 
 
 def test_commands_never_build_the_fraction_view(monkeypatch, tmp_path):

@@ -98,12 +98,15 @@ def test_unknown_algorithm_rejected():
 
 def test_one_svp_op_checks_each_condition_once(monkeypatch):
     """`svp` solves the parsed lattice: it calls no validator, takes a
-    superbase's products once, runs the shared check once, and reads no
-    Fraction view."""
+    superbase's products once, checks their graph once with no Gram check,
+    checks a Gram matrix and its graph once each, and reads no Fraction
+    view."""
     rational = Superbase(((2, -1, 0), (-1, 2, 0), (0, 0, 2), (-1, -1, -2)), 2)
-    cases = [(format_superbase(gen_anstar(4)), 1),
-             (format_superbase(rational), 1),
-             (format_gram(gen_random_gram(6, seed=5)), 0)]
+    superbase = {"products": 1, "graph": 1, "gram": 0}
+    cases = [(format_superbase(gen_anstar(4)), superbase),
+             (format_superbase(rational), superbase),
+             (format_gram(gen_random_gram(6, seed=5)),
+              {"products": 0, "graph": 1, "gram": 1})]
     calls = {}
 
     def counted(key, original):
@@ -115,21 +118,23 @@ def test_one_svp_op_checks_each_condition_once(monkeypatch):
     def refuse(*_):
         raise AssertionError("a validator ran or a Fraction view was read")
 
-    check = counted("check", latcut.lattice._check_gram)
-    monkeypatch.setattr(latcut.lattice, "_pairwise_products",
-                        counted("products", latcut.lattice._pairwise_products))
-    monkeypatch.setattr(latcut.lattice, "_check_gram", check)
-    monkeypatch.setattr(latcut.mincut, "_check_gram", check)
+    for key, name, modules in (
+            ("products", "_selling_graph", ("lattice", "pipeline")),
+            ("graph", "_check_graph", ("lattice", "mincut", "pipeline")),
+            ("gram", "_check_gram", ("lattice", "mincut"))):
+        wrapped = counted(key, getattr(latcut.lattice, name))
+        for module in modules:
+            monkeypatch.setattr(getattr(latcut, module), name, wrapped)
     for name in ("validate_superbase", "validate_gram"):
         monkeypatch.setattr(latcut.cli, name, refuse)
     monkeypatch.setattr(Superbase, "vectors", property(refuse))
     monkeypatch.setattr(GramMatrix, "entries", property(refuse))
-    for text, products in cases:
-        calls.update(products=0, check=0)
+    for text, expected in cases:
+        calls.update(products=0, graph=0, gram=0)
         out, err = io.StringIO(), io.StringIO()
         assert run_cli(["svp", "-"], stdin=io.StringIO(text),
                        stdout=out, stderr=err) == 0, err.getvalue()
-        assert calls == {"products": products, "check": 1}
+        assert calls == expected
         assert out.getvalue().startswith("subset: ")
 
 

@@ -29,6 +29,7 @@ from latcut import (  # noqa: E402
     RankDeficient,
     RowSumNotZero,
     SumNotZero,
+    Superbase,
     ValidationError,
     WrongRank,
     brute_force_mincut,
@@ -58,8 +59,15 @@ def program(text):
 
 
 def command_line(text):
-    """The route `svp` takes from file text to the checked cut graph."""
-    return solved(*pipeline._gram_and_graph(cli.parse_input(text)))
+    """The route `svp` takes from file text to the checked cut graph,
+    which must be the graph of the lattice's Selling parameters."""
+    lattice = cli.parse_input(text)
+    graph = pipeline._graph(lattice)
+    g = selling_parameters(lattice) if isinstance(lattice, Superbase) \
+        else lattice
+    expected = graph_from_gram(g)
+    assert (graph.adjacency, graph.scale) == (expected.adjacency, expected.scale)
+    return solved(g, graph)
 
 
 def solved(g, graph=None):
