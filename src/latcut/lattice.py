@@ -249,10 +249,7 @@ def _selling_graph(sb: Superbase) -> tuple[Adjacency, int]:
     rows = sb.rows
     if len(rows) < 2:
         raise ShapeMismatch("a superbase needs at least 2 vectors")
-    for idx, row in enumerate(rows):
-        if len(row) != len(rows[0]):
-            raise ShapeMismatch(f"vector {idx + 1} has length {len(row)}, "
-                                f"expected {len(rows[0])}")
+    _check_lengths(rows, len(rows[0]), "vector")
     vertices = range(len(rows))
     products = [[0] * len(rows) for _ in vertices]
     # Python code sees only each column's nonzeros, above the diagonal.
@@ -307,10 +304,7 @@ def _check_gram(rows: Sequence[Sequence[int]], scale: int) -> Adjacency:
     size = len(rows)
     if size < 2:
         raise ShapeMismatch("a Gram matrix needs side >= 2")
-    for idx, row in enumerate(rows):
-        if len(row) != size:
-            raise ShapeMismatch(f"row {idx + 1} has length {len(row)}, "
-                                f"expected {size}")
+    _check_lengths(rows, size, "row")
     adj: Adjacency = tuple({} for _ in rows)
     vertices = range(size)
     # Python code sees only the nonzeros above the diagonal.
@@ -370,6 +364,16 @@ def _bits_of(u) -> tuple[int, ...]:
     return bits
 
 
+def _check_lengths(rows: Sequence[Sequence[int]], length: int,
+                   noun: str) -> None:
+    """ShapeMismatch at the first of `rows` not `length` long, named as
+    `noun` with its 1-based index."""
+    for idx, row in enumerate(rows):
+        if len(row) != length:
+            raise ShapeMismatch(f"{noun} {idx + 1} has length {len(row)}, "
+                                f"expected {length}")
+
+
 def _scaled_form(rows: Sequence[Sequence[int]], support: Sequence[int]) -> int:
     """sum_ij rows[i][j] over i and j in `support`, as an integer."""
     return sum(rows[i][j] for i in support for j in support)
@@ -381,7 +385,9 @@ def quadratic_form(lattice: GramMatrix | Superbase, u) -> Fraction:
     Equals the squared Euclidean length of the superbase subset sum
     selected by u, any sequence of 0s and 1s.  On a Superbase that sum
     is taken from its integer rows, squared over `scale` squared, so no
-    Selling parameters are built.
+    Selling parameters are built.  Raises LengthMismatch unless `u` has
+    one entry per vector, then ShapeMismatch, with the validators'
+    message, at the first ragged row; nothing else is checked.
     """
     bits = _bits_of(u)
     size = len(lattice.rows)
@@ -391,6 +397,8 @@ def quadratic_form(lattice: GramMatrix | Superbase, u) -> Fraction:
         )
     support = [i for i, b in enumerate(bits) if b]
     if isinstance(lattice, Superbase):
+        _check_lengths(lattice.rows, lattice.m, "vector")
         total = lattice._subset_total(support)
         return Fraction(sum(map(operator.mul, total, total)), lattice.scale ** 2)
+    _check_lengths(lattice.rows, size, "row")
     return Fraction(_scaled_form(lattice.rows, support), lattice.scale)

@@ -7,20 +7,22 @@ can cross-check each other:
   on a dense graph scans for each next vertex, O(|V|^2), so O(|V|^3) in
   all; one on a sparse graph keeps a lazy-deletion heap, O(|E| log |V|),
   since every relaxation pushes.  Both give the same cuts.  The phases
-  stop once their keys prove that no later phase can be lighter: by the
-  Stoer-Wagner lemma (Stoer & Wagner, JACM 44(4), 1997) applied to every
-  prefix of a phase, as Nagamochi & Ibaraki do (SIAM J. Discrete Math.
-  5(1), 1992), each key after the first bounds from below every cut that
-  separates its vertex from the one added before it.  Every cut
-  separates some such pair, so the smallest of those keys bounds every
-  cut of the phase's graph and of its contractions, which are all that
-  later phases see.  A tie never replaces the best cut, so stopping once
-  the best cut is no heavier leaves the answer unchanged.  When the keys
-  prove nothing, as on cycles and complete graphs, value-only contraction
-  tests (Padberg & Rinaldi, Math. Programming 47, 1990) try to show that no
-  cut of the graph contracted so far is lighter than the best so far, within
-  a tenth of the phases' work.  They merge nothing that the phases see, so
-  every phase, merge and tie is as before; when they succeed the phases stop
+  stop once they prove that no later phase can be lighter.  Each phase
+  bounds every cut of its graph by the path test of Padberg & Rinaldi
+  (Math. Programming 47, 1990, test PR4) applied along its own
+  maximum-adjacency order (Stoer & Wagner, JACM 44(4), 1997): a cut
+  first leaves the vertices added so far, M, at some vertex v, so it
+  crosses the M-v edges, which weigh v's key, and for every vertex u not
+  yet added either the M-u or the v-u edges.  The walk that adds v's
+  weights to the keys sums those paths too.  The smallest such sum
+  bounds every cut of the phase's graph and of its contractions, which
+  are all that later phases see.  A tie never replaces the best cut, so
+  stopping once the best cut is no heavier leaves the answer unchanged.
+  When that bound falls short, as on cycles, the same paper's tests,
+  used for the value only, try to show that no cut of the graph
+  contracted so far is lighter than the best so far, within a tenth of
+  the phases' work.  They merge nothing that the phases see, so every
+  phase, merge and tie is as before; when they succeed the phases stop
   there, with the same answer.
 * :func:`karger_stein`: randomized recursive contraction, reproducible
   for a fixed (seed, trials) pair.
@@ -180,29 +182,32 @@ def stoer_wagner(graph: WeightedGraph) -> Cut:
     A disconnected graph legitimately yields a weight-0 cut.
 
     It stops as soon as no later phase can find a lighter cut.  A phase
-    on the current graph H adds v_0, ..., v_{k-1} with keys
-    r_i = w({v_0..v_{i-1}}, v_i).  For i >= 1, v_0..v_i is a
-    maximum-adjacency order of the subgraph they induce, so by the
-    Stoer-Wagner lemma r_i is a minimum v_{i-1}-v_i cut of that subgraph,
-    and H, which only adds nonnegative edges, has none lighter.  Every cut
-    of H separates some consecutive pair, so no cut of H weighs less than
-    low = min_{i>=1} r_i.  Later graphs are contractions of H, so every
-    later cut of the phase is a cut of H.  Once the lightest cut so far
-    weighs at most the largest `low` seen, no later phase is strictly
-    lighter; the answer changes only on a strictly lighter cut, so
-    stopping there returns the same `Cut`.  On a star the first phase
-    proves it; the last phase, on two vertices, always does, which saves
-    its merge.
+    on the current graph H adds v_0 = 0, v_1, ..., v_{k-1} with keys
+    r_i = w(M_i, v_i), where M_i = {v_0..v_{i-1}}, and sums paths_i, the
+    sum of min(w(M_i, u), w(v_i, u)) over the vertices u added after v_i.
+    Take any cut of H, and S its side that holds vertex 0.  Let v_i be
+    the first added vertex outside S, so i >= 1: the cut separates M_i
+    from v_i.  It crosses the M_i-v_i edges, of weight r_i, and for every
+    other vertex u either the M_i-u or the v_i-u edges, so it weighs at
+    least r_i + paths_i (the path test PR4 of Padberg and Rinaldi, on the
+    maximum-adjacency order).  So no cut of H weighs less than
+    low = min_{i>=1} (r_i + paths_i).  Later graphs are contractions of
+    H, so every later cut of the phase is a cut of H.  Once the lightest
+    cut so far weighs at most the largest `low` seen, no later phase is
+    strictly lighter; the answer changes only on a strictly lighter cut,
+    so stopping there returns the same `Cut`.  On a star and on a
+    complete graph with equal weights the first phase proves it; the
+    last phase, on two vertices, always does, which saves its merge.
 
-    When the keys fall short, `_cuts_at_least` tries to prove the same thing
-    by the value-only tests of Padberg and Rinaldi: that no cut of the
+    When that bound falls short, `_cuts_at_least` tries to prove the same
+    thing by the value-only tests of Padberg and Rinaldi: that no cut of the
     current graph H is lighter than the best so far.  It reads H's maps and
     changes nothing, so if it fails the phases go on as before, and if it
     succeeds none of them, on contractions of H, is strictly lighter.  It
     runs after the first phase, and after a later one while the attempts
     have walked at most a tenth of the map entries that the phases walked,
     2|E| + |V| each, so failing attempts add at most a tenth to the phases'
-    work, and one attempt.  Cycles and uniform complete graphs take one phase.
+    work, and one attempt.  Cycles take one phase and one attempt.
     """
     state = _Contraction.from_adjacency(graph.adjacency)
     adj = state.adj
@@ -300,46 +305,58 @@ def _cuts_at_least(adj: Mapping[int, Mapping[int, int]],
 
 def _scan_phase(adj: dict[int, dict[int, int]]) -> tuple[int, int, int, int]:
     """One maximum-adjacency phase by scanning: (s, t, cut of the phase,
-    the smallest key of any vertex added after vertex 0).
+    low), where low bounds every cut of the graph (see `stoer_wagner`).
 
-    Vertex 0 is added first, so `key` starts from its weights.  `key` is
-    built ascending and only ever popped, so `max` returns the lowest
-    index among the largest keys.  Each added vertex's weights go to the
-    keys it still reaches, walking whichever of its neighbours and the
-    keys left is shorter.
+    Vertex 0 is added first, so `key` starts from its weights.  Each
+    added vertex's weights go to the keys it still reaches, walking
+    whichever of its neighbours and the keys left is shorter.  The same
+    walk sums its paths, min(key, weight) with each key read before its
+    update, and low is the least key plus paths of any vertex added after
+    vertex 0.  `key` is built ascending and only ever popped, so the
+    first largest key is the lowest index among the largest: `max` finds
+    it, or the walk over the keys, which meets every key left.
     """
     key = dict.fromkeys(adj, 0)
     del key[0]
     key.update(adj[0])
     s = t = 0
     low = math.inf
+    v = max(key, key=key.__getitem__)
     while key:
-        v = max(key, key=key.__getitem__)
         s, t, phase_cut = t, v, key.pop(v)
-        if phase_cut < low:
-            low = phase_cut
+        paths = 0
         nbrs = adj[v]
         if len(key) < len(nbrs):
-            for u in key:
+            top = -1
+            for u, k in key.items():
                 w = nbrs.get(u)
                 if w:
-                    key[u] += w
+                    paths += k if k < w else w
+                    key[u] = k = k + w
+                if k > top:
+                    top, v = k, u
         else:
             for u, w in nbrs.items():
-                if u in key:
-                    key[u] += w
+                k = key.get(u)
+                if k is not None:
+                    paths += k if k < w else w
+                    key[u] = k + w
+            v = max(key, key=key.__getitem__, default=v)
+        if phase_cut + paths < low:
+            low = phase_cut + paths
     return s, t, phase_cut, low
 
 
 def _heap_phase(adj: dict[int, dict[int, int]]) -> tuple[int, int, int, int]:
     """One maximum-adjacency phase from a heap: (s, t, cut of the phase,
-    the smallest key of any vertex added after vertex 0).
+    low), as `_scan_phase` gives them.
 
     Vertex 0 is added first, so the keys and the heap start from its
     weights.  The heap holds only vertices of positive key, the largest
     key and then the lowest index first; a stale entry is below its
     vertex's key and is skipped.  When the heap is empty every key left
-    is 0, and the lowest unreached vertex goes next.
+    is 0, and the lowest unreached vertex goes next.  The walk over an
+    added vertex's neighbours sums its paths, as `_scan_phase`'s does.
     """
     key = dict.fromkeys(adj, 0)
     del key[0]
@@ -355,13 +372,15 @@ def _heap_phase(adj: dict[int, dict[int, int]]) -> tuple[int, int, int, int]:
             continue  # already added, or a stale key
         del key[v]
         s, t, phase_cut = t, v, -neg
-        if phase_cut < low:
-            low = phase_cut
+        paths = 0
         for u, w in adj[v].items():
             k = key.get(u)
             if k is not None:
+                paths += k if k < w else w
                 key[u] = k = k + w
                 heappush(heap, (-k, u))
+        if phase_cut + paths < low:
+            low = phase_cut + paths
     return s, t, phase_cut, low
 
 

@@ -1,11 +1,19 @@
-"""The contraction certificate that lets Stoer-Wagner stop early.
+"""The two proofs that let Stoer-Wagner stop early.
+
+A phase's own bound: `_scan_phase` and `_heap_phase` return the same
+(s, t, cut of the phase, low) on the same maps, and `low`, the least over
+the vertices added after vertex 0 of key plus paths, lies between the
+smallest of those keys and the true minimum cut, which brute force gives
+here, on the original maps or on contracted ones.
+
+The contraction certificate:
 
 `mincut._cuts_at_least(adj, bound)` answers True only when no cut of the
 graph weighs less than `bound`.  It must never answer True above the true
 minimum cut weight, which brute force gives here, on the original maps or
 on contracted ones, as `stoer_wagner` retries it; it must answer True at
-that weight on cycles, stars and uniform complete graphs, where
-Stoer-Wagner's keys prove nothing; and a failed attempt must cost no more
+that weight on cycles, where a phase's bound proves nothing, and on stars
+and uniform complete graphs; and a failed attempt must cost no more
 than one phase: it walks each neighbour map at most once, and reports the
 entries it walked.  `stoer_wagner` tries it after the first phase, and
 after a later one only while the attempts have walked at most a tenth of
@@ -33,6 +41,7 @@ from latcut import mincut  # noqa: E402
 from latcut.mincut import (  # noqa: E402
     _Contraction,
     _cuts_at_least,
+    _heap_phase,
     _scan_phase,
 )
 from conftest import hypercube  # noqa: E402
@@ -66,6 +75,26 @@ def graphs(draw):
     if draw(st.booleans()):
         edges = [(i, j, 1 if w else 0) for i, j, w in edges]
     return WeightedGraph.from_edges(count, edges)
+
+
+def contracted(graph: WeightedGraph, data) -> _Contraction:
+    """`graph`'s maps after a drawn number of merges of drawn pairs, as
+    Stoer-Wagner contracts: its keys are the surviving original ids, and
+    vertex 0 is never merged away."""
+    state = _Contraction.from_adjacency(graph.adjacency)
+    for _ in range(data.draw(st.integers(0, graph.vertex_count - 2))):
+        keep, drop = data.draw(st.permutations(list(state.adj)))[:2]
+        state.merge(*sorted((keep, drop)))
+    return state
+
+
+def relabelled(state: _Contraction) -> WeightedGraph:
+    """The contracted maps as a graph on 0..k-1, for brute force; the
+    weights are integers already, so its scale is 1."""
+    index = {v: k for k, v in enumerate(state.adj)}
+    return WeightedGraph.from_edges(len(index), [
+        (index[v], index[u], w) for v, nbrs in state.adj.items()
+        for u, w in nbrs.items() if v < u])
 
 
 def cycle(count: int, weight=1) -> WeightedGraph:
@@ -124,23 +153,71 @@ def test_a_light_degree_of_the_joined_vertex_ends_the_attempt():
 @settings(max_examples=500)
 @given(graphs(), st.data())
 def test_never_proves_a_bound_above_the_minimum_cut_of_a_contraction(graph, data):
-    # Stoer-Wagner retries on its contracted maps, whose keys are the
-    # surviving original ids; vertex 0 is never merged away.
-    state = _Contraction.from_adjacency(graph.adjacency)
-    for _ in range(data.draw(st.integers(0, graph.vertex_count - 2))):
-        keep, drop = data.draw(st.permutations(list(state.adj)))[:2]
-        state.merge(*sorted((keep, drop)))
-    index = {v: k for k, v in enumerate(state.adj)}
-    contracted = WeightedGraph.from_edges(len(index), [
-        (index[v], index[u], w) for v, nbrs in state.adj.items()
-        for u, w in nbrs.items() if v < u])
-    weight = lightest(contracted)  # integer weights: scale 1
+    # Stoer-Wagner retries on its contracted maps.
+    state = contracted(graph, data)
+    weight = lightest(relabelled(state))
     assert not _cuts_at_least(state.adj, weight + 1)[0]
     bound = data.draw(st.integers(1, weight + 2))
     assert bound <= weight or not _cuts_at_least(state.adj, bound)[0]
 
 
-# --- completeness where the keys prove nothing -------------------------------------
+# --- the phase bound ----------------------------------------------------------------
+
+@st.composite
+def phase_graphs(draw):
+    """2..10 vertices: tied weights, dense, sparse, or cut apart."""
+    kind = draw(st.sampled_from(("tied", "dense", "sparse", "disconnected")))
+    if kind == "tied":
+        return draw(graphs())
+    count = draw(st.integers(2, 10))
+    pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
+    if kind == "dense":  # at least 3/4 of the pairs, weight 1 or 2
+        absent = draw(st.sets(st.sampled_from(pairs),
+                              max_size=len(pairs) // 4))
+        return WeightedGraph.from_edges(count, [
+            (i, j, draw(st.sampled_from((1, 2)))) for i, j in pairs
+            if (i, j) not in absent])
+    weight = st.sampled_from(WEIGHTS[1:])
+    if kind == "sparse":  # a random tree and at most two more edges
+        edges = [(draw(st.integers(0, v - 1)), v, draw(weight))
+                 for v in range(1, count)]
+        edges += [(i, j, draw(weight)) for i, j in
+                  draw(st.lists(st.sampled_from(pairs), max_size=2))]
+        return WeightedGraph.from_edges(count, edges)
+    side = draw(st.sets(st.integers(0, count - 1), min_size=1,
+                        max_size=count - 1))
+    return WeightedGraph.from_edges(count, [
+        (i, j, draw(weight)) for i, j in pairs
+        if (i in side) == (j in side) and draw(st.booleans())])
+
+
+def maximum_adjacency(adj) -> tuple[list[int], list[int]]:
+    """A plain maximum-adjacency order from vertex 0, the largest key and
+    then the lowest id first, and the keys of the vertices after 0."""
+    order = [0]
+    key = {v: adj[0].get(v, 0) for v in adj if v}
+    keys = []
+    while key:
+        v = max(key, key=lambda u: (key[u], -u))
+        order.append(v)
+        keys.append(key.pop(v))
+        for u in key:
+            key[u] += adj[v].get(u, 0)
+    return order, keys
+
+
+@settings(max_examples=800)
+@given(phase_graphs(), st.data())
+def test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut(graph, data):
+    state = contracted(graph, data)
+    s, t, phase_cut, low = found = _scan_phase(state.adj)
+    assert _heap_phase(state.adj) == found
+    order, keys = maximum_adjacency(state.adj)
+    assert (s, t, phase_cut) == (order[-2], order[-1], keys[-1])
+    assert min(keys) <= low <= lightest(relabelled(state))
+
+
+# --- completeness on cycles, complete graphs and stars -----------------------------
 
 @pytest.mark.parametrize("count", range(3, 41))
 def test_proves_the_cycle(count):
@@ -273,7 +350,7 @@ def test_retries_walk_at_most_a_tenth_of_the_phases_entries(monkeypatch):
     assert [phases for phases, _ in attempts] == [1, 6, 12, 18, 26, 35]
     # An attempt runs after a phase exactly when the earlier attempts
     # walked at most a tenth of the entries of the phases so far; the last
-    # phase proves its cut by its keys and needs none.
+    # phase proves its cut by its own bound and needs none.
     walked_at = dict(attempts)
     tried = 0
     for phases in range(1, len(phased)):

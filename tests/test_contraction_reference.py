@@ -17,10 +17,10 @@ Stoer-Wagner stops phases early while the frozen one runs them all, on
 graphs whose weights need a common denominator near the 4096-bit cap,
 on the large tie-heavy Selling graphs of A_n, Z^n and A_n* that the
 golden files do not reach, and on the `svp` graphs of the benchmark's
-`dense_gram` plan, where contraction tests retried on the contracted
-graph end the phases early.  The running sums of the
-current `_SampledContraction` are recounted after every merge and clone,
-and each pick must be the frozen pick.
+`dense_gram` plan, where the phases' own path bounds, or contraction
+tests retried on the contracted graph, end the phases early.  The
+running sums of the current `_SampledContraction` are recounted after
+every merge and clone, and each pick must be the frozen pick.
 """
 
 from __future__ import annotations
@@ -428,33 +428,46 @@ def test_stoer_wagner_matches_the_reference_when_it_stops_early(graph):
     assert mincut.stoer_wagner(graph) == stoer_wagner(graph)
 
 
-@pytest.mark.parametrize("graph, merges", [
-    pytest.param(graph_from_gram(selling_parameters(gen_zn(200))), 0,
+@pytest.mark.parametrize("graph, merges, attempts", [
+    pytest.param(graph_from_gram(selling_parameters(gen_zn(200))), 0, 0,
                  id="zn200"),
-    pytest.param(graph_from_gram(selling_parameters(gen_an(20))), 0,
+    pytest.param(graph_from_gram(selling_parameters(gen_an(20))), 0, 1,
                  id="an20"),
-    pytest.param(graph_from_gram(selling_parameters(gen_anstar(20))), 0,
+    pytest.param(graph_from_gram(selling_parameters(gen_anstar(20))), 0, 0,
                  id="anstar20"),
-    pytest.param(hypercube(4), 9, id="cube4"),
-    pytest.param(graph_from_gram(gen_random_gram(52, 7, F(1))), 25,
+    pytest.param(hypercube(4), 9, 7, id="cube4"),
+    pytest.param(graph_from_gram(gen_random_gram(52, 7, F(1))), 3, 3,
                  id="gram52"),
 ])
 def test_stoer_wagner_stops_once_no_later_phase_can_be_lighter(
-        monkeypatch, graph, merges):
-    # The star's first phase proves its weight-1 cut by its keys.  The
-    # cycle's and the complete graph's keys prove nothing, but contraction
-    # tests prove their first phase's cut: no merge at all.  The
-    # hypercube has no triangle and no edge of half a degree, so the tests
-    # fail on it; they succeed on the graph left after 9 merges, of the 14
-    # that running every phase takes (the last, on two vertices, needs
-    # none).  The Gram graph's tests succeed after 25 merges of 51.
+        monkeypatch, graph, merges, attempts):
+    # A phase's bound is the least, over its added vertices v, of v's key
+    # plus the paths of length two from the vertices added before v to
+    # each vertex not yet added.  It proves the star's weight-1 cut and
+    # the complete graph's in their first phase, with no contraction
+    # test.  The cycle's first phase proves nothing, but one contraction
+    # attempt proves its cut: no merge at all.  The hypercube has no
+    # triangle and no edge of half a degree, so its attempts fail; after
+    # 9 merges, of the 14 that running every phase takes (the last, on
+    # two vertices, needs none), a phase's bound proves the cut.  The
+    # Gram graph's fourth phase proves it, after 3 merges of 51 and three
+    # failed attempts.
     counted = []
     merge = mincut._Contraction.merge
     monkeypatch.setattr(mincut._Contraction, "merge",
                         lambda self, keep, drop: counted.append(
                             merge(self, keep, drop)))
+    tried = []
+    cuts_at_least = mincut._cuts_at_least
+
+    def attempt(adj, bound):
+        tried.append(bound)
+        return cuts_at_least(adj, bound)
+
+    monkeypatch.setattr(mincut, "_cuts_at_least", attempt)
     assert mincut.stoer_wagner(graph) == stoer_wagner(graph)
     assert len(counted) == merges
+    assert len(tried) == attempts
 
 
 @settings(max_examples=300)
@@ -572,8 +585,9 @@ def benchmark_plan(workload: str, seed: int):
     pytest.param(inst, id=f"n{inst.n}-d{inst.density}")
     for inst in benchmark_plan("dense_gram", 1) if inst.command == ("svp",)])
 def test_stoer_wagner_matches_the_reference_on_the_dense_gram_plan(inst):
-    # Contraction tests retry on the contracted maps here, within their
-    # budget, and often end the phases early.
+    # The phases' own path bounds end most of these runs early; on some,
+    # contraction tests retried on the contracted maps, within their
+    # budget, end them first.
     graph = graph_from_gram(
         gen_random_gram(inst.n, inst.seed, Fraction(inst.density)))
     assert mincut.stoer_wagner(graph) == stoer_wagner(graph)

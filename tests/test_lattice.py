@@ -13,6 +13,7 @@ from latcut import (
     RankDeficient,
     RowSumNotZero,
     ShapeMismatch,
+    Superbase,
     SumNotZero,
     TooLarge,
     WrongRank,
@@ -254,6 +255,22 @@ def test_length_mismatch():
     g = selling_parameters(gen_an(3))
     with pytest.raises(LengthMismatch):
         quadratic_form(g, [1, 0, 1])
+
+
+def test_a_short_gram_row_is_a_shape_mismatch():
+    # Unchecked: the sum would index past the short row.
+    g = GramMatrix(((2, -1, -1), (-1, 2), (-1, -1, 2)), 1)
+    with pytest.raises(ShapeMismatch,
+                       match=r"^row 2 has length 2, expected 3$"):
+        quadratic_form(g, [1, 1, 0])
+
+
+def test_a_ragged_superbase_is_a_shape_mismatch():
+    # Unchecked: zip would cut the subset sum to the short vector, 1.
+    sb = Superbase(((1, 0), (0,), (-1, 0)), 1)
+    with pytest.raises(ShapeMismatch,
+                       match=r"^vector 2 has length 1, expected 2$"):
+        quadratic_form(sb, [1, 1, 0])
 
 
 @pytest.mark.parametrize("index", [-1, 4, 9])
