@@ -8,6 +8,11 @@ arithmetic behind the minimum cut must leave every byte as it is.
 `golden_gen.json` holds, for each `gen` command below, the sha256 of its
 stdout, its exit code and its stderr, so a change to how the generators
 build their instances must leave every generated file as it is.
+
+`golden_candidates.json` holds, for each `candidates` case below, the
+sha256 and line count of its stdout, its exit code and its stderr: the
+whole sorted list of subset sums, byte for byte, ties and the refusal past
+24 vectors included.
 """
 
 import hashlib
@@ -34,6 +39,10 @@ GOLDEN = json.loads(
 )
 GEN_GOLDEN = json.loads(
     (Path(__file__).with_name("golden_gen.json")).read_text(encoding="utf-8")
+)
+CANDIDATES_GOLDEN = json.loads(
+    (Path(__file__).with_name("golden_candidates.json"))
+    .read_text(encoding="utf-8")
 )
 
 INSTANCES = [
@@ -117,6 +126,52 @@ def test_gen_output_matches_golden():
 def test_golden_gen_file_has_exactly_these_commands():
     assert len(GEN_COMMANDS) == 289
     assert set(GEN_GOLDEN) == {" ".join(command) for command in GEN_COMMANDS}
+
+
+# Scale 6, and every squared length but the longest is shared by at
+# least two subsets, of one size or of two.
+TIED_SUPERBASE = """\
+superbase 5 4
+1/2 0 0 0
+0 1/2 0 0
+0 0 2/3 0
+0 0 0 2/3
+-1/2 -1/2 -2/3 -2/3
+"""
+
+CANDIDATE_CASES = {
+    " ".join(command): command
+    for command in [("example3d",), ("an", "7"), ("zn", "5"), ("anstar", "6"),
+                    ("anstar", "10"), ("an", "24")]
+}
+CANDIDATE_CASES["tied scale 6"] = None
+
+
+def candidates_outcome(name):
+    command = CANDIDATE_CASES[name]
+    text = TIED_SUPERBASE
+    if command is not None:
+        text = io.StringIO()
+        assert run_cli(["gen", *command], stdout=text) == 0
+        text = text.getvalue()
+    out, err = io.StringIO(), io.StringIO()
+    code = run_cli(["candidates", "-"], stdin=io.StringIO(text),
+                   stdout=out, stderr=err)
+    return {
+        "sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
+        "lines": out.getvalue().count("\n"),
+        "exit": code,
+        "stderr": err.getvalue(),
+    }
+
+
+@pytest.mark.parametrize("name", CANDIDATE_CASES)
+def test_candidates_output_matches_golden(name):
+    assert candidates_outcome(name) == CANDIDATES_GOLDEN[name]
+
+
+def test_golden_candidates_file_has_exactly_these_cases():
+    assert set(CANDIDATES_GOLDEN) == set(CANDIDATE_CASES)
 
 
 def test_exact_routes_agree_and_karger_never_undercuts():
