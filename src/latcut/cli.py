@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from functools import cache
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 
 from .errors import LatCutError, ParseError, ShapeError
@@ -39,10 +41,14 @@ from .lattice import (
 from .mincut import default_trial_count
 from .pipeline import (
     ALGORITHMS,
-    candidate_vectors,
+    _candidate_keys,
     short_vector,
     verify_reduction,
 )
+
+# `candidates` writes its lines in chunks of this many, so its output is
+# never held whole.
+_CHUNK_LINES = 1024
 
 
 def parse_input(text: str) -> Superbase | GramMatrix:
@@ -168,9 +174,24 @@ def _format(header: str, value: Superbase | GramMatrix,
     """`value` under `header`, rendering each distinct entry once."""
     lines = [] if comment is None else [f"# {comment}"]
     lines.append(header)
-    text = cache(lambda x: str(Fraction(x, value.scale)))
+    text = _Rationals(value.scale).__getitem__
     lines.extend(" ".join(map(text, row)) for row in value.rows)
     return "\n".join(lines) + "\n"
+
+
+class _Rationals(dict):
+    """The text of each integer over `scale`, made on first use: ``p`` or
+    ``p/q`` in lowest terms, as ``str(Fraction(x, scale))`` prints it."""
+
+    def __init__(self, scale: int):
+        super().__init__()
+        self.scale = scale
+
+    def __missing__(self, x: int) -> str:
+        g = math.gcd(x, self.scale)
+        text = self[x] = str(x // g) if g == self.scale else \
+            f"{x // g}/{self.scale // g}"
+        return text
 
 
 class _UsageError(Exception):
@@ -377,17 +398,21 @@ def _cmd_candidates(args, stdin, stdout, stderr) -> int:
         raise LatCutError(
             "candidate enumeration needs coordinates; supply a superbase file"
         )
-    # candidate_vectors builds each distinct value once, and its list keeps
-    # them all alive during the loop: one string per id formats each once.
-    text: dict[int, str] = {}
-    for cand in candidate_vectors(lattice):
-        for x in (cand.squared_length, *cand.coordinates):
-            if id(x) not in text:
-                text[id(x)] = str(x)
-        indices = ",".join(map(str, _indices_1based(cand.subset)))
-        coords = " ".join([text[id(x)] for x in cand.coordinates])
-        print(f"{indices} | {text[id(cand.squared_length)]} | {coords}",
-              file=stdout)
+    keys, shift, cut, high, low = _candidate_keys(lattice)
+    # Each 1-based index after a comma; a line drops its first comma.
+    high, low = [[("".join([f",{i + 1}" for i in part]), total)
+                  for part, total in parts] for parts in (high, low)]
+    top, bottom = len(high) - 1, len(low) - 1
+    coordinate = _Rationals(lattice.scale).__getitem__
+    length = _Rationals(lattice.scale ** 2)
+    for start in range(0, len(keys), _CHUNK_LINES):
+        lines = []
+        for key in keys[start:start + _CHUNK_LINES]:
+            h, h_sum = high[key >> cut & top]
+            l, l_sum = low[key & bottom]
+            coords = " ".join(map(coordinate, map(add, h_sum, l_sum)))
+            lines.append(f"{(h + l)[1:]} | {length[key >> shift]} | {coords}\n")
+        stdout.write("".join(lines))
     return 0
 
 

@@ -247,9 +247,7 @@ def _selling_graph(sb: Superbase) -> tuple[Adjacency, int]:
     zero row sums make that the gcd over every entry: the canonical scale.
     """
     rows = sb.rows
-    if len(rows) < 2:
-        raise ShapeMismatch("a superbase needs at least 2 vectors")
-    _check_lengths(rows, len(rows[0]), "vector")
+    _check_vectors(rows)
     vertices = range(len(rows))
     products = [[0] * len(rows) for _ in vertices]
     # Python code sees only each column's nonzeros, above the diagonal.
@@ -364,6 +362,13 @@ def _bits_of(u) -> tuple[int, ...]:
     return bits
 
 
+def _check_vectors(rows: Sequence[Sequence[int]]) -> None:
+    """ShapeMismatch unless `rows` are at least 2 vectors of one length."""
+    if len(rows) < 2:
+        raise ShapeMismatch("a superbase needs at least 2 vectors")
+    _check_lengths(rows, len(rows[0]), "vector")
+
+
 def _check_lengths(rows: Sequence[Sequence[int]], length: int,
                    noun: str) -> None:
     """ShapeMismatch at the first of `rows` not `length` long, named as
@@ -387,7 +392,8 @@ def quadratic_form(lattice: GramMatrix | Superbase, u) -> Fraction:
     is taken from its integer rows, squared over `scale` squared, so no
     Selling parameters are built.  Raises LengthMismatch unless `u` has
     one entry per vector, then ShapeMismatch, with the validators'
-    message, at the first ragged row; nothing else is checked.
+    message, for a superbase of fewer than 2 vectors or at the first
+    ragged row; nothing else is checked.
     """
     bits = _bits_of(u)
     size = len(lattice.rows)
@@ -397,7 +403,7 @@ def quadratic_form(lattice: GramMatrix | Superbase, u) -> Fraction:
         )
     support = [i for i, b in enumerate(bits) if b]
     if isinstance(lattice, Superbase):
-        _check_lengths(lattice.rows, lattice.m, "vector")
+        _check_vectors(lattice.rows)
         total = lattice._subset_total(support)
         return Fraction(sum(map(operator.mul, total, total)), lattice.scale ** 2)
     _check_lengths(lattice.rows, size, "row")

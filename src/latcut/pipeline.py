@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import compress
-from operator import add, mul, sub
+from operator import add, mul
 from typing import NamedTuple
 
 from .errors import (CertificateError, ImproperAssignment, RankDeficient,
@@ -160,12 +159,46 @@ def candidate_vectors(sb: Superbase) -> list[Candidate]:
     vectors, computed purely in coordinate space.  The list is sorted
     ascending by squared length with the same tie-break as
     :func:`brute_force_short_vector`, so the first entry is a shortest
-    vector.  Refuses n + 1 > 24.
+    vector.  Refuses n + 1 > 24.  A view over :func:`_candidate_keys`
+    that builds each distinct Fraction once.
+    """
+    keys, shift, cut, high, low = _candidate_keys(sb)
+    top, bottom = len(high) - 1, len(low) - 1
+    coordinate = cache(lambda c: Fraction(c, sb.scale))
+    length = cache(lambda sq: Fraction(sq, sb.scale ** 2))
+    # In place, so each key is dropped as its candidate is built.
+    for k, key in enumerate(keys):
+        h, h_sum = high[key >> cut & top]
+        l, l_sum = low[key & bottom]
+        keys[k] = Candidate(
+            h + l, tuple(map(coordinate, map(add, h_sum, l_sum))),
+            length(key >> shift))
+    return keys
 
-    Subsets are walked in reflected Gray-code order, so each step adds or
-    subtracts one of the superbase's integer rows: O(m) per subset.  The
-    sort key (scaled squared length, size, subset) is a total order, so
-    the walk order does not show, and each distinct Fraction is built once.
+
+# (indices, integer sum) of each part of a superbase's vectors, by slot.
+_Parts = list[tuple[tuple[int, ...], tuple[int, ...]]]
+
+
+def _candidate_keys(sb: Superbase) -> tuple[list[int], int, int, _Parts, _Parts]:
+    """Every proper nonempty subset of `sb`'s s = n + 1 vectors as one
+    packed integer key, sorted, and how to read the keys back:
+    (keys, shift, cut, high, low).  Refuses s > 24.
+
+    The key of subset S is ``q << shift | |S| << s | slot``, where q is
+    the squared length of S's sum times scale², shift is
+    s + s.bit_length(), and slot has bit s - 1 - i clear exactly when
+    vector i is in S.  Among subsets of one size, the lexicographic order
+    of the sorted index tuples is the descending order of the bit-reversed
+    masks, which is the ascending order of the slots.  So sorting the keys
+    sorts by (squared length, size, subset), the tie-break of
+    :func:`brute_force_short_vector`, and no field caps q.
+
+    S splits into H, its part among the first s - cut vectors, and L, its
+    part among the last cut = s // 2.  ``high[slot >> cut]`` and
+    ``low[slot & (1 << cut) - 1]`` hold their (indices, integer sum), so a
+    key costs no more memory than itself.  The keys are made from every
+    pair of parts, one dot product each: |H + L|² = |H|² + |L|² + 2 H·L.
     """
     size = sb.n + 1
     if size > BRUTE_FORCE_LIMIT:
@@ -173,24 +206,32 @@ def candidate_vectors(sb: Superbase) -> list[Candidate]:
             f"{2 ** size - 2} candidates at n + 1 = {size}; the exhaustive "
             f"limit is {BRUTE_FORCE_LIMIT}"
         )
-    indices = range(size)
-    chosen = [False] * size
-    acc = (0,) * sb.m
-    keyed = []
-    for step in range(1, 1 << size):
-        i = (step & -step).bit_length() - 1
-        chosen[i] = not chosen[i]
-        acc = tuple(map(add if chosen[i] else sub, acc, sb.rows[i]))
-        subset = tuple(compress(indices, chosen))
-        if len(subset) < size:
-            keyed.append((sum(map(mul, acc, acc)), len(subset), subset, acc))
-    keyed.sort()  # subsets differ, so coordinates are never compared
-    coordinate = cache(lambda c: Fraction(c, sb.scale))
-    length = cache(lambda sq: Fraction(sq, sb.scale ** 2))
-    # In place, so each keyed tuple is freed as its candidate is built.
-    for k, (sq, _, subset, coords) in enumerate(keyed):
-        keyed[k] = Candidate(subset, tuple(map(coordinate, coords)), length(sq))
-    return keyed
+    cut = size // 2
+    high, low = _parts(sb, 0, size - cut), _parts(sb, size - cut, cut)
+    shift = size + size.bit_length()
+
+    def packed(parts: _Parts, at: int) -> list[tuple[int, tuple[int, ...]]]:
+        """Each part's own fields of the key, and its sum."""
+        return [(sum(map(mul, total, total)) << shift | len(indices) << size
+                 | slot << at, total)
+                for slot, (indices, total) in enumerate(parts)]
+
+    lows = packed(low, 0)
+    keys = [h_key + l_key + (sum(map(mul, h_sum, l_sum)) << shift + 1)
+            for h_key, h_sum in packed(high, cut) for l_key, l_sum in lows]
+    del keys[-1], keys[0]  # slots full and 0: no vector, and all of them
+    keys.sort()
+    return keys, shift, cut, high, low
+
+
+def _parts(sb: Superbase, first: int, count: int) -> _Parts:
+    """(indices, integer sum) of each part of the `count` vectors from
+    `first` on, by slot: bit count - 1 - j of the slot is clear exactly
+    when vector first + j is in the part."""
+    parts = [tuple(first + j for j in range(count)
+                   if not slot >> count - 1 - j & 1)
+             for slot in range(1 << count)]
+    return [(part, sb._subset_total(part)) for part in parts]
 
 
 def verify_reduction(lattice: Superbase | GramMatrix,

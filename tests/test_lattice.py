@@ -273,6 +273,18 @@ def test_a_ragged_superbase_is_a_shape_mismatch():
         quadratic_form(sb, [1, 1, 0])
 
 
+@pytest.mark.parametrize("rows", [(), ((1, -1),)])
+def test_a_superbase_of_fewer_than_two_vectors_is_a_shape_mismatch(rows):
+    # Unchecked: an empty superbase has no first vector to read m from.
+    sb = Superbase(rows, 1)
+    with pytest.raises(ShapeMismatch,
+                       match=r"^a superbase needs at least 2 vectors$"):
+        quadratic_form(sb, [1] * len(rows))
+    with pytest.raises(ShapeMismatch,
+                       match=r"^a superbase needs at least 2 vectors$"):
+        validate_superbase(sb)
+
+
 @pytest.mark.parametrize("index", [-1, 4, 9])
 def test_subset_sum_refuses_an_index_out_of_range(index):
     sb = gen_an(3)

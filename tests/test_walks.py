@@ -1,15 +1,19 @@
-"""The Gray-code walks against the ascending-order enumerations they replaced.
+"""The exhaustive walks against the ascending-order enumerations they replaced.
 
-`brute_force_mincut`, the Karger-Stein base case `_exhaustive_cut` and
-`candidate_vectors` walk their subsets in reflected Gray-code order and
-update one vertex or vector per step.  The reference enumerators below are
-the straightforward loops: every subset in ascending mask order, each
-summed from scratch.  Both sides must return identical answers, ties
-included, on random graphs with many ties, zero weights, several
-components, and contraction states with scattered labels.
+`brute_force_mincut` and the Karger-Stein base case `_exhaustive_cut`
+walk their sides in reflected Gray-code order and update one vertex per
+step; `candidate_vectors` and `latcut candidates` sort one packed integer
+key per subset.  The reference enumerators below are the straightforward
+loops: every subset in ascending mask order, each summed from scratch.
+Both sides must return identical answers, ties included, on random graphs
+with many ties, zero weights, several components, and contraction states
+with scattered labels, and on superbases with tied lengths over a scale
+above 1.  The candidates' memory per subset is bounded too.
 """
 
+import io
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -29,7 +33,10 @@ from latcut import (  # noqa: E402
     candidate_vectors,
     graph_from_gram,
     quadratic_form,
+    validate_superbase,
 )
+from latcut.cli import format_superbase, run_cli  # noqa: E402
+from latcut.generators import gen_anstar  # noqa: E402
 from latcut.lattice import _scaled  # noqa: E402
 from latcut.mincut import _Contraction, _exhaustive_cut, _side  # noqa: E402
 
@@ -144,6 +151,41 @@ def superbases(draw):
     return Superbase(*_scaled([[F(x) for x in row] for row in rows]))
 
 
+@st.composite
+def obtuse_superbases(draw):
+    """Valid superbases of 2..8 vectors: a connected pattern of pairs laid
+    out as the columns of an incidence matrix, +r at one end and -r at the
+    other.  Distinct vectors then meet in at most one column, with product
+    -r² <= 0.  r takes few values, so lengths tie, and needs a scale up to
+    12."""
+    count = draw(st.integers(2, 8))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, count)]
+    pairs += draw(st.lists(st.sampled_from(
+        [(i, j) for j in range(count) for i in range(j)]), max_size=count))
+    entry = st.sampled_from((1, 1, 2, F(1, 2), F(-2, 3), F(3, 4)))
+    vectors = [[F(0)] * len(pairs) for _ in range(count)]
+    for column, (i, j) in enumerate(pairs):
+        r = draw(entry)
+        vectors[i][column], vectors[j][column] = r, -r
+    return validate_superbase(vectors)
+
+
+def candidates_stdout(sb):
+    out, err = io.StringIO(), io.StringIO()
+    code = run_cli(["candidates", "-"], stdin=io.StringIO(format_superbase(sb)),
+                   stdout=out, stderr=err)
+    assert (code, err.getvalue()) == (0, "")
+    return out.getvalue()
+
+
+def parse_candidate(line):
+    """A `candidates` line back as the Candidate it prints."""
+    indices, length, coordinates = line.split(" | ")
+    return Candidate(tuple(int(i) - 1 for i in indices.split(",")),
+                     tuple(map(Fraction, coordinates.split())),
+                     Fraction(length))
+
+
 def laplacian(graph):
     """The Gram matrix whose Selling graph is `graph`."""
     size = graph.vertex_count
@@ -193,6 +235,44 @@ def test_walks_match_on_every_small_unit_weight_graph():
 @given(superbases())
 def test_candidate_vectors_match_the_ascending_enumeration(sb):
     assert candidate_vectors(sb) == reference_candidate_vectors(sb)
+
+
+@given(obtuse_superbases())
+def test_candidates_lines_parse_back_to_candidate_vectors(sb):
+    expected = candidate_vectors(sb)
+    assert expected == reference_candidate_vectors(sb)
+    text = candidates_stdout(sb)
+    assert [parse_candidate(line) for line in text.splitlines()] == expected
+    # Each number as str(Fraction) prints it, each line ended by a newline.
+    assert text == "".join(
+        f"{','.join(str(i + 1) for i in c.subset)} | {c.squared_length} | "
+        f"{' '.join(map(str, c.coordinates))}\n" for c in expected)
+
+
+class _Sink:
+    def write(self, text):
+        pass
+
+
+def test_candidates_memory_per_subset_is_bounded():
+    """At n + 1 = 14 (A_13*: 16 382 subsets, 14 coordinates each), the
+    traced peak per subset of the CLI's enumeration and formatting, whose
+    output goes nowhere, and of `candidate_vectors`, whose list holds one
+    Candidate per subset."""
+    sb = gen_anstar(13)
+    text, count = format_superbase(sb), 2 ** 14 - 2
+    tracemalloc.start()
+    try:
+        assert run_cli(["candidates", "-"], stdin=io.StringIO(text),
+                       stdout=_Sink()) == 0
+        cli_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert len(candidate_vectors(sb)) == count
+        list_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cli_peak < 120 * count
+    assert list_peak < 450 * count
 
 
 @given(graphs(max_vertices=10))
