@@ -128,8 +128,8 @@ def test_golden_gen_file_has_exactly_these_commands():
     assert set(GEN_GOLDEN) == {" ".join(command) for command in GEN_COMMANDS}
 
 
-# Scale 6, and every squared length but the longest is shared by at
-# least two subsets, of one size or of two.
+# Scale 6, and every squared length is shared by two to eight subsets,
+# of one size or of two.
 TIED_SUPERBASE = """\
 superbase 5 4
 1/2 0 0 0
