@@ -7,8 +7,10 @@ line is one row of whitespace-separated rationals (``5/4``, ``-1``,
 ``#`` starts a comment, blank lines are skipped, and ``-`` as a file name
 means standard input.  The parser scales its distinct tokens to integers
 once and returns an unvalidated Superbase or GramMatrix.  `svp` and
-`verify` hand it to the pipeline, which checks what it uses; `validate`
-and `candidates` check it with the validators first.
+`verify` hand it to the pipeline, whose graph builder checks it;
+`validate` and `candidates` check it first through the same gate,
+:func:`latcut.lattice._cut_graph`, and drop the graph.  `candidates`
+formats the lines that :func:`latcut.pipeline._candidates` reads.
 
 All user-facing indices are 1-based; the library underneath is 0-based.
 Exit codes: 0 success, 1 validation or computation failure, 2 usage,
@@ -24,6 +26,7 @@ import re
 import sys
 from functools import cache
 from fractions import Fraction
+from itertools import islice
 from operator import add
 from pathlib import Path
 
@@ -32,16 +35,15 @@ from .generators import DEFAULT_DENSITY, FAMILIES, InstanceSpec, generate
 from .lattice import (
     GramMatrix,
     Superbase,
+    _cut_graph,
     _entries,
     _token_value,
     as_rational,
-    validate_gram,
-    validate_superbase,
 )
 from .mincut import default_trial_count
 from .pipeline import (
     ALGORITHMS,
-    _candidate_keys,
+    _candidates,
     short_vector,
     verify_reduction,
 )
@@ -319,11 +321,10 @@ def _read_text(path: str, stdin) -> str:
 
 
 def _load(parsed: Superbase | GramMatrix) -> Superbase | GramMatrix:
-    """Validate a parsed file, so that the command refuses an invalid
-    lattice before it reads anything else."""
-    if isinstance(parsed, Superbase):
-        return validate_superbase(parsed)
-    return validate_gram(parsed)
+    """Check a parsed file as its validator would, so that the command
+    refuses an invalid lattice before it reads anything else."""
+    _cut_graph(parsed)
+    return parsed
 
 
 def _indices_1based(subset) -> list[int]:
@@ -398,21 +399,15 @@ def _cmd_candidates(args, stdin, stdout, stderr) -> int:
         raise LatCutError(
             "candidate enumeration needs coordinates; supply a superbase file"
         )
-    keys, shift, cut, high, low = _candidate_keys(lattice)
-    # Each 1-based index after a comma; a line drops its first comma.
-    high, low = [[("".join([f",{i + 1}" for i in part]), total)
-                  for part, total in parts] for parts in (high, low)]
-    top, bottom = len(high) - 1, len(low) - 1
     coordinate = _Rationals(lattice.scale).__getitem__
     length = _Rationals(lattice.scale ** 2)
-    for start in range(0, len(keys), _CHUNK_LINES):
-        lines = []
-        for key in keys[start:start + _CHUNK_LINES]:
-            h, h_sum = high[key >> cut & top]
-            l, l_sum = low[key & bottom]
-            coords = " ".join(map(coordinate, map(add, h_sum, l_sum)))
-            lines.append(f"{(h + l)[1:]} | {length[key >> shift]} | {coords}\n")
-        stdout.write("".join(lines))
+    # Each 1-based index after a comma; a line drops its first comma.
+    lines = (f"{label[1:]} | {length[q]} | "
+             f"{' '.join(map(coordinate, map(add, high, low)))}\n"
+             for label, high, low, q in _candidates(
+                 lattice, lambda part: "".join([f",{i + 1}" for i in part])))
+    while chunk := "".join(islice(lines, _CHUNK_LINES)):
+        stdout.write(chunk)
     return 0
 
 

@@ -10,14 +10,18 @@ with rank equal to its side minus the number of connected components of
 its support; so rank is checked by one graph traversal instead of by
 elimination.
 
-Who checks what: products of vectors that sum to zero are symmetric
-with zero row sums, so :func:`_selling_graph` checks a superbase's shape
-and column sums and builds the cut graph straight from its products;
+Who checks what: :func:`_cut_graph` is the one gate, for either kind
+of lattice.  Products of vectors that sum to zero are symmetric with
+zero row sums, so :func:`_selling_graph` checks a superbase's shape and
+column sums and builds the cut graph straight from its products;
 :func:`_check_gram` checks a Gram matrix's shape, symmetry and row sums
 and builds its graph.  :func:`_check_graph` checks either graph's signs
-and connectivity and caps its scale.  The validators drop the graph and
-the pipeline keeps it, so no solve builds a dense Gram matrix.  Every
-entry point checks its lattice once; the generators check nothing.
+and connectivity, with the unreachable class of its kind, and caps its
+scale.  The validators and the CLI drop the graph and
+:func:`latcut.mincut.graph_from_gram` keeps it, so no solve builds a
+dense Gram matrix.  Every entry point checks its lattice once; the
+generators check nothing.  The oracles and views that read the rows
+without the gate check their shape, with the validators' messages.
 
 Indices are 0-based everywhere in this API.  Only the CLI renders them
 1-based.
@@ -125,7 +129,13 @@ class Superbase:
         return len(self.rows[0])
 
     def subset_sum(self, subset: Iterable[int]) -> Vector:
-        """Componentwise sum of the vectors selected by `subset`."""
+        """Componentwise sum of the vectors selected by `subset`.
+
+        Raises ShapeMismatch, with the validators' message, for fewer than
+        2 vectors or at the first ragged one; ValueError for an index out
+        of range.
+        """
+        _check_vectors(self.rows)
         return _fractions(self._subset_total(subset), self.scale)
 
     def _subset_total(self, subset: Iterable[int]) -> tuple[int, ...]:
@@ -214,6 +224,7 @@ def validate_superbase(vectors) -> Superbase:
     linear independence of the first n vectors, which for such vectors
     means the graph of nonzero inner products is connected.  The last two
     are the checks :func:`validate_gram` makes of the Selling parameters.
+    The checks are :func:`_cut_graph`'s, whose graph is dropped.
 
     Raises ShapeMismatch, SumNotZero, ObtuseViolation, RankDeficient, or
     TooLarge if the coordinates' integers or common denominator pass the
@@ -221,7 +232,7 @@ def validate_superbase(vectors) -> Superbase:
     """
     sb = vectors if isinstance(vectors, Superbase) else Superbase(
         *_entries([list(map(as_rational, row)) for row in vectors]))
-    _check_graph(*_selling_graph(sb), RankDeficient)
+    _cut_graph(sb)
     return sb
 
 
@@ -279,6 +290,7 @@ def validate_gram(entries) -> GramMatrix:
     off-diagonal entries and zero row sums, which make the matrix a
     weighted graph Laplacian and so positive semidefinite; its rank is
     then side - 1 exactly when the off-diagonal support graph is connected.
+    The checks are :func:`_cut_graph`'s, whose graph is dropped.
 
     Raises ShapeMismatch, NotSymmetric, ObtuseViolation, RowSumNotZero,
     or WrongRank, and TooLarge if the entries' integers or common
@@ -286,8 +298,24 @@ def validate_gram(entries) -> GramMatrix:
     """
     g = entries if isinstance(entries, GramMatrix) else GramMatrix(
         *_entries([list(map(as_rational, row)) for row in entries]))
-    _check_graph(_check_gram(g.rows, g.scale), g.scale, WrongRank)
+    _cut_graph(g)
     return g
+
+
+def _cut_graph(lattice: Superbase | GramMatrix) -> tuple[Adjacency, int]:
+    """The cut graph of `lattice`'s Selling parameters and its scale,
+    checked: the one place that knows which checks, and which unreachable
+    class, go with which kind of lattice.  A superbase's graph comes
+    straight from its products, a Gram matrix's from its entries, and
+    either raises what its validator documents.
+    """
+    if isinstance(lattice, Superbase):
+        adj, scale = _selling_graph(lattice)
+        _check_graph(adj, scale, RankDeficient)
+    else:
+        adj, scale = _check_gram(lattice.rows, lattice.scale), lattice.scale
+        _check_graph(adj, scale, WrongRank)
+    return adj, scale
 
 
 def _check_gram(rows: Sequence[Sequence[int]], scale: int) -> Adjacency:
@@ -299,12 +327,9 @@ def _check_gram(rows: Sequence[Sequence[int]], scale: int) -> Adjacency:
     positive entry comes first; then RowSumNotZero at the first row that
     does not sum to zero.  Signs alone are left to `_check_graph`.
     """
-    size = len(rows)
-    if size < 2:
-        raise ShapeMismatch("a Gram matrix needs side >= 2")
-    _check_lengths(rows, size, "row")
+    _check_square(rows)
     adj: Adjacency = tuple({} for _ in rows)
-    vertices = range(size)
+    vertices = range(len(rows))
     # Python code sees only the nonzeros above the diagonal.
     for i, row in enumerate(rows):
         for j in compress(vertices[i + 1:], row[i + 1:]):
@@ -328,8 +353,8 @@ def _check_gram(rows: Sequence[Sequence[int]], scale: int) -> Adjacency:
     return adj
 
 
-def _check_graph(adj: Adjacency, scale: int, unreachable: type) -> Adjacency:
-    """`adj`, the cut graph of Selling parameters over `scale`, checked as
+def _check_graph(adj: Adjacency, scale: int, unreachable: type) -> None:
+    """Check `adj`, the cut graph of Selling parameters over `scale`, as
     both routes end: ObtuseViolation at the first positive parameter
     (i, j), i < j, in row-major order, held as a negative weight;
     `unreachable` (WrongRank for a Gram matrix, RankDeficient for a
@@ -352,7 +377,6 @@ def _check_graph(adj: Adjacency, scale: int, unreachable: type) -> Adjacency:
     if not all(reached):
         raise unreachable(reached.index(False))
     _capped(scale, "edge weights")
-    return adj
 
 
 def _bits_of(u) -> tuple[int, ...]:
@@ -367,6 +391,13 @@ def _check_vectors(rows: Sequence[Sequence[int]]) -> None:
     if len(rows) < 2:
         raise ShapeMismatch("a superbase needs at least 2 vectors")
     _check_lengths(rows, len(rows[0]), "vector")
+
+
+def _check_square(rows: Sequence[Sequence[int]]) -> None:
+    """ShapeMismatch unless `rows` are a square matrix of side at least 2."""
+    if len(rows) < 2:
+        raise ShapeMismatch("a Gram matrix needs side >= 2")
+    _check_lengths(rows, len(rows), "row")
 
 
 def _check_lengths(rows: Sequence[Sequence[int]], length: int,
@@ -392,8 +423,8 @@ def quadratic_form(lattice: GramMatrix | Superbase, u) -> Fraction:
     is taken from its integer rows, squared over `scale` squared, so no
     Selling parameters are built.  Raises LengthMismatch unless `u` has
     one entry per vector, then ShapeMismatch, with the validators'
-    message, for a superbase of fewer than 2 vectors or at the first
-    ragged row; nothing else is checked.
+    message, for fewer than 2 vectors or rows or at the first ragged
+    one; nothing else is checked.
     """
     bits = _bits_of(u)
     size = len(lattice.rows)
@@ -406,5 +437,5 @@ def quadratic_form(lattice: GramMatrix | Superbase, u) -> Fraction:
         _check_vectors(lattice.rows)
         total = lattice._subset_total(support)
         return Fraction(sum(map(operator.mul, total, total)), lattice.scale ** 2)
-    _check_lengths(lattice.rows, size, "row")
+    _check_square(lattice.rows)
     return Fraction(_scaled_form(lattice.rows, support), lattice.scale)

@@ -30,7 +30,9 @@ can cross-check each other:
 
 A :class:`WeightedGraph` holds its rational weights as Python ints over
 one common denominator, fixed when it is built: a Gram matrix's own, or
-a superbase's products' reduced one.  All three algorithms run on those
+a superbase's products' reduced one.  :func:`graph_from_gram` builds it
+from either lattice through the one checked gate,
+:func:`latcut.lattice._cut_graph`.  All three algorithms run on those
 ints and divide once, when they build the returned :class:`Cut`; every
 comparison stays exact, so ties and minima are bit-reproducible.
 
@@ -56,8 +58,8 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import EmptySide, TooLarge, WrongRank
-from .lattice import (GramMatrix, _check_graph, _check_gram, _scaled,
+from .errors import EmptySide, TooLarge
+from .lattice import (GramMatrix, Superbase, _cut_graph, _scaled,
                       as_rational)
 from .rng import Xoshiro256StarStar, derive_seeds
 
@@ -138,18 +140,20 @@ class Cut:
     weight: Fraction
 
 
-def graph_from_gram(g: GramMatrix) -> WeightedGraph:
+def graph_from_gram(lattice: GramMatrix | Superbase) -> WeightedGraph:
     """Graph whose edge weights are the negated off-diagonal Gram entries.
 
     Vertex i stands for superbase vector i; a strictly negative q_ij
-    becomes an edge of weight -q_ij, and q_ij = 0 means no edge.  The
-    graph keeps `g.scale`.  Checked as :func:`latcut.lattice.validate_gram`
-    checks, with its classes and messages: `_check_gram` checks the shape,
-    symmetry and row sums and builds the graph, and `_check_graph` its
-    signs, its connectivity, so that no cut weighs 0, and the cap.
+    becomes an edge of weight -q_ij, and q_ij = 0 means no edge.  A
+    GramMatrix gives its entries and keeps its scale; a Superbase gives
+    the products of its vectors, straight from its rows, over their
+    reduced scale, with no Gram matrix built.  Either is checked as its
+    validator checks it, with its classes and messages, so that no cut
+    weighs 0: a GramMatrix raises ShapeMismatch, NotSymmetric,
+    ObtuseViolation, RowSumNotZero, WrongRank or TooLarge, a Superbase
+    ShapeMismatch, SumNotZero, ObtuseViolation, RankDeficient or TooLarge.
     """
-    return WeightedGraph(
-        _check_graph(_check_gram(g.rows, g.scale), g.scale, WrongRank), g.scale)
+    return WeightedGraph(*_cut_graph(lattice))
 
 
 def cut_weight(graph: WeightedGraph, side: Iterable[int]) -> Cut:

@@ -6,11 +6,13 @@ built from its Selling parameters, and the cut side names the superbase
 subset to sum.  This module wires that equivalence together, on the
 integers a Superbase and a GramMatrix hold: a Superbase gives the graph
 straight from its products and the answer's coordinates, a GramMatrix
-the graph alone.  It is the one gate of a solve: :func:`short_vector`
-and :func:`verify_reduction` take the lattice as it was built, and
-:func:`_graph` checks it, each condition once, with validation's classes
-and messages, and builds no dense Gram matrix.  It also carries the
-exhaustive subset oracle used to test the reduction.
+the graph alone.  :func:`short_vector` and :func:`verify_reduction` take
+the lattice as it was built and get its graph from
+:func:`latcut.mincut.graph_from_gram`, which checks it, each condition
+once, with validation's classes and messages, and builds no dense Gram
+matrix.  It also carries the exhaustive oracles used to test the
+reduction, and :func:`_candidates`, the one reader of the packed keys
+that the candidate enumeration sorts.
 """
 
 from __future__ import annotations
@@ -19,24 +21,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from operator import add, mul
-from typing import NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
-from .errors import (CertificateError, ImproperAssignment, RankDeficient,
-                     TooLarge)
+from .errors import CertificateError, ImproperAssignment, TooLarge
 from .lattice import (
     GramMatrix,
     Superbase,
     Vector,
     _bits_of,
-    _check_graph,
+    _check_square,
+    _check_vectors,
     _fractions,
     _scaled_form,
-    _selling_graph,
     quadratic_form,
 )
 from .mincut import (
     BRUTE_FORCE_LIMIT,
-    WeightedGraph,
     brute_force_mincut,
     cut_weight,
     default_trial_count,
@@ -88,7 +88,8 @@ def short_vector(
     a trial count of ceil((log2(n+1))^2) + 8 when `trials` is None), or
     "brute" (exhaustive cut enumeration, small inputs only).
 
-    Raises what :func:`latcut.lattice.validate_superbase` or
+    The graph comes from :func:`latcut.mincut.graph_from_gram`, which
+    raises what :func:`latcut.lattice.validate_superbase` or
     :func:`latcut.lattice.validate_gram` raises on the same lattice,
     class and message, before any cut is computed; a connected graph has
     no cut of weight 0.  Before returning, the edges crossing the cut
@@ -100,7 +101,7 @@ def short_vector(
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
 
-    graph = _graph(lattice)
+    graph = graph_from_gram(lattice)
     if algorithm == "stoer-wagner":
         cut = stoer_wagner(graph)
     elif algorithm == "brute":
@@ -122,24 +123,16 @@ def short_vector(
     return ShortVectorResult(cut.side, cut.weight, coordinates)
 
 
-def _graph(lattice: Superbase | GramMatrix) -> WeightedGraph:
-    """The cut graph of `lattice`, checked on the way as validation would:
-    a superbase's straight from its products, a Gram matrix's from its
-    entries, with no Gram matrix built."""
-    if not isinstance(lattice, Superbase):
-        return graph_from_gram(lattice)
-    adj, scale = _selling_graph(lattice)
-    return WeightedGraph(_check_graph(adj, scale, RankDeficient), scale)
-
-
 def brute_force_short_vector(g: GramMatrix) -> ShortVectorResult:
     """Oracle: minimize the quadratic form over every proper nonempty subset.
 
     Scans all 2^(n+1) - 2 binary assignments directly on the Gram matrix,
     never touching the graph reduction.  Ties break toward the smallest
     squared length, then the smallest subset, then lexicographic order.
-    Refuses n + 1 > 24.
+    Raises ShapeMismatch, with the validators' message, unless `g` is
+    square of side at least 2; refuses n + 1 > 24.
     """
+    _check_square(g.rows)
     size = g.size
     if size > BRUTE_FORCE_LIMIT:
         raise TooLarge(
@@ -159,48 +152,47 @@ def candidate_vectors(sb: Superbase) -> list[Candidate]:
     vectors, computed purely in coordinate space.  The list is sorted
     ascending by squared length with the same tie-break as
     :func:`brute_force_short_vector`, so the first entry is a shortest
-    vector.  Refuses n + 1 > 24.  A view over :func:`_candidate_keys`
-    that builds each distinct Fraction once.
+    vector.  Raises ShapeMismatch, with the validators' message, for
+    fewer than 2 vectors or at the first ragged one; refuses n + 1 > 24.
+    Read from :func:`_candidates`, building each distinct Fraction once.
     """
-    keys, shift, cut, high, low = _candidate_keys(sb)
-    top, bottom = len(high) - 1, len(low) - 1
     coordinate = cache(lambda c: Fraction(c, sb.scale))
-    length = cache(lambda sq: Fraction(sq, sb.scale ** 2))
-    # In place, so each key is dropped as its candidate is built.
-    for k, key in enumerate(keys):
-        h, h_sum = high[key >> cut & top]
-        l, l_sum = low[key & bottom]
-        keys[k] = Candidate(
-            h + l, tuple(map(coordinate, map(add, h_sum, l_sum))),
-            length(key >> shift))
-    return keys
+    length = cache(lambda q: Fraction(q, sb.scale ** 2))
+    return [Candidate(subset, tuple(map(coordinate, map(add, high, low))),
+                      length(q))
+            for subset, high, low, q in _candidates(sb, tuple)]
 
 
 # (indices, integer sum) of each part of a superbase's vectors, by slot.
 _Parts = list[tuple[tuple[int, ...], tuple[int, ...]]]
 
 
-def _candidate_keys(sb: Superbase) -> tuple[list[int], int, int, _Parts, _Parts]:
-    """Every proper nonempty subset of `sb`'s s = n + 1 vectors as one
-    packed integer key, sorted, and how to read the keys back:
-    (keys, shift, cut, high, low).  Refuses s > 24.
-
-    The key of subset S is ``q << shift | |S| << s | slot``, where q is
-    the squared length of S's sum times scale², shift is
-    s + s.bit_length(), and slot has bit s - 1 - i clear exactly when
-    vector i is in S.  Among subsets of one size, the lexicographic order
-    of the sorted index tuples is the descending order of the bit-reversed
-    masks, which is the ascending order of the slots.  So sorting the keys
-    sorts by (squared length, size, subset), the tie-break of
-    :func:`brute_force_short_vector`, and no field caps q.
-
+def _candidates(sb: Superbase, label: Callable[[tuple[int, ...]], Any]
+                ) -> Iterator[tuple]:
+    """Every proper nonempty subset S of `sb`'s s = n + 1 vectors, in the
+    order (squared length, size, subset) of
+    :func:`brute_force_short_vector`, as (label, high sum, low sum, q).
     S splits into H, its part among the first s - cut vectors, and L, its
-    part among the last cut = s // 2.  ``high[slot >> cut]`` and
-    ``low[slot & (1 << cut) - 1]`` hold their (indices, integer sum), so a
-    key costs no more memory than itself.  The keys are made from every
-    pair of parts, one dot product each: |H + L|² = |H|² + |L|² + 2 H·L.
+    part among the last cut = s // 2; the label is ``label(H) + label(L)``,
+    with `label` called once per part; the sums are H's and L's integer
+    sums; q is the squared length of their total times scale².  The first
+    item raises ShapeMismatch, as the validators do, for fewer than 2
+    vectors or a ragged one, then TooLarge if s > 24.
+
+    Until it is read, S is one packed integer key
+    ``q << shift | |S| << s | slot``, where shift is s + s.bit_length(),
+    and slot has bit s - 1 - i clear exactly when vector i is in S.  Among
+    subsets of one size, the lexicographic order of the sorted index tuples
+    is the descending order of the bit-reversed masks, which is the
+    ascending order of the slots.  So sorting the keys sorts by (squared
+    length, size, subset), and no field caps q.  ``slot >> cut`` and
+    ``slot & (1 << cut) - 1`` index the tables of H's and L's parts, so a
+    key costs no more memory than itself, and each is dropped as it is
+    read.  The keys are made from every pair of parts, one dot product
+    each: |H + L|² = |H|² + |L|² + 2 H·L.
     """
-    size = sb.n + 1
+    _check_vectors(sb.rows)
+    size = len(sb.rows)
     if size > BRUTE_FORCE_LIMIT:
         raise TooLarge(
             f"{2 ** size - 2} candidates at n + 1 = {size}; the exhaustive "
@@ -220,8 +212,15 @@ def _candidate_keys(sb: Superbase) -> tuple[list[int], int, int, _Parts, _Parts]
     keys = [h_key + l_key + (sum(map(mul, h_sum, l_sum)) << shift + 1)
             for h_key, h_sum in packed(high, cut) for l_key, l_sum in lows]
     del keys[-1], keys[0]  # slots full and 0: no vector, and all of them
-    keys.sort()
-    return keys, shift, cut, high, low
+    keys.sort(reverse=True)  # popped from the end, smallest first
+    high, low = [[(label(part), total) for part, total in parts]
+                 for parts in (high, low)]
+    top, bottom = len(high) - 1, len(low) - 1
+    while keys:
+        key = keys.pop()
+        h, h_sum = high[key >> cut & top]
+        l, l_sum = low[key & bottom]
+        yield h + l, h_sum, l_sum, key >> shift
 
 
 def _parts(sb: Superbase, first: int, count: int) -> _Parts:
@@ -239,9 +238,10 @@ def verify_reduction(lattice: Superbase | GramMatrix,
     """Evaluate one assignment both ways: quadratic form and cut weight.
 
     `lattice` is a Superbase or GramMatrix, checked as for
-    :func:`short_vector`.  Returns (Q(u), W(C, complement)) where C is the
-    support of `u`.  The two are equal for every proper assignment on a
-    valid lattice; callers assert the equality they care about.
+    :func:`short_vector`, by :func:`latcut.mincut.graph_from_gram`.
+    Returns (Q(u), W(C, complement)) where C is the support of `u`.  The
+    two are equal for every proper assignment on a valid lattice; callers
+    assert the equality they care about.
 
     Raises ValueError unless each entry of u is 0 or 1, then what
     validation raises on the lattice, then ImproperAssignment when u is
@@ -249,7 +249,7 @@ def verify_reduction(lattice: Superbase | GramMatrix,
     per vector.
     """
     bits = _bits_of(u)
-    graph = _graph(lattice)
+    graph = graph_from_gram(lattice)
     if not 0 < sum(bits) < len(bits):
         raise ImproperAssignment(
             "assignment must contain at least one 1 and at least one 0"

@@ -1,7 +1,7 @@
 """A superbase's cut graph straight from its products, against the dense route.
 
-`pipeline._graph` builds a superbase's cut graph from the products of
-its integer rows and checks it once.  It must give what the public
+`graph_from_gram(sb)` builds a superbase's cut graph from the products
+of its integer rows and checks it once.  It must give what the public
 composition `graph_from_gram(selling_parameters(sb))` gives: the same
 neighbour maps, in the same order, and the same scale, or the same
 exception, class, attributes and message, with the composition's
@@ -28,7 +28,6 @@ from latcut import (  # noqa: E402
     quadratic_form,
     selling_parameters,
 )
-from latcut import pipeline  # noqa: E402
 
 
 def composed(sb):
@@ -87,7 +86,7 @@ def test_the_graph_from_products_matches_the_composition():
     @given(superbases(), st.data())
     def compare(sb, data):
         expected = outcome(composed, sb)
-        assert outcome(pipeline._graph, sb) == expected
+        assert outcome(graph_from_gram, sb) == expected
         seen.add(expected[0] if isinstance(expected[0], type) else "valid")
         try:
             g = selling_parameters(sb)

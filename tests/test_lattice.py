@@ -271,6 +271,9 @@ def test_a_ragged_superbase_is_a_shape_mismatch():
     with pytest.raises(ShapeMismatch,
                        match=r"^vector 2 has length 1, expected 2$"):
         quadratic_form(sb, [1, 1, 0])
+    with pytest.raises(ShapeMismatch,
+                       match=r"^vector 2 has length 1, expected 2$"):
+        sb.subset_sum([0, 1])
 
 
 @pytest.mark.parametrize("rows", [(), ((1, -1),)])
@@ -282,7 +285,19 @@ def test_a_superbase_of_fewer_than_two_vectors_is_a_shape_mismatch(rows):
         quadratic_form(sb, [1] * len(rows))
     with pytest.raises(ShapeMismatch,
                        match=r"^a superbase needs at least 2 vectors$"):
+        sb.subset_sum(range(len(rows)))
+    with pytest.raises(ShapeMismatch,
+                       match=r"^a superbase needs at least 2 vectors$"):
         validate_superbase(sb)
+
+
+def test_a_gram_matrix_of_side_1_is_a_shape_mismatch():
+    # Unchecked: the form of the one entry, 5, was returned.
+    g = GramMatrix(((5,),), 1)
+    for check in (lambda: quadratic_form(g, [1]), lambda: validate_gram(g)):
+        with pytest.raises(ShapeMismatch,
+                           match=r"^a Gram matrix needs side >= 2$"):
+            check()
 
 
 @pytest.mark.parametrize("index", [-1, 4, 9])

@@ -27,6 +27,7 @@ from latcut import (
     gen_example3d,
     gen_random_gram,
     gen_zn,
+    graph_from_gram,
     quadratic_form,
     selling_parameters,
     short_vector,
@@ -97,10 +98,9 @@ def test_unknown_algorithm_rejected():
 
 
 def test_one_svp_op_checks_each_condition_once(monkeypatch):
-    """`svp` solves the parsed lattice: it calls no validator, takes a
-    superbase's products once, checks their graph once with no Gram check,
-    checks a Gram matrix and its graph once each, and reads no Fraction
-    view."""
+    """`svp` solves the parsed lattice: it takes a superbase's products
+    once, checks their graph once with no Gram check, checks a Gram matrix
+    and its graph once each, and reads no Fraction view."""
     rational = Superbase(((2, -1, 0), (-1, 2, 0), (0, 0, 2), (-1, -1, -2)), 2)
     superbase = {"products": 1, "graph": 1, "gram": 0}
     cases = [(format_superbase(gen_anstar(4)), superbase),
@@ -116,17 +116,12 @@ def test_one_svp_op_checks_each_condition_once(monkeypatch):
         return count
 
     def refuse(*_):
-        raise AssertionError("a validator ran or a Fraction view was read")
+        raise AssertionError("a Fraction view was read")
 
-    for key, name, modules in (
-            ("products", "_selling_graph", ("lattice", "pipeline")),
-            ("graph", "_check_graph", ("lattice", "mincut", "pipeline")),
-            ("gram", "_check_gram", ("lattice", "mincut"))):
-        wrapped = counted(key, getattr(latcut.lattice, name))
-        for module in modules:
-            monkeypatch.setattr(getattr(latcut, module), name, wrapped)
-    for name in ("validate_superbase", "validate_gram"):
-        monkeypatch.setattr(latcut.cli, name, refuse)
+    for key, name in (("products", "_selling_graph"),
+                      ("graph", "_check_graph"), ("gram", "_check_gram")):
+        monkeypatch.setattr(latcut.lattice, name,
+                            counted(key, getattr(latcut.lattice, name)))
     monkeypatch.setattr(Superbase, "vectors", property(refuse))
     monkeypatch.setattr(GramMatrix, "entries", property(refuse))
     for text, expected in cases:
@@ -299,15 +294,45 @@ UNCHECKED_SHAPES = [
                               "long-row", "long-first-row"])
 def test_unchecked_shape_raises_what_validation_raises(lattice, message):
     # The ragged superbase once gave subset (1,) at squared length 1; the
-    # one-vector superbase and the 1 x 1 matrix failed an assertion.
-    validate = validate_gram if isinstance(lattice, GramMatrix) \
-        else validate_superbase
+    # one-vector superbase and the 1 x 1 matrix failed an assertion.  The
+    # oracles and views once read past, cut short or ignored the rows, or
+    # returned a form or no candidates.
     solves = [lambda a=a: short_vector(lattice, a) for a in ALGORITHMS]
     solves += [lambda: verify_reduction(lattice, [1, 0]),
-               lambda: validate(lattice)]
+               lambda: quadratic_form(lattice, [1] * len(lattice.rows))]
+    if isinstance(lattice, GramMatrix):
+        solves += [lambda: validate_gram(lattice),
+                   lambda: brute_force_short_vector(lattice)]
+    else:
+        solves += [lambda: validate_superbase(lattice),
+                   lambda: candidate_vectors(lattice),
+                   lambda: lattice.subset_sum(range(len(lattice.rows)))]
     for solve in solves:
         with pytest.raises(ShapeMismatch, match=f"^{message}$"):
             solve()
+
+
+def test_svp_builds_each_graph_through_graph_from_gram_once(monkeypatch):
+    """One `svp` op on a superbase file, and one on a Gram file, builds
+    its graph with one `graph_from_gram` call, and a superbase's graph is
+    its Selling parameters' graph."""
+    for sb in (gen_example3d(), gen_an(6), gen_zn(5), gen_anstar(7)):
+        assert graph_from_gram(sb) == graph_from_gram(selling_parameters(sb))
+    calls = []
+
+    def counted(lattice):
+        calls.append(type(lattice))
+        return graph_from_gram(lattice)
+
+    monkeypatch.setattr(latcut.pipeline, "graph_from_gram", counted)
+    for lattice in (gen_anstar(4), gen_random_gram(6, seed=5)):
+        text = format_superbase(lattice) if isinstance(lattice, Superbase) \
+            else format_gram(lattice)
+        calls.clear()
+        out, err = io.StringIO(), io.StringIO()
+        assert run_cli(["svp", "-"], stdin=io.StringIO(text),
+                       stdout=out, stderr=err) == 0, err.getvalue()
+        assert calls == [type(lattice)]
 
 
 # --- brute_force_short_vector --------------------------------------------------

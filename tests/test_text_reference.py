@@ -39,7 +39,7 @@ from latcut import (  # noqa: E402
     validate_gram,
     validate_superbase,
 )
-from latcut import cli, pipeline  # noqa: E402
+from latcut import cli  # noqa: E402
 from latcut.lattice import _token_value  # noqa: E402
 
 F = Fraction
@@ -62,7 +62,7 @@ def command_line(text):
     """The route `svp` takes from file text to the checked cut graph,
     which must be the graph of the lattice's Selling parameters."""
     lattice = cli.parse_input(text)
-    graph = pipeline._graph(lattice)
+    graph = graph_from_gram(lattice)
     g = selling_parameters(lattice) if isinstance(lattice, Superbase) \
         else lattice
     expected = graph_from_gram(g)
