@@ -423,8 +423,8 @@ def quadratic_form(lattice: GramMatrix | Superbase, u) -> Fraction:
     is taken from its integer rows, squared over `scale` squared, so no
     Selling parameters are built.  Raises LengthMismatch unless `u` has
     one entry per vector, then ShapeMismatch, with the validators'
-    message, for fewer than 2 vectors or rows or at the first ragged
-    one; nothing else is checked.
+    message, for a superbase of fewer than 2 vectors or at the first
+    ragged row; nothing else is checked.
     """
     bits = _bits_of(u)
     size = len(lattice.rows)
@@ -437,5 +437,5 @@ def quadratic_form(lattice: GramMatrix | Superbase, u) -> Fraction:
         _check_vectors(lattice.rows)
         total = lattice._subset_total(support)
         return Fraction(sum(map(operator.mul, total, total)), lattice.scale ** 2)
-    _check_square(lattice.rows)
+    _check_lengths(lattice.rows, size, "row")
     return Fraction(_scaled_form(lattice.rows, support), lattice.scale)

@@ -291,15 +291,6 @@ def test_a_superbase_of_fewer_than_two_vectors_is_a_shape_mismatch(rows):
         validate_superbase(sb)
 
 
-def test_a_gram_matrix_of_side_1_is_a_shape_mismatch():
-    # Unchecked: the form of the one entry, 5, was returned.
-    g = GramMatrix(((5,),), 1)
-    for check in (lambda: quadratic_form(g, [1]), lambda: validate_gram(g)):
-        with pytest.raises(ShapeMismatch,
-                           match=r"^a Gram matrix needs side >= 2$"):
-            check()
-
-
 @pytest.mark.parametrize("index", [-1, 4, 9])
 def test_subset_sum_refuses_an_index_out_of_range(index):
     sb = gen_an(3)
