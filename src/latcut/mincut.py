@@ -25,7 +25,14 @@ can cross-check each other:
   phase, merge and tie is as before; when they succeed the phases stop
   there, with the same answer.
 * :func:`karger_stein`: randomized recursive contraction, reproducible
-  for a fixed (seed, trials) pair.
+  for a fixed (seed, trials) pair.  Each time a trial finds a strictly
+  lighter cut, it tries the same value-only proofs on the original graph:
+  one phase's path bound and the contraction tests, besides a weight of 0
+  and a graph small enough for the trial to have searched every cut.
+  When one shows that no cut is lighter, the later trials, which could
+  at most tie, are skipped, and the answer is the same.  The routes stay
+  independent because Karger-Stein stops on these proofs, never on
+  another route's answer.
 * :func:`brute_force_mincut`: exhaustive enumeration, the oracle.
 
 A :class:`WeightedGraph` holds its rational weights as Python ints over
@@ -221,10 +228,7 @@ def stoer_wagner(graph: WeightedGraph) -> Cut:
     phased = tried = 0  # map entries the phases and the attempts walked
 
     while len(adj) > 1:
-        if _SCAN_DENSITY * edges >= len(adj) ** 2:
-            s, t, phase_cut, low = _scan_phase(adj)
-        else:
-            s, t, phase_cut, low = _heap_phase(adj)
+        s, t, phase_cut, low = _phase(adj, edges)
         if best is None or phase_cut < best[0]:
             best = (phase_cut, state.members[t])
         bound = max(bound, low)
@@ -245,6 +249,15 @@ def stoer_wagner(graph: WeightedGraph) -> Cut:
 
     assert best is not None
     return Cut(tuple(sorted(best[1])), Fraction(best[0], graph.scale))
+
+
+def _phase(adj: dict[int, dict[int, int]],
+           edges: int) -> tuple[int, int, int, int]:
+    """One maximum-adjacency phase on a graph of `edges` edges: by scan
+    when it is dense (see `_SCAN_DENSITY`), else from a heap."""
+    if _SCAN_DENSITY * edges >= len(adj) ** 2:
+        return _scan_phase(adj)
+    return _heap_phase(adj)
 
 
 def _cuts_at_least(adj: Mapping[int, Mapping[int, int]],
@@ -581,15 +594,22 @@ def _recursive_contraction(state: _SampledContraction,
 def karger_stein(graph: WeightedGraph, seed: int, trials: int) -> Cut:
     """Randomized minimum cut by repeated recursive contraction.
 
-    Runs `trials` independent trials and returns the lightest cut found
-    (ties resolved toward the earliest trial).  Each trial's generator is
-    seeded from its own splitmix64-derived stream, so the result depends
-    only on (graph, seed, trials) and trials could run in any order or in
-    parallel without changing it.  The returned weight is always an upper
-    bound on the true minimum.
+    Runs at most `trials` independent trials and returns the lightest cut
+    found (ties resolved toward the earliest trial).  Each trial's
+    generator is seeded from its own splitmix64-derived stream, drawn as
+    the trial starts, so the result depends only on (graph, seed, trials)
+    and trials could run in any order or in parallel without changing it.
+    The returned weight is always an upper bound on the true minimum.
+
+    Each time a trial finds a strictly lighter cut, `_no_cut_lighter`
+    tries to prove, from the graph alone, that no cut weighs less.  When
+    it does, every later trial could at most tie, and a tie never
+    replaces the best cut, so the trials stop there with the same `Cut`
+    as running them all; skipping a trial changes no other trial's draws.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    adj = dict(enumerate(graph.adjacency))
     best: _Found | None = None
     for trial_seed in derive_seeds(seed, trials):
         rng = Xoshiro256StarStar(trial_seed)
@@ -597,8 +617,26 @@ def karger_stein(graph: WeightedGraph, seed: int, trials: int) -> Cut:
             _SampledContraction.from_adjacency(graph.adjacency), rng)
         if best is None or candidate[0] < best[0]:
             best = candidate
+            if _no_cut_lighter(adj, best[0]):
+                break
     assert best is not None
     return Cut(_side(best), Fraction(best[0], graph.scale))
+
+
+def _no_cut_lighter(adj: dict[int, dict[int, int]], weight: int) -> bool:
+    """Whether no cut of the graph weighs less than `weight`, the weight of
+    a cut that one Karger-Stein trial returned; False when unproven.
+
+    `adj` is the original graph's maps, ascending and holding vertex 0.
+    Each True is a proof that reads only the graph and `weight`, never
+    another route's answer: a weight of 0; at most `_CONTRACTION_BASE`
+    vertices, where the trial searched every cut; the `low` of one
+    maximum-adjacency phase at least `weight`; or `_cuts_at_least`.
+    """
+    if not weight or len(adj) <= _CONTRACTION_BASE:
+        return True
+    edges = sum(map(len, adj.values())) // 2
+    return _phase(adj, edges)[3] >= weight or _cuts_at_least(adj, weight)[0]
 
 
 def brute_force_mincut(graph: WeightedGraph) -> Cut:

@@ -14,6 +14,8 @@ All state and outputs are 64-bit unsigned integers.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 MASK64 = (1 << 64) - 1
 
 
@@ -31,10 +33,15 @@ class SplitMix64:
         return z ^ (z >> 31)
 
 
-def derive_seeds(master_seed: int, count: int) -> list[int]:
-    """Derive `count` independent stream seeds from one master seed."""
+def derive_seeds(master_seed: int, count: int) -> Iterator[int]:
+    """Derive `count` independent stream seeds from one master seed.
+
+    Lazily: each seed is made as it is drawn, so a caller that stops
+    early never makes the rest, and memory does not grow with `count`.
+    """
     mixer = SplitMix64(master_seed)
-    return [mixer.next_u64() for _ in range(count)]
+    for _ in range(count):
+        yield mixer.next_u64()
 
 
 def _rotl(x: int, k: int) -> int:

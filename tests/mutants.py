@@ -100,6 +100,97 @@ MUTANTS = (
            "islice(lines, 1, _CHUNK_LINES)",
            ("tests/test_golden.py::test_candidates_output_matches_golden",
             "tests/test_cli.py::test_candidates_on_example3d")),
+    # Karger-Stein stops its trials on a strictly lighter cut, unproven.
+    Mutant("stop-without-proof", "mincut.py",
+           "if _no_cut_lighter(adj, best[0]):",
+           "if True:",
+           ("tests/test_mincut.py::test_ks_runs_every_trial_when_no_proof_settles_its_cut",
+            "tests/test_contraction_reference.py::test_karger_stein_matches_the_reference_at_the_default_trial_count",
+            "tests/test_golden.py::test_svp_stdout_matches_golden")),
+    # Karger-Stein accepts a phase's bound one unit short of its cut.
+    Mutant("phase-bound-one-short", "mincut.py",
+           "return _phase(adj, edges)[3] >= weight or",
+           "return _phase(adj, edges)[3] + 1 >= weight or",
+           ("tests/test_certificate.py::test_karger_stein_takes_the_phase_bound_as_it_is",
+            "tests/test_certificate.py::test_karger_stein_stops_on_no_bound_above_the_minimum_cut")),
+    # Karger-Stein takes a trial on one vertex past the base case as
+    # exhaustive.
+    Mutant("exhaustive-size-widened", "mincut.py",
+           "len(adj) <= _CONTRACTION_BASE:",
+           "len(adj) <= _CONTRACTION_BASE + 1:",
+           ("tests/test_mincut.py::test_ks_runs_every_trial_when_no_proof_settles_its_cut",
+            "tests/test_certificate.py::test_karger_stein_stops_on_no_bound_above_the_minimum_cut")),
+    # The contraction tests' PR2 without its degree guard: half a degree
+    # joins a vertex whose own degree is a light cut.
+    Mutant("pr2-without-degree-guard", "mincut.py",
+           "2 * w >= min(degree, w + rest) >= bound",
+           "2 * w >= min(degree, w + rest)",
+           ("tests/test_certificate.py::test_a_light_pendant_vertex_is_not_joined_by_its_half_degree",
+            "tests/test_certificate.py::test_never_proves_a_bound_above_the_minimum_cut",
+            "tests/test_certificate.py::test_karger_stein_stops_on_no_bound_above_the_minimum_cut",
+            "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference")),
+    # PR4 without the joined edge's own weight: sound, but it proves less.
+    Mutant("pr4-without-joined-weight", "mincut.py",
+           "if not (w + paths >= bound or",
+           "if not (paths >= bound or",
+           ("tests/test_certificate.py::test_proves_the_uniform_complete_graph",
+            "tests/test_certificate.py::test_the_two_cliques_fail_at_the_bridge")),
+    # A joined supervertex's degree, itself a cut, not checked.
+    Mutant("joined-degree-unchecked", "mincut.py",
+           "        degree += rest - w\n        if degree < bound:\n"
+           "            return False, walked\n",
+           "        degree += rest - w\n",
+           ("tests/test_certificate.py::test_a_light_degree_of_the_joined_vertex_ends_the_attempt",
+            "tests/test_certificate.py::test_never_proves_a_bound_above_the_minimum_cut",
+            "tests/test_certificate.py::test_karger_stein_stops_on_no_bound_above_the_minimum_cut",
+            "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference")),
+    # A scan phase's `low` as the largest key plus paths, not the least.
+    Mutant("scan-low-by-max", "mincut.py",
+           "            v = max(key, key=key.__getitem__, default=v)\n"
+           "        if phase_cut + paths < low:",
+           "            v = max(key, key=key.__getitem__, default=v)\n"
+           "        if low == math.inf or phase_cut + paths > low:",
+           ("tests/test_certificate.py::test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut",
+            "tests/test_certificate.py::test_karger_stein_stops_on_no_bound_above_the_minimum_cut",
+            "tests/test_mincut.py::test_ks_runs_every_trial_when_no_proof_settles_its_cut",
+            "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference")),
+    # The same in a heap phase.
+    Mutant("heap-low-by-max", "mincut.py",
+           "                heappush(heap, (-k, u))\n"
+           "        if phase_cut + paths < low:",
+           "                heappush(heap, (-k, u))\n"
+           "        if low == math.inf or phase_cut + paths > low:",
+           ("tests/test_certificate.py::test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut",
+            "tests/test_certificate.py::test_karger_stein_stops_on_no_bound_above_the_minimum_cut",
+            "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference_when_it_stops_early")),
+    # A scan phase's paths summed from keys already updated, in its walk
+    # over the keys...
+    Mutant("scan-key-read-after-update", "mincut.py",
+           "                    paths += k if k < w else w\n"
+           "                    key[u] = k = k + w\n",
+           "                    key[u] = k = k + w\n"
+           "                    paths += k if k < w else w\n",
+           ("tests/test_certificate.py::test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut",
+            "tests/test_certificate.py::test_karger_stein_stops_on_no_bound_above_the_minimum_cut",
+            "tests/test_mincut.py::test_ks_runs_every_trial_when_no_proof_settles_its_cut",
+            "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference_on_dense_graphs")),
+    # ...and in its walk over the added vertex's neighbours.
+    Mutant("scan-neighbour-key-read-after-update", "mincut.py",
+           "                    paths += k if k < w else w\n"
+           "                    key[u] = k + w\n",
+           "                    key[u] = k = k + w\n"
+           "                    paths += k if k < w else w\n",
+           ("tests/test_certificate.py::test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut",
+            "tests/test_certificate.py::test_karger_stein_stops_on_no_bound_above_the_minimum_cut",
+            "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference_on_dense_graphs")),
+    # The same in a heap phase.
+    Mutant("heap-key-read-after-update", "mincut.py",
+           "                paths += k if k < w else w\n"
+           "                key[u] = k = k + w\n",
+           "                key[u] = k = k + w\n"
+           "                paths += k if k < w else w\n",
+           ("tests/test_certificate.py::test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut",
+            "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference_when_it_stops_early")),
 )
 
 

@@ -1,4 +1,10 @@
-"""The two proofs that let Stoer-Wagner stop early.
+"""The two proofs that let Stoer-Wagner and Karger-Stein stop early.
+
+Stoer-Wagner stops its phases, and Karger-Stein its trials, once one of
+them shows that no cut is lighter than the best found so far.  Karger-Stein
+asks through `mincut._no_cut_lighter`, which also answers True on a
+weight of 0 and on graphs small enough for a trial to have searched every
+cut, and otherwise never above the true minimum.
 
 A phase's own bound: `_scan_phase` and `_heap_phase` return the same
 (s, t, cut of the phase, low) on the same maps, and `low`, the least over
@@ -39,9 +45,11 @@ from latcut import (  # noqa: E402
 )
 from latcut import mincut  # noqa: E402
 from latcut.mincut import (  # noqa: E402
+    _CONTRACTION_BASE,
     _Contraction,
     _cuts_at_least,
     _heap_phase,
+    _no_cut_lighter,
     _scan_phase,
 )
 from conftest import hypercube  # noqa: E402
@@ -132,6 +140,31 @@ def test_never_proves_a_bound_above_the_minimum_cut(graph, data):
     assert not proves(graph, weight + 1)
     bound = data.draw(st.integers(1, weight + 2 * graph.scale))
     assert bound <= weight or not proves(graph, bound)
+
+
+@settings(max_examples=800)
+@given(graphs(), st.data())
+def test_karger_stein_stops_on_no_bound_above_the_minimum_cut(graph, data):
+    # `_no_cut_lighter` is told the weight of a cut that a trial found;
+    # on at most `_CONTRACTION_BASE` vertices the trial was exhaustive,
+    # so it answers True there whatever the weight, and elsewhere only
+    # when one phase's bound or the contraction tests prove the weight.
+    adj = dict(enumerate(graph.adjacency))
+    weight = lightest(graph)
+    small = graph.vertex_count <= _CONTRACTION_BASE
+    assert _no_cut_lighter(adj, weight + 1) == small
+    bound = data.draw(st.integers(0, weight + 2 * graph.scale))
+    assert bound <= weight or _no_cut_lighter(adj, bound) == small
+    assert _no_cut_lighter(adj, 0)
+
+
+def test_karger_stein_takes_the_phase_bound_as_it_is():
+    # The 8-vertex star's first phase bounds every cut by 1, its weight,
+    # and 8 vertices are too many for the exhaustive base case.
+    adj = dict(enumerate(star(8, 7, [1] * 7).adjacency))
+    assert _scan_phase(adj)[3] == _heap_phase(adj)[3] == 1
+    assert _no_cut_lighter(adj, 1)
+    assert not _no_cut_lighter(adj, 2)
 
 
 def test_a_light_pendant_vertex_is_not_joined_by_its_half_degree():

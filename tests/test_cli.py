@@ -212,6 +212,17 @@ def test_svp_karger_reports_seed_and_trials():
     assert payload["trials"] == 16
 
 
+def test_svp_karger_reports_the_trials_asked_for_when_it_stops_early():
+    # example3d's 4 vertices are searched exhaustively, so the first of
+    # the million trials is proved minimal and the rest never run.
+    _, gen_out, _ = run(["gen", "example3d"])
+    code, out, _ = run(["svp", "-", "--algorithm", "karger", "--trials",
+                        "1000000"], stdin_text=gen_out)
+    assert code == 0
+    assert "squared length: 1/2\n" in out
+    assert out.endswith("seed: 0\ntrials: 1000000\n")
+
+
 def test_svp_output_is_byte_identical_across_runs():
     _, gen_out, _ = run(["gen", "random_gram", "6", "--seed", "5"])
     args = ["svp", "-", "--algorithm", "karger", "--seed", "42"]

@@ -18,9 +18,11 @@ graphs whose weights need a common denominator near the 4096-bit cap,
 on the large tie-heavy Selling graphs of A_n, Z^n and A_n* that the
 golden files do not reach, and on the `svp` graphs of the benchmark's
 `dense_gram` plan, where the phases' own path bounds, or contraction
-tests retried on the contracted graph, end the phases early.  The
-running sums of the current `_SampledContraction` are recounted after
-every merge and clone, and each pick must be the frozen pick.
+tests retried on the contracted graph, end the phases early; and at
+the default trial count, where the current Karger-Stein stops once a
+trial's cut is proved minimal while the frozen one runs every trial.
+The running sums of the current `_SampledContraction` are recounted
+after every merge and clone, and each pick must be the frozen pick.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from latcut.mincut import (  # noqa: E402
     BRUTE_FORCE_LIMIT,
     _CONTRACTION_BASE,
     _subproblem_size,
+    default_trial_count,
 )
 from latcut.rng import Xoshiro256StarStar, derive_seeds  # noqa: E402
 from conftest import hypercube  # noqa: E402
@@ -320,11 +323,11 @@ WEIGHTS = (0, 1, 1, 2, 3, F(1, 2), F(3, 4), F(5, 3))
 
 
 @st.composite
-def graphs(draw):
-    """2..14 vertices, dense or sparse; extra edges on drawn pairs are
+def graphs(draw, most=14):
+    """2..`most` vertices, dense or sparse; extra edges on drawn pairs are
     parallel edges, and sometimes the weights are all 1 (ties
     everywhere), or no edge joins a prefix of the vertices to the rest."""
-    count = draw(st.integers(2, 14))
+    count = draw(st.integers(2, most))
     pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
     weight = st.sampled_from(WEIGHTS + (0,) * draw(st.integers(0, 24)))
     edges = [(i, j, draw(weight)) for i, j in pairs]
@@ -473,6 +476,18 @@ def test_stoer_wagner_stops_once_no_later_phase_can_be_lighter(
 @settings(max_examples=300)
 @given(graphs(), st.integers(0, 2 ** 64 - 1), st.integers(1, 4))
 def test_karger_stein_matches_the_reference(graph, seed, trials):
+    assert mincut.karger_stein(graph, seed, trials) == \
+        karger_stein(graph, seed, trials)
+
+
+@settings(max_examples=400)
+@given(graphs(most=12), st.integers(0, 2 ** 64 - 1))
+def test_karger_stein_matches_the_reference_at_the_default_trial_count(
+        graph, seed):
+    # The reference runs every trial; the current code stops once a
+    # trial's cut is proved minimal, which needs no more than the first
+    # trial on graphs of up to 6 vertices or with a cut of weight 0.
+    trials = default_trial_count(graph.vertex_count)
     assert mincut.karger_stein(graph, seed, trials) == \
         karger_stein(graph, seed, trials)
 

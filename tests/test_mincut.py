@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from latcut import (
     selling_parameters,
     stoer_wagner,
 )
+from latcut import mincut
 from latcut.lattice import MAX_DENOMINATOR_BITS
 from conftest import random_graph, seeds_from
 
@@ -264,6 +266,67 @@ def test_ks_handles_disconnected_graphs():
     g = WeightedGraph.from_edges(8, [(i, i + 1, 1) for i in range(3)]
                                  + [(i, i + 1, 1) for i in range(4, 7)])
     assert karger_stein(g, seed=5, trials=4).weight == 0
+
+
+def trials_run(monkeypatch, graph: WeightedGraph, trials: int):
+    """`karger_stein(graph, 0, trials)` and the trials it ran, counted
+    as the generators it made, one per trial."""
+    made = []
+    generator = mincut.Xoshiro256StarStar
+
+    def counted(seed):
+        made.append(seed)
+        return generator(seed)
+
+    monkeypatch.setattr(mincut, "Xoshiro256StarStar", counted)
+    return karger_stein(graph, 0, trials), len(made)
+
+
+def two_unit_k4s() -> WeightedGraph:
+    return WeightedGraph.from_edges(8, [
+        (i, j, 1) for i in range(8) for j in range(i + 1, 8)
+        if i // 4 == j // 4])
+
+
+@pytest.mark.parametrize("graph", [
+    # The cycle's cut is proved by a contraction test, the star's and the
+    # complete graph's by one phase's bound; example3d's 4 vertices are
+    # searched exhaustively, and a cut of weight 0 needs no proof.
+    pytest.param(graph_from_gram(_gram(gen_an, 7)), id="an7"),
+    pytest.param(graph_from_gram(_gram(gen_zn, 7)), id="zn7"),
+    pytest.param(graph_from_gram(_gram(gen_anstar, 7)), id="anstar7"),
+    pytest.param(example3d_graph(), id="example3d"),
+    pytest.param(two_unit_k4s(), id="two-k4"),
+])
+def test_ks_stops_once_its_cut_is_proved_minimal(monkeypatch, graph):
+    cut, trials = trials_run(monkeypatch, graph,
+                             default_trial_count(graph.vertex_count))
+    assert trials == 1
+    assert cut.weight == brute_force_mincut(graph).weight
+
+
+def test_ks_runs_every_trial_when_no_proof_settles_its_cut(monkeypatch):
+    # Neither one phase's bound nor the contraction tests prove this
+    # graph's minimum cut, and its 7 vertices are too many for the
+    # exhaustive base case.
+    graph = graph_from_gram(gen_random_gram(6, seed=3, density=F(1)))
+    assert default_trial_count(graph.vertex_count) == 16
+    cut, trials = trials_run(monkeypatch, graph, 16)
+    assert trials == 16
+    assert cut.weight == brute_force_mincut(graph).weight
+
+
+def test_ks_draws_each_seed_as_its_trial_starts():
+    # A list of a million seeds alone takes about 42 MB.
+    graph = example3d_graph()
+    tracemalloc.start()
+    try:
+        cut = karger_stein(graph, 0, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cut.weight == F(1, 2)
+    assert peak < 2 ** 20
 
 
 def test_default_trial_count_grows_slowly():
