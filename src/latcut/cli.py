@@ -20,6 +20,7 @@ parse or read error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import re
@@ -283,7 +284,8 @@ def run_cli(argv, *, stdin=None, stdout=None, stderr=None) -> int:
     stderr = sys.stderr if stderr is None else stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(stdout):  # where --help prints
+            args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=stderr)
         return 2
@@ -315,9 +317,13 @@ def main() -> None:
 
 
 def _read_text(path: str, stdin) -> str:
-    if path == "-":
-        return stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    """The text of `path`, or of `stdin` for ``-``, as strict UTF-8: a
+    stream's bytes when it has them, whatever its own encoding."""
+    if path != "-":
+        return Path(path).read_text(encoding="utf-8")
+    if hasattr(stdin, "buffer"):
+        return stdin.buffer.read().decode("utf-8")
+    return stdin.read()
 
 
 def _load(parsed: Superbase | GramMatrix) -> Superbase | GramMatrix:
@@ -352,11 +358,7 @@ def _cmd_svp(args, stdin, stdout, stderr) -> int:
     result = short_vector(lattice, args.algorithm, seed=seed, trials=trials)
     coordinates = None
     if result.coordinates is not None:
-        # short_vector builds one Fraction per distinct value, and the
-        # result keeps them alive: one string per id formats each once.
-        distinct = {id(x): x for x in result.coordinates}
-        strings = {k: str(x) for k, x in distinct.items()}
-        coordinates = [strings[id(x)] for x in result.coordinates]
+        coordinates = [str(x) for x in result.coordinates]
     if args.json:
         payload: dict = {
             "subset": _indices_1based(result.subset),

@@ -78,8 +78,9 @@ _CONTRACTION_BASE = 6
 # A Stoer-Wagner phase scans its keys when _SCAN_DENSITY * |E| >= |V|^2,
 # that is when about a quarter or more of all vertex pairs are edges, and
 # uses the heap otherwise.  Timed per phase on random graphs of 17 to 129
-# vertices, a scan took 0.48-1.03 times the heap's time where |V|^2 <= 8|E|
-# and 0.95-1.16 times where |V|^2 >= 16|E| (the sweep is in CHANGES.md).
+# vertices, a scan took 0.38-0.84 times the heap's time where |V|^2 <= 8|E|,
+# 0.55-1.09 times where 9|E| <= |V|^2 <= 15|E| and 1.06-1.43 times where
+# |V|^2 >= 18|E| (the sweep is in CHANGES.md).
 _SCAN_DENSITY = 8
 
 # A cut Karger-Stein found: (weight over the graph's common denominator,
@@ -324,14 +325,14 @@ def _scan_phase(adj: dict[int, dict[int, int]]) -> tuple[int, int, int, int]:
     """One maximum-adjacency phase by scanning: (s, t, cut of the phase,
     low), where low bounds every cut of the graph (see `stoer_wagner`).
 
-    Vertex 0 is added first, so `key` starts from its weights.  Each
-    added vertex's weights go to the keys it still reaches, walking
-    whichever of its neighbours and the keys left is shorter.  The same
-    walk sums its paths, min(key, weight) with each key read before its
-    update, and low is the least key plus paths of any vertex added after
-    vertex 0.  `key` is built ascending and only ever popped, so the
-    first largest key is the lowest index among the largest: `max` finds
-    it, or the walk over the keys, which meets every key left.
+    Vertex 0 is added first, so `key` starts from its weights.  After
+    each added vertex, one walk over the keys left adds its weights to
+    the keys it reaches, sums its paths, min(key, weight) with each key
+    read before its update, and finds the next vertex.  low is the least
+    key plus paths of any vertex added after vertex 0.  `key` is built
+    ascending and only ever popped, so the walk meets the keys in
+    ascending order, and the first largest key it meets is the lowest
+    index among the largest.
     """
     key = dict.fromkeys(adj, 0)
     del key[0]
@@ -343,22 +344,14 @@ def _scan_phase(adj: dict[int, dict[int, int]]) -> tuple[int, int, int, int]:
         s, t, phase_cut = t, v, key.pop(v)
         paths = 0
         nbrs = adj[v]
-        if len(key) < len(nbrs):
-            top = -1
-            for u, k in key.items():
-                w = nbrs.get(u)
-                if w:
-                    paths += k if k < w else w
-                    key[u] = k = k + w
-                if k > top:
-                    top, v = k, u
-        else:
-            for u, w in nbrs.items():
-                k = key.get(u)
-                if k is not None:
-                    paths += k if k < w else w
-                    key[u] = k + w
-            v = max(key, key=key.__getitem__, default=v)
+        top = -1
+        for u, k in key.items():
+            w = nbrs.get(u)
+            if w:
+                paths += k if k < w else w
+                key[u] = k = k + w
+            if k > top:
+                top, v = k, u
         if phase_cut + paths < low:
             low = phase_cut + paths
     return s, t, phase_cut, low

@@ -187,9 +187,9 @@ def _candidates(sb: Superbase, label: Callable[[tuple[int, ...]], Any]
     ascending order of the slots.  So sorting the keys sorts by (squared
     length, size, subset), and no field caps q.  ``slot >> cut`` and
     ``slot & (1 << cut) - 1`` index the tables of H's and L's parts, so a
-    key costs no more memory than itself, and each is dropped as it is
-    read.  The keys are made from every pair of parts, one dot product
-    each: |H + L|² = |H|² + |L|² + 2 H·L.
+    key costs no more memory than itself, and the sorted keys are the
+    reader's peak memory.  The keys are made from every pair of parts,
+    one dot product each: |H + L|² = |H|² + |L|² + 2 H·L.
     """
     _check_vectors(sb.rows)
     size = len(sb.rows)
@@ -212,12 +212,11 @@ def _candidates(sb: Superbase, label: Callable[[tuple[int, ...]], Any]
     keys = [h_key + l_key + (sum(map(mul, h_sum, l_sum)) << shift + 1)
             for h_key, h_sum in packed(high, cut) for l_key, l_sum in lows]
     del keys[-1], keys[0]  # slots full and 0: no vector, and all of them
-    keys.sort(reverse=True)  # popped from the end, smallest first
+    keys.sort()
     high, low = [[(label(part), total) for part, total in parts]
                  for parts in (high, low)]
     top, bottom = len(high) - 1, len(low) - 1
-    while keys:
-        key = keys.pop()
+    for key in keys:
         h, h_sum = high[key >> cut & top]
         l, l_sum = low[key & bottom]
         yield h + l, h_sum, l_sum, key >> shift

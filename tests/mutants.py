@@ -146,14 +146,20 @@ MUTANTS = (
             "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference")),
     # A scan phase's `low` as the largest key plus paths, not the least.
     Mutant("scan-low-by-max", "mincut.py",
-           "            v = max(key, key=key.__getitem__, default=v)\n"
+           "                top, v = k, u\n"
            "        if phase_cut + paths < low:",
-           "            v = max(key, key=key.__getitem__, default=v)\n"
+           "                top, v = k, u\n"
            "        if low == math.inf or phase_cut + paths > low:",
            ("tests/test_certificate.py::test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut",
             "tests/test_certificate.py::test_karger_stein_stops_on_no_bound_above_the_minimum_cut",
             "tests/test_mincut.py::test_ks_runs_every_trial_when_no_proof_settles_its_cut",
             "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference")),
+    # A scan phase adds the last of the largest keys, not the first, so
+    # it breaks ties toward the highest index, unlike a heap phase.
+    Mutant("scan-tie-to-last", "mincut.py",
+           "if k > top:",
+           "if k >= top:",
+           ("tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference",)),
     # The same in a heap phase.
     Mutant("heap-low-by-max", "mincut.py",
            "                heappush(heap, (-k, u))\n"
@@ -163,30 +169,24 @@ MUTANTS = (
            ("tests/test_certificate.py::test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut",
             "tests/test_certificate.py::test_karger_stein_stops_on_no_bound_above_the_minimum_cut",
             "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference_when_it_stops_early")),
-    # A scan phase's paths summed from keys already updated, in its walk
-    # over the keys...
+    # A scan phase's paths summed from keys already updated.
     Mutant("scan-key-read-after-update", "mincut.py",
-           "                    paths += k if k < w else w\n"
-           "                    key[u] = k = k + w\n",
-           "                    key[u] = k = k + w\n"
-           "                    paths += k if k < w else w\n",
+           "            if w:\n"
+           "                paths += k if k < w else w\n"
+           "                key[u] = k = k + w\n",
+           "            if w:\n"
+           "                key[u] = k = k + w\n"
+           "                paths += k if k < w else w\n",
            ("tests/test_certificate.py::test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut",
             "tests/test_certificate.py::test_karger_stein_stops_on_no_bound_above_the_minimum_cut",
             "tests/test_mincut.py::test_ks_runs_every_trial_when_no_proof_settles_its_cut",
             "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference_on_dense_graphs")),
-    # ...and in its walk over the added vertex's neighbours.
-    Mutant("scan-neighbour-key-read-after-update", "mincut.py",
-           "                    paths += k if k < w else w\n"
-           "                    key[u] = k + w\n",
-           "                    key[u] = k = k + w\n"
-           "                    paths += k if k < w else w\n",
-           ("tests/test_certificate.py::test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut",
-            "tests/test_certificate.py::test_karger_stein_stops_on_no_bound_above_the_minimum_cut",
-            "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference_on_dense_graphs")),
     # The same in a heap phase.
     Mutant("heap-key-read-after-update", "mincut.py",
+           "            if k is not None:\n"
            "                paths += k if k < w else w\n"
            "                key[u] = k = k + w\n",
+           "            if k is not None:\n"
            "                key[u] = k = k + w\n"
            "                paths += k if k < w else w\n",
            ("tests/test_certificate.py::test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut",

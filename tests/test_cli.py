@@ -439,6 +439,38 @@ def test_a_file_that_is_not_utf8_is_exit_2(tmp_path):
     assert err.startswith("error: 'utf-8' codec can't decode")
 
 
+def latcut_process(args, data: bytes, encoding=None):
+    """(exit code, stdout, stderr) of `python -m latcut <args>` in a new
+    interpreter fed the bytes `data`, its standard streams in `encoding`
+    (PYTHONIOENCODING) or, for None, in the interpreter's default."""
+    src = str(Path(latcut.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONIOENCODING", None)
+    if encoding is not None:
+        env["PYTHONIOENCODING"] = encoding
+    done = subprocess.run([sys.executable, "-m", "latcut", *args],
+                          input=data, capture_output=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("encoding", [None, "latin-1"])
+def test_standard_input_is_decoded_as_strict_utf8_like_a_file(
+        tmp_path, encoding):
+    data = b"gram 2 # caf\xe9\n1 -1\n-1 1\n"
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(data)
+    from_file = latcut_process(["validate", str(path)], b"", encoding)
+    assert from_file == (2, b"", b"error: 'utf-8' codec can't decode byte "
+                         b"0xe9 in position 12: invalid continuation byte\n")
+    assert latcut_process(["validate", "-"], data, encoding) == from_file
+
+
+def test_standard_input_keeps_its_byte_order_mark_and_crlf_lines():
+    data = ("\ufeff" + EXAMPLE3D_GRAM_FILE.replace("\n", "\r\n")).encode()
+    _, plain, _ = run(["svp", "-"], stdin_text=EXAMPLE3D_GRAM_FILE)
+    assert latcut_process(["svp", "-"], data) == (0, plain.encode(), b"")
+
+
 @pytest.mark.parametrize("text", [EXAMPLE3D_GRAM_FILE, A3_FILE],
                          ids=["gram", "superbase"])
 @pytest.mark.parametrize("command", ["svp", "validate"])
@@ -477,6 +509,15 @@ def test_no_arguments_is_usage_error():
 
 def test_unknown_subcommand_is_usage_error():
     assert run(["frobnicate"])[0] == 2
+
+
+@pytest.mark.parametrize("args", [["--help"], ["svp", "--help"]],
+                         ids=["latcut", "svp"])
+def test_help_is_written_to_the_given_stdout(capsys, args):
+    code, out, err = run(args)
+    assert (code, err) == (0, "")
+    assert out.startswith(" ".join(["usage: latcut", *args[:-1]]))
+    assert capsys.readouterr() == ("", "")
 
 
 def test_bad_seed_is_usage_error():
@@ -545,14 +586,8 @@ def test_seed_and_density_with_random_gram_do_not_warn():
 
 def fresh_process(args, stdin_text):
     """(exit code, stdout, stderr) of `latcut <args>` in a new interpreter."""
-    src = str(Path(latcut.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c", "from latcut.cli import main; main()", *args],
-        input=stdin_text, capture_output=True, text=True, env=env,
-    )
-    return done.returncode, done.stdout, done.stderr
+    code, out, err = latcut_process(args, stdin_text.encode())
+    return code, out.decode(), err.decode()
 
 
 def test_calls_in_one_process_match_fresh_processes():
@@ -574,12 +609,8 @@ def test_calls_in_one_process_match_fresh_processes():
 
 
 def test_python_dash_m_latcut_runs_the_cli():
-    src = str(Path(latcut.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-m", "latcut", "gen", "example3d"],
-                          capture_output=True, env=env)
-    assert (done.returncode, done.stderr) == (0, b"")
-    assert done.stdout == run(["gen", "example3d"])[1].encode()
+    assert latcut_process(["gen", "example3d"], b"") == (
+        0, run(["gen", "example3d"])[1].encode(), b"")
 
 
 # --- the common denominator cap ----------------------------------------------------
