@@ -26,13 +26,15 @@ can cross-check each other:
   there, with the same answer.
 * :func:`karger_stein`: randomized recursive contraction, reproducible
   for a fixed (seed, trials) pair.  Each time a trial finds a strictly
-  lighter cut, it tries the same value-only proofs on the original graph:
-  one phase's path bound and the contraction tests, besides a weight of 0
-  and a graph small enough for the trial to have searched every cut.
-  When one shows that no cut is lighter, the later trials, which could
-  at most tie, are skipped, and the answer is the same.  The routes stay
-  independent because Karger-Stein stops on these proofs, never on
-  another route's answer.
+  lighter cut, it asks whether any cut of the original graph is lighter:
+  a weight of 0 and a graph small enough for the trial to have searched
+  every cut settle it, and otherwise the rounds of Nagamochi, Ono and
+  Ibaraki, run for the value only on a throwaway contracted copy, decide
+  it exactly.  So the trials stop at the first one that finds the
+  minimum cut, however many were asked for: the later trials could at
+  most tie, and the answer is the same.  The routes stay independent
+  because Karger-Stein stops on this proof, never on another route's
+  answer.
 * :func:`brute_force_mincut`: exhaustive enumeration, the oracle.
 
 A :class:`WeightedGraph` holds its rational weights as Python ints over
@@ -595,14 +597,15 @@ def karger_stein(graph: WeightedGraph, seed: int, trials: int) -> Cut:
     The returned weight is always an upper bound on the true minimum.
 
     Each time a trial finds a strictly lighter cut, `_no_cut_lighter`
-    tries to prove, from the graph alone, that no cut weighs less.  When
-    it does, every later trial could at most tie, and a tie never
-    replaces the best cut, so the trials stop there with the same `Cut`
-    as running them all; skipping a trial changes no other trial's draws.
+    decides, from the graph alone, whether any cut weighs less; it is
+    exact, so the trials stop at the first one that finds the minimum
+    cut, and a large `trials` costs nothing past it.  Every later trial
+    could at most tie, and a tie never replaces the best cut, so the
+    result is the `Cut` of running them all; skipping a trial changes no
+    other trial's draws.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    adj = dict(enumerate(graph.adjacency))
     best: _Found | None = None
     for trial_seed in derive_seeds(seed, trials):
         rng = Xoshiro256StarStar(trial_seed)
@@ -610,26 +613,99 @@ def karger_stein(graph: WeightedGraph, seed: int, trials: int) -> Cut:
             _SampledContraction.from_adjacency(graph.adjacency), rng)
         if best is None or candidate[0] < best[0]:
             best = candidate
-            if _no_cut_lighter(adj, best[0]):
+            if _no_cut_lighter(graph.adjacency, best[0]):
                 break
     assert best is not None
     return Cut(_side(best), Fraction(best[0], graph.scale))
 
 
-def _no_cut_lighter(adj: dict[int, dict[int, int]], weight: int) -> bool:
+def _no_cut_lighter(adjacency: Sequence[dict[int, int]], weight: int) -> bool:
     """Whether no cut of the graph weighs less than `weight`, the weight of
-    a cut that one Karger-Stein trial returned; False when unproven.
+    a cut that one Karger-Stein trial returned.
 
-    `adj` is the original graph's maps, ascending and holding vertex 0.
-    Each True is a proof that reads only the graph and `weight`, never
-    another route's answer: a weight of 0; at most `_CONTRACTION_BASE`
-    vertices, where the trial searched every cut; the `low` of one
-    maximum-adjacency phase at least `weight`; or `_cuts_at_least`.
+    `adjacency` is the original graph's maps.  Each True is a proof
+    that reads only the graph and `weight`, never another route's answer:
+    a weight of 0; at most `_CONTRACTION_BASE` vertices, where the trial
+    searched every cut; or `_rounds_at_least`.  The rounds are exact, so
+    the answer is True exactly when `weight` is the minimum cut's.
     """
-    if not weight or len(adj) <= _CONTRACTION_BASE:
-        return True
-    edges = sum(map(len, adj.values())) // 2
-    return _phase(adj, edges)[3] >= weight or _cuts_at_least(adj, weight)[0]
+    return (not weight or len(adjacency) <= _CONTRACTION_BASE
+            or _rounds_at_least(adjacency, weight))
+
+
+def _rounds_at_least(adjacency: Sequence[dict[int, int]], bound: int) -> bool:
+    """Whether no cut of the graph weighs less than `bound` > 0, decided
+    exactly by the rounds of Nagamochi and Ibaraki (SIAM J. Discrete
+    Math. 5, 1992) as Nagamochi, Ono and Ibaraki run them (Math.
+    Programming 67, 1994), on a throwaway copy of `adjacency`.
+
+    In a maximum-adjacency order, give each edge e = (v, u), v added
+    first, the value q(e): u's key just after e's weight is added.  Every
+    cut that separates u from v weighs at least q(e).  So each round,
+    `_max_adjacency_round`, lists the edges with q(e) >= `bound`, and the
+    last two vertices s, t when t's key, the minimum s-t cut, is at least
+    `bound`; contracting them all keeps every cut lighter than `bound`,
+    and every cut of the contracted graph is one of the original.  A
+    round always contracts s and t or finds a lighter cut, so the rounds
+    end: True once one vertex is left, False at the first cut below
+    `bound`, which a round shows as a key of 0 or a last key below it, or
+    a contracted vertex as its degree.
+    """
+    state = _Contraction.from_adjacency(adjacency)
+    adj = state.adj
+    while len(adj) > 1:
+        joined = _max_adjacency_round(adj, bound)
+        if joined is None:
+            return False
+        root: dict[int, int] = {}  # each vertex merged away, to its keeper
+        for a, b in joined:
+            while a in root:
+                a = root[a]
+            while b in root:
+                b = root[b]
+            if a != b:
+                state.merge(a, b)
+                root[b] = a
+        if len(adj) > 1 and any(sum(adj[v].values()) < bound
+                                for v in adj.keys() & root.values()):
+            return False
+    return True
+
+
+def _max_adjacency_round(adj: dict[int, dict[int, int]],
+                         bound: int) -> list[tuple[int, int]] | None:
+    """The edges one maximum-adjacency order shows uncuttable below
+    `bound`, or None when it shows a lighter cut (see `_rounds_at_least`).
+
+    The order starts from the first vertex of `adj` and is found by
+    scanning the keys, as `_scan_phase` does: after each added vertex v,
+    one walk over the keys left adds v's weights and finds the first
+    largest key.  An edge joins the list when its q(e) reaches `bound`,
+    and s, t join it last.
+    """
+    key = dict.fromkeys(adj, 0)
+    v = next(iter(key))
+    del key[v]
+    joined = []
+    while key:
+        nbrs = adj[v]
+        top = -1
+        for u, k in key.items():
+            w = nbrs.get(u)
+            if w:
+                key[u] = k = k + w
+                if k >= bound:
+                    joined.append((v, u))
+            if k > top:
+                top, t = k, u
+        if not top:
+            return None  # nothing joins the vertices added to the rest
+        s, v = v, t
+        last = key.pop(t)
+    if last < bound:
+        return None  # t alone is a lighter cut
+    joined.append((s, t))
+    return joined
 
 
 def brute_force_mincut(graph: WeightedGraph) -> Cut:

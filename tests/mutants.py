@@ -102,23 +102,23 @@ MUTANTS = (
             "tests/test_cli.py::test_candidates_on_example3d")),
     # Karger-Stein stops its trials on a strictly lighter cut, unproven.
     Mutant("stop-without-proof", "mincut.py",
-           "if _no_cut_lighter(adj, best[0]):",
+           "if _no_cut_lighter(graph.adjacency, best[0]):",
            "if True:",
-           ("tests/test_mincut.py::test_ks_runs_every_trial_when_no_proof_settles_its_cut",
+           ("tests/test_mincut.py::test_ks_runs_its_trials_until_the_first_that_finds_the_minimum_cut",
             "tests/test_contraction_reference.py::test_karger_stein_matches_the_reference_at_the_default_trial_count",
             "tests/test_golden.py::test_svp_stdout_matches_golden")),
-    # Karger-Stein accepts a phase's bound one unit short of its cut.
-    Mutant("phase-bound-one-short", "mincut.py",
-           "return _phase(adj, edges)[3] >= weight or",
-           "return _phase(adj, edges)[3] + 1 >= weight or",
+    # Karger-Stein takes the rounds' proof of one unit less than its cut.
+    Mutant("stop-bound-one-short", "mincut.py",
+           "or _rounds_at_least(adjacency, weight))",
+           "or _rounds_at_least(adjacency, weight - 1))",
            ("tests/test_certificate.py::test_karger_stein_takes_the_phase_bound_as_it_is",
             "tests/test_certificate.py::test_karger_stein_stops_on_no_bound_above_the_minimum_cut")),
     # Karger-Stein takes a trial on one vertex past the base case as
     # exhaustive.
     Mutant("exhaustive-size-widened", "mincut.py",
-           "len(adj) <= _CONTRACTION_BASE:",
-           "len(adj) <= _CONTRACTION_BASE + 1:",
-           ("tests/test_mincut.py::test_ks_runs_every_trial_when_no_proof_settles_its_cut",
+           "len(adjacency) <= _CONTRACTION_BASE\n",
+           "len(adjacency) <= _CONTRACTION_BASE + 1\n",
+           ("tests/test_mincut.py::test_ks_runs_its_trials_until_the_first_that_finds_the_minimum_cut",
             "tests/test_certificate.py::test_karger_stein_stops_on_no_bound_above_the_minimum_cut")),
     # The contraction tests' PR2 without its degree guard: half a degree
     # joins a vertex whose own degree is a light cut.
@@ -127,7 +127,6 @@ MUTANTS = (
            "2 * w >= min(degree, w + rest)",
            ("tests/test_certificate.py::test_a_light_pendant_vertex_is_not_joined_by_its_half_degree",
             "tests/test_certificate.py::test_never_proves_a_bound_above_the_minimum_cut",
-            "tests/test_certificate.py::test_karger_stein_stops_on_no_bound_above_the_minimum_cut",
             "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference")),
     # PR4 without the joined edge's own weight: sound, but it proves less.
     Mutant("pr4-without-joined-weight", "mincut.py",
@@ -142,7 +141,6 @@ MUTANTS = (
            "        degree += rest - w\n",
            ("tests/test_certificate.py::test_a_light_degree_of_the_joined_vertex_ends_the_attempt",
             "tests/test_certificate.py::test_never_proves_a_bound_above_the_minimum_cut",
-            "tests/test_certificate.py::test_karger_stein_stops_on_no_bound_above_the_minimum_cut",
             "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference")),
     # A scan phase's `low` as the largest key plus paths, not the least.
     Mutant("scan-low-by-max", "mincut.py",
@@ -151,14 +149,12 @@ MUTANTS = (
            "                top, v = k, u\n"
            "        if low == math.inf or phase_cut + paths > low:",
            ("tests/test_certificate.py::test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut",
-            "tests/test_certificate.py::test_karger_stein_stops_on_no_bound_above_the_minimum_cut",
-            "tests/test_mincut.py::test_ks_runs_every_trial_when_no_proof_settles_its_cut",
             "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference")),
     # A scan phase adds the last of the largest keys, not the first, so
     # it breaks ties toward the highest index, unlike a heap phase.
     Mutant("scan-tie-to-last", "mincut.py",
-           "if k > top:",
-           "if k >= top:",
+           "if k > top:\n                top, v = k, u\n",
+           "if k >= top:\n                top, v = k, u\n",
            ("tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference",)),
     # The same in a heap phase.
     Mutant("heap-low-by-max", "mincut.py",
@@ -167,7 +163,6 @@ MUTANTS = (
            "                heappush(heap, (-k, u))\n"
            "        if low == math.inf or phase_cut + paths > low:",
            ("tests/test_certificate.py::test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut",
-            "tests/test_certificate.py::test_karger_stein_stops_on_no_bound_above_the_minimum_cut",
             "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference_when_it_stops_early")),
     # A scan phase's paths summed from keys already updated.
     Mutant("scan-key-read-after-update", "mincut.py",
@@ -178,9 +173,32 @@ MUTANTS = (
            "                key[u] = k = k + w\n"
            "                paths += k if k < w else w\n",
            ("tests/test_certificate.py::test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut",
-            "tests/test_certificate.py::test_karger_stein_stops_on_no_bound_above_the_minimum_cut",
-            "tests/test_mincut.py::test_ks_runs_every_trial_when_no_proof_settles_its_cut",
             "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference_on_dense_graphs")),
+    # The rounds' q(e) read from u's key before e's weight is added: sound,
+    # since that key is the q of an earlier edge into u, but it joins fewer
+    # edges per round.
+    Mutant("rounds-q-read-before-update", "mincut.py",
+           "                key[u] = k = k + w\n"
+           "                if k >= bound:\n"
+           "                    joined.append((v, u))\n",
+           "                if k >= bound:\n"
+           "                    joined.append((v, u))\n"
+           "                key[u] = k = k + w\n",
+           ("tests/test_certificate.py::test_a_round_joins_the_edges_whose_q_reaches_the_bound",)),
+    # The rounds join an edge only when q(e) passes the bound, not when it
+    # reaches it: sound, but fewer edges per round.
+    Mutant("rounds-threshold-strict", "mincut.py",
+           "if k >= bound:",
+           "if k > bound:",
+           ("tests/test_certificate.py::test_a_round_joins_the_edges_whose_q_reaches_the_bound",)),
+    # The rounds join s and t although t alone is a lighter cut.
+    Mutant("rounds-join-light-last-pair", "mincut.py",
+           "    if last < bound:\n"
+           "        return None  # t alone is a lighter cut\n",
+           "",
+           ("tests/test_certificate.py::test_a_round_joins_the_edges_whose_q_reaches_the_bound",
+            "tests/test_certificate.py::test_the_rounds_prove_exactly_the_minimum_cut",
+            "tests/test_certificate.py::test_karger_stein_stops_on_no_bound_above_the_minimum_cut")),
     # The same in a heap phase.
     Mutant("heap-key-read-after-update", "mincut.py",
            "            if k is not None:\n"

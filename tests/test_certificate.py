@@ -1,10 +1,19 @@
-"""The two proofs that let Stoer-Wagner and Karger-Stein stop early.
+"""The proofs that let Stoer-Wagner and Karger-Stein stop early.
 
-Stoer-Wagner stops its phases, and Karger-Stein its trials, once one of
-them shows that no cut is lighter than the best found so far.  Karger-Stein
-asks through `mincut._no_cut_lighter`, which also answers True on a
-weight of 0 and on graphs small enough for a trial to have searched every
-cut, and otherwise never above the true minimum.
+Stoer-Wagner stops its phases once a phase's bound or the contraction
+tests show that no cut is lighter than the best found so far.
+Karger-Stein stops its trials on `mincut._no_cut_lighter`, which answers
+True on a weight of 0 and on graphs small enough for a trial to have
+searched every cut, and otherwise asks the rounds.
+
+The rounds: `mincut._rounds_at_least(adjacency, bound)` contracts a copy of
+the graph, each round by `_max_adjacency_round`, and is exact: for every
+graph whose minimum cut weighs lambda > 0 it answers True at lambda and
+False at lambda + 1, which brute force checks here.  One round lists
+exactly the edges e whose q(e), the key of e's later end just after e's
+weight is added, reaches the bound, and the last two vertices when the
+last key does, as a plain maximum-adjacency order defines them; it gives
+None when a key of 0 or a last key below the bound shows a lighter cut.
 
 A phase's own bound: `_scan_phase` and `_heap_phase` return the same
 (s, t, cut of the phase, low) on the same maps, and `low`, the least over
@@ -49,7 +58,9 @@ from latcut.mincut import (  # noqa: E402
     _Contraction,
     _cuts_at_least,
     _heap_phase,
+    _max_adjacency_round,
     _no_cut_lighter,
+    _rounds_at_least,
     _scan_phase,
 )
 from conftest import hypercube  # noqa: E402
@@ -147,24 +158,27 @@ def test_never_proves_a_bound_above_the_minimum_cut(graph, data):
 def test_karger_stein_stops_on_no_bound_above_the_minimum_cut(graph, data):
     # `_no_cut_lighter` is told the weight of a cut that a trial found;
     # on at most `_CONTRACTION_BASE` vertices the trial was exhaustive,
-    # so it answers True there whatever the weight, and elsewhere only
-    # when one phase's bound or the contraction tests prove the weight.
-    adj = dict(enumerate(graph.adjacency))
+    # so it answers True there whatever the weight, and elsewhere exactly
+    # when the weight is the minimum cut's, which the rounds prove.
+    adjacency = graph.adjacency
     weight = lightest(graph)
     small = graph.vertex_count <= _CONTRACTION_BASE
-    assert _no_cut_lighter(adj, weight + 1) == small
+    assert _no_cut_lighter(adjacency, weight)
+    assert _no_cut_lighter(adjacency, weight + 1) == small
     bound = data.draw(st.integers(0, weight + 2 * graph.scale))
-    assert bound <= weight or _no_cut_lighter(adj, bound) == small
-    assert _no_cut_lighter(adj, 0)
+    assert bound <= weight or _no_cut_lighter(adjacency, bound) == small
+    assert _no_cut_lighter(adjacency, 0)
 
 
 def test_karger_stein_takes_the_phase_bound_as_it_is():
-    # The 8-vertex star's first phase bounds every cut by 1, its weight,
-    # and 8 vertices are too many for the exhaustive base case.
-    adj = dict(enumerate(star(8, 7, [1] * 7).adjacency))
+    # The 8-vertex star's minimum cut, 1, is also its first phase's bound;
+    # the rounds prove 1 and not 2, and 8 vertices are too many for the
+    # exhaustive base case.
+    adjacency = star(8, 7, [1] * 7).adjacency
+    adj = dict(enumerate(adjacency))
     assert _scan_phase(adj)[3] == _heap_phase(adj)[3] == 1
-    assert _no_cut_lighter(adj, 1)
-    assert not _no_cut_lighter(adj, 2)
+    assert _no_cut_lighter(adjacency, 1)
+    assert not _no_cut_lighter(adjacency, 2)
 
 
 def test_a_light_pendant_vertex_is_not_joined_by_its_half_degree():
@@ -248,6 +262,47 @@ def test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut(graph, data):
     order, keys = maximum_adjacency(state.adj)
     assert (s, t, phase_cut) == (order[-2], order[-1], keys[-1])
     assert min(keys) <= low <= lightest(relabelled(state))
+
+
+# --- the rounds -------------------------------------------------------------------
+
+def round_by_definition(adj, bound):
+    """The edges `_max_adjacency_round` must list, as a set of pairs, or
+    None: from the plain order, q(v, u) for v added before u is the
+    weight from u to v and the vertices added before v."""
+    order, keys = maximum_adjacency(adj)
+    if not min(keys) or keys[-1] < bound:
+        return None
+    place = {v: k for k, v in enumerate(order)}
+    joined = {frozenset(order[-2:])}
+    for u in order:
+        for v in adj[u]:
+            if place[v] < place[u] and sum(
+                    adj[u].get(x, 0) for x in order[:place[v] + 1]) >= bound:
+                joined.add(frozenset((v, u)))
+    return joined
+
+
+@settings(max_examples=800)
+@given(phase_graphs(), st.data())
+def test_a_round_joins_the_edges_whose_q_reaches_the_bound(graph, data):
+    # Drawn from the keys, the bound often equals some q(e) exactly.
+    state = contracted(graph, data)
+    keys = maximum_adjacency(state.adj)[1]
+    bound = data.draw(st.sampled_from(sorted({1, *keys} - {0})))
+    joined = _max_adjacency_round(state.adj, bound)
+    if joined is not None:
+        joined = set(map(frozenset, joined))
+    assert joined == round_by_definition(state.adj, bound)
+
+
+@settings(max_examples=800)
+@given(st.one_of(phase_graphs(), graphs()))
+def test_the_rounds_prove_exactly_the_minimum_cut(graph):
+    weight = lightest(graph)
+    if weight:
+        assert _rounds_at_least(graph.adjacency, weight)
+    assert not _rounds_at_least(graph.adjacency, weight + 1)
 
 
 # --- completeness on cycles, complete graphs and stars -----------------------------

@@ -268,18 +268,18 @@ def test_ks_handles_disconnected_graphs():
     assert karger_stein(g, seed=5, trials=4).weight == 0
 
 
-def trials_run(monkeypatch, graph: WeightedGraph, trials: int):
-    """`karger_stein(graph, 0, trials)` and the trials it ran, counted
+def trials_run(monkeypatch, graph: WeightedGraph, trials: int, seed: int = 0):
+    """`karger_stein(graph, seed, trials)` and the trials it ran, counted
     as the generators it made, one per trial."""
     made = []
     generator = mincut.Xoshiro256StarStar
 
-    def counted(seed):
-        made.append(seed)
-        return generator(seed)
+    def counted(trial_seed):
+        made.append(trial_seed)
+        return generator(trial_seed)
 
     monkeypatch.setattr(mincut, "Xoshiro256StarStar", counted)
-    return karger_stein(graph, 0, trials), len(made)
+    return karger_stein(graph, seed, trials), len(made)
 
 
 def two_unit_k4s() -> WeightedGraph:
@@ -289,9 +289,9 @@ def two_unit_k4s() -> WeightedGraph:
 
 
 @pytest.mark.parametrize("graph", [
-    # The cycle's cut is proved by a contraction test, the star's and the
-    # complete graph's by one phase's bound; example3d's 4 vertices are
-    # searched exhaustively, and a cut of weight 0 needs no proof.
+    # The rounds prove the first trial's cut on the cycle, the star and the
+    # complete graph; example3d's 4 vertices are searched exhaustively, and
+    # a cut of weight 0 needs no proof.
     pytest.param(graph_from_gram(_gram(gen_an, 7)), id="an7"),
     pytest.param(graph_from_gram(_gram(gen_zn, 7)), id="zn7"),
     pytest.param(graph_from_gram(_gram(gen_anstar, 7)), id="anstar7"),
@@ -305,14 +305,28 @@ def test_ks_stops_once_its_cut_is_proved_minimal(monkeypatch, graph):
     assert cut.weight == brute_force_mincut(graph).weight
 
 
-def test_ks_runs_every_trial_when_no_proof_settles_its_cut(monkeypatch):
+def test_ks_runs_its_trials_until_the_first_that_finds_the_minimum_cut(
+        monkeypatch):
+    # At seed 17, trials 1-3 miss this graph's minimum cut and trial 4
+    # finds it.  The rounds never prove a missed cut minimal, and 7
+    # vertices are too many for the exhaustive base case.
+    graph = random_graph(7, seed=203)
+    optimum = brute_force_mincut(graph).weight
+    assert karger_stein(graph, 17, 3).weight > optimum
+    cut, trials = trials_run(monkeypatch, graph,
+                             default_trial_count(graph.vertex_count), seed=17)
+    assert trials == 4
+    assert cut.weight == optimum
+
+
+def test_ks_ends_a_million_trials_at_the_first_that_finds_the_minimum_cut(
+        monkeypatch):
     # Neither one phase's bound nor the contraction tests prove this
-    # graph's minimum cut, and its 7 vertices are too many for the
-    # exhaustive base case.
+    # 7-vertex graph's minimum cut; the rounds prove it after trial 1,
+    # which finds it.
     graph = graph_from_gram(gen_random_gram(6, seed=3, density=F(1)))
-    assert default_trial_count(graph.vertex_count) == 16
-    cut, trials = trials_run(monkeypatch, graph, 16)
-    assert trials == 16
+    cut, trials = trials_run(monkeypatch, graph, 10 ** 6)
+    assert trials == 1
     assert cut.weight == brute_force_mincut(graph).weight
 
 
