@@ -46,14 +46,17 @@ ints and divide once, when they build the returned :class:`Cut`; every
 comparison stays exact, so ties and minima are bit-reproducible.
 
 Brute force and the Karger-Stein base case share one exhaustive walker,
-:func:`_gray_min_cut`: it visits the sides in reflected Gray-code order,
-moving one vertex per step.  It keeps every vertex's weight into the side
-as one field of a single packed integer, so a step reads one field and
-adds or subtracts one packed row, with no loop over the moved vertex's
-neighbours.  Each caller breaks ties by a total order of its own, so the
-answer does not depend on the walk order: brute force takes the smallest
-(weight, size, sorted indices), the base case the smallest (weight, mask
-over the sorted supervertices).  Karger-Stein keeps the total edge weight
+:func:`_min_cut_walk`, built from half tables.  It splits the vertices
+other than 0 into a low and a high half and tables, each by doubling a
+list, the cut of vertex 0 joined with each part of either half, and each
+high vertex's weight into every low part.  It then walks the high
+parts in Gray-code order: each step adds or takes off one high vertex's
+row, and one `min` weighs every side with that high part, so the inner
+loops run at list speed and the tables hold O(2^(|V|/2)) entries.  Each
+caller breaks ties by a total order of its own, so the answer does not
+depend on the walk order: brute force takes the smallest (weight, size,
+sorted indices), the base case the smallest (weight, mask over the
+sorted supervertices).  Karger-Stein keeps the total edge weight
 and each vertex's upper-row sum up to date across merges, so a pick skips
 whole rows and sorts only the one it lands in.
 """
@@ -61,11 +64,11 @@ whole rows and sorts only the one it lands in.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Callable, Iterable, Mapping, Sequence
+from operator import add, sub
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import EmptySide, TooLarge
 from .lattice import (GramMatrix, Superbase, _cut_graph, _scaled,
@@ -548,11 +551,11 @@ def _exhaustive_cut(state: _Contraction) -> _Found:
     A side is a mask over the supervertices in ascending order, so it
     contains the lowest one.  The winner is the first lightest side in
     ascending mask order, i.e. the minimum of (weight, mask); that is a
-    total order, so walking the sides in Gray-code order
-    (:func:`_gray_min_cut`, straight on the state's maps) finds the same
-    side.
+    total order, so weighing the sides from half tables
+    (:func:`_min_cut_walk`, straight on the state's maps, ties broken by
+    the mask) finds the same side.
     """
-    weight, mask = _gray_min_cut(state.adj, operator.lt)
+    weight, mask = _min_cut_walk(state.adj, None)
     return weight, mask, state
 
 
@@ -711,12 +714,12 @@ def _max_adjacency_round(adj: dict[int, dict[int, int]],
 def brute_force_mincut(graph: WeightedGraph) -> Cut:
     """Exhaustive minimum cut; the oracle the fast algorithms are tested against.
 
-    Enumerates every side containing vertex 0 (each distinct cut exactly
-    once), in Gray-code order at one packed-row addition per side (see
-    :func:`_gray_min_cut`).  Ties break toward the
-    smaller side, then the lexicographically smallest sorted index list: a
-    total order, so the result is the minimum of (weight, size, indices)
-    whatever the walk order.  Refuses graphs with more than 24 vertices.
+    Weighs every side containing vertex 0 (each distinct cut exactly
+    once) from two half tables, a list operation per part of the high
+    half (see :func:`_min_cut_walk`).  Ties break toward the smaller side,
+    then the lexicographically smallest sorted index list: a total order,
+    so the result is the minimum of (weight, size, indices) whatever the
+    walk order.  Refuses graphs with more than 24 vertices.
     """
     count = len(graph.adjacency)
     if count > BRUTE_FORCE_LIMIT:
@@ -724,65 +727,98 @@ def brute_force_mincut(graph: WeightedGraph) -> Cut:
             f"{count} vertices means {2 ** (count - 1) - 1} cuts; "
             f"the exhaustive limit is {BRUTE_FORCE_LIMIT} vertices"
         )
-    weight, mask = _gray_min_cut(dict(enumerate(graph.adjacency)),
-                                 _fewer_then_lower_indices)
+    weight, mask = _min_cut_walk(dict(enumerate(graph.adjacency)),
+                                 _size_then_indices)
     return Cut(_mask_indices(mask), Fraction(weight, graph.scale))
 
 
-def _fewer_then_lower_indices(a: int, b: int) -> bool:
-    """Whether side mask `a` beats `b`: smaller, then lower sorted indices."""
-    return (a.bit_count(), _mask_indices(a)) < (b.bit_count(), _mask_indices(b))
+def _size_then_indices(mask: int) -> tuple[int, tuple[int, ...]]:
+    """A side mask's tie order: its size, then its sorted indices."""
+    return mask.bit_count(), _mask_indices(mask)
 
 
 def _mask_indices(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _gray_min_cut(adj: Mapping[int, Mapping[int, int]],
-                  prefer: Callable[[int, int], bool]) -> tuple[int, int]:
+def _min_cut_walk(adj: Mapping[int, Mapping[int, int]],
+                  key: Callable[[int], Any] | None) -> tuple[int, int]:
     """(weight, side mask) of a lightest cut of a graph on k >= 2 vertices.
 
     `adj` maps each vertex to its neighbours' weights; its keys, in
-    iteration order, are labelled 0..k-1, and bit k of a side mask stands
-    for label k.  Walks every side that contains label 0, except the full
-    side, in reflected Gray-code order over labels 1..k-1, so each step
-    moves one vertex v across.  It keeps the crossing weight and `into`,
-    one integer whose field for label u, `width` bits at bit (k-1-u) *
-    width, holds the weight from u into the side; label 0 never moves and
-    has no field, and the labels that move most often sit at the top,
-    where a shift reads them cheaply.  `rows[v]` packs v's own weights the
-    same way, so moving v changes the crossing weight by
-    +-(deg v - 2 into[v]) and `into` by +-rows[v]: a shift and a mask, then
-    one addition, with no loop over v's neighbours.  A field never leaves
-    [0, sum of degrees], which fits in `width` bits, so no carry or borrow
-    crosses into the next one.  Between sides of equal weight,
-    `prefer(new, best)` decides; it must be a strict total order, which
-    makes the winner independent of the walk.
+    iteration order, are labelled 0..k-1, and bit i of a side mask stands
+    for label i.  Every side that contains label 0 is weighed, except the
+    full side.  Labels 1..a, a = k // 2, form the low half and a+1..k-1
+    the high half, so each side is {0} u L u H for a low part L and a high
+    part H, and, with d the degree and w(L, H) the weight between them,
+
+        cut({0} u L u H) = cut({0} u L) + cut({0} u H) - d(0) - 2 w(L, H).
+
+    Tables hold the terms, each built by doubling a list: cut({0} u P)
+    for every part P of either half (:func:`_cuts`), and for each high
+    vertex h its row, 2 w(h, L) for every L (:func:`_sums`).  The walk
+    visits the high parts in reflected Gray-code order, so each step
+    moves one high vertex h across, and keeps `lows[L]` = cut({0} u L) -
+    2 w(L, H): h's row is taken off when h joins H and put back when it
+    leaves, one list operation.  One `min` over `lows` then gives the
+    lightest side with this H; with H full, the last L, which would make
+    the full side, is left out.  Only when that minimum is at or below
+    the best so far are its tied sides gathered; the least `key(side)`
+    among them and the best so far wins.  `key` must be a strict total
+    order (None compares the masks), which makes the winner independent
+    of the walk.  The tables hold O(2^(k/2)) entries, and the walk's
+    inner loops are list operations over the 2^a low parts.
     """
     count = len(adj)
+    low = count // 2
+    labels = list(adj)
+    twice = [2 * nbrs.get(u, 0) for nbrs in adj.values() for u in labels]
     degree = [sum(nbrs.values()) for nbrs in adj.values()]
-    width = sum(degree).bit_length() + 1
-    shift = [(count - 1 - k) * width for k in range(count)]
-    at = dict(zip(adj, shift))
-    first = next(iter(adj))
-    rows = [sum([w << at[u] for u, w in nbrs.items() if u != first])
-            for nbrs in adj.values()]
-    field = (1 << width) - 1
-    into = rows[0]
-    side = 1
-    weight = degree[0]
-    best_weight, best_side = weight, side
-    full = (1 << count) - 1
-    for step in range(1, 1 << (count - 1)):
-        v = (step & -step).bit_length()  # 1 + the step's trailing zeros
-        side ^= 1 << v
-        if side >> v & 1:
-            weight += degree[v] - 2 * (into >> shift[v] & field)
-            into += rows[v]
-        else:
-            weight += 2 * (into >> shift[v] & field) - degree[v]
-            into -= rows[v]
-        if weight <= best_weight and side != full and (
-                weight < best_weight or prefer(side, best_side)):
-            best_weight, best_side = weight, side
+    lows = _cuts(twice, degree, 1, low + 1)
+    high_cuts = _cuts(twice, degree, low + 1, count)
+    rows = [_sums(0, twice[h * count + 1:h * count + low + 1])
+            for h in range(low + 1, count)]
+    full = len(high_cuts) - 1
+    part = 0
+    best_weight, best_side = degree[0], 1  # {0}, met again in the walk
+    for step in range(full + 1):
+        if step:
+            t = (step & -step).bit_length() - 1  # the step's trailing zeros
+            part ^= 1 << t
+            lows = list(map(sub if part >> t & 1 else add, lows, rows[t]))
+        sides = lows if part != full else lows[:-1]
+        least = min(sides)
+        weight = least + high_cuts[part] - degree[0]
+        if weight <= best_weight:
+            high = part << low + 1 | 1
+            if sides.count(least) == 1:  # the usual case, at list speed
+                tied = [high | sides.index(least) << 1]
+            else:
+                tied = [high | i << 1
+                        for i, x in enumerate(sides) if x == least]
+            if weight == best_weight:
+                tied.append(best_side)
+            best_weight, best_side = weight, min(tied, key=key)
     return best_weight, best_side
+
+
+def _sums(first: int, weights: Sequence[int]) -> list[int]:
+    """`first` plus the sum of each part of `weights`, by part mask: bit t
+    of the index stands for weights[t]."""
+    table = [first]
+    for w in weights:
+        table += [x + w for x in table]
+    return table
+
+
+def _cuts(twice: Sequence[int], degree: Sequence[int],
+          first: int, stop: int) -> list[int]:
+    """cut({0} u P) for each part P of the labels first..stop-1, by part
+    mask, on k = len(degree) labels with 2 w(v, u) at twice[v * k + u]:
+    adding v to {0} u P adds d(v) and takes off 2 w(v, {0} u P)."""
+    table = [degree[0]]
+    for v in range(first, stop):
+        at = v * len(degree)
+        table += list(map(sub, table, _sums(twice[at] - degree[v],
+                                            twice[at + first:at + v])))
+    return table

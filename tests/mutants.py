@@ -209,6 +209,29 @@ MUTANTS = (
            "                paths += k if k < w else w\n",
            ("tests/test_certificate.py::test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut",
             "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference_when_it_stops_early")),
+    # The exhaustive walker weighs the full side, of weight 0, too.
+    Mutant("walk-keeps-the-full-side", "mincut.py",
+           "sides = lows if part != full else lows[:-1]",
+           "sides = lows",
+           ("tests/test_walks.py::test_walks_match_on_two_and_three_vertices",
+            "tests/test_walks.py::test_exhaustive_cut_matches_on_merged_states",
+            "tests/test_contraction_reference.py::test_brute_force_matches_the_reference")),
+    # The walker gathers a high part's tied sides only when they are
+    # strictly lighter, so between parts the walk order breaks ties.
+    Mutant("walk-tie-by-walk-order", "mincut.py",
+           "if weight <= best_weight:",
+           "if weight < best_weight:",
+           ("tests/test_walks.py::test_walks_match_on_every_small_unit_weight_graph",
+            "tests/test_walks.py::test_walks_match_at_odd_and_even_sizes",
+            "tests/test_contraction_reference.py::test_brute_force_matches_the_reference")),
+    # A high vertex that leaves the walk's part takes its row off again,
+    # as when it joined, instead of putting it back.
+    Mutant("walk-leaving-row-taken-off", "mincut.py",
+           "sub if part >> t & 1 else add",
+           "sub if part >> t & 1 else sub",
+           ("tests/test_walks.py::test_walks_match_at_odd_and_even_sizes",
+            "tests/test_walks.py::test_exhaustive_cut_matches_on_merged_states",
+            "tests/test_contraction_reference.py::test_karger_stein_matches_the_reference")),
 )
 
 

@@ -1,18 +1,26 @@
 """The exhaustive walks against the ascending-order enumerations they replaced.
 
 `brute_force_mincut` and the Karger-Stein base case `_exhaustive_cut`
-walk their sides in reflected Gray-code order and update one vertex per
-step; `candidate_vectors` and `latcut candidates` sort one packed integer
-key per subset.  The reference enumerators below are the straightforward
+weigh their sides from half tables: the cut of vertex 0 joined with
+every part of a low and of a high half, and each high vertex's weight
+into every low part, then a walk over the high parts in Gray-code order
+that moves one high vertex's row per step and takes one `min` per part.
+`candidate_vectors` and `latcut candidates` sort one packed integer key
+per subset.  The reference enumerators below are the straightforward
 loops: every subset in ascending mask order, each summed from scratch.
-Both sides must return identical answers, ties included, on random graphs
-with many ties, zero weights, several components, and contraction states
-with scattered labels, and on superbases with tied lengths over a scale
-above 1.  The candidates' memory per subset is bounded too.
+Both sides must return identical answers, ties included: on random
+graphs with many ties, zero weights and several components; on 2 and 3
+vertices, where the high half is empty or each half holds one vertex;
+on edgeless graphs, where the tie order alone decides; at every size
+from 2 to 14, odd and even; on contraction states with scattered labels;
+and on superbases with tied lengths over a scale above 1.  The
+candidates' memory per subset is bounded, and so is brute force's at its
+24-vertex limit.
 """
 
 import io
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -170,6 +178,14 @@ def obtuse_superbases(draw):
     return validate_superbase(vectors)
 
 
+def cli(args, text=""):
+    """stdout of a `latcut` command that succeeds with no stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    code = run_cli(args, stdin=io.StringIO(text), stdout=out, stderr=err)
+    assert (code, err.getvalue()) == (0, "")
+    return out.getvalue()
+
+
 def candidates_stdout(sb):
     out, err = io.StringIO(), io.StringIO()
     code = run_cli(["candidates", "-"], stdin=io.StringIO(format_superbase(sb)),
@@ -213,23 +229,121 @@ def test_exhaustive_cut_matches_the_ascending_enumeration(state):
 
 def test_walks_match_on_every_small_unit_weight_graph():
     """Every graph on 2..5 vertices with weights 0 or 1: ties everywhere,
-    including those where the first lightest side in Gray-code order is
+    including those where the first lightest side in the walk's order is
     not the first in ascending order."""
     for count in range(2, 6):
         pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
         for present in range(1 << len(pairs)):
             graph = WeightedGraph.from_edges(count, [
                 (i, j, present >> k & 1) for k, (i, j) in enumerate(pairs)])
-            assert brute_force_mincut(graph) == \
-                reference_brute_force_mincut(graph)
-            # Scattered labels 3, 5, 7, ... with one extra member each.
-            adj = graph.adjacency
-            state = _Contraction(
-                {2 * v + 3: {2 * u + 3: w for u, w in nbrs.items()}
-                 for v, nbrs in enumerate(adj)},
-                {2 * v + 3: (2 * v + 3, 2 * v + 4) for v in range(count)},
-            )
-            assert exhaustive_cut(state) == reference_exhaustive_cut(state)
+            assert_walks_match(graph)
+
+
+def scattered(graph):
+    """`graph` as a contraction state on the scattered labels 3, 5, 7, ...,
+    each with one extra member."""
+    return _Contraction(
+        {2 * v + 3: {2 * u + 3: w for u, w in nbrs.items()}
+         for v, nbrs in enumerate(graph.adjacency)},
+        {2 * v + 3: (2 * v + 3, 2 * v + 4) for v in range(graph.vertex_count)},
+    )
+
+
+def assert_walks_match(graph):
+    """Brute force on `graph`, and the base case on it with scattered
+    labels, each equal to its reference, ties included."""
+    assert brute_force_mincut(graph) == reference_brute_force_mincut(graph)
+    state = scattered(graph)
+    assert exhaustive_cut(state) == reference_exhaustive_cut(state)
+
+
+def random_graph(rng, count, density):
+    """`count` vertices, each pair an edge with probability `density`,
+    weighted from WEIGHTS, so that many sides tie."""
+    return WeightedGraph.from_edges(count, [
+        (i, j, rng.choice(WEIGHTS)) for i in range(count)
+        for j in range(i + 1, count) if rng.random() < density])
+
+
+def test_walks_match_on_two_and_three_vertices():
+    """At 2 vertices the high half is empty: its one part is the full
+    one, so the walk weighs every low part but the last.  At 3 each half
+    holds one vertex.  Every weighting from WEIGHTS, zero included."""
+    for w in WEIGHTS:
+        assert_walks_match(WeightedGraph.from_edges(2, [(0, 1, w)]))
+    for a in WEIGHTS:
+        for b in WEIGHTS:
+            for c in WEIGHTS:
+                assert_walks_match(WeightedGraph.from_edges(
+                    3, [(0, 1, a), (0, 2, b), (1, 2, c)]))
+
+
+@pytest.mark.parametrize("count", range(2, 15))
+def test_walks_match_on_edgeless_and_disconnected_graphs(count):
+    """Every side of an edgeless graph weighs 0, so the tie order alone
+    picks the answer: {0} for brute force, the lowest supervertex for
+    the base case.  Two or three components leave many sides at 0."""
+    edgeless = WeightedGraph.from_edges(count, [])
+    assert brute_force_mincut(edgeless) == Cut((0,), Fraction(0))
+    assert exhaustive_cut(scattered(edgeless)) == (0, (3, 4))
+    assert_walks_match(edgeless)
+    rng = random.Random(count)
+    for parts in (2, 3):
+        component = [rng.randrange(parts) for _ in range(count)]
+        assert_walks_match(WeightedGraph.from_edges(count, [
+            (i, j, rng.choice(WEIGHTS[1:])) for i in range(count)
+            for j in range(i + 1, count) if component[i] == component[j]]))
+
+
+@pytest.mark.parametrize("count", range(2, 15))
+def test_walks_match_at_odd_and_even_sizes(count):
+    """Dense and sparse graphs at each size from 2 to 14, odd and even, so
+    the halves are equal or the low half holds one more vertex."""
+    rng = random.Random(count)
+    for density in (1, 0.5, 0.2):
+        assert_walks_match(random_graph(rng, count, density))
+        assert_walks_match(WeightedGraph.from_edges(count, [
+            (i, j, 1) for i in range(count) for j in range(i + 1, count)
+            if rng.random() < density]))
+
+
+@pytest.mark.parametrize("left", range(2, 9))
+def test_exhaustive_cut_matches_on_merged_states(left):
+    """States contracted from 12-vertex graphs down to 2..8 supervertices,
+    odd and even, whose labels are scattered by the merges and most of
+    which hold several vertices."""
+    rng = random.Random(left)
+    for density in (1, 0.5, 0.2):
+        state = _Contraction.from_adjacency(
+            random_graph(rng, 12, density).adjacency)
+        while len(state.adj) > left:
+            keep, drop = rng.sample(sorted(state.adj), 2)
+            state.merge(keep, drop)
+        assert exhaustive_cut(state) == reference_exhaustive_cut(state)
+
+
+def test_brute_force_at_its_limit():
+    """`svp --algorithm brute` on a 24-vertex graph, the most it accepts,
+    gives Stoer-Wagner's squared length, and the run's traced peak, which
+    the walker's half tables set, stays under 4 MB: 2^23 ints would take
+    over 200 MB.  One vertex more is refused, exit 1, before any walk."""
+    text = cli(["gen", "random_gram", "23", "--seed", "1", "--density", "1"])
+    tracemalloc.start()
+    try:
+        brute = cli(["svp", "-", "--algorithm", "brute"], text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "squared length: 31939/840\n" in brute
+    assert "squared length: 31939/840\n" in cli(["svp", "-"], text)
+    assert peak < 4_000_000
+    text = cli(["gen", "random_gram", "24", "--seed", "1", "--density", "1"])
+    out, err = io.StringIO(), io.StringIO()
+    assert run_cli(["svp", "-", "--algorithm", "brute"],
+                   stdin=io.StringIO(text), stdout=out, stderr=err) == 1
+    assert (out.getvalue(), err.getvalue()) == (
+        "", "error: 25 vertices means 16777215 cuts; "
+        "the exhaustive limit is 24 vertices\n")
 
 
 @given(superbases())
