@@ -6,36 +6,30 @@ can cross-check each other:
 * :func:`stoer_wagner`: deterministic maximum-adjacency phases.  A phase
   on a dense graph scans for each next vertex, O(|V|^2), so O(|V|^3) in
   all; one on a sparse graph keeps a lazy-deletion heap, O(|E| log |V|),
-  since every relaxation pushes.  Both give the same cuts.  The phases
-  stop once they prove that no later phase can be lighter.  Each phase
-  bounds every cut of its graph by the path test of Padberg & Rinaldi
-  (Math. Programming 47, 1990, test PR4) applied along its own
-  maximum-adjacency order (Stoer & Wagner, JACM 44(4), 1997): a cut
-  first leaves the vertices added so far, M, at some vertex v, so it
-  crosses the M-v edges, which weigh v's key, and for every vertex u not
-  yet added either the M-u or the v-u edges.  The walk that adds v's
-  weights to the keys sums those paths too.  The smallest such sum
-  bounds every cut of the phase's graph and of its contractions, which
-  are all that later phases see.  A tie never replaces the best cut, so
-  stopping once the best cut is no heavier leaves the answer unchanged.
-  When that bound falls short, as on cycles, the same paper's tests,
-  used for the value only, try to show that no cut of the graph
-  contracted so far is lighter than the best so far, within a tenth of
-  the phases' work.  They merge nothing that the phases see, so every
-  phase, merge and tie is as before; when they succeed the phases stop
-  there, with the same answer.
+  since every relaxation pushes.  Both give the same cuts.  It returns
+  the first phase cut of least weight, so it stops at the first phase
+  cut that weighs the minimum cut's weight, lambda: a tie never
+  replaces the best cut, so later phases cannot change the answer.  It
+  learns lambda after the first phase, from the graph alone: by that
+  phase's own bound, the path test of Padberg & Rinaldi (Math.
+  Programming 47, 1990, test PR4) applied along its maximum-adjacency
+  order (Stoer & Wagner, JACM 44(4), 1997), which proves stars and
+  uniform complete graphs; else by one attempt of the same paper's
+  contraction tests, which proves cycles; else by the prover below.
 * :func:`karger_stein`: randomized recursive contraction, reproducible
-  for a fixed (seed, trials) pair.  Each time a trial finds a strictly
-  lighter cut, it asks whether any cut of the original graph is lighter:
-  a weight of 0 and a graph small enough for the trial to have searched
-  every cut settle it, and otherwise the rounds of Nagamochi, Ono and
-  Ibaraki, run for the value only on a throwaway contracted copy, decide
-  it exactly.  So the trials stop at the first one that finds the
-  minimum cut, however many were asked for: the later trials could at
-  most tie, and the answer is the same.  The routes stay independent
-  because Karger-Stein stops on this proof, never on another route's
-  answer.
+  for a fixed (seed, trials) pair.  The first trial's cut bounds lambda,
+  the prover gives lambda, and the trials stop at the first one whose
+  cut weighs lambda, however many were asked for: the later trials could
+  at most tie, and the answer is the same.
 * :func:`brute_force_mincut`: exhaustive enumeration, the oracle.
+
+The one prover, :func:`_lightest`, gives min(bound, lambda) exactly by
+the rounds of Nagamochi, Ono and Ibaraki (Math. Programming 67, 1994),
+run for the value only on a throwaway contracted copy.  The routes stay
+independent because each stops on a proof from the graph alone, never
+on another route's answer.  The phases and the rounds share two walks of
+one maximum-adjacency order, :func:`_scan_walk` for dense graphs and
+:func:`_heap_walk` for sparse ones, by the same rule.
 
 A :class:`WeightedGraph` holds its rational weights as Python ints over
 one common denominator, fixed when it is built: a Gram matrix's own, or
@@ -80,18 +74,22 @@ BRUTE_FORCE_LIMIT = 24
 # Below this many supervertices Karger-Stein switches to exhaustive search.
 _CONTRACTION_BASE = 6
 
-# A Stoer-Wagner phase scans its keys when _SCAN_DENSITY * |E| >= |V|^2,
-# that is when about a quarter or more of all vertex pairs are edges, and
-# uses the heap otherwise.  Timed per phase on random graphs of 17 to 129
-# vertices, a scan took 0.38-0.84 times the heap's time where |V|^2 <= 8|E|,
-# 0.55-1.09 times where 9|E| <= |V|^2 <= 15|E| and 1.06-1.43 times where
-# |V|^2 >= 18|E| (the sweep is in CHANGES.md).
+# A walk, a Stoer-Wagner phase or a round of `_lightest`, scans its keys
+# when _SCAN_DENSITY * |E| >= |V|^2, that is when about a quarter or more
+# of all vertex pairs are edges, and uses the heap otherwise.  Timed per
+# phase on random graphs of 17 to 129 vertices, a scan took 0.38-0.84
+# times the heap's time where |V|^2 <= 8|E|, 0.55-1.09 times where
+# 9|E| <= |V|^2 <= 15|E| and 1.06-1.43 times where |V|^2 >= 18|E| (the
+# sweep is in CHANGES.md).
 _SCAN_DENSITY = 8
 
 # A cut Karger-Stein found: (weight over the graph's common denominator,
 # side mask over the state's supervertices in ascending order, state).
 # Only the winner's side is gathered, by `_side`.
 _Found = tuple[int, int, "_Contraction"]
+
+# What a walk gives: (s, t, t's key, low, joined); see `_scan_walk`.
+_Order = tuple[int, int, int, int, list[tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -198,54 +196,46 @@ def stoer_wagner(graph: WeightedGraph) -> Cut:
     merged away, and the result is a pure function of the graph.
     A disconnected graph legitimately yields a weight-0 cut.
 
-    It stops as soon as no later phase can find a lighter cut.  A phase
-    on the current graph H adds v_0 = 0, v_1, ..., v_{k-1} with keys
-    r_i = w(M_i, v_i), where M_i = {v_0..v_{i-1}}, and sums paths_i, the
-    sum of min(w(M_i, u), w(v_i, u)) over the vertices u added after v_i.
-    Take any cut of H, and S its side that holds vertex 0.  Let v_i be
-    the first added vertex outside S, so i >= 1: the cut separates M_i
-    from v_i.  It crosses the M_i-v_i edges, of weight r_i, and for every
-    other vertex u either the M_i-u or the v_i-u edges, so it weighs at
-    least r_i + paths_i (the path test PR4 of Padberg and Rinaldi, on the
-    maximum-adjacency order).  So no cut of H weighs less than
-    low = min_{i>=1} (r_i + paths_i).  Later graphs are contractions of
-    H, so every later cut of the phase is a cut of H.  Once the lightest
-    cut so far weighs at most the largest `low` seen, no later phase is
-    strictly lighter; the answer changes only on a strictly lighter cut,
-    so stopping there returns the same `Cut`.  On a star and on a
-    complete graph with equal weights the first phase proves it; the
-    last phase, on two vertices, always does, which saves its merge.
+    It returns the first phase cut of least weight, so once it knows the
+    minimum cut's weight, lambda, it stops at the first phase cut that
+    weighs lambda: later phases could at most tie, and a tie never
+    replaces the best cut.  The first phase's cut is the best so far, and
+    lambda comes, from the graph alone, from the first of:
 
-    When that bound falls short, `_cuts_at_least` tries to prove the same
-    thing by the value-only tests of Padberg and Rinaldi: that no cut of the
-    current graph H is lighter than the best so far.  It reads H's maps and
-    changes nothing, so if it fails the phases go on as before, and if it
-    succeeds none of them, on contractions of H, is strictly lighter.  It
-    runs after the first phase, and after a later one while the attempts
-    have walked at most a tenth of the map entries that the phases walked,
-    2|E| + |V| each, so failing attempts add at most a tenth to the phases'
-    work, and one attempt.  Cycles take one phase and one attempt.
+    * the phase's own bound.  A phase on H adds v_0 = 0, v_1, ...,
+      v_{k-1} with keys r_i = w(M_i, v_i), M_i = {v_0..v_{i-1}}, and sums
+      paths_i, the sum of min(w(M_i, u), w(v_i, u)) over the vertices u
+      added after v_i.  Take any cut of H, S its side that holds vertex
+      0, and v_i the first added vertex outside S, so i >= 1: the cut
+      separates M_i from v_i, so it crosses the M_i-v_i edges, of weight
+      r_i, and for every other vertex u either the M_i-u or the v_i-u
+      edges (the path test PR4 of Padberg and Rinaldi, Math. Programming
+      47, 1990, on the maximum-adjacency order).  So no cut of H weighs
+      less than low = min_{i>=1} (r_i + paths_i), and when low reaches
+      the phase's cut, that cut weighs lambda: on a star and on a
+      complete graph with equal weights;
+    * one attempt of `_cuts_at_least` at the phase's cut: on cycles;
+    * `_lightest`, the rounds of Nagamochi, Ono and Ibaraki, which give
+      lambda exactly.
+
+    The phases walk with an infinite bound, so they list no edge.
     """
     state = _Contraction.from_adjacency(graph.adjacency)
     adj = state.adj
     edges = sum(map(len, graph.adjacency)) // 2
     best: tuple[int, tuple[int, ...]] | None = None  # weight, members
-    bound = 0  # no cut of the current graph is lighter
-    phased = tried = 0  # map entries the phases and the attempts walked
+    least = None  # the minimum cut's weight, known after the first phase
 
     while len(adj) > 1:
-        s, t, phase_cut, low = _phase(adj, edges)
+        s, t, phase_cut, low, _ = _walk(adj, edges, math.inf)
         if best is None or phase_cut < best[0]:
             best = (phase_cut, state.members[t])
-        bound = max(bound, low)
-        if best[0] <= bound:
+        if least is None:
+            least = best[0]
+            if low < least and not _cuts_at_least(adj, least):
+                least = _lightest(graph.adjacency, least)
+        if best[0] == least:
             break
-        phased += 2 * edges + len(adj)
-        if 10 * tried <= phased:  # contraction tests, within a tenth
-            proved, walked = _cuts_at_least(adj, best[0])
-            if proved:
-                break
-            tried += walked
         # Of the edges touching s or t, the merge keeps one per neighbour
         # of the merged vertex: it drops {s, t} and joins each common
         # neighbour's two edges into one.
@@ -257,19 +247,9 @@ def stoer_wagner(graph: WeightedGraph) -> Cut:
     return Cut(tuple(sorted(best[1])), Fraction(best[0], graph.scale))
 
 
-def _phase(adj: dict[int, dict[int, int]],
-           edges: int) -> tuple[int, int, int, int]:
-    """One maximum-adjacency phase on a graph of `edges` edges: by scan
-    when it is dense (see `_SCAN_DENSITY`), else from a heap."""
-    if _SCAN_DENSITY * edges >= len(adj) ** 2:
-        return _scan_phase(adj)
-    return _heap_phase(adj)
-
-
-def _cuts_at_least(adj: Mapping[int, Mapping[int, int]],
-                   bound: int) -> tuple[bool, int]:
+def _cuts_at_least(adj: Mapping[int, Mapping[int, int]], bound: int) -> bool:
     """Whether no cut of the graph weighs less than `bound` > 0, proven by
-    contraction (False when the proof fails), and the map entries walked.
+    contraction (False when the proof fails).
 
     `adj` is ascending and holds vertex 0, as `_Contraction.adj` does.
     Padberg-Rinaldi tests (Math. Programming 47, 1990), used for the value
@@ -299,18 +279,16 @@ def _cuts_at_least(adj: Mapping[int, Mapping[int, int]],
     2|E| entries, vertex 0's copy included: no more than a phase.
     """
     kept = dict(adj[0])  # w(M, u) for each u outside M
-    walked = len(kept)
     inside = [False] * (next(reversed(adj)) + 1)
     inside[0] = True
     degree = sum(kept.values())  # d(M)
     if degree < bound:
-        return False, walked
+        return False
     for _ in range(len(adj) - 2):
         x = next(iter(kept))  # d(M) >= bound > 0, so M has a neighbour
         w = kept.pop(x)
         inside[x] = True
         paths = rest = 0  # rest: d(x) - w
-        walked += len(adj[x])
         for u, wu in adj[x].items():
             if inside[u]:
                 continue
@@ -319,36 +297,54 @@ def _cuts_at_least(adj: Mapping[int, Mapping[int, int]],
             rest += wu
             kept[u] = k + wu
         if not (w + paths >= bound or 2 * w >= min(degree, w + rest) >= bound):
-            return False, walked
+            return False
         degree += rest - w
         if degree < bound:
-            return False, walked
-    return True, walked
+            return False
+    return True
 
 
-def _scan_phase(adj: dict[int, dict[int, int]]) -> tuple[int, int, int, int]:
-    """One maximum-adjacency phase by scanning: (s, t, cut of the phase,
-    low), where low bounds every cut of the graph (see `stoer_wagner`).
+def _walk(adj: dict[int, dict[int, int]], edges: int, bound: float) -> _Order:
+    """One maximum-adjacency order of a graph of `edges` edges: by scan
+    when it is dense (see `_SCAN_DENSITY`), else from a heap."""
+    if _SCAN_DENSITY * edges >= len(adj) ** 2:
+        return _scan_walk(adj, bound)
+    return _heap_walk(adj, bound)
 
-    Vertex 0 is added first, so `key` starts from its weights.  After
-    each added vertex, one walk over the keys left adds its weights to
-    the keys it reaches, sums its paths, min(key, weight) with each key
-    read before its update, and finds the next vertex.  low is the least
-    key plus paths of any vertex added after vertex 0.  `key` is built
-    ascending and only ever popped, so the walk meets the keys in
-    ascending order, and the first largest key it meets is the lowest
-    index among the largest.
+
+def _scan_walk(adj: dict[int, dict[int, int]], bound: float) -> _Order:
+    """One maximum-adjacency order by scanning: (s, t, t's key, low,
+    joined), for a Stoer-Wagner phase and for a round of `_lightest`.
+
+    The order starts from the first vertex of `adj`, so `key` starts from
+    its weights, and goes on with the largest key, the lowest index among
+    equal keys.  After each added vertex t, one walk over the keys left
+    adds t's weights to the keys it reaches, sums t's paths, min(key,
+    weight) with each key read before its update, and finds the next
+    vertex.  s and t are the last two vertices added; low is the least key
+    plus paths of any vertex added after the first (see `stoer_wagner`).
+    joined lists each edge (t, u) whose q, u's key just after t's weight
+    is added, reaches `bound` (see `_lightest`).  Such a key is at most
+    the largest key left, so t's map is read for them only when that key
+    reaches `bound`: the phases, whose bound is infinite, pay one test per
+    vertex.  `key` is built ascending and only ever popped, so the walk
+    meets the keys in ascending order, and the first largest key it meets
+    is the lowest index among the largest.
     """
     key = dict.fromkeys(adj, 0)
-    del key[0]
-    key.update(adj[0])
-    s = t = 0
-    low = math.inf
+    t = next(iter(key))
+    del key[t]
+    key.update(adj[t])
     v = max(key, key=key.__getitem__)
+    joined = []
+    if key[v] >= bound:  # an edge of the first vertex reaches it
+        joined += [(t, u) for u in adj[t] if key[u] >= bound]
+    s = t
+    low = math.inf
     while key:
-        s, t, phase_cut = t, v, key.pop(v)
+        s, t, last = t, v, key.pop(v)
         paths = 0
-        nbrs = adj[v]
+        nbrs = adj[t]
         top = -1
         for u, k in key.items():
             w = nbrs.get(u)
@@ -357,36 +353,40 @@ def _scan_phase(adj: dict[int, dict[int, int]]) -> tuple[int, int, int, int]:
                 key[u] = k = k + w
             if k > top:
                 top, v = k, u
-        if phase_cut + paths < low:
-            low = phase_cut + paths
-    return s, t, phase_cut, low
+        if top >= bound:  # an edge of t may reach it
+            joined += [(t, u) for u in nbrs if key.get(u, 0) >= bound]
+        if last + paths < low:
+            low = last + paths
+    return s, t, last, low, joined
 
 
-def _heap_phase(adj: dict[int, dict[int, int]]) -> tuple[int, int, int, int]:
-    """One maximum-adjacency phase from a heap: (s, t, cut of the phase,
-    low), as `_scan_phase` gives them.
+def _heap_walk(adj: dict[int, dict[int, int]], bound: float) -> _Order:
+    """One maximum-adjacency order from a heap: what `_scan_walk` gives.
 
-    Vertex 0 is added first, so the keys and the heap start from its
-    weights.  The heap holds only vertices of positive key, the largest
-    key and then the lowest index first; a stale entry is below its
-    vertex's key and is skipped.  When the heap is empty every key left
-    is 0, and the lowest unreached vertex goes next.  The walk over an
-    added vertex's neighbours sums its paths, as `_scan_phase`'s does.
+    The keys and the heap start from the first vertex's weights.  The
+    heap holds only vertices of positive key, the largest key and then the
+    lowest index first; a stale entry is below its vertex's key and is
+    skipped.  When the heap is empty every key left is 0, and the lowest
+    unreached vertex goes next.  The walk over an added vertex's
+    neighbours sums its paths as `_scan_walk`'s does, and lists each edge
+    whose q, the key it has just pushed, reaches `bound`.
     """
     key = dict.fromkeys(adj, 0)
-    del key[0]
-    key.update(adj[0])
-    heap = [(-w, u) for u, w in adj[0].items()]
+    t = next(iter(key))
+    del key[t]
+    key.update(adj[t])
+    joined = [(t, u) for u, w in adj[t].items() if w >= bound]
+    heap = [(-w, u) for u, w in adj[t].items()]
     heapify(heap)
     unreached = filter(key.__contains__, adj)  # ascending, lazy
-    s = t = 0
+    s = t
     low = math.inf
     while key:
         neg, v = heappop(heap) if heap else (0, next(unreached))
         if key.get(v) != -neg:
             continue  # already added, or a stale key
         del key[v]
-        s, t, phase_cut = t, v, -neg
+        s, t, last = t, v, -neg
         paths = 0
         for u, w in adj[v].items():
             k = key.get(u)
@@ -394,9 +394,11 @@ def _heap_phase(adj: dict[int, dict[int, int]]) -> tuple[int, int, int, int]:
                 paths += k if k < w else w
                 key[u] = k = k + w
                 heappush(heap, (-k, u))
-        if phase_cut + paths < low:
-            low = phase_cut + paths
-    return s, t, phase_cut, low
+                if k >= bound:
+                    joined.append((v, u))
+        if last + paths < low:
+            low = last + paths
+    return s, t, last, low, joined
 
 
 def default_trial_count(vertex_count: int) -> int:
@@ -599,67 +601,71 @@ def karger_stein(graph: WeightedGraph, seed: int, trials: int) -> Cut:
     and trials could run in any order or in parallel without changing it.
     The returned weight is always an upper bound on the true minimum.
 
-    Each time a trial finds a strictly lighter cut, `_no_cut_lighter`
-    decides, from the graph alone, whether any cut weighs less; it is
-    exact, so the trials stop at the first one that finds the minimum
-    cut, and a large `trials` costs nothing past it.  Every later trial
-    could at most tie, and a tie never replaces the best cut, so the
-    result is the `Cut` of running them all; skipping a trial changes no
-    other trial's draws.
+    The first trial's cut gives `_lightest` its bound, so it returns the
+    minimum cut's weight, and the trials stop at the first one whose cut
+    weighs that much: every later trial could at most tie, and a tie never
+    replaces the best cut, so the result is the `Cut` of running them all;
+    skipping a trial changes no other trial's draws.  On at most
+    `_CONTRACTION_BASE` vertices a trial searches every cut, so the first
+    trial's cut weighs the minimum.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    adjacency = graph.adjacency
     best: _Found | None = None
+    least = None  # the minimum cut's weight, known after the first trial
     for trial_seed in derive_seeds(seed, trials):
         rng = Xoshiro256StarStar(trial_seed)
         candidate = _recursive_contraction(
-            _SampledContraction.from_adjacency(graph.adjacency), rng)
+            _SampledContraction.from_adjacency(adjacency), rng)
         if best is None or candidate[0] < best[0]:
             best = candidate
-            if _no_cut_lighter(graph.adjacency, best[0]):
-                break
+        if least is None:
+            least = (best[0] if len(adjacency) <= _CONTRACTION_BASE
+                     else _lightest(adjacency, best[0]))
+        if best[0] == least:
+            break
     assert best is not None
     return Cut(_side(best), Fraction(best[0], graph.scale))
 
 
-def _no_cut_lighter(adjacency: Sequence[dict[int, int]], weight: int) -> bool:
-    """Whether no cut of the graph weighs less than `weight`, the weight of
-    a cut that one Karger-Stein trial returned.
+def _lightest(adjacency: Sequence[dict[int, int]], bound: int) -> int:
+    """min(`bound`, lambda), lambda the weight of a lightest cut, decided
+    exactly by the rounds of Nagamochi and Ibaraki (SIAM J. Discrete Math.
+    5, 1992) as Nagamochi, Ono and Ibaraki run them (Math. Programming 67,
+    1994), on a throwaway copy of `adjacency`.
 
-    `adjacency` is the original graph's maps.  Each True is a proof
-    that reads only the graph and `weight`, never another route's answer:
-    a weight of 0; at most `_CONTRACTION_BASE` vertices, where the trial
-    searched every cut; or `_rounds_at_least`.  The rounds are exact, so
-    the answer is True exactly when `weight` is the minimum cut's.
-    """
-    return (not weight or len(adjacency) <= _CONTRACTION_BASE
-            or _rounds_at_least(adjacency, weight))
-
-
-def _rounds_at_least(adjacency: Sequence[dict[int, int]], bound: int) -> bool:
-    """Whether no cut of the graph weighs less than `bound` > 0, decided
-    exactly by the rounds of Nagamochi and Ibaraki (SIAM J. Discrete
-    Math. 5, 1992) as Nagamochi, Ono and Ibaraki run them (Math.
-    Programming 67, 1994), on a throwaway copy of `adjacency`.
-
-    In a maximum-adjacency order, give each edge e = (v, u), v added
-    first, the value q(e): u's key just after e's weight is added.  Every
-    cut that separates u from v weighs at least q(e).  So each round,
-    `_max_adjacency_round`, lists the edges with q(e) >= `bound`, and the
-    last two vertices s, t when t's key, the minimum s-t cut, is at least
-    `bound`; contracting them all keeps every cut lighter than `bound`,
-    and every cut of the contracted graph is one of the original.  A
-    round always contracts s and t or finds a lighter cut, so the rounds
-    end: True once one vertex is left, False at the first cut below
-    `bound`, which a round shows as a key of 0 or a last key below it, or
-    a contracted vertex as its degree.
+    Each round is one walk of a maximum-adjacency order, by `_walk`'s
+    rule.  Give each edge e = (v, u), v added first, the value q(e): u's
+    key just after e's weight is added.  Every cut that separates u from v
+    weighs at least q(e), and the last key, t's, is the minimum cut
+    between the last two vertices s and t.  So a round lowers `bound` to
+    t's key when that is lighter, since t alone is such a cut, and then
+    contracts s with t and every edge the walk listed, those with q(e) at
+    least the bound it walked with.  That keeps every cut lighter than
+    `bound`, and every cut of the contracted graph is one of the original;
+    a contracted vertex's degree is such a cut, and lowers `bound` when
+    lighter.  So min(`bound`, lambda) never changes, and an edge joined
+    for one bound may be joined for any lower one, so the rounds go on
+    with the same copy.  The walk's own `low` (see `stoer_wagner`) ends
+    them early: no cut of the copy is lighter, so `bound` is the answer
+    once `low` reaches it, and 0 is once `low` is 0, which only a key of 0
+    makes.  A round always contracts s and t, so otherwise the rounds end
+    with one vertex left and no cut lighter than `bound`, or with `bound`
+    at 0.
     """
     state = _Contraction.from_adjacency(adjacency)
     adj = state.adj
-    while len(adj) > 1:
-        joined = _max_adjacency_round(adj, bound)
-        if joined is None:
-            return False
+    while bound and len(adj) > 1:
+        s, t, last, low, joined = _walk(
+            adj, sum(map(len, adj.values())) // 2, bound)
+        if not low:
+            return 0  # a key of 0: the vertices added before it are cut off
+        if low >= bound:
+            return bound  # the round's own bound: no cut is lighter
+        if last < bound:
+            bound = last
+        joined.append((s, t))
         root: dict[int, int] = {}  # each vertex merged away, to its keeper
         for a, b in joined:
             while a in root:
@@ -669,46 +675,12 @@ def _rounds_at_least(adjacency: Sequence[dict[int, int]], bound: int) -> bool:
             if a != b:
                 state.merge(a, b)
                 root[b] = a
-        if len(adj) > 1 and any(sum(adj[v].values()) < bound
-                                for v in adj.keys() & root.values()):
-            return False
-    return True
-
-
-def _max_adjacency_round(adj: dict[int, dict[int, int]],
-                         bound: int) -> list[tuple[int, int]] | None:
-    """The edges one maximum-adjacency order shows uncuttable below
-    `bound`, or None when it shows a lighter cut (see `_rounds_at_least`).
-
-    The order starts from the first vertex of `adj` and is found by
-    scanning the keys, as `_scan_phase` does: after each added vertex v,
-    one walk over the keys left adds v's weights and finds the first
-    largest key.  An edge joins the list when its q(e) reaches `bound`,
-    and s, t join it last.
-    """
-    key = dict.fromkeys(adj, 0)
-    v = next(iter(key))
-    del key[v]
-    joined = []
-    while key:
-        nbrs = adj[v]
-        top = -1
-        for u, k in key.items():
-            w = nbrs.get(u)
-            if w:
-                key[u] = k = k + w
-                if k >= bound:
-                    joined.append((v, u))
-            if k > top:
-                top, t = k, u
-        if not top:
-            return None  # nothing joins the vertices added to the rest
-        s, v = v, t
-        last = key.pop(t)
-    if last < bound:
-        return None  # t alone is a lighter cut
-    joined.append((s, t))
-    return joined
+        if len(adj) > 1:
+            for v in adj.keys() & root.values():
+                degree = sum(adj[v].values())
+                if degree < bound:
+                    bound = degree
+    return bound
 
 
 def brute_force_mincut(graph: WeightedGraph) -> Cut:

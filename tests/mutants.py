@@ -100,26 +100,25 @@ MUTANTS = (
            "islice(lines, 1, _CHUNK_LINES)",
            ("tests/test_golden.py::test_candidates_output_matches_golden",
             "tests/test_cli.py::test_candidates_on_example3d")),
-    # Karger-Stein stops its trials on a strictly lighter cut, unproven.
+    # Karger-Stein stops after its first trial, its cut unproven.
     Mutant("stop-without-proof", "mincut.py",
-           "if _no_cut_lighter(graph.adjacency, best[0]):",
-           "if True:",
+           "else _lightest(adjacency, best[0]))\n        if best[0] == least:\n",
+           "else _lightest(adjacency, best[0]))\n        if True:\n",
            ("tests/test_mincut.py::test_ks_runs_its_trials_until_the_first_that_finds_the_minimum_cut",
             "tests/test_contraction_reference.py::test_karger_stein_matches_the_reference_at_the_default_trial_count",
             "tests/test_golden.py::test_svp_stdout_matches_golden")),
-    # Karger-Stein takes the rounds' proof of one unit less than its cut.
+    # Karger-Stein asks the prover one unit below its first trial's cut,
+    # so a first trial that finds the minimum cut never stops the trials.
     Mutant("stop-bound-one-short", "mincut.py",
-           "or _rounds_at_least(adjacency, weight))",
-           "or _rounds_at_least(adjacency, weight - 1))",
-           ("tests/test_certificate.py::test_karger_stein_takes_the_phase_bound_as_it_is",
-            "tests/test_certificate.py::test_karger_stein_stops_on_no_bound_above_the_minimum_cut")),
+           "else _lightest(adjacency, best[0]))",
+           "else _lightest(adjacency, best[0] - 1))",
+           ("tests/test_mincut.py::test_ks_stops_once_its_cut_is_proved_minimal",)),
     # Karger-Stein takes a trial on one vertex past the base case as
-    # exhaustive.
+    # exhaustive, so its first cut as the minimum.
     Mutant("exhaustive-size-widened", "mincut.py",
            "len(adjacency) <= _CONTRACTION_BASE\n",
            "len(adjacency) <= _CONTRACTION_BASE + 1\n",
-           ("tests/test_mincut.py::test_ks_runs_its_trials_until_the_first_that_finds_the_minimum_cut",
-            "tests/test_certificate.py::test_karger_stein_stops_on_no_bound_above_the_minimum_cut")),
+           ("tests/test_mincut.py::test_ks_runs_its_trials_until_the_first_that_finds_the_minimum_cut",)),
     # The contraction tests' PR2 without its degree guard: half a degree
     # joins a vertex whose own degree is a light cut.
     Mutant("pr2-without-degree-guard", "mincut.py",
@@ -137,34 +136,34 @@ MUTANTS = (
     # A joined supervertex's degree, itself a cut, not checked.
     Mutant("joined-degree-unchecked", "mincut.py",
            "        degree += rest - w\n        if degree < bound:\n"
-           "            return False, walked\n",
+           "            return False\n",
            "        degree += rest - w\n",
            ("tests/test_certificate.py::test_a_light_degree_of_the_joined_vertex_ends_the_attempt",
             "tests/test_certificate.py::test_never_proves_a_bound_above_the_minimum_cut",
             "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference")),
-    # A scan phase's `low` as the largest key plus paths, not the least.
+    # A scan walk's `low` as the largest key plus paths, not the least.
     Mutant("scan-low-by-max", "mincut.py",
-           "                top, v = k, u\n"
-           "        if phase_cut + paths < low:",
-           "                top, v = k, u\n"
-           "        if low == math.inf or phase_cut + paths > low:",
+           "key.get(u, 0) >= bound]\n"
+           "        if last + paths < low:",
+           "key.get(u, 0) >= bound]\n"
+           "        if low == math.inf or last + paths > low:",
            ("tests/test_certificate.py::test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut",
             "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference")),
-    # A scan phase adds the last of the largest keys, not the first, so
-    # it breaks ties toward the highest index, unlike a heap phase.
+    # A scan walk adds the last of the largest keys, not the first, so
+    # it breaks ties toward the highest index, unlike a heap walk.
     Mutant("scan-tie-to-last", "mincut.py",
            "if k > top:\n                top, v = k, u\n",
            "if k >= top:\n                top, v = k, u\n",
            ("tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference",)),
-    # The same in a heap phase.
+    # A heap walk's `low` as the largest key plus paths, not the least.
     Mutant("heap-low-by-max", "mincut.py",
-           "                heappush(heap, (-k, u))\n"
-           "        if phase_cut + paths < low:",
-           "                heappush(heap, (-k, u))\n"
-           "        if low == math.inf or phase_cut + paths > low:",
+           "                    joined.append((v, u))\n"
+           "        if last + paths < low:",
+           "                    joined.append((v, u))\n"
+           "        if low == math.inf or last + paths > low:",
            ("tests/test_certificate.py::test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut",
             "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference_when_it_stops_early")),
-    # A scan phase's paths summed from keys already updated.
+    # A scan walk's paths summed from keys already updated.
     Mutant("scan-key-read-after-update", "mincut.py",
            "            if w:\n"
            "                paths += k if k < w else w\n"
@@ -174,32 +173,46 @@ MUTANTS = (
            "                paths += k if k < w else w\n",
            ("tests/test_certificate.py::test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut",
             "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference_on_dense_graphs")),
-    # The rounds' q(e) read from u's key before e's weight is added: sound,
-    # since that key is the q of an earlier edge into u, but it joins fewer
-    # edges per round.
+    # A scan round lists (t, u) by u's key before t's weight was added,
+    # not by q(t, u): sound, since that key is the q of an earlier edge
+    # into u, but it joins fewer edges per round.
     Mutant("rounds-q-read-before-update", "mincut.py",
+           "if key.get(u, 0) >= bound]",
+           "if key.get(u, 0) - nbrs[u] >= bound]",
+           ("tests/test_certificate.py::test_a_round_joins_the_edges_whose_q_reaches_the_bound",)),
+    # The same in a heap round: q(e) read before e's weight is added.
+    Mutant("heap-q-read-before-update", "mincut.py",
            "                key[u] = k = k + w\n"
+           "                heappush(heap, (-k, u))\n"
            "                if k >= bound:\n"
            "                    joined.append((v, u))\n",
            "                if k >= bound:\n"
            "                    joined.append((v, u))\n"
-           "                key[u] = k = k + w\n",
+           "                key[u] = k = k + w\n"
+           "                heappush(heap, (-k, u))\n",
            ("tests/test_certificate.py::test_a_round_joins_the_edges_whose_q_reaches_the_bound",)),
-    # The rounds join an edge only when q(e) passes the bound, not when it
-    # reaches it: sound, but fewer edges per round.
+    # A heap round joins an edge only when q(e) passes the bound, not
+    # when it reaches it: sound, but fewer edges per round.
     Mutant("rounds-threshold-strict", "mincut.py",
            "if k >= bound:",
            "if k > bound:",
            ("tests/test_certificate.py::test_a_round_joins_the_edges_whose_q_reaches_the_bound",)),
-    # The rounds join s and t although t alone is a lighter cut.
+    # The rounds join s and t without lowering the bound to t's key,
+    # although t alone is a lighter cut.
     Mutant("rounds-join-light-last-pair", "mincut.py",
-           "    if last < bound:\n"
-           "        return None  # t alone is a lighter cut\n",
+           "        if last < bound:\n"
+           "            bound = last\n",
            "",
-           ("tests/test_certificate.py::test_a_round_joins_the_edges_whose_q_reaches_the_bound",
-            "tests/test_certificate.py::test_the_rounds_prove_exactly_the_minimum_cut",
-            "tests/test_certificate.py::test_karger_stein_stops_on_no_bound_above_the_minimum_cut")),
-    # The same in a heap phase.
+           ("tests/test_certificate.py::test_the_prover_gives_the_least_of_the_bound_and_the_minimum_cut",
+            "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference")),
+    # The rounds lower the bound past the lighter cut they found, so the
+    # prover answers below the minimum cut.
+    Mutant("rounds-bound-past-the-cut", "mincut.py",
+           "            bound = last\n",
+           "            bound = last - 1\n",
+           ("tests/test_certificate.py::test_the_prover_gives_the_least_of_the_bound_and_the_minimum_cut",
+            "tests/test_certificate.py::test_the_prover_lowers_the_bound_to_each_lighter_cut")),
+    # A heap walk's paths summed from keys already updated.
     Mutant("heap-key-read-after-update", "mincut.py",
            "            if k is not None:\n"
            "                paths += k if k < w else w\n"

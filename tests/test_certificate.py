@@ -1,41 +1,37 @@
 """The proofs that let Stoer-Wagner and Karger-Stein stop early.
 
-Stoer-Wagner stops its phases once a phase's bound or the contraction
-tests show that no cut is lighter than the best found so far.
-Karger-Stein stops its trials on `mincut._no_cut_lighter`, which answers
-True on a weight of 0 and on graphs small enough for a trial to have
-searched every cut, and otherwise asks the rounds.
+Both routes stop once they know the minimum cut's weight lambda:
+Stoer-Wagner at the first phase cut that weighs lambda, Karger-Stein at
+the first trial whose cut does.  lambda comes from the graph alone.
 
-The rounds: `mincut._rounds_at_least(adjacency, bound)` contracts a copy of
-the graph, each round by `_max_adjacency_round`, and is exact: for every
-graph whose minimum cut weighs lambda > 0 it answers True at lambda and
-False at lambda + 1, which brute force checks here.  One round lists
-exactly the edges e whose q(e), the key of e's later end just after e's
-weight is added, reaches the bound, and the last two vertices when the
-last key does, as a plain maximum-adjacency order defines them; it gives
-None when a key of 0 or a last key below the bound shows a lighter cut.
+The prover: `mincut._lightest(adjacency, bound)` returns exactly
+min(bound, lambda) for every bound >= 0, which brute force checks here
+on graphs of 2 to 14 vertices: sparse ones, whose rounds walk from a
+heap, dense ones, whose rounds scan, tied weights, and disconnected
+graphs, where lambda is 0.  Its rounds contract a throwaway copy by the
+edges one maximum-adjacency walk lists.
 
-A phase's own bound: `_scan_phase` and `_heap_phase` return the same
-(s, t, cut of the phase, low) on the same maps, and `low`, the least over
-the vertices added after vertex 0 of key plus paths, lies between the
-smallest of those keys and the true minimum cut, which brute force gives
-here, on the original maps or on contracted ones.
+The walks: `_scan_walk` and `_heap_walk` serve both the phases and the
+rounds.  On the same maps, original or contracted, they give the same
+(s, t, last key, low) and list the same edges: exactly the edges e whose
+q(e), the key of e's later end just after e's weight is added, reaches
+the bound, as a plain maximum-adjacency order defines them.  `low`, the
+least over the vertices added after the first of key plus paths, lies
+between the smallest of those keys and the true minimum cut, which brute
+force gives here.
 
-The contraction certificate:
-
-`mincut._cuts_at_least(adj, bound)` answers True only when no cut of the
-graph weighs less than `bound`.  It must never answer True above the true
-minimum cut weight, which brute force gives here, on the original maps or
-on contracted ones, as `stoer_wagner` retries it; it must answer True at
-that weight on cycles, where a phase's bound proves nothing, and on stars
-and uniform complete graphs; and a failed attempt must cost no more
-than one phase: it walks each neighbour map at most once, and reports the
-entries it walked.  `stoer_wagner` tries it after the first phase, and
-after a later one only while the attempts have walked at most a tenth of
-the entries its phases walked, so that failing attempts add at most a
-tenth to the phases' work, and one attempt.
+The contraction certificate: `mincut._cuts_at_least(adj, bound)` answers
+True only when no cut of the graph weighs less than `bound`.  It must
+never answer True above the true minimum cut weight, on the original maps
+or on contracted ones; it must answer True at that weight on cycles,
+where a phase's bound proves nothing and the rounds would join one edge
+at a time, and on stars and uniform complete graphs; and an attempt must
+cost no more than one phase: it walks each neighbour map at most once.
+`stoer_wagner` runs it once, after the first phase, unless that phase's
+own bound proves its cut.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -54,14 +50,11 @@ from latcut import (  # noqa: E402
 )
 from latcut import mincut  # noqa: E402
 from latcut.mincut import (  # noqa: E402
-    _CONTRACTION_BASE,
     _Contraction,
     _cuts_at_least,
-    _heap_phase,
-    _max_adjacency_round,
-    _no_cut_lighter,
-    _rounds_at_least,
-    _scan_phase,
+    _heap_walk,
+    _lightest,
+    _scan_walk,
 )
 from conftest import hypercube  # noqa: E402
 
@@ -78,7 +71,7 @@ def lightest(graph: WeightedGraph) -> int:
 
 def proves(graph: WeightedGraph, bound: int) -> bool:
     """`_cuts_at_least` on the graph's maps, keyed as `stoer_wagner`'s."""
-    return _cuts_at_least(dict(enumerate(graph.adjacency)), bound)[0]
+    return _cuts_at_least(dict(enumerate(graph.adjacency)), bound)
 
 
 @st.composite
@@ -153,32 +146,15 @@ def test_never_proves_a_bound_above_the_minimum_cut(graph, data):
     assert bound <= weight or not proves(graph, bound)
 
 
-@settings(max_examples=800)
-@given(graphs(), st.data())
-def test_karger_stein_stops_on_no_bound_above_the_minimum_cut(graph, data):
-    # `_no_cut_lighter` is told the weight of a cut that a trial found;
-    # on at most `_CONTRACTION_BASE` vertices the trial was exhaustive,
-    # so it answers True there whatever the weight, and elsewhere exactly
-    # when the weight is the minimum cut's, which the rounds prove.
-    adjacency = graph.adjacency
-    weight = lightest(graph)
-    small = graph.vertex_count <= _CONTRACTION_BASE
-    assert _no_cut_lighter(adjacency, weight)
-    assert _no_cut_lighter(adjacency, weight + 1) == small
-    bound = data.draw(st.integers(0, weight + 2 * graph.scale))
-    assert bound <= weight or _no_cut_lighter(adjacency, bound) == small
-    assert _no_cut_lighter(adjacency, 0)
-
-
 def test_karger_stein_takes_the_phase_bound_as_it_is():
     # The 8-vertex star's minimum cut, 1, is also its first phase's bound;
-    # the rounds prove 1 and not 2, and 8 vertices are too many for the
-    # exhaustive base case.
+    # 8 vertices are too many for the exhaustive base case, so Karger-Stein
+    # asks the prover, which gives 1 from any bound at or above it.
     adjacency = star(8, 7, [1] * 7).adjacency
     adj = dict(enumerate(adjacency))
-    assert _scan_phase(adj)[3] == _heap_phase(adj)[3] == 1
-    assert _no_cut_lighter(adjacency, 1)
-    assert not _no_cut_lighter(adjacency, 2)
+    assert _scan_walk(adj, math.inf)[3] == _heap_walk(adj, math.inf)[3] == 1
+    for bound in range(1, 9):
+        assert _lightest(adjacency, bound) == 1
 
 
 def test_a_light_pendant_vertex_is_not_joined_by_its_half_degree():
@@ -200,23 +176,23 @@ def test_a_light_degree_of_the_joined_vertex_ends_the_attempt():
 @settings(max_examples=500)
 @given(graphs(), st.data())
 def test_never_proves_a_bound_above_the_minimum_cut_of_a_contraction(graph, data):
-    # Stoer-Wagner retries on its contracted maps.
+    # Sound on contracted maps too, which keep vertex 0 and their order.
     state = contracted(graph, data)
     weight = lightest(relabelled(state))
-    assert not _cuts_at_least(state.adj, weight + 1)[0]
+    assert not _cuts_at_least(state.adj, weight + 1)
     bound = data.draw(st.integers(1, weight + 2))
-    assert bound <= weight or not _cuts_at_least(state.adj, bound)[0]
+    assert bound <= weight or not _cuts_at_least(state.adj, bound)
 
 
-# --- the phase bound ----------------------------------------------------------------
+# --- the walks ----------------------------------------------------------------------
 
 @st.composite
-def phase_graphs(draw):
-    """2..10 vertices: tied weights, dense, sparse, or cut apart."""
+def phase_graphs(draw, most=10):
+    """2..`most` vertices: tied weights, dense, sparse, or cut apart."""
     kind = draw(st.sampled_from(("tied", "dense", "sparse", "disconnected")))
     if kind == "tied":
         return draw(graphs())
-    count = draw(st.integers(2, 10))
+    count = draw(st.integers(2, most))
     pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
     if kind == "dense":  # at least 3/4 of the pairs, weight 1 or 2
         absent = draw(st.sets(st.sampled_from(pairs),
@@ -253,34 +229,38 @@ def maximum_adjacency(adj) -> tuple[list[int], list[int]]:
     return order, keys
 
 
+def both_walks(adj, bound):
+    """What `_scan_walk` and `_heap_walk` give on the same maps, with the
+    edges listed as a set: they must agree, and only the order in which
+    the edges are listed may differ."""
+    found = []
+    for walk in (_scan_walk, _heap_walk):
+        *ends, joined = walk(adj, bound)
+        found.append((*ends, set(map(frozenset, joined))))
+    assert found[0] == found[1]
+    return found[0]
+
+
 @settings(max_examples=800)
 @given(phase_graphs(), st.data())
 def test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut(graph, data):
     state = contracted(graph, data)
-    s, t, phase_cut, low = found = _scan_phase(state.adj)
-    assert _heap_phase(state.adj) == found
+    s, t, phase_cut, low, joined = both_walks(state.adj, math.inf)
+    assert not joined
     order, keys = maximum_adjacency(state.adj)
     assert (s, t, phase_cut) == (order[-2], order[-1], keys[-1])
     assert min(keys) <= low <= lightest(relabelled(state))
 
 
-# --- the rounds -------------------------------------------------------------------
-
-def round_by_definition(adj, bound):
-    """The edges `_max_adjacency_round` must list, as a set of pairs, or
-    None: from the plain order, q(v, u) for v added before u is the
-    weight from u to v and the vertices added before v."""
-    order, keys = maximum_adjacency(adj)
-    if not min(keys) or keys[-1] < bound:
-        return None
+def joined_by_definition(adj, bound):
+    """The edges a walk must list, as a set of pairs: from the plain
+    order, q(v, u) for v added before u is the weight from u to v and the
+    vertices added before v."""
+    order = maximum_adjacency(adj)[0]
     place = {v: k for k, v in enumerate(order)}
-    joined = {frozenset(order[-2:])}
-    for u in order:
-        for v in adj[u]:
+    return {frozenset((v, u)) for u in order for v in adj[u]
             if place[v] < place[u] and sum(
-                    adj[u].get(x, 0) for x in order[:place[v] + 1]) >= bound:
-                joined.add(frozenset((v, u)))
-    return joined
+                adj[u].get(x, 0) for x in order[:place[v] + 1]) >= bound}
 
 
 @settings(max_examples=800)
@@ -290,19 +270,61 @@ def test_a_round_joins_the_edges_whose_q_reaches_the_bound(graph, data):
     state = contracted(graph, data)
     keys = maximum_adjacency(state.adj)[1]
     bound = data.draw(st.sampled_from(sorted({1, *keys} - {0})))
-    joined = _max_adjacency_round(state.adj, bound)
-    if joined is not None:
-        joined = set(map(frozenset, joined))
-    assert joined == round_by_definition(state.adj, bound)
+    assert both_walks(state.adj, bound)[4] == \
+        joined_by_definition(state.adj, bound)
 
+
+# --- the prover -------------------------------------------------------------------
 
 @settings(max_examples=800)
-@given(st.one_of(phase_graphs(), graphs()))
-def test_the_rounds_prove_exactly_the_minimum_cut(graph):
+@given(st.one_of(phase_graphs(most=14), graphs()), st.data())
+def test_the_prover_gives_the_least_of_the_bound_and_the_minimum_cut(graph,
+                                                                    data):
+    # At 0, just below, at and just above the minimum cut, and at a bound
+    # drawn up to about twice it.
     weight = lightest(graph)
-    if weight:
-        assert _rounds_at_least(graph.adjacency, weight)
-    assert not _rounds_at_least(graph.adjacency, weight + 1)
+    drawn = data.draw(st.integers(0, 2 * weight + 2 * graph.scale))
+    for bound in {0, max(weight - 1, 0), weight, weight + 1, drawn}:
+        assert _lightest(graph.adjacency, bound) == min(bound, weight)
+
+
+def walks_run(monkeypatch, graph: WeightedGraph, bound: int) -> list[str]:
+    """`_lightest(graph.adjacency, bound)`, checked against brute force,
+    and which walk each of its rounds took."""
+    run = []
+
+    def counted(walk):
+        def counting(adj, bound):
+            run.append(walk.__name__)
+            return walk(adj, bound)
+        return counting
+
+    monkeypatch.setattr(mincut, "_scan_walk", counted(_scan_walk))
+    monkeypatch.setattr(mincut, "_heap_walk", counted(_heap_walk))
+    assert _lightest(graph.adjacency, bound) == min(bound, lightest(graph))
+    return run
+
+
+def test_the_rounds_follow_the_phases_walk_rule(monkeypatch):
+    # A 14-cycle with two unit chords is sparse, so its first round walks
+    # from a heap, and its contractions turn dense; the uniform complete
+    # graph stays dense, so every round scans.  Both start from a bound
+    # above their minimum cuts, 2 and 13.
+    chorded = WeightedGraph.from_edges(14, [
+        (v, (v + 1) % 14, 1) for v in range(14)] + [(0, 7, 1), (3, 10, 1)])
+    assert walks_run(monkeypatch, chorded, 3)[0] == "_heap_walk"
+    assert set(walks_run(monkeypatch, complete(14), 14)) == {"_scan_walk"}
+
+
+@pytest.mark.parametrize("count", range(3, 13))
+def test_the_prover_lowers_the_bound_to_each_lighter_cut(count):
+    # The cycle's cut is 2, and the bound starts at 2 and at every weight
+    # above it; two cliques joined by one edge are cut only at that edge,
+    # whose weight shows as a degree once the rounds have contracted a
+    # clique.
+    for bound in range(2, 2 * count):
+        assert _lightest(cycle(count).adjacency, bound) == 2
+    assert _lightest(two_cliques(count).adjacency, count) == 1
 
 
 # --- completeness on cycles, complete graphs and stars -----------------------------
@@ -363,17 +385,13 @@ class _Walked(dict):
 
 def first_phase_cut(graph: WeightedGraph) -> int:
     adj = _Contraction.from_adjacency(graph.adjacency).adj
-    return _scan_phase(adj)[2]
+    return _scan_walk(adj, math.inf)[2]
 
 
 def walks(graph: WeightedGraph, bound: int) -> tuple[bool, list]:
     log: list[tuple[int, int]] = []
     adj = {v: _Walked(v, nbrs, log) for v, nbrs in enumerate(graph.adjacency)}
-    proved, walked = _cuts_at_least(adj, bound)
-    # It reports every entry it walked: each walk, and vertex 0's map,
-    # copied once.
-    assert walked == sum(size for _, size in log) + len(graph.adjacency[0])
-    return proved, log
+    return _cuts_at_least(adj, bound), log
 
 
 @pytest.mark.parametrize("graph", [
@@ -409,41 +427,3 @@ def test_a_proof_walks_each_map_at_most_once():
     assert proved
     walked = [v for v, _ in log]
     assert len(walked) == len(set(walked)) == 28
-
-
-# --- retries: within a tenth of the phases' walks ---------------------------------
-
-def test_retries_walk_at_most_a_tenth_of_the_phases_entries(monkeypatch):
-    # Every attempt on the two cliques joins the first one before the
-    # bridge fails it, so only the budget limits the retries.
-    phased: list[int] = []  # 2|E| + |V| of each phase's graph
-    attempts: list[tuple[int, int]] = []  # (phases run, entries walked)
-
-    def counting(phase):
-        def run(adj):
-            phased.append(sum(map(len, adj.values())) + len(adj))
-            return phase(adj)
-        return run
-
-    def attempt(adj, bound):
-        proved, walked = _cuts_at_least(adj, bound)
-        assert not proved
-        attempts.append((len(phased), walked))
-        return proved, walked
-
-    monkeypatch.setattr(mincut, "_scan_phase", counting(mincut._scan_phase))
-    monkeypatch.setattr(mincut, "_heap_phase", counting(mincut._heap_phase))
-    monkeypatch.setattr(mincut, "_cuts_at_least", attempt)
-    assert mincut.stoer_wagner(two_cliques(40)).weight == 1
-    assert [phases for phases, _ in attempts] == [1, 6, 12, 18, 26, 35]
-    # An attempt runs after a phase exactly when the earlier attempts
-    # walked at most a tenth of the entries of the phases so far; the last
-    # phase proves its cut by its own bound and needs none.
-    walked_at = dict(attempts)
-    tried = 0
-    for phases in range(1, len(phased)):
-        assert (10 * tried <= sum(phased[:phases])) == (phases in walked_at)
-        tried += walked_at.get(phases, 0)
-    # So all attempts walk at most a tenth of the phases' entries, and one
-    # attempt more: the first, which always runs, or the last.
-    assert tried <= sum(phased) / 10 + max(walked_at.values())

@@ -17,9 +17,8 @@ Stoer-Wagner stops phases early while the frozen one runs them all, on
 graphs whose weights need a common denominator near the 4096-bit cap,
 on the large tie-heavy Selling graphs of A_n, Z^n and A_n* that the
 golden files do not reach, and on the `svp` graphs of the benchmark's
-`dense_gram` plan, where the phases' own path bounds, or contraction
-tests retried on the contracted graph, end the phases early; and at
-the default trial count, where the current Karger-Stein stops once a
+`dense_gram` plan, where the current Stoer-Wagner stops at the first
+phase cut that its proofs show minimal; and at the default trial count, where the current Karger-Stein stops once a
 trial's cut is proved minimal while the frozen one runs every trial.
 The running sums of the current `_SampledContraction` are recounted
 after every merge and clone, and each pick must be the frozen pick.
@@ -29,6 +28,7 @@ from __future__ import annotations
 
 import copy
 import importlib.util
+import math
 import operator
 import sys
 from fractions import Fraction
@@ -431,35 +431,36 @@ def test_stoer_wagner_matches_the_reference_when_it_stops_early(graph):
     assert mincut.stoer_wagner(graph) == stoer_wagner(graph)
 
 
-@pytest.mark.parametrize("graph, merges, attempts", [
-    pytest.param(graph_from_gram(selling_parameters(gen_zn(200))), 0, 0,
+@pytest.mark.parametrize("graph, merges, attempts, rounds", [
+    pytest.param(graph_from_gram(selling_parameters(gen_zn(200))), 0, 0, 0,
                  id="zn200"),
-    pytest.param(graph_from_gram(selling_parameters(gen_an(20))), 0, 1,
+    pytest.param(graph_from_gram(selling_parameters(gen_an(20))), 0, 1, 0,
                  id="an20"),
-    pytest.param(graph_from_gram(selling_parameters(gen_anstar(20))), 0, 0,
+    pytest.param(graph_from_gram(selling_parameters(gen_anstar(20))), 0, 0, 0,
                  id="anstar20"),
-    pytest.param(hypercube(4), 9, 7, id="cube4"),
-    pytest.param(graph_from_gram(gen_random_gram(52, 7, F(1))), 3, 3,
+    pytest.param(hypercube(4), 0, 1, 7, id="cube4"),
+    pytest.param(graph_from_gram(gen_random_gram(52, 7, F(1))), 0, 1, 2,
                  id="gram52"),
 ])
 def test_stoer_wagner_stops_once_no_later_phase_can_be_lighter(
-        monkeypatch, graph, merges, attempts):
+        monkeypatch, graph, merges, attempts, rounds):
     # A phase's bound is the least, over its added vertices v, of v's key
     # plus the paths of length two from the vertices added before v to
     # each vertex not yet added.  It proves the star's weight-1 cut and
     # the complete graph's in their first phase, with no contraction
     # test.  The cycle's first phase proves nothing, but one contraction
     # attempt proves its cut: no merge at all.  The hypercube has no
-    # triangle and no edge of half a degree, so its attempts fail; after
-    # 9 merges, of the 14 that running every phase takes (the last, on
-    # two vertices, needs none), a phase's bound proves the cut.  The
-    # Gram graph's fourth phase proves it, after 3 merges of 51 and three
-    # failed attempts.
-    counted = []
-    merge = mincut._Contraction.merge
-    monkeypatch.setattr(mincut._Contraction, "merge",
-                        lambda self, keep, drop: counted.append(
-                            merge(self, keep, drop)))
+    # triangle and no edge of half a degree, so its one attempt fails, and
+    # the rounds prove the first phase's cut minimal in 7 rounds, where
+    # running every phase takes 14 merges (the last phase, on two
+    # vertices, needs none).  The Gram graph's first phase also finds its
+    # minimum cut, which its attempt cannot prove and 2 rounds do.  Every
+    # phase but the one that stops merges once, and a round is a walk with
+    # a finite bound.
+    bounds = []
+    walk = mincut._walk
+    monkeypatch.setattr(mincut, "_walk", lambda adj, edges, bound: (
+        bounds.append(bound), walk(adj, edges, bound))[1])
     tried = []
     cuts_at_least = mincut._cuts_at_least
 
@@ -469,8 +470,10 @@ def test_stoer_wagner_stops_once_no_later_phase_can_be_lighter(
 
     monkeypatch.setattr(mincut, "_cuts_at_least", attempt)
     assert mincut.stoer_wagner(graph) == stoer_wagner(graph)
-    assert len(counted) == merges
+    phases = bounds.count(math.inf)
+    assert phases - 1 == merges
     assert len(tried) == attempts
+    assert len(bounds) - phases == rounds
 
 
 @settings(max_examples=300)
@@ -600,9 +603,9 @@ def benchmark_plan(workload: str, seed: int):
     pytest.param(inst, id=f"n{inst.n}-d{inst.density}")
     for inst in benchmark_plan("dense_gram", 1) if inst.command == ("svp",)])
 def test_stoer_wagner_matches_the_reference_on_the_dense_gram_plan(inst):
-    # The phases' own path bounds end most of these runs early; on some,
-    # contraction tests retried on the contracted maps, within their
-    # budget, end them first.
+    # Most of these runs end at their first phase, proved by its own path
+    # bound, by one contraction attempt or by the rounds; on the rest the
+    # phases stop at the first cut that the rounds show minimal.
     graph = graph_from_gram(
         gen_random_gram(inst.n, inst.seed, Fraction(inst.density)))
     assert mincut.stoer_wagner(graph) == stoer_wagner(graph)

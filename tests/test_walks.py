@@ -20,15 +20,20 @@ candidates' memory per subset is bounded, and so is brute force's at its
 
 import io
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
+import latcut  # noqa: E402
 from latcut import (  # noqa: E402
     Candidate,
     Cut,
@@ -322,21 +327,38 @@ def test_exhaustive_cut_matches_on_merged_states(left):
         assert exhaustive_cut(state) == reference_exhaustive_cut(state)
 
 
+def peak_run(args, text):
+    """stdout and peak resident set, in KiB as Linux gives it, of a
+    `latcut` command fed `text`, run in an interpreter of its own, which
+    reads its own peak as it ends."""
+    child = ("import resource, sys\n"
+             "from latcut.cli import run_cli\n"
+             "code = run_cli(sys.argv[1:])\n"
+             "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+             "print(peak, file=sys.stderr)\n"
+             "sys.exit(code)\n")
+    src = str(Path(latcut.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", child, *args], input=text,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0
+    return done.stdout, int(done.stderr)
+
+
 def test_brute_force_at_its_limit():
     """`svp --algorithm brute` on a 24-vertex graph, the most it accepts,
-    gives Stoer-Wagner's squared length, and the run's traced peak, which
-    the walker's half tables set, stays under 4 MB: 2^23 ints would take
-    over 200 MB.  One vertex more is refused, exit 1, before any walk."""
+    gives Stoer-Wagner's squared length, and its peak resident set stays
+    within 32 MB of the same command's on a 4-vertex graph, each in a
+    process of its own: the walker's half tables take about 2.5 MB, and
+    holding the 2^23 sides at once would take over 200 MB.  One vertex
+    more is refused, exit 1, before any walk."""
     text = cli(["gen", "random_gram", "23", "--seed", "1", "--density", "1"])
-    tracemalloc.start()
-    try:
-        brute = cli(["svp", "-", "--algorithm", "brute"], text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    brute, peak = peak_run(["svp", "-", "--algorithm", "brute"], text)
+    base = peak_run(["svp", "-", "--algorithm", "brute"],
+                    cli(["gen", "example3d"]))[1]
     assert "squared length: 31939/840\n" in brute
     assert "squared length: 31939/840\n" in cli(["svp", "-"], text)
-    assert peak < 4_000_000
+    assert peak - base < 32 * 1024
     text = cli(["gen", "random_gram", "24", "--seed", "1", "--density", "1"])
     out, err = io.StringIO(), io.StringIO()
     assert run_cli(["svp", "-", "--algorithm", "brute"],
