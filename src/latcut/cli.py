@@ -5,8 +5,9 @@ Format: the first significant line is a header, either
 line is one row of whitespace-separated rationals (``5/4``, ``-1``,
 ``0.25``; see :func:`latcut.lattice.as_rational` for the token grammar).
 ``#`` starts a comment, blank lines are skipped, and ``-`` as a file name
-means standard input.  The parser scales its distinct tokens to integers
-once and returns an unvalidated Superbase or GramMatrix.  `svp` and
+means standard input.  The parser keeps each row's words, then scales
+its distinct tokens to integers once, each read as an integer ratio, and
+returns an unvalidated Superbase or GramMatrix.  `svp` and
 `verify` hand it to the pipeline, whose graph builder checks it;
 `validate` and `candidates` check it first through the same gate,
 :func:`latcut.lattice._cut_graph`, and drop the graph.  `candidates`
@@ -38,7 +39,7 @@ from .lattice import (
     Superbase,
     _cut_graph,
     _entries,
-    _token_value,
+    _ratio,
     as_rational,
 )
 from .mincut import default_trial_count
@@ -53,94 +54,81 @@ from .pipeline import (
 # never held whole.
 _CHUNK_LINES = 1024
 
+# Each header kind's lattice class, number of sizes and usage.
+_KINDS = {"superbase": (Superbase, 2, "superbase <count> <m>"),
+          "gram": (GramMatrix, 1, "gram <count>")}
+
 
 def parse_input(text: str) -> Superbase | GramMatrix:
     """Parse the file format into an unvalidated Superbase or GramMatrix.
 
-    One leading byte-order mark (U+FEFF) is dropped.  Each distinct token
-    is parsed and scaled once.  Raises ParseError (with 1-based line and
-    column) for malformed headers or tokens, ShapeError when rows disagree
-    with the header, TooLarge past the cap.
+    One leading byte-order mark (U+FEFF) is dropped.  Each row's words
+    are kept as they are; then the file's distinct tokens are read once,
+    as integer ratios, and scaled once, and each row is mapped to its
+    integers.  Raises ParseError (with 1-based line and column) for
+    malformed headers or tokens, ShapeError when rows disagree with the
+    header, TooLarge past the cap; the first bad token, in line order,
+    beats any later ShapeError and TooLarge.
     """
-    kind: type[Superbase] | type[GramMatrix] | None = None
-    expected_cols = 0
-    expected_rows = 0
-    rows: list[tuple[int, ...]] = []  # positions in `distinct`, shared
-    position: dict[str, int] = {}
-    distinct: list[Fraction] = []
-    last_line = 0
-
     text = text.removeprefix("\ufeff")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
-        line = raw.split("#", 1)[0]
-        words = line.split()
-        if not words:
-            continue
+    lines = _significant(text)
+    header = next(lines, None)
+    if header is None:
+        raise ParseError(max(len(text.splitlines()), 1), 1,
+                         "missing header line")
+    lineno, line, _ = header
+    tokens = _tokens_with_columns(line)
+    (word, column), counts = tokens[0], tokens[1:]
+    if word not in _KINDS:
+        raise ParseError(lineno, column, f"unknown kind {word!r}; "
+                         "expected 'superbase' or 'gram'")
+    kind, arity, usage = _KINDS[word]
+    if len(counts) != arity:
+        raise ParseError(lineno, column, f"header must be '{usage}'")
+    sizes = [_header_int(count, lineno) for count in counts]
+    expected_rows, expected_cols = sizes[0], sizes[-1]
 
-        if kind is None:
-            tokens = _tokens_with_columns(line)
-            word, column = tokens[0]
-            if word == "superbase":
-                if len(tokens) != 3:
-                    raise ParseError(
-                        lineno, column,
-                        "header must be 'superbase <count> <m>'",
-                    )
-                count = _header_int(tokens[1], lineno)
-                m = _header_int(tokens[2], lineno)
-                kind, expected_rows, expected_cols = Superbase, count, m
-            elif word == "gram":
-                if len(tokens) != 2:
-                    raise ParseError(
-                        lineno, column, "header must be 'gram <count>'"
-                    )
-                count = _header_int(tokens[1], lineno)
-                kind, expected_rows, expected_cols = GramMatrix, count, count
-            else:
-                raise ParseError(
-                    lineno, column,
-                    f"unknown kind {word!r}; expected 'superbase' or 'gram'",
-                )
-            continue
-
+    rows: list[list[str]] = []
+    for lineno, _, words in lines:
         if len(rows) == expected_rows:
-            raise ShapeError(
-                lineno, f"expected {expected_rows} rows, found more"
-            )
+            raise _first_bad_token(text, len(rows)) or ShapeError(
+                lineno, f"expected {expected_rows} rows, found more")
         if len(words) != expected_cols:
-            raise ShapeError(
-                lineno,
+            raise _first_bad_token(text, len(rows)) or ShapeError(lineno, (
                 f"row {len(rows) + 1} has {len(words)} entries, "
-                f"expected {expected_cols}",
-            )
-        for token in set(words).difference(position):
-            try:
-                distinct.append(_token_value(token))
-            except (ValueError, ZeroDivisionError):
-                raise _first_bad_token(line, lineno) from None
-            position[token] = len(position)
-        rows.append(tuple(list(map(position.__getitem__, words))))
+                f"expected {expected_cols}"))
+        rows.append(words)
 
-    if kind is None:
-        raise ParseError(max(last_line, 1), 1, "missing header line")
     if len(rows) != expected_rows:
-        raise ShapeError(
-            last_line, f"expected {expected_rows} rows, found {len(rows)}"
-        )
-    (values,), scale = _entries([distinct])
-    return kind(tuple([tuple([values[p] for p in row]) for row in rows]), scale)
+        raise _first_bad_token(text, len(rows)) or ShapeError(
+            len(text.splitlines()),
+            f"expected {expected_rows} rows, found {len(rows)}")
+    try:
+        return kind(*_entries(rows, _ratio))
+    except (ValueError, ZeroDivisionError):
+        raise _first_bad_token(text, len(rows)) from None
 
 
-def _first_bad_token(line: str, lineno: int) -> ParseError:
-    """The error for the first token of `line` that does not parse."""
-    for token, column in _tokens_with_columns(line):
-        try:
-            _token_value(token)
-        except (ValueError, ZeroDivisionError):
-            return ParseError(
-                lineno, column, f"cannot parse {token!r} as a rational")
-    raise AssertionError("a token of the line failed to parse")
+def _significant(text: str):
+    """(lineno, line, words) of each line of `text` with a word before `#`."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0]
+        words = line.split()
+        if words:
+            yield lineno, line, words
+
+
+def _first_bad_token(text: str, count: int) -> ParseError | None:
+    """The error for the first token, in line order, of the first `count`
+    rows of `text` that does not parse, or None: the error path only."""
+    for lineno, line, _ in islice(_significant(text), 1, count + 1):
+        for token, column in _tokens_with_columns(line):
+            try:
+                _ratio(token)
+            except (ValueError, ZeroDivisionError):
+                return ParseError(
+                    lineno, column, f"cannot parse {token!r} as a rational")
+    return None
 
 
 def _tokens_with_columns(line: str) -> list[tuple[str, int]]:
@@ -150,18 +138,14 @@ def _tokens_with_columns(line: str) -> list[tuple[str, int]]:
 
 
 def _header_int(token_with_column: tuple[str, int], lineno: int) -> int:
+    """A header count: what `int` reads, but no '_' digit separators, as
+    in entries; ParseError unless it is positive."""
     token, column = token_with_column
-    try:
-        value = int(token)
-    except ValueError:
-        raise ParseError(
-            lineno, column, f"expected a positive integer, got {token!r}"
-        ) from None
-    if value < 1:
-        raise ParseError(
-            lineno, column, f"expected a positive integer, got {token!r}"
-        )
-    return value
+    with contextlib.suppress(ValueError):
+        if "_" not in token and int(token) >= 1:
+            return int(token)
+    raise ParseError(
+        lineno, column, f"expected a positive integer, got {token!r}")
 
 
 def format_superbase(sb: Superbase, comment: str | None = None) -> str:

@@ -2,8 +2,9 @@
 
 Everything here is exact: scalars are ``fractions.Fraction`` at the API,
 and a Superbase or a GramMatrix holds integers over one denominator, both
-capped at MAX_DENOMINATOR_BITS by :func:`_entries`; the generators build
-their integers directly.
+capped at MAX_DENOMINATOR_BITS by :func:`_entries`, which reads each
+distinct entry once as an integer ratio and scales them all through
+:func:`_scaled`; the generators build their integers directly.
 A matrix of pairwise superbase products is a weighted graph Laplacian
 (nonpositive off the diagonal, zero row sums), hence positive semidefinite
 with rank equal to its side minus the number of connected components of
@@ -92,16 +93,26 @@ def _fraction_view(self) -> Matrix:
 
 
 def _token_value(token: str) -> Fraction:
-    """The value of one token in the grammar of :func:`as_rational`; ASCII
-    `[+-]digits` and `[+-]digits/digits` are read with `int`."""
+    """The value of one token in the grammar of :func:`as_rational`: the
+    Fraction of :func:`_ratio`."""
+    return Fraction(*_ratio(token))
+
+
+def _ratio(token: str) -> tuple[int, int]:
+    """One token as (numerator, denominator) in lowest terms, or
+    `Fraction`'s exception for it; the one reader of the token grammar.
+    ASCII `[+-]digits` and `[+-]digits/digits` are read with `int`."""
     if token.isascii():
         num, slash, den = token.partition("/")
         if num[num[:1] in "+-":].isdigit() and (den.isdigit() or not slash):
-            return Fraction(int(num), int(den) if slash else 1)
+            numerator, denominator = int(num), int(den) if slash else 1
+            if denominator:  # else `Fraction` raises as it does
+                g = math.gcd(numerator, denominator)
+                return numerator // g, denominator // g
     if not {"e", "E", "_"}.isdisjoint(token):
         raise ValueError(f"{token!r}: exponents and '_' digit separators "
                          f"are not accepted")
-    return Fraction(token)
+    return Fraction(token).as_integer_ratio()
 
 
 @dataclass(frozen=True)
@@ -180,31 +191,35 @@ def _index(i: int, count: int) -> int:
     return i
 
 
-def _scaled(rows: Sequence[Sequence[Fraction]],
-            what: str = "entries") -> tuple[tuple[tuple[int, ...], ...], int]:
-    """`rows` as integers over s, the lcm of their reduced denominators, and s.
-
-    Converts lattice entries and `from_edges` weights.  Raises
-    TooLarge as soon as s passes MAX_DENOMINATOR_BITS, naming them `what`.
-    """
+def _scaled(ratios: dict, what: str = "entries") -> tuple[dict, int]:
+    """Each value of `ratios`, a (numerator, denominator) pair in lowest
+    terms, as an integer over s, the lcm of the denominators; and s.  The
+    one lcm-and-cap core, for :func:`_entries` and `from_edges` weights:
+    TooLarge as soon as s passes MAX_DENOMINATOR_BITS, naming them `what`."""
     scale = 1
-    for denominator in {x.denominator for row in rows for x in row}:
+    for denominator in {d for _, d in ratios.values()}:
         scale = _capped(math.lcm(scale, denominator), what)
-    return tuple([tuple([x.numerator * (scale // x.denominator) for x in row])
-                  for row in rows]), scale
+    return {key: n * (scale // d) for key, (n, d) in ratios.items()}, scale
 
 
-def _entries(rows: Sequence[Sequence[Fraction]]
+def _entries(rows: Sequence[Sequence], ratio=Fraction.as_integer_ratio
              ) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """:func:`_scaled` on a lattice's entries, or TooLarge if an integer
-    passes MAX_DENOMINATOR_BITS, so that every answer stays printable."""
-    scaled, scale = _scaled(rows)
-    if max(map(abs, chain.from_iterable(scaled)),
+    """`rows` as integers over their canonical scale, and that scale:
+    each distinct entry read once by `ratio`, as (numerator, denominator)
+    in lowest terms, and scaled by :func:`_scaled`; what `ratio` raises
+    propagates.  TooLarge if an integer passes MAX_DENOMINATOR_BITS, so
+    that every answer stays printable."""
+    distinct = set().union(*rows)
+    scaled, scale = _scaled(dict(zip(distinct, map(ratio, distinct))))
+    if max(map(abs, scaled.values()),
            default=0).bit_length() > MAX_DENOMINATOR_BITS:
         raise TooLarge(f"the entries need integers of more than "
                        f"{MAX_DENOMINATOR_BITS} bits over their common "
                        "denominator")
-    return scaled, scale
+    # Each row through a list, so allocated once at its size: a tuple grown
+    # from `map` is reallocated as it grows, which raised a long run's RSS.
+    return tuple([tuple(list(map(scaled.__getitem__, row)))
+                  for row in rows]), scale
 
 
 def _capped(scale: int, what: str) -> int:

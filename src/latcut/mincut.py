@@ -128,9 +128,10 @@ class WeightedGraph:
             merged[key] = weight if previous is None else previous + weight
         # Scaling by the positive lcm of the denominators preserves every
         # sum, comparison and tie; the algorithms divide once, in the Cut.
-        (weights,), scale = _scaled([list(merged.values())], "edge weights")
+        scaled, scale = _scaled({key: w.as_integer_ratio()
+                                 for key, w in merged.items()}, "edge weights")
         adj: tuple[dict[int, int], ...] = tuple({} for _ in range(vertex_count))
-        for (i, j), w in zip(merged, weights):
+        for (i, j), w in scaled.items():
             adj[i][j] = adj[j][i] = w
         return cls(adj, scale)
 

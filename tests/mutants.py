@@ -100,6 +100,24 @@ MUTANTS = (
            "islice(lines, 1, _CHUNK_LINES)",
            ("tests/test_golden.py::test_candidates_output_matches_golden",
             "tests/test_cli.py::test_candidates_on_example3d")),
+    # A row past the declared count is refused without first reading the
+    # earlier rows' tokens, so a later line's ShapeError beats a bad token.
+    Mutant("shape-error-before-earlier-tokens", "cli.py",
+           "raise _first_bad_token(text, len(rows)) or ShapeError(\n"
+           "                lineno, f\"expected {expected_rows} rows, found more\")",
+           "raise ShapeError(\n"
+           "                lineno, f\"expected {expected_rows} rows, found more\")",
+           ("tests/test_cli.py::test_the_first_bad_token_of_a_row_is_reported",
+            "tests/test_text_reference.py::test_the_parser_matches_a_line_by_line_reference")),
+    # The row count at the end of the file checked before the tokens, so
+    # missing rows beat a bad token on an earlier line.
+    Mutant("row-count-before-tokens", "cli.py",
+           "raise _first_bad_token(text, len(rows)) or ShapeError(\n"
+           "            len(text.splitlines()),",
+           "raise ShapeError(\n"
+           "            len(text.splitlines()),",
+           ("tests/test_cli.py::test_the_first_bad_token_of_a_row_is_reported",
+            "tests/test_text_reference.py::test_the_parser_matches_a_line_by_line_reference")),
     # Karger-Stein stops after its first trial, its cut unproven.
     Mutant("stop-without-proof", "mincut.py",
            "else _lightest(adjacency, best[0]))\n        if best[0] == least:\n",

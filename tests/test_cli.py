@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 import latcut
 from latcut import (
     GramMatrix, InstanceSpec, ParseError, ShapeError, Superbase, gen_random_gram,
-    generate, quadratic_form, selling_parameters, validate_gram,
+    generate, quadratic_form, selling_parameters, short_vector, validate_gram,
 )
 from latcut.generators import FAMILIES
 from latcut.cli import _build_parser, format_gram, format_superbase, parse_input, run_cli
@@ -69,6 +70,31 @@ def test_parse_decimals_exactly():
     assert (sb.rows[0], sb.scale) == ((3, -1, 10, 0), 2)
 
 
+def traced_peak(call, *args):
+    """The tracemalloc peak of `call(*args)`, in bytes, and its value."""
+    tracemalloc.start()
+    try:
+        value = call(*args)
+        return tracemalloc.get_traced_memory()[1], value
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("spec", [
+    InstanceSpec("random_gram", 200, seed=1, density=F(1)),
+    InstanceSpec("anstar", 200),
+], ids=["random_gram-200-d1", "anstar-200"])
+def test_the_parser_never_sets_the_peak_of_svp(spec):
+    # The parser keeps every row's words until the last row is read; that
+    # must stay below what the solve of the same lattice holds at its peak.
+    lattice = generate(spec)
+    text = (format_superbase if isinstance(lattice, Superbase)
+            else format_gram)(lattice)
+    parse_peak, parsed = traced_peak(parse_input, text)
+    solve_peak, _ = traced_peak(short_vector, parsed)
+    assert parse_peak < solve_peak
+
+
 def test_row_length_disagreement_is_shape_error():
     with pytest.raises(ShapeError):
         parse_input("superbase 3 2\n1 0 0\n0 1 0\n-1 -1 0\n")
@@ -101,16 +127,35 @@ def test_bad_token_reports_line_and_column():
         assert info.value.column == column
 
 
+BIG = 2 ** MAX_DENOMINATOR_BITS
+
+
 @pytest.mark.parametrize("text, line, column, named", [
     ("gram 3\n2 -1 -1\n-1 2 -1\nz y x\n", 4, 1, "'z'"),
     ("gram 3\n2 -1 -1\n-1 5/4 1e5\nq q q\n", 3, 8, "'1e5'"),
     ("gram 3\n2 -1 -1\n-1 ok 2/0\n-1 -1 2\n", 3, 4, "'ok'"),
     ("gram 3\n2 -1 -1\n-1 2/0 ok\n-1 -1 2\n", 3, 4, "'2/0'"),
+    # A bad token on an earlier line beats each later error.
+    ("gram 2\n1 x\n-1 1\n0 0\n", 2, 3, "'x'"),
+    ("gram 2\n1 -1\n# note\n-1 ok\n0 0\n", 4, 4, "'ok'"),
+    ("gram 2\n1 x\n-1 1 1\n", 2, 3, "'x'"),
+    ("gram 3\n1 -1 0\n\n-1 1 2/0\n0 0\n", 4, 6, "'2/0'"),
+    ("gram 3\n1 x 0\n", 2, 3, "'x'"),
+    ("gram 3\n1 -1 0\n-1 1 1e5\n", 3, 6, "'1e5'"),
+    (f"gram 2\n1 x\n-1 {BIG}\n", 2, 3, "'x'"),
+    (f"gram 2\n{BIG} -1\n-1 1_0\n", 3, 4, "'1_0'"),
+    (f"gram 2\n1/{BIG} -1\n  -1 x\n", 3, 6, "'x'"),
 ], ids=["three-bad", "good-new-then-bad", "bad-then-zero-divisor",
-        "zero-divisor-then-bad"])
+        "zero-divisor-then-bad", "before-an-extra-row",
+        "before-an-extra-row-later", "before-a-row-length",
+        "before-a-row-length-later", "before-missing-rows",
+        "before-missing-rows-later", "before-an-entry-past-the-cap",
+        "after-an-entry-past-the-cap", "after-a-scale-past-the-cap"])
 def test_the_first_bad_token_of_a_row_is_reported(text, line, column, named):
-    # Each row's new tokens are parsed as a set; the error still names the
-    # first bad one in line order.
+    # The file's distinct tokens are read as a set, after its last row;
+    # the error still names the first bad one in line order, and comes
+    # before a later line's ShapeError, the row count at the end of the
+    # file and TooLarge.
     with pytest.raises(ParseError) as info:
         parse_input(text)
     assert (info.value.line, info.value.column) == (line, column)
@@ -137,6 +182,21 @@ def test_header_errors():
         parse_input("gram two\n")
     with pytest.raises(ParseError):
         parse_input("superbase 4\n")
+    # '_' digit separators are refused as in entries; `int` reads 2_0 as 20.
+    for text, column, named in [("gram 2_0\n1 -1\n-1 1\n", 6, "'2_0'"),
+                                ("superbase 2 1_0\n1\n-1\n", 13, "'1_0'"),
+                                ("superbase 0_2 1\n1\n-1\n", 11, "'0_2'")]:
+        with pytest.raises(ParseError) as info:
+            parse_input(text)
+        assert (info.value.line, info.value.column) == (1, column)
+        assert str(info.value).endswith(
+            f"expected a positive integer, got {named}")
+        assert run(["validate", "-"], stdin_text=text)[0] == 2
+
+
+def test_a_header_count_keeps_what_int_reads_otherwise():
+    assert parse_input("gram +2\n1 -1\n-1 1\n").rows == ((1, -1), (-1, 1))
+    assert parse_input("superbase 02 1\n1\n-1\n").rows == ((1,), (-1,))
 
 
 def test_comments_and_blank_lines_ignored():

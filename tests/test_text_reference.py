@@ -11,9 +11,15 @@ weight, then size, then sorted indices) and the exhaustive subset oracle
 same exception, with the same attributes and message, or agree on every
 value.  Files mix integer, ratio, unreduced ratio and decimal tokens.
 Each token's value, or its exception, is `Fraction`'s.
+
+A second reference reads the file format one line, then one token, at a
+time, as the README states it; the parser, which reads the file's
+distinct tokens only after its last row, must give the same lattice or
+the same error, line and column on malformed files as well.
 """
 
 import math
+import re
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -26,10 +32,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from latcut import (  # noqa: E402
     NotSymmetric,
     ObtuseViolation,
+    ParseError,
     RankDeficient,
     RowSumNotZero,
+    ShapeError,
     SumNotZero,
     Superbase,
+    TooLarge,
     ValidationError,
     WrongRank,
     brute_force_mincut,
@@ -40,7 +49,7 @@ from latcut import (  # noqa: E402
     validate_superbase,
 )
 from latcut import cli  # noqa: E402
-from latcut.lattice import _token_value  # noqa: E402
+from latcut.lattice import MAX_DENOMINATOR_BITS, _token_value  # noqa: E402
 
 F = Fraction
 
@@ -324,3 +333,136 @@ def test_a_token_has_fractions_value_or_exception(token):
         assert got == _value_or_error(Fraction, token)
     else:
         assert got[0] is ValueError and "are not accepted" in got[1]
+
+
+# --- the parser against a line-by-line reference ---------------------------------
+
+# README, "File format": an optional sign, then an integer, a ratio p/q
+# with q nonzero, or a finite decimal.
+ENTRY = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]*[1-9][0-9]*)?"
+                   r"|[0-9]+\.[0-9]*|\.[0-9]+)\Z")
+COUNT = re.compile(r"[+-]?[0-9]+\Z")
+
+
+def reference_parse(text):
+    """The file format read one line, then one token, at a time."""
+    lines = text.removeprefix("\ufeff").splitlines()
+    kind, rows = None, []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#")[0]
+        tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
+        if not tokens:
+            continue
+        if kind is None:
+            kind, count, length = reference_header(tokens, lineno)
+            continue
+        if len(rows) == count:
+            raise ShapeError(lineno, f"expected {count} rows, found more")
+        if len(tokens) != length:
+            raise ShapeError(lineno, f"row {len(rows) + 1} has {len(tokens)} "
+                                     f"entries, expected {length}")
+        for token, column in tokens:
+            if not ENTRY.match(token):
+                raise ParseError(lineno, column,
+                                 f"cannot parse {token!r} as a rational")
+        rows.append([F(token) for token, _ in tokens])
+    if kind is None:
+        raise ParseError(max(len(lines), 1), 1, "missing header line")
+    if len(rows) != count:
+        raise ShapeError(len(lines), f"expected {count} rows, found {len(rows)}")
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    cap = MAX_DENOMINATOR_BITS
+    if scale.bit_length() > cap:
+        raise TooLarge(f"the entries need a common denominator of more than "
+                       f"{cap} bits")
+    if any(abs(int(x * scale)).bit_length() > cap for row in rows for x in row):
+        raise TooLarge(f"the entries need integers of more than {cap} bits "
+                       f"over their common denominator")
+    return kind, tuple(map(tuple, rows)), scale
+
+
+def reference_header(tokens, lineno):
+    (word, column), counts = tokens[0], tokens[1:]
+    if word not in ("superbase", "gram"):
+        raise ParseError(lineno, column, f"unknown kind {word!r}; "
+                                         "expected 'superbase' or 'gram'")
+    if len(counts) != (2 if word == "superbase" else 1):
+        usage = "superbase <count> <m>" if word == "superbase" else "gram <count>"
+        raise ParseError(lineno, column, f"header must be '{usage}'")
+    for token, at in counts:
+        if not COUNT.match(token) or int(token) < 1:
+            raise ParseError(lineno, at,
+                             f"expected a positive integer, got {token!r}")
+    count, length = int(counts[0][0]), int(counts[-1][0])
+    return ("Superbase" if word == "superbase" else "GramMatrix"), count, length
+
+
+def parsed(text):
+    lattice = cli.parse_input(text)
+    return (type(lattice).__name__, lattice.vectors if isinstance(
+        lattice, Superbase) else lattice.entries, lattice.scale)
+
+
+def parse_outcome(parse, text):
+    """The value, or (exception class, attributes, message)."""
+    try:
+        return parse(text)
+    except (ParseError, ShapeError, TooLarge) as exc:
+        return type(exc), vars(exc), str(exc)
+
+
+GOOD = ("0", "-1", "2", "+3", "007", "5/4", "-10/8", "6/3", "-0/3", "0.25",
+        "-.5", "5.", "+1.50")
+BAD = ("x", "1e5", "2/0", "1_0")
+HUGE = (str(2 ** MAX_DENOMINATOR_BITS), f"1/{2 ** MAX_DENOMINATOR_BITS}")
+HEADERS = ("gram {k}", "superbase {k} {m}", "gram {k}", "superbase {k} {m}",
+           "gram +{k}", "gram {k}_0", "gram 0", "superbase {k}", "lattice {k}",
+           "gram x")
+
+
+@st.composite
+def parser_files(draw):
+    """Headers, comments, blank lines and a leading BOM around rows of
+    good, bad and huge tokens, with too few and too many rows and entries."""
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    lines = [draw(st.sampled_from(("", "# note", "  ")))
+             for _ in range(draw(st.integers(0, 1)))]
+    header = draw(st.sampled_from(HEADERS)) if draw(st.integers(0, 19)) else ""
+    lines.append(header.format(k=k, m=m))
+    length = m if header.startswith("superbase") else k
+    for _ in range(max(0, k + draw(st.sampled_from((0, 0, 0, 0, -1, 1))))):
+        size = max(0, length + draw(st.sampled_from((0,) * 8 + (-1, 1))))
+        row = [draw(st.sampled_from(GOOD)) for _ in range(size)]
+        if row and not draw(st.integers(0, 7)):
+            row[draw(st.integers(0, size - 1))] = draw(st.sampled_from(BAD))
+        if row and not draw(st.integers(0, 11)):
+            row[draw(st.integers(0, size - 1))] = draw(st.sampled_from(HUGE))
+        line = draw(st.sampled_from((" ", "\t", "  "))).join(row)
+        lines.append(line + draw(st.sampled_from(("", "", " # note"))))
+        if not draw(st.integers(0, 9)):
+            lines.append(draw(st.sampled_from(("", "# note", "  "))))
+    text = "\n".join(lines) + draw(st.sampled_from(("\n", "", "\n\n")))
+    return "\ufeff" + text if draw(st.booleans()) else text
+
+
+def test_the_parser_matches_a_line_by_line_reference():
+    """The same value, or the same class, message, line and column, as a
+    parser that reads one token at a time; so the parser, which keeps
+    each row's words and reads its distinct tokens after the last row,
+    still reports the first error in line order."""
+    seen = set()
+
+    @settings(max_examples=600)
+    @given(parser_files())
+    def compare(text):
+        expected = parse_outcome(reference_parse, text)
+        assert parse_outcome(parsed, text) == expected
+        message = expected[2] if isinstance(expected[0], type) else ""
+        seen.add((expected[0], message.split(": ")[-1].split(" ")[0]))
+
+    compare()
+    assert seen >= {("Superbase", ""), ("GramMatrix", ""),
+                    (ParseError, "cannot"), (ParseError, "expected"),
+                    (ParseError, "unknown"), (ParseError, "header"),
+                    (ParseError, "missing"), (ShapeError, "expected"),
+                    (ShapeError, "row"), (TooLarge, "the")}

@@ -50,7 +50,7 @@ from latcut import (  # noqa: E402
 )
 from latcut.cli import format_superbase, run_cli  # noqa: E402
 from latcut.generators import gen_anstar  # noqa: E402
-from latcut.lattice import _scaled  # noqa: E402
+from latcut.lattice import _entries  # noqa: E402
 from latcut.mincut import _Contraction, _exhaustive_cut, _side  # noqa: E402
 
 F = Fraction
@@ -161,7 +161,7 @@ def superbases(draw):
     entry = st.sampled_from((0, 0, 1, -1, 2, F(1, 2), F(-1, 3), F(3, 4)))
     rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m),
                          min_size=count, max_size=count))
-    return Superbase(*_scaled([[F(x) for x in row] for row in rows]))
+    return Superbase(*_entries([[F(x) for x in row] for row in rows]))
 
 
 @st.composite
