@@ -11,6 +11,14 @@ with rank equal to its side minus the number of connected components of
 its support; so rank is checked by one graph traversal instead of by
 elimination.
 
+:func:`_selling_graph` sums the products column by column, over each
+column's nonzeros.  A column more than half nonzero is first shifted by
+its most common value c_k, which occurs at least as often as 0, so no
+shift adds a nonzero; with c the vector of shifts,
+<v_i, v_j> = <v_i - c, v_j - c> + <v_i, c> + <v_j, c> - <c, c> exactly,
+and that rank-two correction is added once.  So A_n*, whose columns are
+all dense, costs O(n^2), not O(n^3).
+
 Who checks what: :func:`_cut_graph` is the one gate, for either kind
 of lattice.  Products of vectors that sum to zero are symmetric with
 zero row sums, so :func:`_selling_graph` checks a superbase's shape and
@@ -35,7 +43,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -271,20 +279,42 @@ def _selling_graph(sb: Superbase) -> tuple[Adjacency, int]:
     with zero row sums, so nothing else can fail here.  Weights are minus
     the products over sb.scale**2, both divided by the products' gcd;
     zero row sums make that the gcd over every entry: the canonical scale.
+
+    A column more than half nonzero has its most common value c_k
+    subtracted first.  That value occurs at least as often as 0, so the
+    shifted column has no more nonzeros than the column; A_n*'s columns
+    keep one each.  With c the vector of shifts, 0 in the other columns,
+    <v_i, v_j> = <v_i - c, v_j - c> + <v_i, c> + <v_j, c> - <c, c>
+    exactly, so the shifted products get that rank-two correction once,
+    row by row in C, and not per column.
     """
     rows = sb.rows
     _check_vectors(rows)
     vertices = range(len(rows))
     products = [[0] * len(rows) for _ in vertices]
+    shift = [0] * len(rows[0])
     # Python code sees only each column's nonzeros, above the diagonal.
     for k, column in enumerate(zip(*rows)):
         if sum(column):
             raise SumNotZero(k, Fraction(sum(column), sb.scale))
         support = list(compress(vertices, column))
+        if 2 * len(support) > len(column):
+            shift[k] = c = max(set(column), key=column.count)
+            # A list, not a tuple grown from `map`, which fragmented the
+            # heap: a long run's RSS grew with it.
+            column = [x - c for x in column]
+            support = list(compress(vertices, column))
         for a, i in enumerate(support):
             x, row = column[i], products[i]
             for j in support[a + 1:]:
                 row[j] += x * column[j]
+    if any(shift):
+        cross = [sum(map(operator.mul, row, shift)) for row in rows]
+        square = sum(map(operator.mul, shift, shift))
+        for i, row in enumerate(products):
+            row[i + 1:] = map(operator.add, map(operator.add, row[i + 1:],
+                                                cross[i + 1:]),
+                              repeat(cross[i] - square))
     adj: Adjacency = tuple({} for _ in vertices)
     common = sb.scale * sb.scale
     for i, row in enumerate(products):

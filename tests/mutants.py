@@ -50,6 +50,19 @@ MUTANTS = (
            ("tests/test_mincut.py::test_a3star_gives_quarter_weight_complete_graph",
             "tests/test_cli.py::test_format_parse_round_trip",
             "tests/test_text_reference.py::test_text_to_cut_matches_the_fraction_reference")),
+    # The Selling step's rank-two correction without its -<c, c> term.
+    Mutant("correction-without-square", "lattice.py",
+           "repeat(cross[i] - square)",
+           "repeat(cross[i])",
+           ("tests/test_graph_builder_reference.py::test_the_products_match_a_per_pair_reference",
+            "tests/test_generators.py::test_anstar_graph_is_complete_with_uniform_weight_at_size")),
+    # Dense columns shifted by their most common value, and the
+    # correction that restores the products skipped.
+    Mutant("shift-without-correction", "lattice.py",
+           "    if any(shift):\n",
+           "    if False:\n",
+           ("tests/test_graph_builder_reference.py::test_the_products_match_a_per_pair_reference",
+            "tests/test_generators.py::test_anstar_graph_is_complete_with_uniform_weight_at_size")),
     # The gate reports a disconnected superbase with the Gram class.
     Mutant("superbase-wrong-rank", "lattice.py",
            "_check_graph(adj, scale, RankDeficient)",

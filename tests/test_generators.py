@@ -79,6 +79,17 @@ def test_anstar_min_cut_is_n_over_n_plus_one():
         assert len(cut.side) in (1, n)
 
 
+def test_anstar_graph_is_complete_with_uniform_weight_at_size():
+    """A_n*'s every column is dense, so its products come from the shifted
+    columns and the rank-two correction: the complete graph, every weight
+    1 over the scale n + 1, each map's keys ascending."""
+    for n in [*range(1, 65), 200]:
+        graph = graph_from_gram(gen_anstar(n))
+        assert graph.scale == n + 1
+        assert [list(neighbours.items()) for neighbours in graph.adjacency] \
+            == [[(j, 1) for j in range(n + 1) if j != i] for i in range(n + 1)]
+
+
 # --- Z^n ---------------------------------------------------------------------
 
 def test_z2_star_superbase():
@@ -104,6 +115,23 @@ def test_zn_short_vector_is_a_unit_vector():
         g = selling_parameters(gen_zn(n))
         assert short_vector(g).squared_length == 1
         assert brute_force_short_vector(g).squared_length == 1
+
+
+def test_an_cycle_and_zn_star_at_size():
+    """A_n's and Z^n's columns are sparse, so no column is shifted: the
+    unit cycle (a doubled edge at n = 1) and the unit star, keys
+    ascending, over the scale 1."""
+    for n in [*range(1, 65), 160]:
+        side = n + 1
+        cycle = [sorted({(i - 1) % side, (i + 1) % side}) for i in range(side)]
+        graph = graph_from_gram(gen_an(n))
+        assert graph.scale == 1
+        assert [list(neighbours.items()) for neighbours in graph.adjacency] \
+            == [[(j, 2 if n == 1 else 1) for j in js] for js in cycle]
+        graph = graph_from_gram(gen_zn(n))
+        assert graph.scale == 1
+        assert [list(neighbours.items()) for neighbours in graph.adjacency] \
+            == [[(n, 1)]] * n + [[(j, 1) for j in range(n)]]
 
 
 # --- example3d ----------------------------------------------------------------
