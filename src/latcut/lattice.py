@@ -466,7 +466,8 @@ def quadratic_form(lattice: GramMatrix | Superbase, u) -> Fraction:
     Equals the squared Euclidean length of the superbase subset sum
     selected by u, any sequence of 0s and 1s.  On a Superbase that sum
     is taken from its integer rows, squared over `scale` squared, so no
-    Selling parameters are built.  Raises LengthMismatch unless `u` has
+    Selling parameters are built.  Raises LengthMismatch, which names
+    the superbase's vectors or the Gram matrix's side, unless `u` has
     one entry per vector, then ShapeMismatch, with the validators'
     message, for a superbase of fewer than 2 vectors or at the first
     ragged row; nothing else is checked.
@@ -474,9 +475,9 @@ def quadratic_form(lattice: GramMatrix | Superbase, u) -> Fraction:
     bits = _bits_of(u)
     size = len(lattice.rows)
     if len(bits) != size:
-        raise LengthMismatch(
-            f"assignment has length {len(bits)}, Gram side is {size}"
-        )
+        has = (f"superbase has {size} vectors"
+               if isinstance(lattice, Superbase) else f"Gram side is {size}")
+        raise LengthMismatch(f"assignment has length {len(bits)}, {has}")
     support = [i for i, b in enumerate(bits) if b]
     if isinstance(lattice, Superbase):
         _check_vectors(lattice.rows)

@@ -14,8 +14,7 @@ can cross-check each other:
   phase's own bound, the path test of Padberg & Rinaldi (Math.
   Programming 47, 1990, test PR4) applied along its maximum-adjacency
   order (Stoer & Wagner, JACM 44(4), 1997), which proves stars and
-  uniform complete graphs; else by one attempt of the same paper's
-  contraction tests, which proves cycles; else by the prover below.
+  uniform complete graphs; else by the prover below.
 * :func:`karger_stein`: randomized recursive contraction, reproducible
   for a fixed (seed, trials) pair.  The first trial's cut bounds lambda,
   the prover gives lambda, and the trials stop at the first one whose
@@ -23,13 +22,16 @@ can cross-check each other:
   at most tie, and the answer is the same.
 * :func:`brute_force_mincut`: exhaustive enumeration, the oracle.
 
-The one prover, :func:`_lightest`, gives min(bound, lambda) exactly by
-the rounds of Nagamochi, Ono and Ibaraki (Math. Programming 67, 1994),
-run for the value only on a throwaway contracted copy.  The routes stay
-independent because each stops on a proof from the graph alone, never
-on another route's answer.  The phases and the rounds share two walks of
-one maximum-adjacency order, :func:`_scan_walk` for dense graphs and
-:func:`_heap_walk` for sparse ones, by the same rule.
+The one prover, :func:`_lightest`, gives min(bound, lambda) exactly, and
+each route asks it once.  It first makes one attempt of Padberg &
+Rinaldi's contraction tests, read-only on the graph's own maps, which
+proves cycles; else it runs the rounds of Nagamochi, Ono and Ibaraki
+(Math. Programming 67, 1994) for the value only, on a throwaway
+contracted copy.  The routes stay independent because each stops on a
+proof from the graph alone, never on another route's answer.  The
+phases and the rounds share two walks of one maximum-adjacency order,
+:func:`_scan_walk` for dense graphs and :func:`_heap_walk` for sparse
+ones, chosen by :func:`_walk` from the graph's own edge count.
 
 A :class:`WeightedGraph` holds its rational weights as Python ints over
 one common denominator, fixed when it is built: a Gram matrix's own, or
@@ -51,8 +53,9 @@ caller breaks ties by a total order of its own, so the answer does not
 depend on the walk order: brute force takes the smallest (weight, size,
 sorted indices), the base case the smallest (weight, mask over the
 sorted supervertices).  Karger-Stein keeps the total edge weight
-and each vertex's upper-row sum up to date across merges, so a pick skips
-whole rows and sorts only the one it lands in.
+and each vertex's upper-row sum up to date across merges, by one rule:
+edge {a, b} counts in the sum of min(a, b).  So a pick skips whole rows
+and sorts only the one it lands in.
 """
 
 from __future__ import annotations
@@ -215,34 +218,28 @@ def stoer_wagner(graph: WeightedGraph) -> Cut:
       less than low = min_{i>=1} (r_i + paths_i), and when low reaches
       the phase's cut, that cut weighs lambda: on a star and on a
       complete graph with equal weights;
-    * one attempt of `_cuts_at_least` at the phase's cut: on cycles;
-    * `_lightest`, the rounds of Nagamochi, Ono and Ibaraki, which give
-      lambda exactly.
+    * the prover, `_lightest`, at the phase's cut, which tries one
+      contraction attempt before its rounds: the attempt proves cycles,
+      and the rounds of Nagamochi, Ono and Ibaraki give lambda exactly.
 
     The phases walk with an infinite bound, so they list no edge.
     """
     state = _Contraction.from_adjacency(graph.adjacency)
     adj = state.adj
-    edges = sum(map(len, graph.adjacency)) // 2
     best: tuple[int, tuple[int, ...]] | None = None  # weight, members
     least = None  # the minimum cut's weight, known after the first phase
 
     while len(adj) > 1:
-        s, t, phase_cut, low, _ = _walk(adj, edges, math.inf)
+        s, t, phase_cut, low, _ = _walk(adj, math.inf)
         if best is None or phase_cut < best[0]:
             best = (phase_cut, state.members[t])
         if least is None:
             least = best[0]
-            if low < least and not _cuts_at_least(adj, least):
+            if low < least:
                 least = _lightest(graph.adjacency, least)
         if best[0] == least:
             break
-        # Of the edges touching s or t, the merge keeps one per neighbour
-        # of the merged vertex: it drops {s, t} and joins each common
-        # neighbour's two edges into one.
-        touching = len(adj[s]) + len(adj[t]) - (t in adj[s])
         state.merge(s, t)
-        edges -= touching - len(adj[s])
 
     assert best is not None
     return Cut(tuple(sorted(best[1])), Fraction(best[0], graph.scale))
@@ -252,12 +249,13 @@ def _cuts_at_least(adj: Mapping[int, Mapping[int, int]], bound: int) -> bool:
     """Whether no cut of the graph weighs less than `bound` > 0, proven by
     contraction (False when the proof fails).
 
-    `adj` is ascending and holds vertex 0, as `_Contraction.adj` does.
-    Padberg-Rinaldi tests (Math. Programming 47, 1990), used for the value
-    only: the maps are read, never changed.  It grows one supervertex M
-    from vertex 0, each time joining to it the first vertex x in M's map,
-    with w = w(M, x), when one of these tests shows that every cut which
-    separates M from x weighs at least `bound`:
+    `adj` is ascending and holds vertex 0, as the view `_lightest` makes
+    of the graph's maps does.  Padberg-Rinaldi tests (Math. Programming
+    47, 1990), used for the value only: the maps are read, never
+    changed.  It grows one supervertex M from vertex 0, each time joining
+    to it the first vertex x in M's map, with w = w(M, x), when one of
+    these tests shows that every cut which separates M from x weighs at
+    least `bound`:
 
     * PR4, w + sum over u of min(w(M, u), w(x, u)) >= bound: every such
       cut crosses the edge and one edge of each path M-u-x.  PR1,
@@ -305,10 +303,10 @@ def _cuts_at_least(adj: Mapping[int, Mapping[int, int]], bound: int) -> bool:
     return True
 
 
-def _walk(adj: dict[int, dict[int, int]], edges: int, bound: float) -> _Order:
-    """One maximum-adjacency order of a graph of `edges` edges: by scan
-    when it is dense (see `_SCAN_DENSITY`), else from a heap."""
-    if _SCAN_DENSITY * edges >= len(adj) ** 2:
+def _walk(adj: dict[int, dict[int, int]], bound: float) -> _Order:
+    """One maximum-adjacency order: by scan when the graph is dense (see
+    `_SCAN_DENSITY`; its maps hold 2|E| entries), else from a heap."""
+    if _SCAN_DENSITY * sum(map(len, adj.values())) >= 2 * len(adj) ** 2:
         return _scan_walk(adj, bound)
     return _heap_walk(adj, bound)
 
@@ -485,27 +483,19 @@ class _SampledContraction(_Contraction):
     def merge(self, keep: int, drop: int) -> None:
         """Contract `drop` into `keep`, and move the sums with the edges.
 
-        Edge {u, drop} becomes part of {u, keep}: its weight leaves u's
-        upper-row sum if u < drop and joins it if u < keep, and otherwise
-        counts toward keep's.  Edge {keep, drop} itself leaves the graph.
+        Edge {a, b} counts in upper[min(a, b)].  Edge {u, drop} leaves
+        upper[min(u, drop)] and, unless u is `keep`, becomes part of {u,
+        keep} and joins upper[min(u, keep)]; edge {keep, drop} leaves the
+        graph.
         """
         upper = self.upper
-        joined = self.adj[keep].get(drop, 0)
-        self.total -= joined
-        keep_upper = upper[keep] - joined if keep < drop else upper[keep]
+        adj = self.adj
+        for u, w in adj[drop].items():
+            upper[u if u < drop else drop] -= w
+            if u != keep:
+                upper[u if u < keep else keep] += w
+        self.total -= adj[keep].get(drop, 0)
         del upper[drop]
-        for u, w in self.adj[drop].items():
-            if u == keep:
-                continue
-            if u < keep:
-                if u > drop:
-                    upper[u] += w
-            elif u < drop:
-                upper[u] -= w
-                keep_upper += w
-            else:
-                keep_upper += w
-        upper[keep] = keep_upper
         super().merge(keep, drop)
 
     def pick_weighted_edge(self, rng: Xoshiro256StarStar):
@@ -533,35 +523,6 @@ class _SampledContraction(_Contraction):
         raise AssertionError("weighted edge walk must terminate")
 
 
-def _contract_to(state: _SampledContraction, target: int,
-                 rng: Xoshiro256StarStar) -> bool:
-    """Contract random edges until `target` vertices remain.
-
-    Returns False when the state ran out of edges first, in which case a
-    zero-weight cut exists and contraction is pointless.
-    """
-    while len(state.adj) > target:
-        edge = state.pick_weighted_edge(rng)
-        if edge is None:
-            return False
-        state.merge(*edge)
-    return True
-
-
-def _exhaustive_cut(state: _Contraction) -> _Found:
-    """The lightest cut of a small contracted graph, by enumeration.
-
-    A side is a mask over the supervertices in ascending order, so it
-    contains the lowest one.  The winner is the first lightest side in
-    ascending mask order, i.e. the minimum of (weight, mask); that is a
-    total order, so weighing the sides from half tables
-    (:func:`_min_cut_walk`, straight on the state's maps, ties broken by
-    the mask) finds the same side.
-    """
-    weight, mask = _min_cut_walk(state.adj, None)
-    return weight, mask, state
-
-
 def _side(found: _Found) -> tuple[int, ...]:
     """The original vertices on the masked side of a found cut, sorted."""
     _, mask, state = found
@@ -574,17 +535,31 @@ def _recursive_contraction(state: _SampledContraction,
                            rng: Xoshiro256StarStar) -> _Found:
     """The lighter cut of two branches, each contracted from `state`.
 
-    The first branch contracts a copy and the second `state` itself, which
-    nothing reads afterwards; a found cut keeps its state, which nothing
-    changes afterwards either.
+    At most `_CONTRACTION_BASE` supervertices, every cut is weighed.  A
+    side is a mask over the supervertices in ascending order, so it
+    contains the lowest one, and the winner is the first lightest side in
+    ascending mask order, the minimum of (weight, mask): a total order, so
+    weighing the sides from half tables (:func:`_min_cut_walk`, straight
+    on the state's maps, ties broken by the mask) finds the same side
+    whatever the walk order.
+
+    Otherwise each branch contracts random edges, picked by weight, down
+    to `_subproblem_size` supervertices and recurses.  The first branch
+    contracts a copy and the second `state` itself, which nothing reads
+    afterwards; a found cut keeps its state, which nothing changes
+    afterwards either.  A branch that runs out of edges first has a cut
+    of weight 0, its lowest supervertex alone.
     """
     if len(state.adj) <= _CONTRACTION_BASE:
-        return _exhaustive_cut(state)
+        return (*_min_cut_walk(state.adj, None), state)
     target = _subproblem_size(len(state.adj))
     best: _Found | None = None
     for branch in (state.clone(), state):
-        if not _contract_to(branch, target, rng):
-            return 0, 1, branch  # the lowest supervertex, cut off
+        while len(branch.adj) > target:
+            edge = branch.pick_weighted_edge(rng)
+            if edge is None:
+                return 0, 1, branch  # the lowest supervertex, cut off
+            branch.merge(*edge)
         candidate = _recursive_contraction(branch, rng)
         if best is None or candidate[0] < best[0]:
             best = candidate
@@ -606,9 +581,9 @@ def karger_stein(graph: WeightedGraph, seed: int, trials: int) -> Cut:
     minimum cut's weight, and the trials stop at the first one whose cut
     weighs that much: every later trial could at most tie, and a tie never
     replaces the best cut, so the result is the `Cut` of running them all;
-    skipping a trial changes no other trial's draws.  On at most
-    `_CONTRACTION_BASE` vertices a trial searches every cut, so the first
-    trial's cut weighs the minimum.
+    skipping a trial changes no other trial's draws.  A cut of weight 0
+    needs no proof, and the prover's contraction attempt proves a cycle's
+    with no round.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -622,8 +597,7 @@ def karger_stein(graph: WeightedGraph, seed: int, trials: int) -> Cut:
         if best is None or candidate[0] < best[0]:
             best = candidate
         if least is None:
-            least = (best[0] if len(adjacency) <= _CONTRACTION_BASE
-                     else _lightest(adjacency, best[0]))
+            least = _lightest(adjacency, best[0])
         if best[0] == least:
             break
     assert best is not None
@@ -632,9 +606,14 @@ def karger_stein(graph: WeightedGraph, seed: int, trials: int) -> Cut:
 
 def _lightest(adjacency: Sequence[dict[int, int]], bound: int) -> int:
     """min(`bound`, lambda), lambda the weight of a lightest cut, decided
-    exactly by the rounds of Nagamochi and Ibaraki (SIAM J. Discrete Math.
-    5, 1992) as Nagamochi, Ono and Ibaraki run them (Math. Programming 67,
-    1994), on a throwaway copy of `adjacency`.
+    exactly; both routes learn lambda from this one call.
+
+    A `bound` of 0 is the answer.  Otherwise one attempt of
+    `_cuts_at_least`, on a view of the maps with none copied, may prove
+    that no cut is lighter than `bound`, which it does on cycles.  Else
+    the rounds of Nagamochi and Ibaraki (SIAM J. Discrete Math. 5, 1992),
+    as Nagamochi, Ono and Ibaraki run them (Math. Programming 67, 1994),
+    decide it on a throwaway copy of `adjacency`.
 
     Each round is one walk of a maximum-adjacency order, by `_walk`'s
     rule.  Give each edge e = (v, u), v added first, the value q(e): u's
@@ -655,11 +634,12 @@ def _lightest(adjacency: Sequence[dict[int, int]], bound: int) -> int:
     with one vertex left and no cut lighter than `bound`, or with `bound`
     at 0.
     """
+    if not bound or _cuts_at_least(dict(enumerate(adjacency)), bound):
+        return bound
     state = _Contraction.from_adjacency(adjacency)
     adj = state.adj
     while bound and len(adj) > 1:
-        s, t, last, low, joined = _walk(
-            adj, sum(map(len, adj.values())) // 2, bound)
+        s, t, last, low, joined = _walk(adj, bound)
         if not low:
             return 0  # a key of 0: the vertices added before it are cut off
         if low >= bound:

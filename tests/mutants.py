@@ -133,23 +133,37 @@ MUTANTS = (
             "tests/test_text_reference.py::test_the_parser_matches_a_line_by_line_reference")),
     # Karger-Stein stops after its first trial, its cut unproven.
     Mutant("stop-without-proof", "mincut.py",
-           "else _lightest(adjacency, best[0]))\n        if best[0] == least:\n",
-           "else _lightest(adjacency, best[0]))\n        if True:\n",
+           "least = _lightest(adjacency, best[0])\n        if best[0] == least:\n",
+           "least = _lightest(adjacency, best[0])\n        if True:\n",
            ("tests/test_mincut.py::test_ks_runs_its_trials_until_the_first_that_finds_the_minimum_cut",
             "tests/test_contraction_reference.py::test_karger_stein_matches_the_reference_at_the_default_trial_count",
             "tests/test_golden.py::test_svp_stdout_matches_golden")),
     # Karger-Stein asks the prover one unit below its first trial's cut,
     # so a first trial that finds the minimum cut never stops the trials.
     Mutant("stop-bound-one-short", "mincut.py",
-           "else _lightest(adjacency, best[0]))",
-           "else _lightest(adjacency, best[0] - 1))",
+           "least = _lightest(adjacency, best[0])",
+           "least = _lightest(adjacency, best[0] - 1)",
            ("tests/test_mincut.py::test_ks_stops_once_its_cut_is_proved_minimal",)),
-    # Karger-Stein takes a trial on one vertex past the base case as
-    # exhaustive, so its first cut as the minimum.
-    Mutant("exhaustive-size-widened", "mincut.py",
-           "len(adjacency) <= _CONTRACTION_BASE\n",
-           "len(adjacency) <= _CONTRACTION_BASE + 1\n",
-           ("tests/test_mincut.py::test_ks_runs_its_trials_until_the_first_that_finds_the_minimum_cut",)),
+    # The prover makes its contraction attempt at a bound of 0, which
+    # runs out of neighbours on a disconnected graph.
+    Mutant("prover-without-zero-guard", "mincut.py",
+           "if not bound or _cuts_at_least(",
+           "if _cuts_at_least(",
+           ("tests/test_mincut.py::test_ks_handles_disconnected_graphs",
+            "tests/test_contraction_reference.py::test_edgeless_and_disconnected_graphs_match_the_reference")),
+    # A merge moves edge {u, drop}'s weight onto keep's upper-row sum, not
+    # onto that of {u, keep}'s lower end.
+    Mutant("merge-onto-keep-row", "mincut.py",
+           "upper[u if u < keep else keep] += w",
+           "upper[keep] += w",
+           ("tests/test_contraction_reference.py::test_karger_stein_matches_the_reference",
+            "tests/test_contraction_reference.py::test_contraction_sums_and_picks_survive_merges_and_clones")),
+    # A walk takes its maps' entries, 2|E|, for |E|, so graphs of half
+    # the density scan.
+    Mutant("walk-edges-counted-twice", "mincut.py",
+           ">= 2 * len(adj) ** 2:",
+           ">= len(adj) ** 2:",
+           ("tests/test_certificate.py::test_the_rounds_follow_the_phases_walk_rule",)),
     # The contraction tests' PR2 without its degree guard: half a degree
     # joins a vertex whose own degree is a light cut.
     Mutant("pr2-without-degree-guard", "mincut.py",

@@ -148,8 +148,8 @@ def test_never_proves_a_bound_above_the_minimum_cut(graph, data):
 
 def test_karger_stein_takes_the_phase_bound_as_it_is():
     # The 8-vertex star's minimum cut, 1, is also its first phase's bound;
-    # 8 vertices are too many for the exhaustive base case, so Karger-Stein
-    # asks the prover, which gives 1 from any bound at or above it.
+    # Karger-Stein asks the prover, which gives 1 from any bound at or
+    # above it.
     adjacency = star(8, 7, [1] * 7).adjacency
     adj = dict(enumerate(adjacency))
     assert _scan_walk(adj, math.inf)[3] == _heap_walk(adj, math.inf)[3] == 1

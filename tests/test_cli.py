@@ -442,6 +442,16 @@ def test_verify_wrong_length_is_exit_1():
     assert code == 1
 
 
+def test_verify_wrong_length_names_the_superbase_vectors_or_the_gram_side():
+    _, gen_out, _ = run(["gen", "an", "3"])
+    assert run(["verify", "-", "--assignment", "1,0,0"],
+               stdin_text=gen_out) == (
+        1, "", "error: assignment has length 3, superbase has 4 vectors\n")
+    assert run(["verify", "-", "--assignment", "1,0,0"],
+               stdin_text=EXAMPLE3D_GRAM_FILE) == (
+        1, "", "error: assignment has length 3, Gram side is 4\n")
+
+
 def test_verify_bad_bits_is_exit_2():
     _, gen_out, _ = run(["gen", "an", "3"])
     code, _, _ = run(["verify", "-", "--assignment", "1,2,0,0"],

@@ -459,8 +459,8 @@ def test_stoer_wagner_stops_once_no_later_phase_can_be_lighter(
     # a finite bound.
     bounds = []
     walk = mincut._walk
-    monkeypatch.setattr(mincut, "_walk", lambda adj, edges, bound: (
-        bounds.append(bound), walk(adj, edges, bound))[1])
+    monkeypatch.setattr(mincut, "_walk", lambda adj, bound: (
+        bounds.append(bound), walk(adj, bound))[1])
     tried = []
     cuts_at_least = mincut._cuts_at_least
 

@@ -252,9 +252,15 @@ def test_example3d_pair_value():
 
 
 def test_length_mismatch():
-    g = selling_parameters(gen_an(3))
-    with pytest.raises(LengthMismatch):
-        quadratic_form(g, [1, 0, 1])
+    # A Gram matrix's message names its side, a superbase's its vectors.
+    sb = gen_an(3)
+    with pytest.raises(LengthMismatch,
+                       match=r"^assignment has length 3, Gram side is 4$"):
+        quadratic_form(selling_parameters(sb), [1, 0, 1])
+    with pytest.raises(
+            LengthMismatch,
+            match=r"^assignment has length 3, superbase has 4 vectors$"):
+        quadratic_form(sb, [1, 0, 1])
 
 
 def test_a_short_gram_row_is_a_shape_mismatch():

@@ -289,9 +289,9 @@ def two_unit_k4s() -> WeightedGraph:
 
 
 @pytest.mark.parametrize("graph", [
-    # The rounds prove the first trial's cut on the cycle, the star and the
-    # complete graph; example3d's 4 vertices are searched exhaustively, and
-    # a cut of weight 0 needs no proof.
+    # The prover proves the first trial's cut on the cycle, the star, the
+    # complete graph and example3d, whose 4 vertices the first trial
+    # searches exhaustively; a cut of weight 0 needs no proof.
     pytest.param(graph_from_gram(_gram(gen_an, 7)), id="an7"),
     pytest.param(graph_from_gram(_gram(gen_zn, 7)), id="zn7"),
     pytest.param(graph_from_gram(_gram(gen_anstar, 7)), id="anstar7"),
@@ -303,6 +303,22 @@ def test_ks_stops_once_its_cut_is_proved_minimal(monkeypatch, graph):
                              default_trial_count(graph.vertex_count))
     assert trials == 1
     assert cut.weight == brute_force_mincut(graph).weight
+
+
+@pytest.mark.parametrize("n", [20, 40, 100])
+def test_ks_proves_a_cycle_with_no_round(monkeypatch, n):
+    # A_n's Selling graph is a unit cycle on n + 1 vertices, and contracting
+    # a cycle leaves a cycle, so the first trial finds a cut of weight 2.
+    # The prover's contraction attempt proves it, so no round, a walk with
+    # a finite bound, runs; the rounds alone take n - 1 on this cycle.
+    graph = graph_from_gram(_gram(gen_an, n))
+    bounds = []
+    walk = mincut._walk
+    monkeypatch.setattr(mincut, "_walk", lambda adj, bound: (
+        bounds.append(bound), walk(adj, bound))[1])
+    cut = karger_stein(graph, 0, default_trial_count(graph.vertex_count))
+    assert cut.weight == 2
+    assert [bound for bound in bounds if bound != float("inf")] == []
 
 
 def test_ks_runs_its_trials_until_the_first_that_finds_the_minimum_cut(

@@ -1,10 +1,11 @@
 """The exhaustive walks against the ascending-order enumerations they replaced.
 
-`brute_force_mincut` and the Karger-Stein base case `_exhaustive_cut`
-weigh their sides from half tables: the cut of vertex 0 joined with
-every part of a low and of a high half, and each high vertex's weight
-into every low part, then a walk over the high parts in Gray-code order
-that moves one high vertex's row per step and takes one `min` per part.
+`brute_force_mincut` and the Karger-Stein base case, `_min_cut_walk`
+on a contraction state's maps with ties broken by the mask, weigh their
+sides from half tables: the cut of vertex 0 joined with every part of a
+low and of a high half, and each high vertex's weight into every low
+part, then a walk over the high parts in Gray-code order that moves one
+high vertex's row per step and takes one `min` per part.
 `candidate_vectors` and `latcut candidates` sort one packed integer key
 per subset.  The reference enumerators below are the straightforward
 loops: every subset in ascending mask order, each summed from scratch.
@@ -51,7 +52,7 @@ from latcut import (  # noqa: E402
 from latcut.cli import format_superbase, run_cli  # noqa: E402
 from latcut.generators import gen_anstar  # noqa: E402
 from latcut.lattice import _entries  # noqa: E402
-from latcut.mincut import _Contraction, _exhaustive_cut, _side  # noqa: E402
+from latcut.mincut import _Contraction, _min_cut_walk, _side  # noqa: E402
 
 F = Fraction
 
@@ -81,8 +82,8 @@ def reference_brute_force_mincut(graph):
 
 def exhaustive_cut(state):
     """The base case's (weight, sorted side)."""
-    found = _exhaustive_cut(state)
-    return found[0], _side(found)
+    weight, mask = _min_cut_walk(state.adj, None)
+    return weight, _side((weight, mask, state))
 
 
 def reference_exhaustive_cut(state):
