@@ -21,6 +21,13 @@ from .rng import Xoshiro256StarStar
 FAMILIES = ("an", "anstar", "zn", "example3d", "random_gram")
 
 DEFAULT_DENSITY = Fraction(1, 2)
+
+# The largest n `generate` builds.  An instance holds about n^2 entries:
+# `latcut gen` peaked at 138 MB for anstar 2000 and 170 MB for random_gram
+# 2000 at density 1, and `latcut svp` on the anstar 2000 file, 32 MB, at
+# 543 MB (peak RSS, CPython 3.11); anstar 4000 alone took 505 MB to
+# generate.
+MAX_N = 2000
 MAX_WEIGHT = 4
 MAX_DENOMINATOR = 8
 
@@ -145,7 +152,8 @@ def gen_random_gram(
 
 
 def generate(spec: InstanceSpec) -> Superbase | GramMatrix:
-    """Materialize an InstanceSpec, enforcing its invariants."""
+    """Materialize an InstanceSpec, enforcing its invariants; n past
+    MAX_N is refused before anything is built."""
     if spec.family not in FAMILIES:
         raise ValueError(f"unknown family {spec.family!r}; pick from {FAMILIES}")
     if spec.family == "example3d":
@@ -154,6 +162,8 @@ def generate(spec: InstanceSpec) -> Superbase | GramMatrix:
         return gen_example3d()
     if spec.n < 1:
         raise ValueError("n must be >= 1")
+    if spec.n > MAX_N:
+        raise ValueError(f"n must be <= {MAX_N}, the generator's size cap")
     if spec.family == "an":
         return gen_an(spec.n)
     if spec.family == "anstar":

@@ -14,7 +14,9 @@ can cross-check each other:
   phase's own bound, the path test of Padberg & Rinaldi (Math.
   Programming 47, 1990, test PR4) applied along its maximum-adjacency
   order (Stoer & Wagner, JACM 44(4), 1997), which proves stars and
-  uniform complete graphs; else by the prover below.
+  uniform complete graphs; else by the prover below, at the least
+  degree, with the first phase as its first round.  The first phase
+  reads the graph's own maps; only a second phase copies them.
 * :func:`karger_stein`: randomized recursive contraction, reproducible
   for a fixed (seed, trials) pair.  The first trial's cut bounds lambda,
   the prover gives lambda, and the trials stop at the first one whose
@@ -27,7 +29,8 @@ each route asks it once.  It first makes one attempt of Padberg &
 Rinaldi's contraction tests, read-only on the graph's own maps, which
 proves cycles; else it runs the rounds of Nagamochi, Ono and Ibaraki
 (Math. Programming 67, 1994) for the value only, on a throwaway
-contracted copy.  The routes stay independent because each stops on a
+contracted copy, the first of which Stoer-Wagner's first phase has
+walked already.  The routes stay independent because each stops on a
 proof from the graph alone, never on another route's answer.  The
 phases and the rounds share two walks of one maximum-adjacency order,
 :func:`_scan_walk` for dense graphs and :func:`_heap_walk` for sparse
@@ -218,30 +221,37 @@ def stoer_wagner(graph: WeightedGraph) -> Cut:
       less than low = min_{i>=1} (r_i + paths_i), and when low reaches
       the phase's cut, that cut weighs lambda: on a star and on a
       complete graph with equal weights;
-    * the prover, `_lightest`, at the phase's cut, which tries one
+    * the prover, `_lightest`, at the least degree delta, which tries one
       contraction attempt before its rounds: the attempt proves cycles,
       and the rounds of Nagamochi, Ono and Ibaraki give lambda exactly.
+      delta is a vertex's cut, so lambda <= delta <= the phase's cut,
+      d(t), and min(delta, lambda) is lambda.  The first phase walks at
+      bound delta, on the graph's own maps, and the prover takes it as
+      its first round: a walk's order does not depend on its bound, only
+      the edges it lists do.  So low >= delta answers at once, and the
+      prover copies the graph only when its attempt fails.  At a delta
+      of 0, lambda is 0 and the phase walks at an infinite bound, so it
+      lists no edge.
 
-    The phases walk with an infinite bound, so they list no edge.
+    Only when a later phase's cut weighs less than the first's does it
+    copy the graph, merge the first phase's last two vertices and walk
+    the later phases, at an infinite bound.
     """
-    state = _Contraction.from_adjacency(graph.adjacency)
-    adj = state.adj
-    best: tuple[int, tuple[int, ...]] | None = None  # weight, members
-    least = None  # the minimum cut's weight, known after the first phase
-
-    while len(adj) > 1:
-        s, t, phase_cut, low, _ = _walk(adj, math.inf)
-        if best is None or phase_cut < best[0]:
-            best = (phase_cut, state.members[t])
-        if least is None:
-            least = best[0]
-            if low < least:
-                least = _lightest(graph.adjacency, least)
-        if best[0] == least:
-            break
-        state.merge(s, t)
-
-    assert best is not None
+    adjacency = graph.adjacency
+    degree = min(map(sum, map(dict.values, adjacency)))
+    first = s, t, phase_cut, low, _ = _walk(dict(enumerate(adjacency)),
+                                              degree or math.inf)
+    best = (phase_cut, (t,))  # weight, members
+    if low < phase_cut:
+        least = _lightest(adjacency, degree, first)
+        if least < phase_cut:  # a later phase's cut weighs least
+            state = _Contraction.from_adjacency(adjacency)
+            state.merge(s, t)
+            while best[0] > least:
+                s, t, phase_cut, _, _ = _walk(state.adj, math.inf)
+                if phase_cut < best[0]:
+                    best = (phase_cut, state.members[t])
+                state.merge(s, t)
     return Cut(tuple(sorted(best[1])), Fraction(best[0], graph.scale))
 
 
@@ -325,8 +335,9 @@ def _scan_walk(adj: dict[int, dict[int, int]], bound: float) -> _Order:
     joined lists each edge (t, u) whose q, u's key just after t's weight
     is added, reaches `bound` (see `_lightest`).  Such a key is at most
     the largest key left, so t's map is read for them only when that key
-    reaches `bound`: the phases, whose bound is infinite, pay one test per
-    vertex.  `key` is built ascending and only ever popped, so the walk
+    reaches `bound`: the phases after the first, whose bound is infinite,
+    pay one test per vertex.  The bound changes only `joined`, never the
+    order.  `key` is built ascending and only ever popped, so the walk
     meets the keys in ascending order, and the first largest key it meets
     is the lowest index among the largest.
     """
@@ -486,12 +497,14 @@ class _SampledContraction(_Contraction):
         Edge {a, b} counts in upper[min(a, b)].  Edge {u, drop} leaves
         upper[min(u, drop)] and, unless u is `keep`, becomes part of {u,
         keep} and joins upper[min(u, keep)]; edge {keep, drop} leaves the
-        graph.
+        graph.  upper[drop] leaves with drop, so only the rows below drop
+        are taken from.
         """
         upper = self.upper
         adj = self.adj
         for u, w in adj[drop].items():
-            upper[u if u < drop else drop] -= w
+            if u < drop:
+                upper[u] -= w
             if u != keep:
                 upper[u if u < keep else keep] += w
         self.total -= adj[keep].get(drop, 0)
@@ -604,16 +617,20 @@ def karger_stein(graph: WeightedGraph, seed: int, trials: int) -> Cut:
     return Cut(_side(best), Fraction(best[0], graph.scale))
 
 
-def _lightest(adjacency: Sequence[dict[int, int]], bound: int) -> int:
+def _lightest(adjacency: Sequence[dict[int, int]], bound: int,
+              first: _Order | None = None) -> int:
     """min(`bound`, lambda), lambda the weight of a lightest cut, decided
     exactly; both routes learn lambda from this one call.
 
-    A `bound` of 0 is the answer.  Otherwise one attempt of
-    `_cuts_at_least`, on a view of the maps with none copied, may prove
-    that no cut is lighter than `bound`, which it does on cycles.  Else
-    the rounds of Nagamochi and Ibaraki (SIAM J. Discrete Math. 5, 1992),
-    as Nagamochi, Ono and Ibaraki run them (Math. Programming 67, 1994),
-    decide it on a throwaway copy of `adjacency`.
+    A `bound` of 0 is the answer.  `first`, when given, is the first
+    round's walk, made at `bound` on the maps of `adjacency`, as
+    Stoer-Wagner's first phase is: its `low` at or above `bound` is the
+    answer.  Otherwise one attempt of `_cuts_at_least`, on a view of the
+    maps with none copied, may prove that no cut is lighter than `bound`,
+    which it does on cycles.  Else the rounds of Nagamochi and Ibaraki
+    (SIAM J. Discrete Math. 5, 1992), as Nagamochi, Ono and Ibaraki run
+    them (Math. Programming 67, 1994), decide it on a throwaway copy of
+    `adjacency`, starting with `first`.
 
     Each round is one walk of a maximum-adjacency order, by `_walk`'s
     rule.  Give each edge e = (v, u), v added first, the value q(e): u's
@@ -634,12 +651,15 @@ def _lightest(adjacency: Sequence[dict[int, int]], bound: int) -> int:
     with one vertex left and no cut lighter than `bound`, or with `bound`
     at 0.
     """
-    if not bound or _cuts_at_least(dict(enumerate(adjacency)), bound):
+    if not bound or first is not None and first[3] >= bound:
+        return bound
+    if _cuts_at_least(dict(enumerate(adjacency)), bound):
         return bound
     state = _Contraction.from_adjacency(adjacency)
     adj = state.adj
     while bound and len(adj) > 1:
-        s, t, last, low, joined = _walk(adj, bound)
+        s, t, last, low, joined = first or _walk(adj, bound)
+        first = None
         if not low:
             return 0  # a key of 0: the vertices added before it are cut off
         if low >= bound:

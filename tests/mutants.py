@@ -147,8 +147,8 @@ MUTANTS = (
     # The prover makes its contraction attempt at a bound of 0, which
     # runs out of neighbours on a disconnected graph.
     Mutant("prover-without-zero-guard", "mincut.py",
-           "if not bound or _cuts_at_least(",
-           "if _cuts_at_least(",
+           "if not bound or first is not None and first[3] >= bound:",
+           "if first is not None and first[3] >= bound:",
            ("tests/test_mincut.py::test_ks_handles_disconnected_graphs",
             "tests/test_contraction_reference.py::test_edgeless_and_disconnected_graphs_match_the_reference")),
     # A merge moves edge {u, drop}'s weight onto keep's upper-row sum, not
@@ -164,14 +164,35 @@ MUTANTS = (
            ">= 2 * len(adj) ** 2:",
            ">= len(adj) ** 2:",
            ("tests/test_certificate.py::test_the_rounds_follow_the_phases_walk_rule",)),
+    # Stoer-Wagner's first phase walks at an infinite bound, so it lists
+    # no edge: sound, but its first round joins only its last two
+    # vertices, and the prover needs more rounds.
+    Mutant("first-phase-at-infinity", "mincut.py",
+           "degree or math.inf)",
+           "math.inf)",
+           ("tests/test_contraction_reference.py::test_stoer_wagner_stops_once_no_later_phase_can_be_lighter",)),
+    # Stoer-Wagner asks the prover one unit below the least degree, so a
+    # least degree that is the minimum cut never stops the phases.
+    Mutant("prover-below-the-degree", "mincut.py",
+           "_lightest(adjacency, degree, first)",
+           "_lightest(adjacency, degree - 1, first)",
+           ("tests/test_contraction_reference.py::test_stoer_wagner_stops_once_no_later_phase_can_be_lighter",)),
+    # The second phase starts on the uncontracted copy, so it walks the
+    # first phase again before the later phases go on.
+    Mutant("second-phase-without-first-merge", "mincut.py",
+           "            state.merge(s, t)\n            while best[0] > least:",
+           "            while best[0] > least:",
+           ("tests/test_contraction_reference.py::test_stoer_wagner_stops_once_no_later_phase_can_be_lighter",)),
     # The contraction tests' PR2 without its degree guard: half a degree
-    # joins a vertex whose own degree is a light cut.
+    # joins a vertex whose own degree is a light cut.  At Stoer-Wagner's
+    # bound, the least degree, the guard always holds; Karger-Stein's
+    # attempt at its first trial's cut shows it.
     Mutant("pr2-without-degree-guard", "mincut.py",
            "2 * w >= min(degree, w + rest) >= bound",
            "2 * w >= min(degree, w + rest)",
            ("tests/test_certificate.py::test_a_light_pendant_vertex_is_not_joined_by_its_half_degree",
             "tests/test_certificate.py::test_never_proves_a_bound_above_the_minimum_cut",
-            "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference")),
+            "tests/test_mincut.py::test_ks_does_not_prove_a_cut_past_a_light_pendant_vertex")),
     # PR4 without the joined edge's own weight: sound, but it proves less.
     Mutant("pr4-without-joined-weight", "mincut.py",
            "if not (w + paths >= bound or",
@@ -243,13 +264,15 @@ MUTANTS = (
            "if k > bound:",
            ("tests/test_certificate.py::test_a_round_joins_the_edges_whose_q_reaches_the_bound",)),
     # The rounds join s and t without lowering the bound to t's key,
-    # although t alone is a lighter cut.
+    # although t alone is a lighter cut.  Stoer-Wagner asks at the least
+    # degree, which no key of the rounds falls below, so Karger-Stein,
+    # which asks at its first trial's cut, is the route that shows it.
     Mutant("rounds-join-light-last-pair", "mincut.py",
            "        if last < bound:\n"
            "            bound = last\n",
            "",
            ("tests/test_certificate.py::test_the_prover_gives_the_least_of_the_bound_and_the_minimum_cut",
-            "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference")),
+            "tests/test_mincut.py::test_ks_runs_its_trials_until_the_first_that_finds_the_minimum_cut")),
     # The rounds lower the bound past the lighter cut they found, so the
     # prover answers below the minimum cut.
     Mutant("rounds-bound-past-the-cut", "mincut.py",

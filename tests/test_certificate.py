@@ -9,16 +9,18 @@ min(bound, lambda) for every bound >= 0, which brute force checks here
 on graphs of 2 to 14 vertices: sparse ones, whose rounds walk from a
 heap, dense ones, whose rounds scan, tied weights, and disconnected
 graphs, where lambda is 0.  Its rounds contract a throwaway copy by the
-edges one maximum-adjacency walk lists.
+edges one maximum-adjacency walk lists.  Stoer-Wagner hands it the first
+phase, walked at the least degree, as its first round; the answer is the
+same as when the prover walks that round itself.
 
 The walks: `_scan_walk` and `_heap_walk` serve both the phases and the
 rounds.  On the same maps, original or contracted, they give the same
 (s, t, last key, low) and list the same edges: exactly the edges e whose
 q(e), the key of e's later end just after e's weight is added, reaches
-the bound, as a plain maximum-adjacency order defines them.  `low`, the
-least over the vertices added after the first of key plus paths, lies
-between the smallest of those keys and the true minimum cut, which brute
-force gives here.
+the bound, as a plain maximum-adjacency order defines them.  The bound
+changes nothing else.  `low`, the least over the vertices added after
+the first of key plus paths, lies between the smallest of those keys and
+the true minimum cut, which brute force gives here.
 
 The contraction certificate: `mincut._cuts_at_least(adj, bound)` answers
 True only when no cut of the graph weighs less than `bound`.  It must
@@ -28,7 +30,7 @@ where a phase's bound proves nothing and the rounds would join one edge
 at a time, and on stars and uniform complete graphs; and an attempt must
 cost no more than one phase: it walks each neighbour map at most once.
 `stoer_wagner` runs it once, after the first phase, unless that phase's
-own bound proves its cut.
+own bound proves its cut or reaches the least degree.
 """
 
 import math
@@ -252,6 +254,23 @@ def test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut(graph, data):
     assert min(keys) <= low <= lightest(relabelled(state))
 
 
+def least_degree(adj) -> int:
+    """The least degree of a vertex of the maps: a cut, so lambda <= it."""
+    return min(map(sum, map(dict.values, adj.values())))
+
+
+@settings(max_examples=800)
+@given(phase_graphs(), st.data())
+def test_the_order_does_not_depend_on_the_bound(graph, data):
+    # Stoer-Wagner walks its first phase at the least degree, so that it
+    # is also the prover's first round; the bound changes only the edges
+    # listed, never the order, its last two vertices, t's key or low.
+    state = contracted(graph, data)
+    bound = least_degree(state.adj) or data.draw(st.integers(1, 4))
+    for walk in (_scan_walk, _heap_walk):
+        assert walk(state.adj, bound)[:4] == walk(state.adj, math.inf)[:4]
+
+
 def joined_by_definition(adj, bound):
     """The edges a walk must list, as a set of pairs: from the plain
     order, q(v, u) for v added before u is the weight from u to v and the
@@ -286,6 +305,21 @@ def test_the_prover_gives_the_least_of_the_bound_and_the_minimum_cut(graph,
     drawn = data.draw(st.integers(0, 2 * weight + 2 * graph.scale))
     for bound in {0, max(weight - 1, 0), weight, weight + 1, drawn}:
         assert _lightest(graph.adjacency, bound) == min(bound, weight)
+
+
+@settings(max_examples=800)
+@given(st.one_of(phase_graphs(most=14), graphs()))
+def test_the_prover_takes_the_first_phase_as_its_first_round(graph):
+    # As stoer_wagner asks it: at the least degree, with the first phase
+    # walked at that bound, or at an infinite one when it is 0.  Either
+    # walk may hand it over; they list the same edges.
+    adjacency = graph.adjacency
+    degree = least_degree(dict(enumerate(adjacency)))
+    weight = lightest(graph)
+    assert _lightest(adjacency, degree) == min(degree, weight)
+    for walk in (_scan_walk, _heap_walk):
+        first = walk(dict(enumerate(adjacency)), degree or math.inf)
+        assert _lightest(adjacency, degree, first) == min(degree, weight)
 
 
 def walks_run(monkeypatch, graph: WeightedGraph, bound: int) -> list[str]:
@@ -400,9 +434,10 @@ def walks(graph: WeightedGraph, bound: int) -> tuple[bool, list]:
     pytest.param(hypercube(7), id="cube7"),
 ])
 def test_a_failed_attempt_walks_each_map_at_most_once(graph):
-    # The bound is the cut of Stoer-Wagner's first phase, as stoer_wagner
-    # passes it; the true minimum is lighter or the tests cannot show it.
-    proved, log = walks(graph, first_phase_cut(graph))
+    # The bound is the least degree, as stoer_wagner passes it; on these
+    # graphs it is also the first phase's cut.  The true minimum is lighter
+    # or the tests cannot show it.
+    proved, log = walks(graph, least_degree(dict(enumerate(graph.adjacency))))
     assert not proved
     walked = [v for v, _ in log]
     assert len(walked) == len(set(walked))

@@ -16,7 +16,7 @@ from latcut import (
     GramMatrix, InstanceSpec, ParseError, ShapeError, Superbase, gen_random_gram,
     generate, quadratic_form, selling_parameters, short_vector, validate_gram,
 )
-from latcut.generators import FAMILIES
+from latcut.generators import FAMILIES, MAX_N
 from latcut.cli import _build_parser, format_gram, format_superbase, parse_input, run_cli
 from latcut.lattice import MAX_DENOMINATOR_BITS
 
@@ -402,6 +402,24 @@ def test_gen_rejects_bad_density():
                     "--density", density]) == (
             2, "", f"usage error: argument --density: {density!r} is not "
                    "a rational number\n")
+
+
+@pytest.mark.parametrize("family", ["an", "anstar", "zn", "random_gram"])
+def test_gen_refuses_n_past_its_cap_before_building_anything(family):
+    # `gen anstar 20000` would ask for several GB.  The child limits its
+    # own address space to 256 MB, so building anything of that size would
+    # end in a MemoryError, exit 1; the refusal is exit 2, with the cap.
+    src = str(Path(latcut.__file__).resolve().parents[1])
+    code = ("import resource; limit = 256 << 20; "
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit)); "
+            "from latcut.cli import main; main()")
+    done = subprocess.run(
+        [sys.executable, "-c", code, "gen", family, "20000", "--seed", "1"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.endswith(
+        f"usage error: n must be <= {MAX_N}, the generator's size cap\n")
 
 
 def test_gen_deterministic_output():

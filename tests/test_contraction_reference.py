@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import copy
 import importlib.util
-import math
 import operator
 import sys
 from fractions import Fraction
@@ -431,32 +430,36 @@ def test_stoer_wagner_matches_the_reference_when_it_stops_early(graph):
     assert mincut.stoer_wagner(graph) == stoer_wagner(graph)
 
 
-@pytest.mark.parametrize("graph, merges, attempts, rounds", [
-    pytest.param(graph_from_gram(selling_parameters(gen_zn(200))), 0, 0, 0,
+@pytest.mark.parametrize("graph, walks, attempts, copies", [
+    pytest.param(graph_from_gram(selling_parameters(gen_zn(200))), 1, 0, 0,
                  id="zn200"),
-    pytest.param(graph_from_gram(selling_parameters(gen_an(20))), 0, 1, 0,
+    pytest.param(graph_from_gram(selling_parameters(gen_an(20))), 1, 1, 0,
                  id="an20"),
-    pytest.param(graph_from_gram(selling_parameters(gen_anstar(20))), 0, 0, 0,
+    pytest.param(graph_from_gram(selling_parameters(gen_anstar(20))), 1, 0, 0,
                  id="anstar20"),
-    pytest.param(hypercube(4), 0, 1, 7, id="cube4"),
-    pytest.param(graph_from_gram(gen_random_gram(52, 7, F(1))), 0, 1, 2,
+    pytest.param(hypercube(4), 7, 1, 1, id="cube4"),
+    pytest.param(graph_from_gram(gen_random_gram(52, 7, F(1))), 2, 1, 1,
                  id="gram52"),
+    pytest.param(graph_from_gram(gen_random_gram(7, 2, F(1))), 2, 0, 1,
+                 id="gram7"),
 ])
 def test_stoer_wagner_stops_once_no_later_phase_can_be_lighter(
-        monkeypatch, graph, merges, attempts, rounds):
+        monkeypatch, graph, walks, attempts, copies):
     # A phase's bound is the least, over its added vertices v, of v's key
     # plus the paths of length two from the vertices added before v to
     # each vertex not yet added.  It proves the star's weight-1 cut and
     # the complete graph's in their first phase, with no contraction
     # test.  The cycle's first phase proves nothing, but one contraction
-    # attempt proves its cut: no merge at all.  The hypercube has no
+    # attempt proves its cut.  The first phase walks at the least degree,
+    # so it is also the prover's first round: the hypercube has no
     # triangle and no edge of half a degree, so its one attempt fails, and
-    # the rounds prove the first phase's cut minimal in 7 rounds, where
-    # running every phase takes 14 merges (the last phase, on two
-    # vertices, needs none).  The Gram graph's first phase also finds its
-    # minimum cut, which its attempt cannot prove and 2 rounds do.  Every
-    # phase but the one that stops merges once, and a round is a walk with
-    # a finite bound.
+    # 6 more rounds prove the first phase's cut minimal, where running
+    # every phase takes 15 walks.  The 52-vertex Gram graph's first phase
+    # also finds its minimum cut, which its attempt cannot prove and one
+    # more round does.  The 7-vertex Gram graph's first phase proves, by
+    # its own bound, that the least degree is the minimum cut, and the
+    # second phase finds it.  Only the rounds and the phases after the
+    # first copy the graph, once each.
     bounds = []
     walk = mincut._walk
     monkeypatch.setattr(mincut, "_walk", lambda adj, bound: (
@@ -469,11 +472,14 @@ def test_stoer_wagner_stops_once_no_later_phase_can_be_lighter(
         return cuts_at_least(adj, bound)
 
     monkeypatch.setattr(mincut, "_cuts_at_least", attempt)
+    copied = []
+    from_adjacency = mincut._Contraction.from_adjacency.__func__
+    monkeypatch.setattr(mincut._Contraction, "from_adjacency", classmethod(
+        lambda cls, adj: (copied.append(cls), from_adjacency(cls, adj))[1]))
     assert mincut.stoer_wagner(graph) == stoer_wagner(graph)
-    phases = bounds.count(math.inf)
-    assert phases - 1 == merges
+    assert len(bounds) == walks
     assert len(tried) == attempts
-    assert len(bounds) - phases == rounds
+    assert len(copied) == copies
 
 
 @settings(max_examples=300)

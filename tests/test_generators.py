@@ -21,7 +21,7 @@ from latcut import (
     validate_gram,
     validate_superbase,
 )
-from latcut.generators import DEFAULT_DENSITY
+from latcut.generators import DEFAULT_DENSITY, MAX_N
 from conftest import seeds_from
 
 F = Fraction
@@ -251,3 +251,10 @@ def test_generate_enforces_invariants():
         generate(InstanceSpec("an", 0))
     with pytest.raises(ValueError):
         generate(InstanceSpec("dn", 4))
+    for family in ("an", "anstar", "zn", "random_gram"):
+        with pytest.raises(ValueError, match=f"n must be <= {MAX_N},"):
+            generate(InstanceSpec(family, MAX_N + 1, seed=1))
+
+
+def test_generate_builds_up_to_its_cap():
+    assert len(generate(InstanceSpec("an", MAX_N)).rows) == MAX_N + 1

@@ -282,6 +282,21 @@ def trials_run(monkeypatch, graph: WeightedGraph, trials: int, seed: int = 0):
     return karger_stein(graph, seed, trials), len(made)
 
 
+def test_ks_does_not_prove_a_cut_past_a_light_pendant_vertex(monkeypatch):
+    # Vertex 4 hangs on vertex 1 by weight 1, the minimum cut.  At seed 281
+    # the first trial cuts off vertex 6, of degree 5.  The prover's attempt
+    # at 5 must not join vertex 4 by half its degree, which is itself a
+    # lighter cut, so the second trial runs and finds the pendant edge.
+    graph = WeightedGraph.from_edges(8, [
+        (0, 1, 5), (0, 2, 2), (0, 5, 1), (0, 6, 1), (1, 2, 3), (1, 3, 2),
+        (1, 4, 1), (1, 5, 3), (2, 3, 2), (2, 5, 5), (2, 7, 5), (3, 5, 2),
+        (3, 7, 3), (5, 6, 1), (5, 7, 2), (6, 7, 3)])
+    assert karger_stein(graph, 281, 1).side == (0, 1, 2, 3, 4, 5, 7)
+    cut, trials = trials_run(monkeypatch, graph,
+                             default_trial_count(graph.vertex_count), seed=281)
+    assert (cut.side, cut.weight, trials) == ((0, 1, 2, 3, 5, 6, 7), 1, 2)
+
+
 def two_unit_k4s() -> WeightedGraph:
     return WeightedGraph.from_edges(8, [
         (i, j, 1) for i in range(8) for j in range(i + 1, 8)
