@@ -235,14 +235,17 @@ def _build_parser() -> _ArgumentParser:
     svp.add_argument("--seed", type=_u64, default=None)
     svp.add_argument("--trials", type=_positive_int, default=None)
     svp.add_argument("--json", action="store_true")
+    svp.set_defaults(handler=_cmd_svp)
 
     validate = sub.add_parser("validate", help="check a file's invariants")
     validate.add_argument("file")
+    validate.set_defaults(handler=_cmd_validate)
 
     candidates = sub.add_parser(
         "candidates", help="enumerate every candidate subset sum"
     )
     candidates.add_argument("file")
+    candidates.set_defaults(handler=_cmd_candidates)
 
     gen = sub.add_parser("gen", help="emit a built-in or random instance")
     gen.add_argument("family", choices=FAMILIES)
@@ -250,6 +253,7 @@ def _build_parser() -> _ArgumentParser:
     gen.add_argument("--seed", type=_u64, default=None)
     gen.add_argument("--density", type=_rational, default=None)
     gen.add_argument("-o", "--output", default=None)
+    gen.set_defaults(handler=_cmd_gen)
 
     verify = sub.add_parser(
         "verify", help="evaluate one assignment as quadratic form and as cut"
@@ -258,6 +262,7 @@ def _build_parser() -> _ArgumentParser:
     verify.add_argument(
         "--assignment", required=True, help="comma-separated bits, e.g. 1,1,0,0"
     )
+    verify.set_defaults(handler=_cmd_verify)
     return parser
 
 
@@ -276,15 +281,8 @@ def run_cli(argv, *, stdin=None, stdout=None, stderr=None) -> int:
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 2
 
-    handler = {
-        "svp": _cmd_svp,
-        "validate": _cmd_validate,
-        "candidates": _cmd_candidates,
-        "gen": _cmd_gen,
-        "verify": _cmd_verify,
-    }[args.command]
     try:
-        return handler(args, stdin, stdout, stderr)
+        return args.handler(args, stdin, stdout, stderr)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=stderr)
         return 2

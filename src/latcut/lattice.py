@@ -253,10 +253,7 @@ def validate_superbase(vectors) -> Superbase:
     TooLarge if the coordinates' integers or common denominator pass the
     cap, or the Selling parameters' denominator, which can be its square.
     """
-    sb = vectors if isinstance(vectors, Superbase) else Superbase(
-        *_entries([list(map(as_rational, row)) for row in vectors]))
-    _cut_graph(sb)
-    return sb
+    return _validated(Superbase, vectors)
 
 
 def selling_parameters(sb: Superbase) -> GramMatrix:
@@ -341,10 +338,17 @@ def validate_gram(entries) -> GramMatrix:
     or WrongRank, and TooLarge if the entries' integers or common
     denominator, or a given GramMatrix's scale, pass MAX_DENOMINATOR_BITS.
     """
-    g = entries if isinstance(entries, GramMatrix) else GramMatrix(
-        *_entries([list(map(as_rational, row)) for row in entries]))
-    _cut_graph(g)
-    return g
+    return _validated(GramMatrix, entries)
+
+
+def _validated(kind: type[Superbase] | type[GramMatrix],
+               rows) -> Superbase | GramMatrix:
+    """`rows` as a `kind`, built from rows of exact scalars unless it is
+    one already, and checked by :func:`_cut_graph`."""
+    lattice = rows if isinstance(rows, kind) else kind(
+        *_entries([list(map(as_rational, row)) for row in rows]))
+    _cut_graph(lattice)
+    return lattice
 
 
 def _cut_graph(lattice: Superbase | GramMatrix) -> tuple[Adjacency, int]:

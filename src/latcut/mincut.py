@@ -9,32 +9,31 @@ can cross-check each other:
   since every relaxation pushes.  Both give the same cuts.  It returns
   the first phase cut of least weight, so it stops at the first phase
   cut that weighs the minimum cut's weight, lambda: a tie never
-  replaces the best cut, so later phases cannot change the answer.  It
-  learns lambda after the first phase, from the graph alone: by that
-  phase's own bound, the path test of Padberg & Rinaldi (Math.
-  Programming 47, 1990, test PR4) applied along its maximum-adjacency
-  order (Stoer & Wagner, JACM 44(4), 1997), which proves stars and
-  uniform complete graphs; else by the prover below, at the least
-  degree, with the first phase as its first round.  The first phase
-  reads the graph's own maps; only a second phase copies them.
+  replaces the best cut, so later phases cannot change the answer.  Its
+  first phase is the prover's first round, so it learns lambda with its
+  first phase cut; only a second phase copies the graph.
 * :func:`karger_stein`: randomized recursive contraction, reproducible
-  for a fixed (seed, trials) pair.  The first trial's cut bounds lambda,
-  the prover gives lambda, and the trials stop at the first one whose
-  cut weighs lambda, however many were asked for: the later trials could
-  at most tie, and the answer is the same.
+  for a fixed (seed, trials) pair.  It learns lambda before its first
+  trial and stops at the first trial whose cut weighs lambda, however
+  many were asked for: the later trials could at most tie, and the
+  answer is the same.
 * :func:`brute_force_mincut`: exhaustive enumeration, the oracle.
 
-The one prover, :func:`_lightest`, gives min(bound, lambda) exactly, and
-each route asks it once.  It first makes one attempt of Padberg &
-Rinaldi's contraction tests, read-only on the graph's own maps, which
-proves cycles; else it runs the rounds of Nagamochi, Ono and Ibaraki
-(Math. Programming 67, 1994) for the value only, on a throwaway
-contracted copy, the first of which Stoer-Wagner's first phase has
-walked already.  The routes stay independent because each stops on a
-proof from the graph alone, never on another route's answer.  The
-phases and the rounds share two walks of one maximum-adjacency order,
-:func:`_scan_walk` for dense graphs and :func:`_heap_walk` for sparse
-ones, chosen by :func:`_walk` from the graph's own edge count.
+The one prover, :func:`_lightest`, gives lambda exactly, from the graph
+alone, and each route asks it once, up front.  It starts from the least
+degree delta, which bounds lambda, and walks the first round, a
+maximum-adjacency order whose own bound, the path test of Padberg &
+Rinaldi (Math. Programming 47, 1990, test PR4) along the order (Stoer &
+Wagner, JACM 44(4), 1997), proves stars and uniform complete graphs.
+Else it makes one attempt of Padberg & Rinaldi's contraction tests,
+read-only on the graph's own maps, which proves cycles; else it runs the
+rounds of Nagamochi, Ono and Ibaraki (Math. Programming 67, 1994) for
+the value only, on a throwaway contracted copy.  The routes stay
+independent because each stops on a proof from the graph alone, never on
+another route's answer.  The phases and the rounds share two walks of
+one maximum-adjacency order, :func:`_scan_walk` for dense graphs and
+:func:`_heap_walk` for sparse ones, chosen by :func:`_walk` from the
+graph's own edge count.
 
 A :class:`WeightedGraph` holds its rational weights as Python ints over
 one common denominator, fixed when it is built: a Gram matrix's own, or
@@ -206,52 +205,25 @@ def stoer_wagner(graph: WeightedGraph) -> Cut:
     It returns the first phase cut of least weight, so once it knows the
     minimum cut's weight, lambda, it stops at the first phase cut that
     weighs lambda: later phases could at most tie, and a tie never
-    replaces the best cut.  The first phase's cut is the best so far, and
-    lambda comes, from the graph alone, from the first of:
-
-    * the phase's own bound.  A phase on H adds v_0 = 0, v_1, ...,
-      v_{k-1} with keys r_i = w(M_i, v_i), M_i = {v_0..v_{i-1}}, and sums
-      paths_i, the sum of min(w(M_i, u), w(v_i, u)) over the vertices u
-      added after v_i.  Take any cut of H, S its side that holds vertex
-      0, and v_i the first added vertex outside S, so i >= 1: the cut
-      separates M_i from v_i, so it crosses the M_i-v_i edges, of weight
-      r_i, and for every other vertex u either the M_i-u or the v_i-u
-      edges (the path test PR4 of Padberg and Rinaldi, Math. Programming
-      47, 1990, on the maximum-adjacency order).  So no cut of H weighs
-      less than low = min_{i>=1} (r_i + paths_i), and when low reaches
-      the phase's cut, that cut weighs lambda: on a star and on a
-      complete graph with equal weights;
-    * the prover, `_lightest`, at the least degree delta, which tries one
-      contraction attempt before its rounds: the attempt proves cycles,
-      and the rounds of Nagamochi, Ono and Ibaraki give lambda exactly.
-      delta is a vertex's cut, so lambda <= delta <= the phase's cut,
-      d(t), and min(delta, lambda) is lambda.  The first phase walks at
-      bound delta, on the graph's own maps, and the prover takes it as
-      its first round: a walk's order does not depend on its bound, only
-      the edges it lists do.  So low >= delta answers at once, and the
-      prover copies the graph only when its attempt fails.  At a delta
-      of 0, lambda is 0 and the phase walks at an infinite bound, so it
-      lists no edge.
-
-    Only when a later phase's cut weighs less than the first's does it
-    copy the graph, merge the first phase's last two vertices and walk
-    the later phases, at an infinite bound.
+    replaces the best cut.  It asks `_lightest` for lambda once, before
+    any phase, and takes the prover's first round, walked on the graph's
+    own maps, as its first phase: a walk's order does not depend on its
+    bound, only the edges it lists do.  That phase's cut is the best so
+    far.  Only when it weighs more than lambda does it copy the graph,
+    merge the first phase's last two vertices and walk the later phases,
+    at an infinite bound.
     """
     adjacency = graph.adjacency
-    degree = min(map(sum, map(dict.values, adjacency)))
-    first = s, t, phase_cut, low, _ = _walk(dict(enumerate(adjacency)),
-                                              degree or math.inf)
+    least, (s, t, phase_cut, _, _) = _lightest(adjacency)
     best = (phase_cut, (t,))  # weight, members
-    if low < phase_cut:
-        least = _lightest(adjacency, degree, first)
-        if least < phase_cut:  # a later phase's cut weighs least
-            state = _Contraction.from_adjacency(adjacency)
+    if least < phase_cut:  # a later phase's cut weighs least
+        state = _Contraction.from_adjacency(adjacency)
+        state.merge(s, t)
+        while best[0] > least:
+            s, t, phase_cut, _, _ = _walk(state.adj, math.inf)
+            if phase_cut < best[0]:
+                best = (phase_cut, state.members[t])
             state.merge(s, t)
-            while best[0] > least:
-                s, t, phase_cut, _, _ = _walk(state.adj, math.inf)
-                if phase_cut < best[0]:
-                    best = (phase_cut, state.members[t])
-                state.merge(s, t)
     return Cut(tuple(sorted(best[1])), Fraction(best[0], graph.scale))
 
 
@@ -331,7 +303,7 @@ def _scan_walk(adj: dict[int, dict[int, int]], bound: float) -> _Order:
     adds t's weights to the keys it reaches, sums t's paths, min(key,
     weight) with each key read before its update, and finds the next
     vertex.  s and t are the last two vertices added; low is the least key
-    plus paths of any vertex added after the first (see `stoer_wagner`).
+    plus paths of any vertex added after the first (see `_lightest`).
     joined lists each edge (t, u) whose q, u's key just after t's weight
     is added, reaches `bound` (see `_lightest`).  Such a key is at most
     the largest key left, so t's map is read for them only when that key
@@ -590,85 +562,91 @@ def karger_stein(graph: WeightedGraph, seed: int, trials: int) -> Cut:
     and trials could run in any order or in parallel without changing it.
     The returned weight is always an upper bound on the true minimum.
 
-    The first trial's cut gives `_lightest` its bound, so it returns the
-    minimum cut's weight, and the trials stop at the first one whose cut
-    weighs that much: every later trial could at most tie, and a tie never
+    It asks `_lightest` for the minimum cut's weight once, before the
+    first trial, and the trials stop at the first one whose cut weighs
+    that much: every later trial could at most tie, and a tie never
     replaces the best cut, so the result is the `Cut` of running them all;
-    skipping a trial changes no other trial's draws.  A cut of weight 0
-    needs no proof, and the prover's contraction attempt proves a cycle's
-    with no round.
+    skipping a trial changes no other trial's draws.  The prover's first
+    round proves a star's or a uniform complete graph's lambda, and its
+    contraction attempt a cycle's, with no more rounds.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     adjacency = graph.adjacency
+    least = _lightest(adjacency)[0]  # the minimum cut's weight
     best: _Found | None = None
-    least = None  # the minimum cut's weight, known after the first trial
     for trial_seed in derive_seeds(seed, trials):
         rng = Xoshiro256StarStar(trial_seed)
         candidate = _recursive_contraction(
             _SampledContraction.from_adjacency(adjacency), rng)
         if best is None or candidate[0] < best[0]:
             best = candidate
-        if least is None:
-            least = _lightest(adjacency, best[0])
         if best[0] == least:
             break
     assert best is not None
     return Cut(_side(best), Fraction(best[0], graph.scale))
 
 
-def _lightest(adjacency: Sequence[dict[int, int]], bound: int,
-              first: _Order | None = None) -> int:
-    """min(`bound`, lambda), lambda the weight of a lightest cut, decided
-    exactly; both routes learn lambda from this one call.
+def _lightest(adjacency: Sequence[dict[int, int]]) -> tuple[int, _Order]:
+    """(lambda, first): lambda the weight of a lightest cut, decided
+    exactly, and `first` the first round's walk, on the maps of
+    `adjacency`; both routes learn lambda from this one call, and
+    Stoer-Wagner takes `first` as its first phase.
 
-    A `bound` of 0 is the answer.  `first`, when given, is the first
-    round's walk, made at `bound` on the maps of `adjacency`, as
-    Stoer-Wagner's first phase is: its `low` at or above `bound` is the
-    answer.  Otherwise one attempt of `_cuts_at_least`, on a view of the
-    maps with none copied, may prove that no cut is lighter than `bound`,
-    which it does on cycles.  Else the rounds of Nagamochi and Ibaraki
-    (SIAM J. Discrete Math. 5, 1992), as Nagamochi, Ono and Ibaraki run
-    them (Math. Programming 67, 1994), decide it on a throwaway copy of
-    `adjacency`, starting with `first`.
+    The bound starts at the least degree delta: a vertex alone is a cut,
+    so lambda <= delta, and the prover keeps min(bound, lambda), which is
+    lambda, as it lowers the bound.  The first round walks at bound delta
+    (at an infinite one when delta is 0, so it lists no edge) on a view of
+    the maps, none copied.  Its own bound answers first.  A walk on H
+    adds v_0, v_1, ..., v_{k-1} with keys r_i = w(M_i, v_i), M_i =
+    {v_0..v_{i-1}}, and sums paths_i, the sum of min(w(M_i, u), w(v_i,
+    u)) over the vertices u added after v_i.  Take any cut of H, S its
+    side that holds v_0, and v_i the first added vertex outside S, so
+    i >= 1: the cut separates M_i from v_i, so it crosses the M_i-v_i
+    edges, of weight r_i, and for every other vertex u either the M_i-u
+    or the v_i-u edges (the path test PR4 of Padberg and Rinaldi, Math.
+    Programming 47, 1990, on the maximum-adjacency order).  So no cut of
+    H weighs less than low = min_{i>=1} (r_i + paths_i), and delta is the
+    answer once low reaches it: on a star, on a complete graph with equal
+    weights, and always at a delta of 0.  Otherwise one attempt of
+    `_cuts_at_least`, on the same view, may prove that no cut is lighter
+    than delta, which it does on cycles.  Else the rounds of Nagamochi
+    and Ibaraki (SIAM J. Discrete Math. 5, 1992), as Nagamochi, Ono and
+    Ibaraki run them (Math. Programming 67, 1994), decide it on a
+    throwaway copy of `adjacency`, starting with `first`.
 
     Each round is one walk of a maximum-adjacency order, by `_walk`'s
     rule.  Give each edge e = (v, u), v added first, the value q(e): u's
     key just after e's weight is added.  Every cut that separates u from v
     weighs at least q(e), and the last key, t's, is the minimum cut
-    between the last two vertices s and t.  So a round lowers `bound` to
-    t's key when that is lighter, since t alone is such a cut, and then
-    contracts s with t and every edge the walk listed, those with q(e) at
-    least the bound it walked with.  That keeps every cut lighter than
-    `bound`, and every cut of the contracted graph is one of the original;
-    a contracted vertex's degree is such a cut, and lowers `bound` when
-    lighter.  So min(`bound`, lambda) never changes, and an edge joined
-    for one bound may be joined for any lower one, so the rounds go on
-    with the same copy.  The walk's own `low` (see `stoer_wagner`) ends
-    them early: no cut of the copy is lighter, so `bound` is the answer
+    between the last two vertices s and t.  So a round contracts s with t
+    and every edge the walk listed, those with q(e) at least the bound it
+    walked with.  That keeps every cut lighter than the bound, and every
+    cut of the contracted graph is one of the original; a contracted
+    vertex's degree is such a cut, and lowers the bound when lighter.  A
+    merge changes no other vertex's degree, so every degree of the copy
+    stays at or above the bound, t's key, t's degree, among them: the
+    round's last pair never shows a lighter cut.  So min(bound, lambda)
+    never changes, and an edge joined for one bound may be joined for any
+    lower one, so the rounds go on with the same copy.  Each walk's `low`
+    ends them: no cut of the copy is lighter, so the bound is the answer
     once `low` reaches it, and 0 is once `low` is 0, which only a key of 0
     makes.  A round always contracts s and t, so otherwise the rounds end
-    with one vertex left and no cut lighter than `bound`, or with `bound`
-    at 0.
+    with one vertex left and no cut lighter than the bound.
     """
-    if not bound or first is not None and first[3] >= bound:
-        return bound
-    if _cuts_at_least(dict(enumerate(adjacency)), bound):
-        return bound
+    view = dict(enumerate(adjacency))
+    bound = min(map(sum, map(dict.values, adjacency)))
+    first = _walk(view, bound or math.inf)
+    if first[3] >= bound or _cuts_at_least(view, bound):
+        return bound, first
     state = _Contraction.from_adjacency(adjacency)
     adj = state.adj
-    while bound and len(adj) > 1:
-        s, t, last, low, joined = first or _walk(adj, bound)
-        first = None
-        if not low:
-            return 0  # a key of 0: the vertices added before it are cut off
-        if low >= bound:
-            return bound  # the round's own bound: no cut is lighter
-        if last < bound:
-            bound = last
-        joined.append((s, t))
+    s, t, _, low, joined = first
+    while low < bound:
+        if not low:  # a key of 0: the vertices added before it are cut off
+            return 0, first
         root: dict[int, int] = {}  # each vertex merged away, to its keeper
-        for a, b in joined:
+        for a, b in [*joined, (s, t)]:
             while a in root:
                 a = root[a]
             while b in root:
@@ -676,12 +654,14 @@ def _lightest(adjacency: Sequence[dict[int, int]], bound: int,
             if a != b:
                 state.merge(a, b)
                 root[b] = a
-        if len(adj) > 1:
-            for v in adj.keys() & root.values():
-                degree = sum(adj[v].values())
-                if degree < bound:
-                    bound = degree
-    return bound
+        if len(adj) == 1:
+            break  # no cut lighter than the bound survived, so none was
+        for v in adj.keys() & root.values():
+            degree = sum(adj[v].values())
+            if degree < bound:
+                bound = degree
+        s, t, _, low, joined = _walk(adj, bound)
+    return bound, first
 
 
 def brute_force_mincut(graph: WeightedGraph) -> Cut:

@@ -133,23 +133,25 @@ MUTANTS = (
             "tests/test_text_reference.py::test_the_parser_matches_a_line_by_line_reference")),
     # Karger-Stein stops after its first trial, its cut unproven.
     Mutant("stop-without-proof", "mincut.py",
-           "least = _lightest(adjacency, best[0])\n        if best[0] == least:\n",
-           "least = _lightest(adjacency, best[0])\n        if True:\n",
+           "if best[0] == least:",
+           "if True:",
            ("tests/test_mincut.py::test_ks_runs_its_trials_until_the_first_that_finds_the_minimum_cut",
             "tests/test_contraction_reference.py::test_karger_stein_matches_the_reference_at_the_default_trial_count",
             "tests/test_golden.py::test_svp_stdout_matches_golden")),
-    # Karger-Stein asks the prover one unit below its first trial's cut,
-    # so a first trial that finds the minimum cut never stops the trials.
+    # Karger-Stein takes one unit below the prover's answer, so a first
+    # trial that finds the minimum cut never stops the trials.
     Mutant("stop-bound-one-short", "mincut.py",
-           "least = _lightest(adjacency, best[0])",
-           "least = _lightest(adjacency, best[0] - 1)",
+           "least = _lightest(adjacency)[0]",
+           "least = _lightest(adjacency)[0] - 1",
            ("tests/test_mincut.py::test_ks_stops_once_its_cut_is_proved_minimal",)),
-    # The prover makes its contraction attempt at a bound of 0, which
-    # runs out of neighbours on a disconnected graph.
+    # The prover's first round answers only when its own bound passes the
+    # least degree, not when it reaches it, so a least degree of 0 goes
+    # on to the contraction attempt at a bound of 0, which runs out of
+    # neighbours on a disconnected graph.
     Mutant("prover-without-zero-guard", "mincut.py",
-           "if not bound or first is not None and first[3] >= bound:",
-           "if first is not None and first[3] >= bound:",
-           ("tests/test_mincut.py::test_ks_handles_disconnected_graphs",
+           "if first[3] >= bound or",
+           "if first[3] > bound or",
+           ("tests/test_certificate.py::test_the_prover_gives_the_minimum_cut_and_its_first_round",
             "tests/test_contraction_reference.py::test_edgeless_and_disconnected_graphs_match_the_reference")),
     # A merge moves edge {u, drop}'s weight onto keep's upper-row sum, not
     # onto that of {u, keep}'s lower end.
@@ -164,35 +166,35 @@ MUTANTS = (
            ">= 2 * len(adj) ** 2:",
            ">= len(adj) ** 2:",
            ("tests/test_certificate.py::test_the_rounds_follow_the_phases_walk_rule",)),
-    # Stoer-Wagner's first phase walks at an infinite bound, so it lists
-    # no edge: sound, but its first round joins only its last two
-    # vertices, and the prover needs more rounds.
+    # The prover's first round, Stoer-Wagner's first phase, walks at an
+    # infinite bound, so it lists no edge: sound, but the round joins only
+    # its last two vertices, and the prover needs more rounds.
     Mutant("first-phase-at-infinity", "mincut.py",
-           "degree or math.inf)",
-           "math.inf)",
-           ("tests/test_contraction_reference.py::test_stoer_wagner_stops_once_no_later_phase_can_be_lighter",)),
-    # Stoer-Wagner asks the prover one unit below the least degree, so a
-    # least degree that is the minimum cut never stops the phases.
+           "_walk(view, bound or math.inf)",
+           "_walk(view, math.inf)",
+           ("tests/test_contraction_reference.py::test_stoer_wagner_stops_once_no_later_phase_can_be_lighter",
+            "tests/test_certificate.py::test_the_prover_gives_the_minimum_cut_and_its_first_round")),
+    # The prover starts one unit below the least degree, so a least
+    # degree that is the minimum cut never stops Stoer-Wagner's phases.
     Mutant("prover-below-the-degree", "mincut.py",
-           "_lightest(adjacency, degree, first)",
-           "_lightest(adjacency, degree - 1, first)",
+           "bound = min(map(sum, map(dict.values, adjacency)))",
+           "bound = min(map(sum, map(dict.values, adjacency))) - 1",
            ("tests/test_contraction_reference.py::test_stoer_wagner_stops_once_no_later_phase_can_be_lighter",)),
     # The second phase starts on the uncontracted copy, so it walks the
     # first phase again before the later phases go on.
     Mutant("second-phase-without-first-merge", "mincut.py",
-           "            state.merge(s, t)\n            while best[0] > least:",
-           "            while best[0] > least:",
+           "        state.merge(s, t)\n        while best[0] > least:",
+           "        while best[0] > least:",
            ("tests/test_contraction_reference.py::test_stoer_wagner_stops_once_no_later_phase_can_be_lighter",)),
     # The contraction tests' PR2 without its degree guard: half a degree
-    # joins a vertex whose own degree is a light cut.  At Stoer-Wagner's
-    # bound, the least degree, the guard always holds; Karger-Stein's
-    # attempt at its first trial's cut shows it.
+    # joins a vertex whose own degree is a light cut.  At the prover's
+    # bound, the least degree, the guard always holds; the attempt's own
+    # tests, at any bound, show it.
     Mutant("pr2-without-degree-guard", "mincut.py",
            "2 * w >= min(degree, w + rest) >= bound",
            "2 * w >= min(degree, w + rest)",
            ("tests/test_certificate.py::test_a_light_pendant_vertex_is_not_joined_by_its_half_degree",
-            "tests/test_certificate.py::test_never_proves_a_bound_above_the_minimum_cut",
-            "tests/test_mincut.py::test_ks_does_not_prove_a_cut_past_a_light_pendant_vertex")),
+            "tests/test_certificate.py::test_never_proves_a_bound_above_the_minimum_cut")),
     # PR4 without the joined edge's own weight: sound, but it proves less.
     Mutant("pr4-without-joined-weight", "mincut.py",
            "if not (w + paths >= bound or",
@@ -238,7 +240,7 @@ MUTANTS = (
            "                key[u] = k = k + w\n"
            "                paths += k if k < w else w\n",
            ("tests/test_certificate.py::test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut",
-            "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference_on_dense_graphs")),
+            "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference")),
     # A scan round lists (t, u) by u's key before t's weight was added,
     # not by q(t, u): sound, since that key is the q of an earlier edge
     # into u, but it joins fewer edges per round.
@@ -263,22 +265,14 @@ MUTANTS = (
            "if k >= bound:",
            "if k > bound:",
            ("tests/test_certificate.py::test_a_round_joins_the_edges_whose_q_reaches_the_bound",)),
-    # The rounds join s and t without lowering the bound to t's key,
-    # although t alone is a lighter cut.  Stoer-Wagner asks at the least
-    # degree, which no key of the rounds falls below, so Karger-Stein,
-    # which asks at its first trial's cut, is the route that shows it.
-    Mutant("rounds-join-light-last-pair", "mincut.py",
-           "        if last < bound:\n"
-           "            bound = last\n",
+    # The rounds never lower the bound to a lighter contracted degree, the
+    # only way they learn a minimum cut below the least degree, so the
+    # prover answers the least degree.
+    Mutant("rounds-degree-unlowered", "mincut.py",
+           "            if degree < bound:\n"
+           "                bound = degree\n",
            "",
-           ("tests/test_certificate.py::test_the_prover_gives_the_least_of_the_bound_and_the_minimum_cut",
-            "tests/test_mincut.py::test_ks_runs_its_trials_until_the_first_that_finds_the_minimum_cut")),
-    # The rounds lower the bound past the lighter cut they found, so the
-    # prover answers below the minimum cut.
-    Mutant("rounds-bound-past-the-cut", "mincut.py",
-           "            bound = last\n",
-           "            bound = last - 1\n",
-           ("tests/test_certificate.py::test_the_prover_gives_the_least_of_the_bound_and_the_minimum_cut",
+           ("tests/test_certificate.py::test_the_prover_gives_the_minimum_cut_and_its_first_round",
             "tests/test_certificate.py::test_the_prover_lowers_the_bound_to_each_lighter_cut")),
     # A heap walk's paths summed from keys already updated.
     Mutant("heap-key-read-after-update", "mincut.py",

@@ -2,16 +2,18 @@
 
 Both routes stop once they know the minimum cut's weight lambda:
 Stoer-Wagner at the first phase cut that weighs lambda, Karger-Stein at
-the first trial whose cut does.  lambda comes from the graph alone.
+the first trial whose cut does.  lambda comes from the graph alone, from
+one call each, made up front.
 
-The prover: `mincut._lightest(adjacency, bound)` returns exactly
-min(bound, lambda) for every bound >= 0, which brute force checks here
-on graphs of 2 to 14 vertices: sparse ones, whose rounds walk from a
-heap, dense ones, whose rounds scan, tied weights, and disconnected
-graphs, where lambda is 0.  Its rounds contract a throwaway copy by the
-edges one maximum-adjacency walk lists.  Stoer-Wagner hands it the first
-phase, walked at the least degree, as its first round; the answer is the
-same as when the prover walks that round itself.
+The prover: `mincut._lightest(adjacency)` returns exactly lambda and its
+first round, the maximum-adjacency walk at the least degree delta (at an
+infinite bound when delta is 0) that Stoer-Wagner takes as its first
+phase.  Brute force checks lambda here on graphs of 2 to 14 vertices:
+sparse ones, whose rounds walk from a heap, dense ones, whose rounds
+scan, tied weights, and disconnected graphs, where lambda is 0; either
+walk gives the same first round.  Its rounds contract a throwaway copy
+by the edges one maximum-adjacency walk lists, and they run on graphs
+whose minimum cut is lighter than every vertex's degree.
 
 The walks: `_scan_walk` and `_heap_walk` serve both the phases and the
 rounds.  On the same maps, original or contracted, they give the same
@@ -29,8 +31,8 @@ or on contracted ones; it must answer True at that weight on cycles,
 where a phase's bound proves nothing and the rounds would join one edge
 at a time, and on stars and uniform complete graphs; and an attempt must
 cost no more than one phase: it walks each neighbour map at most once.
-`stoer_wagner` runs it once, after the first phase, unless that phase's
-own bound proves its cut or reaches the least degree.
+`_lightest` runs it once, at the least degree, after its first round,
+unless that round's own bound reaches the least degree.
 """
 
 import math
@@ -148,15 +150,14 @@ def test_never_proves_a_bound_above_the_minimum_cut(graph, data):
     assert bound <= weight or not proves(graph, bound)
 
 
-def test_karger_stein_takes_the_phase_bound_as_it_is():
-    # The 8-vertex star's minimum cut, 1, is also its first phase's bound;
-    # Karger-Stein asks the prover, which gives 1 from any bound at or
-    # above it.
+def test_the_first_round_proves_the_star(monkeypatch):
+    # The 8-vertex star's minimum cut, 1, is its least degree and its
+    # first round's bound, so the prover answers with no attempt.
     adjacency = star(8, 7, [1] * 7).adjacency
     adj = dict(enumerate(adjacency))
     assert _scan_walk(adj, math.inf)[3] == _heap_walk(adj, math.inf)[3] == 1
-    for bound in range(1, 9):
-        assert _lightest(adjacency, bound) == 1
+    monkeypatch.setattr(mincut, "_cuts_at_least", None)
+    assert _lightest(adjacency)[0] == 1
 
 
 def test_a_light_pendant_vertex_is_not_joined_by_its_half_degree():
@@ -296,35 +297,24 @@ def test_a_round_joins_the_edges_whose_q_reaches_the_bound(graph, data):
 # --- the prover -------------------------------------------------------------------
 
 @settings(max_examples=800)
-@given(st.one_of(phase_graphs(most=14), graphs()), st.data())
-def test_the_prover_gives_the_least_of_the_bound_and_the_minimum_cut(graph,
-                                                                    data):
-    # At 0, just below, at and just above the minimum cut, and at a bound
-    # drawn up to about twice it.
-    weight = lightest(graph)
-    drawn = data.draw(st.integers(0, 2 * weight + 2 * graph.scale))
-    for bound in {0, max(weight - 1, 0), weight, weight + 1, drawn}:
-        assert _lightest(graph.adjacency, bound) == min(bound, weight)
-
-
-@settings(max_examples=800)
 @given(st.one_of(phase_graphs(most=14), graphs()))
-def test_the_prover_takes_the_first_phase_as_its_first_round(graph):
-    # As stoer_wagner asks it: at the least degree, with the first phase
-    # walked at that bound, or at an infinite one when it is 0.  Either
-    # walk may hand it over; they list the same edges.
+def test_the_prover_gives_the_minimum_cut_and_its_first_round(graph):
+    # The first round walks at the least degree, or at an infinite bound
+    # when that is 0; either walk gives it, listing the same edges.
     adjacency = graph.adjacency
-    degree = least_degree(dict(enumerate(adjacency)))
-    weight = lightest(graph)
-    assert _lightest(adjacency, degree) == min(degree, weight)
+    adj = dict(enumerate(adjacency))
+    degree = least_degree(adj)
+    least, first = _lightest(adjacency)
+    assert least == lightest(graph)
     for walk in (_scan_walk, _heap_walk):
-        first = walk(dict(enumerate(adjacency)), degree or math.inf)
-        assert _lightest(adjacency, degree, first) == min(degree, weight)
+        *ends, joined = walk(adj, degree or math.inf)
+        assert (*first[:4], set(first[4])) == (*ends, set(joined))
+    assert first == mincut._walk(adj, degree or math.inf)
 
 
-def walks_run(monkeypatch, graph: WeightedGraph, bound: int) -> list[str]:
-    """`_lightest(graph.adjacency, bound)`, checked against brute force,
-    and which walk each of its rounds took."""
+def walks_run(monkeypatch, graph: WeightedGraph, weight: int) -> list[str]:
+    """`_lightest(graph.adjacency)`, checked against the minimum cut's
+    `weight`, and which walk each of its rounds took, the first included."""
     run = []
 
     def counted(walk):
@@ -335,30 +325,39 @@ def walks_run(monkeypatch, graph: WeightedGraph, bound: int) -> list[str]:
 
     monkeypatch.setattr(mincut, "_scan_walk", counted(_scan_walk))
     monkeypatch.setattr(mincut, "_heap_walk", counted(_heap_walk))
-    assert _lightest(graph.adjacency, bound) == min(bound, lightest(graph))
+    assert _lightest(graph.adjacency)[0] == weight
     return run
 
 
+def chorded_cycles() -> WeightedGraph:
+    """Two 14-cycles, each with the unit chords {0, 7} and {3, 10},
+    joined by one unit edge: degrees 2 and 3, and a minimum cut of 1."""
+    return WeightedGraph.from_edges(28, [
+        (base + v, base + w, 1) for base in (0, 14)
+        for v, w in [(v, (v + 1) % 14) for v in range(14)] + [(0, 7), (3, 10)]]
+        + [(13, 14, 1)])
+
+
 def test_the_rounds_follow_the_phases_walk_rule(monkeypatch):
-    # A 14-cycle with two unit chords is sparse, so its first round walks
-    # from a heap, and its contractions turn dense; the uniform complete
-    # graph stays dense, so every round scans.  Both start from a bound
-    # above their minimum cuts, 2 and 13.
-    chorded = WeightedGraph.from_edges(14, [
-        (v, (v + 1) % 14, 1) for v in range(14)] + [(0, 7, 1), (3, 10, 1)])
-    assert walks_run(monkeypatch, chorded, 3)[0] == "_heap_walk"
-    assert set(walks_run(monkeypatch, complete(14), 14)) == {"_scan_walk"}
+    # Both graphs' minimum cut, a bridge of weight 1, is lighter than
+    # every degree, so neither the first round's own bound nor the
+    # contraction attempt answers, and the rounds run.  The chorded cycles are sparse: the rounds on 28, 22,
+    # 16 and 10 vertices, with 33, 27, 21 and 11 edges, walk from a heap,
+    # and then, contracted to 4 and 2 vertices, scan.  Two unit K7 stay
+    # dense, so every round scans.
+    assert walks_run(monkeypatch, chorded_cycles(), 1) == \
+        ["_heap_walk"] * 4 + ["_scan_walk"] * 2
+    assert lightest(two_cliques(7)) == 1
+    assert set(walks_run(monkeypatch, two_cliques(7), 1)) == {"_scan_walk"}
 
 
 @pytest.mark.parametrize("count", range(3, 13))
 def test_the_prover_lowers_the_bound_to_each_lighter_cut(count):
-    # The cycle's cut is 2, and the bound starts at 2 and at every weight
-    # above it; two cliques joined by one edge are cut only at that edge,
-    # whose weight shows as a degree once the rounds have contracted a
-    # clique.
-    for bound in range(2, 2 * count):
-        assert _lightest(cycle(count).adjacency, bound) == 2
-    assert _lightest(two_cliques(count).adjacency, count) == 1
+    # The cycle's cut is 2, its least degree; two cliques joined by one
+    # edge are cut only at that edge, whose weight shows as a degree once
+    # the rounds have contracted a clique.
+    assert _lightest(cycle(count).adjacency)[0] == 2
+    assert _lightest(two_cliques(count).adjacency)[0] == 1
 
 
 # --- completeness on cycles, complete graphs and stars -----------------------------
@@ -434,7 +433,7 @@ def walks(graph: WeightedGraph, bound: int) -> tuple[bool, list]:
     pytest.param(hypercube(7), id="cube7"),
 ])
 def test_a_failed_attempt_walks_each_map_at_most_once(graph):
-    # The bound is the least degree, as stoer_wagner passes it; on these
+    # The bound is the least degree, as `_lightest` asks it; on these
     # graphs it is also the first phase's cut.  The true minimum is lighter
     # or the tests cannot show it.
     proved, log = walks(graph, least_degree(dict(enumerate(graph.adjacency))))

@@ -284,9 +284,9 @@ def trials_run(monkeypatch, graph: WeightedGraph, trials: int, seed: int = 0):
 
 def test_ks_does_not_prove_a_cut_past_a_light_pendant_vertex(monkeypatch):
     # Vertex 4 hangs on vertex 1 by weight 1, the minimum cut.  At seed 281
-    # the first trial cuts off vertex 6, of degree 5.  The prover's attempt
-    # at 5 must not join vertex 4 by half its degree, which is itself a
-    # lighter cut, so the second trial runs and finds the pendant edge.
+    # the first trial cuts off vertex 6, of degree 5.  The prover answers
+    # 1, the pendant vertex's degree, so that cut is not taken as proved
+    # and the second trial runs and finds the pendant edge.
     graph = WeightedGraph.from_edges(8, [
         (0, 1, 5), (0, 2, 2), (0, 5, 1), (0, 6, 1), (1, 2, 3), (1, 3, 2),
         (1, 4, 1), (1, 5, 3), (2, 3, 2), (2, 5, 5), (2, 7, 5), (3, 5, 2),
@@ -320,20 +320,56 @@ def test_ks_stops_once_its_cut_is_proved_minimal(monkeypatch, graph):
     assert cut.weight == brute_force_mincut(graph).weight
 
 
+@pytest.mark.parametrize("graph", [
+    pytest.param(graph_from_gram(_gram(gen_an, 7)), id="an7"),
+    pytest.param(graph_from_gram(_gram(gen_zn, 7)), id="zn7"),
+    pytest.param(graph_from_gram(_gram(gen_anstar, 7)), id="anstar7"),
+    pytest.param(example3d_graph(), id="example3d"),
+    pytest.param(graph_from_gram(gen_random_gram(52, 7, F(1))), id="gram52"),
+])
+def test_each_route_asks_the_prover_once(monkeypatch, graph):
+    # Both routes learn the minimum cut's weight from one `_lightest` call,
+    # Karger-Stein before it draws its first trial's generator.
+    asked = []
+    lightest = mincut._lightest
+    monkeypatch.setattr(mincut, "_lightest", lambda adjacency: (
+        asked.append("prover"), lightest(adjacency))[1])
+    generator = mincut.Xoshiro256StarStar
+    monkeypatch.setattr(mincut, "Xoshiro256StarStar", lambda trial_seed: (
+        asked.append("trial"), generator(trial_seed))[1])
+    optimum = brute_force_mincut(graph).weight if graph.vertex_count <= 24 \
+        else stoer_wagner(graph).weight
+    asked.clear()
+    assert stoer_wagner(graph).weight == optimum
+    assert asked == ["prover"]
+    asked.clear()
+    cut = karger_stein(graph, 0, default_trial_count(graph.vertex_count))
+    assert cut.weight == optimum
+    assert asked[:2] == ["prover", "trial"]
+    assert asked.count("prover") == 1
+
+
 @pytest.mark.parametrize("n", [20, 40, 100])
 def test_ks_proves_a_cycle_with_no_round(monkeypatch, n):
     # A_n's Selling graph is a unit cycle on n + 1 vertices, and contracting
     # a cycle leaves a cycle, so the first trial finds a cut of weight 2.
-    # The prover's contraction attempt proves it, so no round, a walk with
-    # a finite bound, runs; the rounds alone take n - 1 on this cycle.
+    # The prover walks its first round at the least degree, 2, and its
+    # contraction attempt proves that no cut is lighter, so no further
+    # round, a walk with a finite bound, runs and the graph is not copied
+    # for the rounds; the rounds alone take n - 1 on this cycle.
     graph = graph_from_gram(_gram(gen_an, n))
     bounds = []
     walk = mincut._walk
     monkeypatch.setattr(mincut, "_walk", lambda adj, bound: (
         bounds.append(bound), walk(adj, bound))[1])
+    copied = []
+    from_adjacency = mincut._Contraction.from_adjacency.__func__
+    monkeypatch.setattr(mincut._Contraction, "from_adjacency", classmethod(
+        lambda cls, adj: (copied.append(cls), from_adjacency(cls, adj))[1]))
     cut = karger_stein(graph, 0, default_trial_count(graph.vertex_count))
     assert cut.weight == 2
-    assert [bound for bound in bounds if bound != float("inf")] == []
+    assert [bound for bound in bounds if bound != float("inf")] == [2]
+    assert mincut._Contraction not in copied
 
 
 def test_ks_runs_its_trials_until_the_first_that_finds_the_minimum_cut(
