@@ -22,16 +22,16 @@ can cross-check each other:
 The one prover, :func:`_lightest`, gives lambda exactly, from the graph
 alone, and each route asks it once, up front.  It starts from the least
 degree delta, which bounds lambda, and walks the first round, a
-maximum-adjacency order whose own bound, the path test of Padberg &
-Rinaldi (Math. Programming 47, 1990, test PR4) along the order (Stoer &
-Wagner, JACM 44(4), 1997), proves stars and uniform complete graphs.
-Else it makes one attempt of Padberg & Rinaldi's contraction tests,
-read-only on the graph's own maps, which proves cycles; else it runs the
-rounds of Nagamochi, Ono and Ibaraki (Math. Programming 67, 1994) for
-the value only, on a throwaway contracted copy.  The routes stay
-independent because each stops on a proof from the graph alone, never on
-another route's answer.  The phases and the rounds share two walks of
-one maximum-adjacency order, :func:`_scan_walk` for dense graphs and
+maximum-adjacency order (Stoer & Wagner, JACM 44(4), 1997) on the
+graph's own maps.  That walk's own bound, the path test of Padberg &
+Rinaldi (Math. Programming 47, 1990, test PR4) along the order, raised
+to a vertex's degree where their degree test PR2 allows, proves stars,
+uniform complete graphs and cycles.  Else it runs the rounds of
+Nagamochi, Ono and Ibaraki (Math. Programming 67, 1994) for the value
+only, on a throwaway contracted copy.  The routes stay independent
+because each stops on a proof from the graph alone, never on another
+route's answer.  The phases and the rounds share two walks of one
+maximum-adjacency order, :func:`_scan_walk` for dense graphs and
 :func:`_heap_walk` for sparse ones, chosen by :func:`_walk` from the
 graph's own edge count.
 
@@ -209,9 +209,10 @@ def stoer_wagner(graph: WeightedGraph) -> Cut:
     any phase, and takes the prover's first round, walked on the graph's
     own maps, as its first phase: a walk's order does not depend on its
     bound, only the edges it lists do.  That phase's cut is the best so
-    far.  Only when it weighs more than lambda does it copy the graph,
-    merge the first phase's last two vertices and walk the later phases,
-    at an infinite bound.
+    far, and on a star, a uniform complete graph or a cycle its own bound
+    proves it minimal.  Only when it weighs more than lambda does it copy
+    the graph, merge the first phase's last two vertices and walk the
+    later phases, at an infinite bound.
     """
     adjacency = graph.adjacency
     least, (s, t, phase_cut, _, _) = _lightest(adjacency)
@@ -225,64 +226,6 @@ def stoer_wagner(graph: WeightedGraph) -> Cut:
                 best = (phase_cut, state.members[t])
             state.merge(s, t)
     return Cut(tuple(sorted(best[1])), Fraction(best[0], graph.scale))
-
-
-def _cuts_at_least(adj: Mapping[int, Mapping[int, int]], bound: int) -> bool:
-    """Whether no cut of the graph weighs less than `bound` > 0, proven by
-    contraction (False when the proof fails).
-
-    `adj` is ascending and holds vertex 0, as the view `_lightest` makes
-    of the graph's maps does.  Padberg-Rinaldi tests (Math. Programming
-    47, 1990), used for the value only: the maps are read, never
-    changed.  It grows one supervertex M from vertex 0, each time joining
-    to it the first vertex x in M's map, with w = w(M, x), when one of
-    these tests shows that every cut which separates M from x weighs at
-    least `bound`:
-
-    * PR4, w + sum over u of min(w(M, u), w(x, u)) >= bound: every such
-      cut crosses the edge and one edge of each path M-u-x.  PR1,
-      w >= bound, is the case with no paths.
-    * PR2, 2 w >= min(d(M), d(x)) >= bound for the degrees d: such a cut
-      is the smaller-degree endpoint alone, which weighs at least
-      `bound`, or moving that endpoint across gives a cut no heavier that
-      keeps M and x together.
-
-    So each join keeps min(bound, lightest cut), and every cut of the
-    contracted graph is a cut of the original.  The degree of each new M
-    is such a cut; one below `bound` ends the attempt, so d(M) stays at
-    least `bound`.  Once two vertices are left, their one cut is d(M), and
-    no cut of the original weighs less than `bound`.
-
-    A join walks x's map once, and the tests need nothing else: the walk
-    skips the vertices already in M, whose weights make up w, and sums
-    the paths and the rest of d(x) while it adds x's weights to M's map.
-    No map is walked twice, so an attempt, failed or not, walks at most
-    2|E| entries, vertex 0's copy included: no more than a phase.
-    """
-    kept = dict(adj[0])  # w(M, u) for each u outside M
-    inside = [False] * (next(reversed(adj)) + 1)
-    inside[0] = True
-    degree = sum(kept.values())  # d(M)
-    if degree < bound:
-        return False
-    for _ in range(len(adj) - 2):
-        x = next(iter(kept))  # d(M) >= bound > 0, so M has a neighbour
-        w = kept.pop(x)
-        inside[x] = True
-        paths = rest = 0  # rest: d(x) - w
-        for u, wu in adj[x].items():
-            if inside[u]:
-                continue
-            k = kept.get(u, 0)
-            paths += k if k < wu else wu
-            rest += wu
-            kept[u] = k + wu
-        if not (w + paths >= bound or 2 * w >= min(degree, w + rest) >= bound):
-            return False
-        degree += rest - w
-        if degree < bound:
-            return False
-    return True
 
 
 def _walk(adj: dict[int, dict[int, int]], bound: float) -> _Order:
@@ -302,16 +245,19 @@ def _scan_walk(adj: dict[int, dict[int, int]], bound: float) -> _Order:
     equal keys.  After each added vertex t, one walk over the keys left
     adds t's weights to the keys it reaches, sums t's paths, min(key,
     weight) with each key read before its update, and finds the next
-    vertex.  s and t are the last two vertices added; low is the least key
-    plus paths of any vertex added after the first (see `_lightest`).
-    joined lists each edge (t, u) whose q, u's key just after t's weight
-    is added, reaches `bound` (see `_lightest`).  Such a key is at most
-    the largest key left, so t's map is read for them only when that key
-    reaches `bound`: the phases after the first, whose bound is infinite,
-    pay one test per vertex.  The bound changes only `joined`, never the
-    order.  `key` is built ascending and only ever popped, so the walk
-    meets the keys in ascending order, and the first largest key it meets
-    is the lowest index among the largest.
+    vertex.  s and t are the last two vertices added; low is the least,
+    over the vertices added after the first, of key plus paths, or of the
+    vertex's degree where the PR2 test lets it (see `_lightest`).  Only a
+    vertex whose key plus paths is below the least so far can lower low,
+    so only its degree is summed.  joined lists each edge (t, u) whose q,
+    u's key just after t's weight is added, reaches `bound` (see
+    `_lightest`).  Such a key is at most the largest key left, so t's map
+    is read for them only when that key reaches `bound`: the phases after
+    the first, whose bound is infinite, pay one test per vertex.  The
+    bound changes only `joined`, never the order.  `key` is built
+    ascending and only ever popped, so the walk meets the keys in
+    ascending order, and the first largest key it meets is the lowest
+    index among the largest.
     """
     key = dict.fromkeys(adj, 0)
     t = next(iter(key))
@@ -337,8 +283,12 @@ def _scan_walk(adj: dict[int, dict[int, int]], bound: float) -> _Order:
                 top, v = k, u
         if top >= bound:  # an edge of t may reach it
             joined += [(t, u) for u in nbrs if key.get(u, 0) >= bound]
-        if last + paths < low:
-            low = last + paths
+        least = last + paths
+        if least < low:
+            degree = sum(nbrs.values())
+            if least < degree <= 2 * last:
+                least = degree if degree < low else low
+            low = least
     return s, t, last, low, joined
 
 
@@ -350,8 +300,8 @@ def _heap_walk(adj: dict[int, dict[int, int]], bound: float) -> _Order:
     lowest index first; a stale entry is below its vertex's key and is
     skipped.  When the heap is empty every key left is 0, and the lowest
     unreached vertex goes next.  The walk over an added vertex's
-    neighbours sums its paths as `_scan_walk`'s does, and lists each edge
-    whose q, the key it has just pushed, reaches `bound`.
+    neighbours sums its paths, which lower `low` as in `_scan_walk`, and
+    lists each edge whose q, the key it has just pushed, reaches `bound`.
     """
     key = dict.fromkeys(adj, 0)
     t = next(iter(key))
@@ -378,8 +328,12 @@ def _heap_walk(adj: dict[int, dict[int, int]], bound: float) -> _Order:
                 heappush(heap, (-k, u))
                 if k >= bound:
                     joined.append((v, u))
-        if last + paths < low:
-            low = last + paths
+        least = last + paths
+        if least < low:
+            degree = sum(adj[v].values())
+            if least < degree <= 2 * last:
+                least = degree if degree < low else low
+            low = least
     return s, t, last, low, joined
 
 
@@ -567,8 +521,8 @@ def karger_stein(graph: WeightedGraph, seed: int, trials: int) -> Cut:
     that much: every later trial could at most tie, and a tie never
     replaces the best cut, so the result is the `Cut` of running them all;
     skipping a trial changes no other trial's draws.  The prover's first
-    round proves a star's or a uniform complete graph's lambda, and its
-    contraction attempt a cycle's, with no more rounds.
+    round proves a star's, a uniform complete graph's or a cycle's lambda,
+    with no more rounds.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -605,15 +559,20 @@ def _lightest(adjacency: Sequence[dict[int, int]]) -> tuple[int, _Order]:
     i >= 1: the cut separates M_i from v_i, so it crosses the M_i-v_i
     edges, of weight r_i, and for every other vertex u either the M_i-u
     or the v_i-u edges (the path test PR4 of Padberg and Rinaldi, Math.
-    Programming 47, 1990, on the maximum-adjacency order).  So no cut of
-    H weighs less than low = min_{i>=1} (r_i + paths_i), and delta is the
-    answer once low reaches it: on a star, on a complete graph with equal
-    weights, and always at a delta of 0.  Otherwise one attempt of
-    `_cuts_at_least`, on the same view, may prove that no cut is lighter
-    than delta, which it does on cycles.  Else the rounds of Nagamochi
-    and Ibaraki (SIAM J. Discrete Math. 5, 1992), as Nagamochi, Ono and
-    Ibaraki run them (Math. Programming 67, 1994), decide it on a
-    throwaway copy of `adjacency`, starting with `first`.
+    Programming 47, 1990, on the maximum-adjacency order).  Their degree
+    test PR2 raises v_i's term to its degree d(v_i) in H when r_i +
+    paths_i < d(v_i) <= 2 r_i: a cut whose first added vertex outside S
+    is v_i either is {v_i} alone, of weight d(v_i), or moving v_i into S
+    gives a cut no heavier, since w(v_i, S) >= r_i, whose first added
+    vertex outside S comes later.  So the moves lead from any cut to one
+    no heavier that some term bounds, and no cut of H weighs less than
+    low, the least term over i >= 1, which is never below min_{i>=1}
+    (r_i + paths_i).  delta is the answer once low reaches it: on a star,
+    on a complete graph with equal weights, on a cycle, and always at a
+    delta of 0.  Else the rounds of Nagamochi and Ibaraki (SIAM J.
+    Discrete Math. 5, 1992), as Nagamochi, Ono and Ibaraki run them (Math.
+    Programming 67, 1994), decide it on a throwaway copy of `adjacency`,
+    starting with `first`.
 
     Each round is one walk of a maximum-adjacency order, by `_walk`'s
     rule.  Give each edge e = (v, u), v added first, the value q(e): u's
@@ -637,7 +596,7 @@ def _lightest(adjacency: Sequence[dict[int, int]]) -> tuple[int, _Order]:
     view = dict(enumerate(adjacency))
     bound = min(map(sum, map(dict.values, adjacency)))
     first = _walk(view, bound or math.inf)
-    if first[3] >= bound or _cuts_at_least(view, bound):
+    if first[3] >= bound:
         return bound, first
     state = _Contraction.from_adjacency(adjacency)
     adj = state.adj

@@ -145,14 +145,16 @@ MUTANTS = (
            "least = _lightest(adjacency)[0] - 1",
            ("tests/test_mincut.py::test_ks_stops_once_its_cut_is_proved_minimal",)),
     # The prover's first round answers only when its own bound passes the
-    # least degree, not when it reaches it, so a least degree of 0 goes
-    # on to the contraction attempt at a bound of 0, which runs out of
-    # neighbours on a disconnected graph.
+    # least degree, not when it reaches it: sound, since the rounds then
+    # stop before their first, but a first round that proves the least
+    # degree, a star's, a cycle's or a complete graph's, copies the graph
+    # for nothing.
     Mutant("prover-without-zero-guard", "mincut.py",
-           "if first[3] >= bound or",
-           "if first[3] > bound or",
-           ("tests/test_certificate.py::test_the_prover_gives_the_minimum_cut_and_its_first_round",
-            "tests/test_contraction_reference.py::test_edgeless_and_disconnected_graphs_match_the_reference")),
+           "if first[3] >= bound:",
+           "if first[3] > bound:",
+           ("tests/test_certificate.py::test_the_first_round_proves_the_star",
+            "tests/test_mincut.py::test_ks_proves_a_cycle_with_no_round",
+            "tests/test_contraction_reference.py::test_stoer_wagner_stops_once_no_later_phase_can_be_lighter")),
     # A merge moves edge {u, drop}'s weight onto keep's upper-row sum, not
     # onto that of {u, keep}'s lower end.
     Mutant("merge-onto-keep-row", "mincut.py",
@@ -186,35 +188,14 @@ MUTANTS = (
            "        state.merge(s, t)\n        while best[0] > least:",
            "        while best[0] > least:",
            ("tests/test_contraction_reference.py::test_stoer_wagner_stops_once_no_later_phase_can_be_lighter",)),
-    # The contraction tests' PR2 without its degree guard: half a degree
-    # joins a vertex whose own degree is a light cut.  At the prover's
-    # bound, the least degree, the guard always holds; the attempt's own
-    # tests, at any bound, show it.
-    Mutant("pr2-without-degree-guard", "mincut.py",
-           "2 * w >= min(degree, w + rest) >= bound",
-           "2 * w >= min(degree, w + rest)",
-           ("tests/test_certificate.py::test_a_light_pendant_vertex_is_not_joined_by_its_half_degree",
-            "tests/test_certificate.py::test_never_proves_a_bound_above_the_minimum_cut")),
-    # PR4 without the joined edge's own weight: sound, but it proves less.
-    Mutant("pr4-without-joined-weight", "mincut.py",
-           "if not (w + paths >= bound or",
-           "if not (paths >= bound or",
-           ("tests/test_certificate.py::test_proves_the_uniform_complete_graph",
-            "tests/test_certificate.py::test_the_two_cliques_fail_at_the_bridge")),
-    # A joined supervertex's degree, itself a cut, not checked.
-    Mutant("joined-degree-unchecked", "mincut.py",
-           "        degree += rest - w\n        if degree < bound:\n"
-           "            return False\n",
-           "        degree += rest - w\n",
-           ("tests/test_certificate.py::test_a_light_degree_of_the_joined_vertex_ends_the_attempt",
-            "tests/test_certificate.py::test_never_proves_a_bound_above_the_minimum_cut",
-            "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference")),
     # A scan walk's `low` as the largest key plus paths, not the least.
     Mutant("scan-low-by-max", "mincut.py",
            "key.get(u, 0) >= bound]\n"
-           "        if last + paths < low:",
+           "        least = last + paths\n"
+           "        if least < low:",
            "key.get(u, 0) >= bound]\n"
-           "        if low == math.inf or last + paths > low:",
+           "        least = last + paths\n"
+           "        if low == math.inf or least > low:",
            ("tests/test_certificate.py::test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut",
             "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference")),
     # A scan walk adds the last of the largest keys, not the first, so
@@ -226,11 +207,50 @@ MUTANTS = (
     # A heap walk's `low` as the largest key plus paths, not the least.
     Mutant("heap-low-by-max", "mincut.py",
            "                    joined.append((v, u))\n"
-           "        if last + paths < low:",
+           "        least = last + paths\n"
+           "        if least < low:",
            "                    joined.append((v, u))\n"
-           "        if low == math.inf or last + paths > low:",
+           "        least = last + paths\n"
+           "        if low == math.inf or least > low:",
            ("tests/test_certificate.py::test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut",
             "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference_when_it_stops_early")),
+    # A scan walk's PR2 at three times the key, not twice: moving the
+    # vertex across a cut may then make it heavier, so its degree can
+    # pass the minimum cut.
+    Mutant("scan-pr2-at-three-keys", "mincut.py",
+           "sum(nbrs.values())\n"
+           "            if least < degree <= 2 * last:",
+           "sum(nbrs.values())\n"
+           "            if least < degree <= 3 * last:",
+           ("tests/test_certificate.py::test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut",
+            "tests/test_certificate.py::test_the_prover_gives_the_minimum_cut_and_its_first_round")),
+    # The same in a heap walk.
+    Mutant("heap-pr2-at-three-keys", "mincut.py",
+           "sum(adj[v].values())\n"
+           "            if least < degree <= 2 * last:",
+           "sum(adj[v].values())\n"
+           "            if least < degree <= 3 * last:",
+           ("tests/test_certificate.py::test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut",
+            "tests/test_certificate.py::test_the_prover_gives_the_minimum_cut_and_its_first_round")),
+    # A scan walk's `low` by PR4 alone: sound, but a cycle's first round
+    # reads 1, not 2, and the rounds must prove it.
+    Mutant("scan-without-pr2", "mincut.py",
+           "            degree = sum(nbrs.values())\n"
+           "            if least < degree <= 2 * last:\n"
+           "                least = degree if degree < low else low\n",
+           "",
+           ("tests/test_certificate.py::test_pr2_lifts_the_cycle_s_bound_from_one_to_two",
+            "tests/test_certificate.py::test_proves_the_cycle")),
+    # The same in a heap walk, which walks the large cycles: A_n's
+    # Selling graph then needs its rounds.
+    Mutant("heap-without-pr2", "mincut.py",
+           "            degree = sum(adj[v].values())\n"
+           "            if least < degree <= 2 * last:\n"
+           "                least = degree if degree < low else low\n",
+           "",
+           ("tests/test_certificate.py::test_pr2_lifts_the_cycle_s_bound_from_one_to_two",
+            "tests/test_certificate.py::test_proves_the_family_graphs",
+            "tests/test_mincut.py::test_ks_proves_a_cycle_with_no_round")),
     # A scan walk's paths summed from keys already updated.
     Mutant("scan-key-read-after-update", "mincut.py",
            "            if w:\n"

@@ -20,19 +20,17 @@ rounds.  On the same maps, original or contracted, they give the same
 (s, t, last key, low) and list the same edges: exactly the edges e whose
 q(e), the key of e's later end just after e's weight is added, reaches
 the bound, as a plain maximum-adjacency order defines them.  The bound
-changes nothing else.  `low`, the least over the vertices added after
-the first of key plus paths, lies between the smallest of those keys and
-the true minimum cut, which brute force gives here.
+changes nothing else.
 
-The contraction certificate: `mincut._cuts_at_least(adj, bound)` answers
-True only when no cut of the graph weighs less than `bound`.  It must
-never answer True above the true minimum cut weight, on the original maps
-or on contracted ones; it must answer True at that weight on cycles,
-where a phase's bound proves nothing and the rounds would join one edge
-at a time, and on stars and uniform complete graphs; and an attempt must
-cost no more than one phase: it walks each neighbour map at most once.
-`_lightest` runs it once, at the least degree, after its first round,
-unless that round's own bound reaches the least degree.
+The walk's bound: `low` takes, for each vertex added after the first,
+its key plus paths (Padberg and Rinaldi's PR4), or its degree where the
+PR2 test lets it, and keeps the least.  It lies between the PR4 bound
+of a plain maximum-adjacency order, itself at least the smallest key,
+and the true minimum cut, which brute force gives here.  The first
+round's `low` must reach the minimum cut on cycles, where PR4 alone
+proves nothing and the rounds would join one edge at a time, and on
+stars and uniform complete graphs, so that `_lightest` answers from its
+first round.
 """
 
 import math
@@ -48,19 +46,16 @@ from latcut import (  # noqa: E402
     brute_force_mincut,
     gen_an,
     gen_anstar,
-    gen_random_gram,
     graph_from_gram,
     selling_parameters,
 )
 from latcut import mincut  # noqa: E402
 from latcut.mincut import (  # noqa: E402
     _Contraction,
-    _cuts_at_least,
     _heap_walk,
     _lightest,
     _scan_walk,
 )
-from conftest import hypercube  # noqa: E402
 
 F = Fraction
 
@@ -74,8 +69,10 @@ def lightest(graph: WeightedGraph) -> int:
 
 
 def proves(graph: WeightedGraph, bound: int) -> bool:
-    """`_cuts_at_least` on the graph's maps, keyed as `stoer_wagner`'s."""
-    return _cuts_at_least(dict(enumerate(graph.adjacency)), bound)
+    """Whether the first round's `low`, walked by both walks at the least
+    degree on the graph's maps as `_lightest` walks it, reaches `bound`."""
+    adj = dict(enumerate(graph.adjacency))
+    return both_walks(adj, least_degree(adj) or math.inf)[3] >= bound
 
 
 @st.composite
@@ -131,60 +128,12 @@ def star(count: int, centre: int, weights) -> WeightedGraph:
 
 def two_cliques(size: int) -> WeightedGraph:
     """Two unit-weight complete graphs on 0..size-1 and size..2 size-1,
-    joined by one unit edge {size-1, size}: the attempt joins the whole
-    first clique before the bridge shows a light cut."""
+    joined by one unit edge {size-1, size}: a cut lighter than every
+    degree."""
     return WeightedGraph.from_edges(2 * size, [
         (i + base, j + base, 1) for base in (0, size)
         for i in range(size) for j in range(i + 1, size)]
         + [(size - 1, size, 1)])
-
-
-# --- soundness ---------------------------------------------------------------------
-
-@settings(max_examples=1500)
-@given(graphs(), st.data())
-def test_never_proves_a_bound_above_the_minimum_cut(graph, data):
-    weight = lightest(graph)
-    assert not proves(graph, weight + 1)
-    bound = data.draw(st.integers(1, weight + 2 * graph.scale))
-    assert bound <= weight or not proves(graph, bound)
-
-
-def test_the_first_round_proves_the_star(monkeypatch):
-    # The 8-vertex star's minimum cut, 1, is its least degree and its
-    # first round's bound, so the prover answers with no attempt.
-    adjacency = star(8, 7, [1] * 7).adjacency
-    adj = dict(enumerate(adjacency))
-    assert _scan_walk(adj, math.inf)[3] == _heap_walk(adj, math.inf)[3] == 1
-    monkeypatch.setattr(mincut, "_cuts_at_least", None)
-    assert _lightest(adjacency)[0] == 1
-
-
-def test_a_light_pendant_vertex_is_not_joined_by_its_half_degree():
-    # Vertex 2 hangs on vertex 0 by weight 1: 2 w >= d(2), but d(2) = 1 is
-    # itself a cut below the bound 2.
-    graph = WeightedGraph.from_edges(3, [(0, 2, 1), (0, 1, 3)])
-    assert lightest(graph) == 1
-    assert not proves(graph, 2)
-    assert proves(graph, 1)
-
-
-def test_a_light_degree_of_the_joined_vertex_ends_the_attempt():
-    # Joining 1 to 0 passes the tests (w = 5), but leaves a degree of 1.
-    graph = WeightedGraph.from_edges(3, [(0, 1, 5), (1, 2, 1)])
-    assert lightest(graph) == 1
-    assert not proves(graph, 2)
-
-
-@settings(max_examples=500)
-@given(graphs(), st.data())
-def test_never_proves_a_bound_above_the_minimum_cut_of_a_contraction(graph, data):
-    # Sound on contracted maps too, which keep vertex 0 and their order.
-    state = contracted(graph, data)
-    weight = lightest(relabelled(state))
-    assert not _cuts_at_least(state.adj, weight + 1)
-    bound = data.draw(st.integers(1, weight + 2))
-    assert bound <= weight or not _cuts_at_least(state.adj, bound)
 
 
 # --- the walks ----------------------------------------------------------------------
@@ -232,6 +181,16 @@ def maximum_adjacency(adj) -> tuple[list[int], list[int]]:
     return order, keys
 
 
+def path_bound(adj) -> int:
+    """PR4 alone along the plain order: the least, over the vertices v
+    added after the first, of v's key plus, for each vertex u added after
+    v, the lighter of u's weight to the vertices before v and to v."""
+    order, keys = maximum_adjacency(adj)
+    return min(keys[i - 1] + sum(
+        min(sum(adj[u].get(x, 0) for x in order[:i]), adj[u].get(order[i], 0))
+        for u in order[i + 1:]) for i in range(1, len(order)))
+
+
 def both_walks(adj, bound):
     """What `_scan_walk` and `_heap_walk` give on the same maps, with the
     edges listed as a set: they must agree, and only the order in which
@@ -252,7 +211,19 @@ def test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut(graph, data):
     assert not joined
     order, keys = maximum_adjacency(state.adj)
     assert (s, t, phase_cut) == (order[-2], order[-1], keys[-1])
-    assert min(keys) <= low <= lightest(relabelled(state))
+    # PR2 only ever raises a vertex's term above PR4's.
+    assert min(keys) <= path_bound(state.adj) <= low
+    assert low <= lightest(relabelled(state))
+
+
+@pytest.mark.parametrize("count", [4, 5, 12, 40])
+def test_pr2_lifts_the_cycle_s_bound_from_one_to_two(count):
+    # Past the triangle, the cycle's first added vertex after 0 has key 1
+    # and no path to add, so PR4 alone reads 1; its degree, 2, is at most
+    # twice its key, so PR2 reads 2, the minimum cut.
+    adj = dict(enumerate(cycle(count).adjacency))
+    assert path_bound(adj) == 1
+    assert both_walks(adj, math.inf)[3] == both_walks(adj, 2)[3] == 2
 
 
 def least_degree(adj) -> int:
@@ -312,6 +283,17 @@ def test_the_prover_gives_the_minimum_cut_and_its_first_round(graph):
     assert first == mincut._walk(adj, degree or math.inf)
 
 
+def test_the_first_round_proves_the_star(monkeypatch):
+    # The 8-vertex star's minimum cut, 1, is its least degree and its
+    # first round's bound, so the prover answers with no further round and
+    # no copy.
+    adjacency = star(8, 7, [1] * 7).adjacency
+    adj = dict(enumerate(adjacency))
+    assert _scan_walk(adj, math.inf)[3] == _heap_walk(adj, math.inf)[3] == 1
+    monkeypatch.setattr(mincut, "_Contraction", None)
+    assert _lightest(adjacency)[0] == 1
+
+
 def walks_run(monkeypatch, graph: WeightedGraph, weight: int) -> list[str]:
     """`_lightest(graph.adjacency)`, checked against the minimum cut's
     `weight`, and which walk each of its rounds took, the first included."""
@@ -340,8 +322,8 @@ def chorded_cycles() -> WeightedGraph:
 
 def test_the_rounds_follow_the_phases_walk_rule(monkeypatch):
     # Both graphs' minimum cut, a bridge of weight 1, is lighter than
-    # every degree, so neither the first round's own bound nor the
-    # contraction attempt answers, and the rounds run.  The chorded cycles are sparse: the rounds on 28, 22,
+    # every degree, so the first round's own bound cannot answer, and the
+    # rounds run.  The chorded cycles are sparse: the rounds on 28, 22,
     # 16 and 10 vertices, with 33, 27, 21 and 11 edges, walk from a heap,
     # and then, contracted to 4 and 2 vertices, scan.  Two unit K7 stay
     # dense, so every round scans.
@@ -400,64 +382,3 @@ def test_proves_the_family_graphs(gen, n):
     bound = 2 if gen is gen_an else n
     assert proves(graph, bound)
     assert not proves(graph, bound + 1)
-
-
-# --- work: one phase at most --------------------------------------------------------
-
-class _Walked(dict):
-    """A neighbour map that records each walk over its entries."""
-
-    def __init__(self, vertex, nbrs, log):
-        super().__init__(nbrs)
-        self.vertex, self.log = vertex, log
-
-    def items(self):
-        self.log.append((self.vertex, len(self)))
-        return super().items()
-
-
-def first_phase_cut(graph: WeightedGraph) -> int:
-    adj = _Contraction.from_adjacency(graph.adjacency).adj
-    return _scan_walk(adj, math.inf)[2]
-
-
-def walks(graph: WeightedGraph, bound: int) -> tuple[bool, list]:
-    log: list[tuple[int, int]] = []
-    adj = {v: _Walked(v, nbrs, log) for v, nbrs in enumerate(graph.adjacency)}
-    return _cuts_at_least(adj, bound), log
-
-
-@pytest.mark.parametrize("graph", [
-    pytest.param(graph_from_gram(gen_random_gram(200, 1, F(1))), id="gram200"),
-    pytest.param(two_cliques(40), id="cliques40"),
-    pytest.param(hypercube(7), id="cube7"),
-])
-def test_a_failed_attempt_walks_each_map_at_most_once(graph):
-    # The bound is the least degree, as `_lightest` asks it; on these
-    # graphs it is also the first phase's cut.  The true minimum is lighter
-    # or the tests cannot show it.
-    proved, log = walks(graph, least_degree(dict(enumerate(graph.adjacency))))
-    assert not proved
-    walked = [v for v, _ in log]
-    assert len(walked) == len(set(walked))
-    edges = sum(map(len, graph.adjacency)) // 2
-    # Vertex 0's map is also copied once, with its degree summed.
-    touched = sum(size for _, size in log) + len(graph.adjacency[0])
-    assert touched <= edges + graph.vertex_count
-
-
-def test_the_two_cliques_fail_at_the_bridge():
-    graph = two_cliques(40)
-    assert first_phase_cut(graph) == 39
-    proved, log = walks(graph, 39)
-    assert not proved
-    # Every vertex of the first clique but 0 joined; none of the second.
-    assert sorted(v for v, _ in log) == list(range(1, 40))
-
-
-def test_a_proof_walks_each_map_at_most_once():
-    graph = complete(30)
-    proved, log = walks(graph, 29)
-    assert proved
-    walked = [v for v, _ in log]
-    assert len(walked) == len(set(walked)) == 28

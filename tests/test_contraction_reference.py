@@ -430,55 +430,45 @@ def test_stoer_wagner_matches_the_reference_when_it_stops_early(graph):
     assert mincut.stoer_wagner(graph) == stoer_wagner(graph)
 
 
-@pytest.mark.parametrize("graph, walks, attempts, copies", [
-    pytest.param(graph_from_gram(selling_parameters(gen_zn(200))), 1, 0, 0,
+@pytest.mark.parametrize("graph, walks, copies", [
+    pytest.param(graph_from_gram(selling_parameters(gen_zn(200))), 1, 0,
                  id="zn200"),
-    pytest.param(graph_from_gram(selling_parameters(gen_an(20))), 1, 1, 0,
+    pytest.param(graph_from_gram(selling_parameters(gen_an(20))), 1, 0,
                  id="an20"),
-    pytest.param(graph_from_gram(selling_parameters(gen_anstar(20))), 1, 0, 0,
+    pytest.param(graph_from_gram(selling_parameters(gen_anstar(20))), 1, 0,
                  id="anstar20"),
-    pytest.param(hypercube(4), 7, 1, 1, id="cube4"),
-    pytest.param(graph_from_gram(gen_random_gram(52, 7, F(1))), 2, 1, 1,
+    pytest.param(hypercube(4), 7, 1, id="cube4"),
+    pytest.param(graph_from_gram(gen_random_gram(52, 7, F(1))), 2, 1,
                  id="gram52"),
-    pytest.param(graph_from_gram(gen_random_gram(7, 2, F(1))), 2, 0, 1,
+    pytest.param(graph_from_gram(gen_random_gram(7, 2, F(1))), 2, 1,
                  id="gram7"),
 ])
 def test_stoer_wagner_stops_once_no_later_phase_can_be_lighter(
-        monkeypatch, graph, walks, attempts, copies):
+        monkeypatch, graph, walks, copies):
     # A phase's bound is the least, over its added vertices v, of v's key
     # plus the paths of length two from the vertices added before v to
-    # each vertex not yet added.  It proves the star's weight-1 cut and
-    # the complete graph's in their first phase, with no contraction
-    # test.  The cycle's first phase proves nothing, but one contraction
-    # attempt proves its cut.  The first phase walks at the least degree,
-    # so it is also the prover's first round: the hypercube has no
-    # triangle and no edge of half a degree, so its one attempt fails, and
-    # 6 more rounds prove the first phase's cut minimal, where running
-    # every phase takes 15 walks.  The 52-vertex Gram graph's first phase
-    # also finds its minimum cut, which its attempt cannot prove and one
-    # more round does.  The 7-vertex Gram graph's first phase proves, by
-    # its own bound, that the least degree is the minimum cut, and the
-    # second phase finds it.  Only the rounds and the phases after the
-    # first copy the graph, once each.
+    # each vertex not yet added, or of v's degree where that is at most
+    # twice v's key.  It proves the star's weight-1 cut, the complete
+    # graph's and, by the degrees, the cycle's in their first phase.  The
+    # first phase walks at the least degree, so it is also the prover's
+    # first round: the hypercube has no triangle and no edge of half a
+    # degree, so 6 more rounds prove the first phase's cut minimal, where
+    # running every phase takes 15 walks.  The 52-vertex Gram graph's
+    # first phase also finds its minimum cut, which one more round
+    # proves.  The 7-vertex Gram graph's first phase proves, by its own
+    # bound, that the least degree is the minimum cut, and the second
+    # phase finds it.  Only the rounds and the phases after the first
+    # copy the graph, once each.
     bounds = []
     walk = mincut._walk
     monkeypatch.setattr(mincut, "_walk", lambda adj, bound: (
         bounds.append(bound), walk(adj, bound))[1])
-    tried = []
-    cuts_at_least = mincut._cuts_at_least
-
-    def attempt(adj, bound):
-        tried.append(bound)
-        return cuts_at_least(adj, bound)
-
-    monkeypatch.setattr(mincut, "_cuts_at_least", attempt)
     copied = []
     from_adjacency = mincut._Contraction.from_adjacency.__func__
     monkeypatch.setattr(mincut._Contraction, "from_adjacency", classmethod(
         lambda cls, adj: (copied.append(cls), from_adjacency(cls, adj))[1]))
     assert mincut.stoer_wagner(graph) == stoer_wagner(graph)
     assert len(bounds) == walks
-    assert len(tried) == attempts
     assert len(copied) == copies
 
 
@@ -609,9 +599,9 @@ def benchmark_plan(workload: str, seed: int):
     pytest.param(inst, id=f"n{inst.n}-d{inst.density}")
     for inst in benchmark_plan("dense_gram", 1) if inst.command == ("svp",)])
 def test_stoer_wagner_matches_the_reference_on_the_dense_gram_plan(inst):
-    # Most of these runs end at their first phase, proved by its own path
-    # bound, by one contraction attempt or by the rounds; on the rest the
-    # phases stop at the first cut that the rounds show minimal.
+    # Most of these runs end at their first phase, proved by its own
+    # bound or by the rounds; on the rest the phases stop at the first cut
+    # that the rounds show minimal.
     graph = graph_from_gram(
         gen_random_gram(inst.n, inst.seed, Fraction(inst.density)))
     assert mincut.stoer_wagner(graph) == stoer_wagner(graph)

@@ -353,10 +353,11 @@ def test_each_route_asks_the_prover_once(monkeypatch, graph):
 def test_ks_proves_a_cycle_with_no_round(monkeypatch, n):
     # A_n's Selling graph is a unit cycle on n + 1 vertices, and contracting
     # a cycle leaves a cycle, so the first trial finds a cut of weight 2.
-    # The prover walks its first round at the least degree, 2, and its
-    # contraction attempt proves that no cut is lighter, so no further
-    # round, a walk with a finite bound, runs and the graph is not copied
-    # for the rounds; the rounds alone take n - 1 on this cycle.
+    # The prover walks its first round at the least degree, 2, and that
+    # round's own bound, each vertex's degree by PR2, proves that no cut
+    # is lighter, so no further round, a walk with a finite bound, runs
+    # and the graph is not copied for the rounds; the rounds alone take
+    # n - 1 on this cycle.
     graph = graph_from_gram(_gram(gen_an, n))
     bounds = []
     walk = mincut._walk
