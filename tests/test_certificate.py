@@ -46,6 +46,7 @@ from latcut import (  # noqa: E402
     brute_force_mincut,
     gen_an,
     gen_anstar,
+    gen_random_gram,
     graph_from_gram,
     selling_parameters,
 )
@@ -56,6 +57,7 @@ from latcut.mincut import (  # noqa: E402
     _lightest,
     _scan_walk,
 )
+from conftest import hypercube  # noqa: E402
 
 F = Fraction
 
@@ -134,6 +136,64 @@ def two_cliques(size: int) -> WeightedGraph:
         (i + base, j + base, 1) for base in (0, size)
         for i in range(size) for j in range(i + 1, size)]
         + [(size - 1, size, 1)])
+
+
+# --- soundness ---------------------------------------------------------------------
+
+@settings(max_examples=1500)
+@given(graphs(), st.data())
+def test_never_proves_a_bound_above_the_minimum_cut(graph, data):
+    weight = lightest(graph)
+    assert not proves(graph, weight + 1)
+    bound = data.draw(st.integers(1, weight + 2 * graph.scale))
+    assert bound <= weight or not proves(graph, bound)
+
+
+@settings(max_examples=500)
+@given(graphs(), st.data())
+def test_never_proves_a_bound_above_the_minimum_cut_of_a_contraction(graph, data):
+    # Sound on contracted maps too, which keep vertex 0 and their order,
+    # walked at their least degree as a later round walks them.
+    state = contracted(graph, data)
+    weight = lightest(relabelled(state))
+    low = both_walks(state.adj, least_degree(state.adj) or math.inf)[3]
+    assert low <= weight
+    bound = data.draw(st.integers(1, weight + 2))
+    assert bound <= weight or low < bound
+
+
+def test_a_light_pendant_vertex_is_not_joined_by_its_half_degree():
+    # Vertex 2 hangs on vertex 0 by weight 1: its degree is at most twice
+    # its key, but it is its key, itself a cut below the bound 2, so PR2
+    # does not lift its term.
+    graph = WeightedGraph.from_edges(3, [(0, 2, 1), (0, 1, 3)])
+    assert lightest(graph) == 1
+    assert not proves(graph, 2)
+    assert proves(graph, 1)
+
+
+def test_a_lifted_term_does_not_hide_a_lighter_degree():
+    # Vertex 1, key 5, is lifted by PR2 to its degree 6, but vertex 2,
+    # added after it, keeps its term, its degree 1, the minimum cut.
+    graph = WeightedGraph.from_edges(3, [(0, 1, 5), (1, 2, 1)])
+    adj = dict(enumerate(graph.adjacency))
+    assert lightest(graph) == 1
+    assert path_bound(adj) == 1
+    assert not proves(graph, 2)
+    assert proves(graph, 1)
+
+
+def test_the_two_cliques_fail_at_the_bridge():
+    # Each clique's degrees are 39 and the first phase's cut is 39, but
+    # the bridge, of weight 1, is lighter: the first round's `low` must
+    # not reach the least degree, and the rounds find the bridge.
+    graph = two_cliques(40)
+    adj = dict(enumerate(graph.adjacency))
+    assert least_degree(adj) == 39
+    assert both_walks(adj, 39)[2] == 39
+    assert not proves(graph, 39)
+    assert not proves(graph, 2)
+    assert _lightest(graph.adjacency)[0] == 1
 
 
 # --- the walks ----------------------------------------------------------------------
@@ -382,3 +442,48 @@ def test_proves_the_family_graphs(gen, n):
     bound = 2 if gen is gen_an else n
     assert proves(graph, bound)
     assert not proves(graph, bound + 1)
+
+
+# --- work: one pass over each map ---------------------------------------------------
+
+class _Read(dict):
+    """A neighbour map that records each pass over its entries."""
+
+    def __init__(self, vertex, nbrs, log):
+        super().__init__(nbrs)
+        self.vertex, self.log = vertex, log
+
+    def _read(self):
+        self.log.append(self.vertex)
+
+    def items(self):
+        self._read()
+        return super().items()
+
+    def values(self):
+        self._read()
+        return super().values()
+
+    def __iter__(self):
+        self._read()
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("walk", [_scan_walk, _heap_walk])
+@pytest.mark.parametrize("graph", [
+    pytest.param(graph_from_gram(gen_random_gram(200, 1, F(1))), id="gram200"),
+    pytest.param(two_cliques(40), id="cliques40"),
+    pytest.param(hypercube(7), id="cube7"),
+])
+def test_the_first_round_reads_each_map_at_most_twice(graph, walk):
+    # At the least degree, as `_lightest` walks it: one pass for a
+    # vertex's weights, and at most one more to sum its degree for PR2.
+    # The answer is the same as on plain maps.
+    log: list[int] = []
+    plain = dict(enumerate(graph.adjacency))
+    adj = {v: _Read(v, nbrs, log) for v, nbrs in plain.items()}
+    bound = least_degree(plain)
+    assert walk(adj, bound) == walk(plain, bound)
+    assert max(map(log.count, set(log))) <= 2
+    entries = sum(len(plain[v]) for v in log)
+    assert entries <= 2 * sum(map(len, graph.adjacency))
