@@ -15,7 +15,8 @@ can cross-check each other:
 * :func:`karger_stein`: randomized recursive contraction, reproducible
   for a fixed (seed, trials) pair.  It learns lambda before its first
   trial and stops at the first trial whose cut weighs lambda, however
-  many were asked for: the later trials could at most tie, and the
+  many were asked for, and a trial at its first branch whose cut weighs
+  lambda: the later trials and branches could at most tie, and the
   answer is the same.
 * :func:`brute_force_mincut`: exhaustive enumeration, the oracle.
 
@@ -471,7 +472,7 @@ def _side(found: _Found) -> tuple[int, ...]:
 
 
 def _recursive_contraction(state: _SampledContraction,
-                           rng: Xoshiro256StarStar) -> _Found:
+                           rng: Xoshiro256StarStar, least: int) -> _Found:
     """The lighter cut of two branches, each contracted from `state`.
 
     At most `_CONTRACTION_BASE` supervertices, every cut is weighed.  A
@@ -488,6 +489,19 @@ def _recursive_contraction(state: _SampledContraction,
     afterwards; a found cut keeps its state, which nothing changes
     afterwards either.  A branch that runs out of edges first has a cut
     of weight 0, its lowest supervertex alone.
+
+    `least` is the minimum cut's weight, lambda, and a node returns at the
+    first branch whose cut weighs it, with the cut it would return after
+    weighing both:
+    - no cut is lighter, and a node keeps its first branch's cut unless
+      the second's is strictly lighter, so that branch's cut is the
+      node's;
+    - every ancestor then holds lambda and returns too, and so does the
+      trial, so the draws the skipped branches would have made are never
+      read;
+    - contraction keeps the connected components, so a branch runs out
+      of edges exactly when its sibling would: the weight-0 return fires
+      in the first branch or in neither, as before.
     """
     if len(state.adj) <= _CONTRACTION_BASE:
         return (*_min_cut_walk(state.adj, None), state)
@@ -499,7 +513,9 @@ def _recursive_contraction(state: _SampledContraction,
             if edge is None:
                 return 0, 1, branch  # the lowest supervertex, cut off
             branch.merge(*edge)
-        candidate = _recursive_contraction(branch, rng)
+        candidate = _recursive_contraction(branch, rng, least)
+        if candidate[0] == least:
+            return candidate  # no cut is lighter: this cut is the node's
         if best is None or candidate[0] < best[0]:
             best = candidate
     assert best is not None
@@ -520,9 +536,12 @@ def karger_stein(graph: WeightedGraph, seed: int, trials: int) -> Cut:
     first trial, and the trials stop at the first one whose cut weighs
     that much: every later trial could at most tie, and a tie never
     replaces the best cut, so the result is the `Cut` of running them all;
-    skipping a trial changes no other trial's draws.  The prover's first
-    round proves a star's, a uniform complete graph's or a cycle's lambda,
-    with no more rounds.
+    skipping a trial changes no other trial's draws.  Within a trial,
+    `_recursive_contraction` stops at its first branch whose cut weighs
+    that much, for the same reason.  The prover's first round proves a
+    star's, a uniform complete graph's or a cycle's lambda, with no more
+    rounds, and a trial on a cycle or a uniform star weighs one base case:
+    contracting either keeps its minimum cut.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -532,7 +551,7 @@ def karger_stein(graph: WeightedGraph, seed: int, trials: int) -> Cut:
     for trial_seed in derive_seeds(seed, trials):
         rng = Xoshiro256StarStar(trial_seed)
         candidate = _recursive_contraction(
-            _SampledContraction.from_adjacency(adjacency), rng)
+            _SampledContraction.from_adjacency(adjacency), rng, least)
         if best is None or candidate[0] < best[0]:
             best = candidate
         if best[0] == least:

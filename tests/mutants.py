@@ -138,6 +138,21 @@ MUTANTS = (
            ("tests/test_mincut.py::test_ks_runs_its_trials_until_the_first_that_finds_the_minimum_cut",
             "tests/test_contraction_reference.py::test_karger_stein_matches_the_reference_at_the_default_trial_count",
             "tests/test_golden.py::test_svp_stdout_matches_golden")),
+    # A trial's recursion weighs every base case of its tree, though a
+    # branch of weight lambda already fixes every result above it.
+    Mutant("branch-stop-dropped", "mincut.py",
+           "if candidate[0] == least:",
+           "if False:",
+           ("tests/test_contraction_reference.py::test_a_trial_stops_at_its_first_base_case_of_the_minimum_weight",
+            "tests/test_contraction_reference.py::test_a_trial_whose_first_branch_misses_stops_in_its_second",
+            "tests/test_contraction_reference.py::test_a_trial_weighs_the_whole_tree_s_base_cases_up_to_lambda")),
+    # A trial's recursion stops after its first branch, whatever that
+    # branch's cut weighs.
+    Mutant("branch-stop-unproven", "mincut.py",
+           "if candidate[0] == least:",
+           "if True:",
+           ("tests/test_contraction_reference.py::test_karger_stein_matches_the_reference",
+            "tests/test_contraction_reference.py::test_a_trial_whose_first_branch_misses_stops_in_its_second")),
     # Karger-Stein takes one unit below the prover's answer, so a first
     # trial that finds the minimum cut never stops the trials.
     Mutant("stop-bound-one-short", "mincut.py",

@@ -18,10 +18,17 @@ graphs whose weights need a common denominator near the 4096-bit cap,
 on the large tie-heavy Selling graphs of A_n, Z^n and A_n* that the
 golden files do not reach, and on the `svp` graphs of the benchmark's
 `dense_gram` plan, where the current Stoer-Wagner stops at the first
-phase cut that its proofs show minimal; and at the default trial count, where the current Karger-Stein stops once a
-trial's cut is proved minimal while the frozen one runs every trial.
-The running sums of the current `_SampledContraction` are recounted
-after every merge and clone, and each pick must be the frozen pick.
+phase cut that its proofs show minimal; and at the default trial count,
+where the current Karger-Stein stops once a trial's cut is proved
+minimal while the frozen one runs every trial.  Within a trial, the
+current recursion returns at its first branch whose cut weighs the
+minimum, lambda, while the frozen one weighs every base case of its
+tree: on A_100, Z^100 and A_16* it weighs one base case and finds the
+frozen cut, on a graph whose first branch misses lambda it stops in
+the second, and on random graphs it weighs its whole tree's base cases
+up to the first of weight lambda.  The running sums of the current
+`_SampledContraction` are recounted after every merge and clone, and
+each pick must be the frozen pick.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ from latcut.mincut import (  # noqa: E402
     default_trial_count,
 )
 from latcut.rng import Xoshiro256StarStar, derive_seeds  # noqa: E402
-from conftest import hypercube  # noqa: E402
+from conftest import hypercube, random_graph  # noqa: E402
 
 F = Fraction
 
@@ -519,13 +526,101 @@ def test_stoer_wagner_matches_the_reference_on_the_families(gen, n):
 
 
 @pytest.mark.parametrize("gen, n", family_graphs(
-    (gen_an, (16, 24, 32)), (gen_zn, (16, 24, 32)), (gen_anstar, (8, 12, 16))))
+    (gen_an, (16, 24, 32, 100)), (gen_zn, (16, 24, 32, 100)),
+    (gen_anstar, (8, 12, 16))))
 def test_karger_stein_matches_the_reference_on_the_families(gen, n):
     # Many equal-weight cuts: which one wins depends on every contraction.
+    # The frozen trial weighs every base case of its tree, 4096 at n = 100,
+    # where the current one stops at its first.
     graph = graph_from_gram(selling_parameters(gen(n)))
     for seed in range(3):
         assert mincut.karger_stein(graph, seed, 1) == \
             karger_stein(graph, seed, 1)
+
+
+def _tree_leaves(order: int) -> int:
+    """The base cases of a whole recursion tree from `order` supervertices."""
+    if order <= _CONTRACTION_BASE:
+        return 1
+    return 2 * _tree_leaves(_subproblem_size(order))
+
+
+def _base_cases(monkeypatch) -> list[int]:
+    """The weights of the base cases that Karger-Stein weighs from now on,
+    in the order it weighs them; brute force's walks are not counted."""
+    weights = []
+    walk = mincut._min_cut_walk
+
+    def counted(adj, key):
+        found = walk(adj, key)
+        if key is None:
+            weights.append(found[0])
+        return found
+
+    monkeypatch.setattr(mincut, "_min_cut_walk", counted)
+    return weights
+
+
+@pytest.mark.parametrize("gen, n, leaves", [
+    pytest.param(gen_an, 100, 4096, id="an100"),
+    pytest.param(gen_zn, 100, 4096, id="zn100"),
+    pytest.param(gen_anstar, 16, 64, id="anstar16"),
+])
+def test_a_trial_stops_at_its_first_base_case_of_the_minimum_weight(
+        monkeypatch, gen, n, leaves):
+    # A trial's whole tree has `leaves` base cases, and the frozen trial
+    # weighs them all.  A contracted cycle is a cycle and a contracted
+    # star keeps its unmerged leaves, so the first base case of the cycle
+    # or the star, and here of the complete graph, already weighs lambda,
+    # and the trial stops there.
+    graph = graph_from_gram(selling_parameters(gen(n)))
+    assert _tree_leaves(graph.vertex_count) == leaves
+    weights = _base_cases(monkeypatch)
+    for seed in range(3):
+        weights.clear()
+        mincut.karger_stein(graph, seed, 1)
+        assert len(weights) == 1
+
+
+def test_a_trial_whose_first_branch_misses_stops_in_its_second(monkeypatch):
+    # 8 vertices branch to 7 and then to 6, so a trial's tree has two
+    # branches of two base cases each.  At seed 0 both base cases of the
+    # first branch miss lambda, the first of the second finds it, and the
+    # last is never weighed.
+    graph = random_graph(8, seed=11)
+    least = brute_force_mincut(graph).weight * graph.scale
+    assert _tree_leaves(graph.vertex_count) == 4
+    weights = _base_cases(monkeypatch)
+    cut = mincut.karger_stein(graph, 0, 1)
+    assert len(weights) == 3
+    assert min(weights[:2]) > least == weights[2]
+    assert cut == karger_stein(graph, 0, 1)
+
+
+@settings(max_examples=200)
+@given(graphs(most=13), st.integers(0, 2 ** 64 - 1))
+def test_a_trial_weighs_the_whole_tree_s_base_cases_up_to_lambda(
+        graph, seed):
+    # No cut weighs -1, so a trial told so walks its whole tree.  A trial
+    # told lambda weighs the same base cases, in the same order, up to
+    # the first of weight lambda, and finds the same cut: the draws it
+    # skips are never read.
+    least = mincut._lightest(graph.adjacency)[0]
+    found = {}
+    with pytest.MonkeyPatch.context() as patch:
+        weights = _base_cases(patch)
+        for told in (-1, least):
+            weights.clear()
+            best = mincut._recursive_contraction(
+                mincut._SampledContraction.from_adjacency(graph.adjacency),
+                Xoshiro256StarStar(seed), told)
+            found[told] = best[0], mincut._side(best), list(weights)
+    assert found[least][:2] == found[-1][:2]
+    whole, stopped = found[-1][2], found[least][2]
+    if least in whole:
+        assert stopped == whole[:whole.index(least) + 1]
+    else:
+        assert stopped == whole
 
 
 @settings(max_examples=400)
