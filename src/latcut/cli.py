@@ -54,6 +54,9 @@ from .pipeline import (
 # never held whole.
 _CHUNK_LINES = 1024
 
+# The text labels of `svp`'s answer that are not its JSON keys.
+_LABELS = {"squared_length": "squared length", "coordinates": "vector"}
+
 # Each header kind's lattice class, number of sizes and usage.
 _KINDS = {"superbase": (Superbase, 2, "superbase <count> <m>"),
           "gram": (GramMatrix, 1, "gram <count>")}
@@ -315,10 +318,6 @@ def _load(parsed: Superbase | GramMatrix) -> Superbase | GramMatrix:
     return parsed
 
 
-def _indices_1based(subset) -> list[int]:
-    return [i + 1 for i in subset]
-
-
 def _warn_ignored(flags, unless: str, stderr) -> None:
     """Warn on stderr that the flags given a value are ignored unless `unless`."""
     ignored = [flag for flag, value in flags if value is not None]
@@ -338,31 +337,20 @@ def _cmd_svp(args, stdin, stdout, stderr) -> int:
     if args.algorithm == "karger" and trials is None:
         trials = default_trial_count(lattice.n + 1)
     result = short_vector(lattice, args.algorithm, seed=seed, trials=trials)
-    coordinates = None
+    answer: dict = {"subset": [i + 1 for i in result.subset],
+                    "squared_length": str(result.squared_length)}
     if result.coordinates is not None:
-        coordinates = [str(x) for x in result.coordinates]
+        answer["coordinates"] = [str(x) for x in result.coordinates]
+    answer["algorithm"] = args.algorithm
+    if args.algorithm == "karger":
+        answer |= {"seed": seed, "trials": trials}
     if args.json:
-        payload: dict = {
-            "subset": _indices_1based(result.subset),
-            "squared_length": str(result.squared_length),
-        }
-        if coordinates is not None:
-            payload["coordinates"] = coordinates
-        payload["algorithm"] = args.algorithm
-        if args.algorithm == "karger":
-            payload["seed"] = seed
-            payload["trials"] = trials
-        text = json.dumps(payload)
+        text = json.dumps(answer)
     else:
-        lines = [
-            "subset: " + " ".join(map(str, _indices_1based(result.subset))),
-            f"squared length: {result.squared_length}"]
-        if coordinates is not None:
-            lines.append("vector: " + " ".join(coordinates))
-        lines.append(f"algorithm: {args.algorithm}")
-        if args.algorithm == "karger":
-            lines += [f"seed: {seed}", f"trials: {trials}"]
-        text = "\n".join(lines)
+        text = "\n".join(
+            f"{_LABELS.get(key, key)}: "
+            f"{' '.join(map(str, value)) if isinstance(value, list) else value}"
+            for key, value in answer.items())
     print(text, file=stdout)  # whole, so an unprintable answer prints nothing
     return 0
 

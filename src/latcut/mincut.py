@@ -34,7 +34,8 @@ because each stops on a proof from the graph alone, never on another
 route's answer.  The phases and the rounds share two walks of one
 maximum-adjacency order, :func:`_scan_walk` for dense graphs and
 :func:`_heap_walk` for sparse ones, chosen by :func:`_walk` from the
-graph's own edge count.
+graph's own edge count; both take each vertex's PR4/PR2 term from one
+rule, :func:`_term`.
 
 A :class:`WeightedGraph` holds its rational weights as Python ints over
 one common denominator, fixed when it is built: a Gram matrix's own, or
@@ -55,10 +56,11 @@ loops run at list speed and the tables hold O(2^(|V|/2)) entries.  Each
 caller breaks ties by a total order of its own, so the answer does not
 depend on the walk order: brute force takes the smallest (weight, size,
 sorted indices), the base case the smallest (weight, mask over the
-sorted supervertices).  Karger-Stein keeps the total edge weight
-and each vertex's upper-row sum up to date across merges, by one rule:
-edge {a, b} counts in the sum of min(a, b).  So a pick skips whole rows
-and sorts only the one it lands in.
+sorted supervertices), and it reads its side's members from the state
+at once, so a found cut carries its own side.  Karger-Stein keeps the
+total edge weight and each vertex's upper-row sum up to date across
+merges, by one rule: edge {a, b} counts in the sum of min(a, b).  So a
+pick skips whole rows and sorts only the one it lands in.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from operator import add, sub
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -88,11 +91,6 @@ _CONTRACTION_BASE = 6
 # 9|E| <= |V|^2 <= 15|E| and 1.06-1.43 times where |V|^2 >= 18|E| (the
 # sweep is in CHANGES.md).
 _SCAN_DENSITY = 8
-
-# A cut Karger-Stein found: (weight over the graph's common denominator,
-# side mask over the state's supervertices in ascending order, state).
-# Only the winner's side is gathered, by `_side`.
-_Found = tuple[int, int, "_Contraction"]
 
 # What a walk gives: (s, t, t's key, low, joined); see `_scan_walk`.
 _Order = tuple[int, int, int, int, list[tuple[int, int]]]
@@ -247,27 +245,26 @@ def _scan_walk(adj: dict[int, dict[int, int]], bound: float) -> _Order:
     adds t's weights to the keys it reaches, sums t's paths, min(key,
     weight) with each key read before its update, and finds the next
     vertex.  s and t are the last two vertices added; low is the least,
-    over the vertices added after the first, of key plus paths, or of the
-    vertex's degree where the PR2 test lets it (see `_lightest`).  Only a
-    vertex whose key plus paths is below the least so far can lower low,
-    so only its degree is summed.  joined lists each edge (t, u) whose q,
-    u's key just after t's weight is added, reaches `bound` (see
-    `_lightest`).  Such a key is at most the largest key left, so t's map
-    is read for them only when that key reaches `bound`: the phases after
-    the first, whose bound is infinite, pay one test per vertex.  The
-    bound changes only `joined`, never the order.  `key` is built
-    ascending and only ever popped, so the walk meets the keys in
-    ascending order, and the first largest key it meets is the lowest
-    index among the largest.
+    over the vertices added after the first, of `_term`: key plus paths,
+    or the vertex's degree where the PR2 test lets it (see `_lightest`).
+    Only a vertex whose key plus paths is below the least so far can
+    lower low, so only then is `_term` called and the degree summed.
+    joined lists each edge (t, u) whose q, u's key just after t's weight
+    is added, reaches `bound` (see `_lightest`); the first vertex's are
+    its edges of weight at least `bound`, as in `_heap_walk`.  A later
+    such key is at most the largest key left, so t's map is read for them
+    only when that key reaches `bound`: the phases after the first, whose
+    bound is infinite, pay one test per vertex.  The bound changes only
+    `joined`, never the order.  `key` is built ascending and only ever
+    popped, so the walk meets the keys in ascending order, and the first
+    largest key it meets is the lowest index among the largest.
     """
     key = dict.fromkeys(adj, 0)
     t = next(iter(key))
     del key[t]
     key.update(adj[t])
     v = max(key, key=key.__getitem__)
-    joined = []
-    if key[v] >= bound:  # an edge of the first vertex reaches it
-        joined += [(t, u) for u in adj[t] if key[u] >= bound]
+    joined = [(t, u) for u, w in adj[t].items() if w >= bound]
     s = t
     low = math.inf
     while key:
@@ -284,25 +281,22 @@ def _scan_walk(adj: dict[int, dict[int, int]], bound: float) -> _Order:
                 top, v = k, u
         if top >= bound:  # an edge of t may reach it
             joined += [(t, u) for u in nbrs if key.get(u, 0) >= bound]
-        least = last + paths
-        if least < low:
-            degree = sum(nbrs.values())
-            if least < degree <= 2 * last:
-                least = degree if degree < low else low
-            low = least
+        if last + paths < low:
+            low = _term(last, paths, nbrs, low)
     return s, t, last, low, joined
 
 
 def _heap_walk(adj: dict[int, dict[int, int]], bound: float) -> _Order:
     """One maximum-adjacency order from a heap: what `_scan_walk` gives.
 
-    The keys and the heap start from the first vertex's weights.  The
-    heap holds only vertices of positive key, the largest key and then the
-    lowest index first; a stale entry is below its vertex's key and is
-    skipped.  When the heap is empty every key left is 0, and the lowest
-    unreached vertex goes next.  The walk over an added vertex's
-    neighbours sums its paths, which lower `low` as in `_scan_walk`, and
-    lists each edge whose q, the key it has just pushed, reaches `bound`.
+    The keys and the heap start from the first vertex's weights, so the
+    heap starts with its neighbours.  The heap holds only vertices of
+    positive key, the largest key and then the lowest index first; a
+    stale entry is below its vertex's key and is skipped.  When the heap
+    is empty every key left is 0, and the lowest unreached vertex goes
+    next.  The walk over an added vertex's neighbours sums its paths,
+    which lower `low` through `_term` as in `_scan_walk`, and lists each
+    edge whose q, the key it has just pushed, reaches `bound`.
     """
     key = dict.fromkeys(adj, 0)
     t = next(iter(key))
@@ -329,13 +323,19 @@ def _heap_walk(adj: dict[int, dict[int, int]], bound: float) -> _Order:
                 heappush(heap, (-k, u))
                 if k >= bound:
                     joined.append((v, u))
-        least = last + paths
-        if least < low:
-            degree = sum(adj[v].values())
-            if least < degree <= 2 * last:
-                least = degree if degree < low else low
-            low = least
+        if last + paths < low:
+            low = _term(last, paths, adj[v], low)
     return s, t, last, low, joined
+
+
+def _term(last: int, paths: int, nbrs: dict[int, int], low: float) -> float:
+    """A walk's new `low` after it adds a vertex whose key `last` plus
+    `paths` is below `low`: that sum, PR4's term, or the vertex's degree,
+    at most `low`, where PR2 lifts the term to it (see `_lightest`)."""
+    degree = sum(nbrs.values())
+    if last + paths < degree <= 2 * last:
+        return degree if degree < low else low
+    return last + paths
 
 
 def default_trial_count(vertex_count: int) -> int:
@@ -354,10 +354,11 @@ def _subproblem_size(order: int) -> int:
 class _Contraction:
     """Mutable contraction state: surviving vertices with integer-weight
     neighbor maps, and the original vertices each one absorbed.  `adj`
-    iterates in ascending vertex order (built so; `merge` only deletes
-    keys; `clone` copies in order), so nothing sorts it; neighbor maps
-    have no order.  `members` values are immutable tuples: `merge`
-    rebinds them, so `clone` copies only the dict."""
+    and `members` iterate in ascending vertex order (built so; `merge`
+    only deletes keys and rebinds values), so nothing sorts them; neighbor
+    maps have no order.  `members` values are immutable tuples: `merge`
+    rebinds them, so a tuple read from a state never changes, and a copy
+    of the state copies only the dict."""
 
     __slots__ = ("adj", "members")
 
@@ -373,12 +374,6 @@ class _Contraction:
             {v: dict(nbrs) for v, nbrs in enumerate(adj)},
             {v: (v,) for v in range(len(adj))},
         )
-
-    def clone(self) -> "_Contraction":
-        twin = object.__new__(type(self))
-        twin.adj = {v: dict(nbrs) for v, nbrs in self.adj.items()}
-        twin.members = dict(self.members)
-        return twin
 
     def merge(self, keep: int, drop: int) -> None:
         """Contract `drop` into `keep`, adding up parallel edge weights."""
@@ -400,8 +395,8 @@ class _SampledContraction(_Contraction):
 
     It keeps two running sums: `total`, the weight of all edges, and
     `upper[i]`, the weight of the edges {i, j} with j > i, keyed in the
-    same ascending order as `adj`.  `merge` updates both in O(deg drop);
-    `clone` copies them."""
+    same ascending order as `adj`.  `merge` updates both in O(deg drop).
+    Only these states are cloned, by Karger-Stein's branches."""
 
     __slots__ = ("total", "upper")
 
@@ -413,7 +408,9 @@ class _SampledContraction(_Contraction):
         self.total = sum(self.upper.values())
 
     def clone(self) -> "_SampledContraction":
-        twin = super().clone()
+        twin = object.__new__(_SampledContraction)
+        twin.adj = {v: dict(nbrs) for v, nbrs in self.adj.items()}
+        twin.members = dict(self.members)
         twin.total = self.total
         twin.upper = dict(self.upper)
         return twin
@@ -463,17 +460,12 @@ class _SampledContraction(_Contraction):
         raise AssertionError("weighted edge walk must terminate")
 
 
-def _side(found: _Found) -> tuple[int, ...]:
-    """The original vertices on the masked side of a found cut, sorted."""
-    _, mask, state = found
-    side = [m for k, v in enumerate(state.adj) if mask >> k & 1
-            for m in state.members[v]]
-    return tuple(sorted(side))
-
-
 def _recursive_contraction(state: _SampledContraction,
-                           rng: Xoshiro256StarStar, least: int) -> _Found:
-    """The lighter cut of two branches, each contracted from `state`.
+                           rng: Xoshiro256StarStar, least: int
+                           ) -> tuple[int, list[tuple[int, ...]]]:
+    """The lighter cut of two branches, each contracted from `state`, as
+    (weight, parts): parts are the `members` of the supervertices on its
+    side, read from the state as the cut is weighed.
 
     At most `_CONTRACTION_BASE` supervertices, every cut is weighed.  A
     side is a mask over the supervertices in ascending order, so it
@@ -486,9 +478,8 @@ def _recursive_contraction(state: _SampledContraction,
     Otherwise each branch contracts random edges, picked by weight, down
     to `_subproblem_size` supervertices and recurses.  The first branch
     contracts a copy and the second `state` itself, which nothing reads
-    afterwards; a found cut keeps its state, which nothing changes
-    afterwards either.  A branch that runs out of edges first has a cut
-    of weight 0, its lowest supervertex alone.
+    afterwards.  A branch that runs out of edges first has a cut of
+    weight 0, its lowest supervertex alone.
 
     `least` is the minimum cut's weight, lambda, and a node returns at the
     first branch whose cut weighs it, with the cut it would return after
@@ -504,14 +495,16 @@ def _recursive_contraction(state: _SampledContraction,
       in the first branch or in neither, as before.
     """
     if len(state.adj) <= _CONTRACTION_BASE:
-        return (*_min_cut_walk(state.adj, None), state)
+        weight, mask = _min_cut_walk(state.adj, None)
+        return weight, [state.members[v] for k, v in enumerate(state.adj)
+                        if mask >> k & 1]
     target = _subproblem_size(len(state.adj))
-    best: _Found | None = None
+    best = None
     for branch in (state.clone(), state):
         while len(branch.adj) > target:
             edge = branch.pick_weighted_edge(rng)
-            if edge is None:
-                return 0, 1, branch  # the lowest supervertex, cut off
+            if edge is None:  # the lowest supervertex, cut off
+                return 0, [branch.members[min(branch.adj)]]
             branch.merge(*edge)
         candidate = _recursive_contraction(branch, rng, least)
         if candidate[0] == least:
@@ -541,13 +534,14 @@ def karger_stein(graph: WeightedGraph, seed: int, trials: int) -> Cut:
     that much, for the same reason.  The prover's first round proves a
     star's, a uniform complete graph's or a cycle's lambda, with no more
     rounds, and a trial on a cycle or a uniform star weighs one base case:
-    contracting either keeps its minimum cut.
+    contracting either keeps its minimum cut.  A trial's cut carries the
+    members of its side, so the winner's side is their sorted union.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     adjacency = graph.adjacency
     least = _lightest(adjacency)[0]  # the minimum cut's weight
-    best: _Found | None = None
+    best = None
     for trial_seed in derive_seeds(seed, trials):
         rng = Xoshiro256StarStar(trial_seed)
         candidate = _recursive_contraction(
@@ -557,7 +551,8 @@ def karger_stein(graph: WeightedGraph, seed: int, trials: int) -> Cut:
         if best[0] == least:
             break
     assert best is not None
-    return Cut(_side(best), Fraction(best[0], graph.scale))
+    return Cut(tuple(sorted(chain.from_iterable(best[1]))),
+               Fraction(best[0], graph.scale))
 
 
 def _lightest(adjacency: Sequence[dict[int, int]]) -> tuple[int, _Order]:

@@ -134,15 +134,21 @@ def brute_force_short_vector(g: GramMatrix) -> ShortVectorResult:
     """
     _check_square(g.rows)
     size = g.size
-    if size > BRUTE_FORCE_LIMIT:
-        raise TooLarge(
-            f"{2 ** size - 2} subsets at n + 1 = {size}; the exhaustive "
-            f"limit is {BRUTE_FORCE_LIMIT}"
-        )
+    _refuse_past_limit(size, "subsets")
     subsets = (tuple(i for i in range(size) if mask >> i & 1)
                for mask in range(1, (1 << size) - 1))
     total, _, subset = min((_scaled_form(g.rows, s), len(s), s) for s in subsets)
     return ShortVectorResult(subset, Fraction(total, g.scale))
+
+
+def _refuse_past_limit(size: int, noun: str) -> None:
+    """Raise TooLarge, naming the 2^size - 2 `noun`, past the exhaustive
+    limit of `size` = n + 1 vectors."""
+    if size > BRUTE_FORCE_LIMIT:
+        raise TooLarge(
+            f"{2 ** size - 2} {noun} at n + 1 = {size}; the exhaustive "
+            f"limit is {BRUTE_FORCE_LIMIT}"
+        )
 
 
 def candidate_vectors(sb: Superbase) -> list[Candidate]:
@@ -193,11 +199,7 @@ def _candidates(sb: Superbase, label: Callable[[tuple[int, ...]], Any]
     """
     _check_vectors(sb.rows)
     size = len(sb.rows)
-    if size > BRUTE_FORCE_LIMIT:
-        raise TooLarge(
-            f"{2 ** size - 2} candidates at n + 1 = {size}; the exhaustive "
-            f"limit is {BRUTE_FORCE_LIMIT}"
-        )
+    _refuse_past_limit(size, "candidates")
     cut = size // 2
     high, low = _parts(sb, 0, size - cut), _parts(sb, size - cut, cut)
     shift = size + size.bit_length()

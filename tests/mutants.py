@@ -131,6 +131,11 @@ MUTANTS = (
            "            len(text.splitlines()),",
            ("tests/test_cli.py::test_the_first_bad_token_of_a_row_is_reported",
             "tests/test_text_reference.py::test_the_parser_matches_a_line_by_line_reference")),
+    # `svp` labels its coordinates by their JSON key, not as the vector.
+    Mutant("coordinates-label-dropped", "cli.py",
+           ', "coordinates": "vector"}',
+           "}",
+           ("tests/test_golden.py::test_svp_stdout_matches_golden",)),
     # Karger-Stein stops after its first trial, its cut unproven.
     Mutant("stop-without-proof", "mincut.py",
            "if best[0] == least:",
@@ -206,11 +211,9 @@ MUTANTS = (
     # A scan walk's `low` as the largest key plus paths, not the least.
     Mutant("scan-low-by-max", "mincut.py",
            "key.get(u, 0) >= bound]\n"
-           "        least = last + paths\n"
-           "        if least < low:",
+           "        if last + paths < low:",
            "key.get(u, 0) >= bound]\n"
-           "        least = last + paths\n"
-           "        if low == math.inf or least > low:",
+           "        if low == math.inf or last + paths > low:",
            ("tests/test_certificate.py::test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut",
             "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference")),
     # A scan walk adds the last of the largest keys, not the first, so
@@ -222,48 +225,30 @@ MUTANTS = (
     # A heap walk's `low` as the largest key plus paths, not the least.
     Mutant("heap-low-by-max", "mincut.py",
            "                    joined.append((v, u))\n"
-           "        least = last + paths\n"
-           "        if least < low:",
+           "        if last + paths < low:",
            "                    joined.append((v, u))\n"
-           "        least = last + paths\n"
-           "        if low == math.inf or least > low:",
+           "        if low == math.inf or last + paths > low:",
            ("tests/test_certificate.py::test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut",
             "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference_when_it_stops_early")),
-    # A scan walk's PR2 at three times the key, not twice: moving the
+    # Both walks' PR2 at three times the key, not twice: moving the
     # vertex across a cut may then make it heavier, so its degree can
     # pass the minimum cut.
-    Mutant("scan-pr2-at-three-keys", "mincut.py",
-           "sum(nbrs.values())\n"
-           "            if least < degree <= 2 * last:",
-           "sum(nbrs.values())\n"
-           "            if least < degree <= 3 * last:",
-           ("tests/test_certificate.py::test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut",
+    Mutant("pr2-at-three-keys", "mincut.py",
+           "<= 2 * last:",
+           "<= 3 * last:",
+           ("tests/test_certificate.py::test_the_term_of_a_vertex_by_pr4_or_lifted_by_pr2",
+            "tests/test_certificate.py::test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut",
             "tests/test_certificate.py::test_the_prover_gives_the_minimum_cut_and_its_first_round")),
-    # The same in a heap walk.
-    Mutant("heap-pr2-at-three-keys", "mincut.py",
-           "sum(adj[v].values())\n"
-           "            if least < degree <= 2 * last:",
-           "sum(adj[v].values())\n"
-           "            if least < degree <= 3 * last:",
-           ("tests/test_certificate.py::test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut",
-            "tests/test_certificate.py::test_the_prover_gives_the_minimum_cut_and_its_first_round")),
-    # A scan walk's `low` by PR4 alone: sound, but a cycle's first round
-    # reads 1, not 2, and the rounds must prove it.
-    Mutant("scan-without-pr2", "mincut.py",
-           "            degree = sum(nbrs.values())\n"
-           "            if least < degree <= 2 * last:\n"
-           "                least = degree if degree < low else low\n",
+    # Both walks' `low` by PR4 alone: sound, but a cycle's first round
+    # reads 1, not 2, and the rounds must prove it; the heap walk walks
+    # the large cycles, so A_n's Selling graph then needs its rounds.
+    Mutant("without-pr2", "mincut.py",
+           "    if last + paths < degree <= 2 * last:\n"
+           "        return degree if degree < low else low\n",
            "",
-           ("tests/test_certificate.py::test_pr2_lifts_the_cycle_s_bound_from_one_to_two",
-            "tests/test_certificate.py::test_proves_the_cycle")),
-    # The same in a heap walk, which walks the large cycles: A_n's
-    # Selling graph then needs its rounds.
-    Mutant("heap-without-pr2", "mincut.py",
-           "            degree = sum(adj[v].values())\n"
-           "            if least < degree <= 2 * last:\n"
-           "                least = degree if degree < low else low\n",
-           "",
-           ("tests/test_certificate.py::test_pr2_lifts_the_cycle_s_bound_from_one_to_two",
+           ("tests/test_certificate.py::test_the_term_of_a_vertex_by_pr4_or_lifted_by_pr2",
+            "tests/test_certificate.py::test_pr2_lifts_the_cycle_s_bound_from_one_to_two",
+            "tests/test_certificate.py::test_proves_the_cycle",
             "tests/test_certificate.py::test_proves_the_family_graphs",
             "tests/test_mincut.py::test_ks_proves_a_cycle_with_no_round")),
     # A scan walk's paths summed from keys already updated.
@@ -319,6 +304,14 @@ MUTANTS = (
            "                paths += k if k < w else w\n",
            ("tests/test_certificate.py::test_the_phase_bound_lies_between_the_keys_and_the_minimum_cut",
             "tests/test_contraction_reference.py::test_stoer_wagner_matches_the_reference_when_it_stops_early")),
+    # The Karger-Stein base case gathers the members of the supervertices
+    # off its side: the same weight, the complement side.
+    Mutant("base-case-gathers-the-unmasked", "mincut.py",
+           "if mask >> k & 1]",
+           "if not mask >> k & 1]",
+           ("tests/test_walks.py::test_exhaustive_cut_matches_on_merged_states",
+            "tests/test_walks.py::test_a_found_cut_keeps_its_side_as_its_state_merges_on",
+            "tests/test_contraction_reference.py::test_karger_stein_matches_the_reference")),
     # The exhaustive walker weighs the full side, of weight 0, too.
     Mutant("walk-keeps-the-full-side", "mincut.py",
            "sides = lows if part != full else lows[:-1]",

@@ -24,7 +24,8 @@ changes nothing else.
 
 The walk's bound: `low` takes, for each vertex added after the first,
 its key plus paths (Padberg and Rinaldi's PR4), or its degree where the
-PR2 test lets it, and keeps the least.  It lies between the PR4 bound
+PR2 test lets it, and keeps the least; `_term`, shared by both walks,
+gives each such term.  It lies between the PR4 bound
 of a plain maximum-adjacency order, itself at least the smallest key,
 and the true minimum cut, which brute force gives here.  The first
 round's `low` must reach the minimum cut on cycles, where PR4 alone
@@ -56,6 +57,7 @@ from latcut.mincut import (  # noqa: E402
     _heap_walk,
     _lightest,
     _scan_walk,
+    _term,
 )
 from conftest import hypercube  # noqa: E402
 
@@ -284,6 +286,20 @@ def test_pr2_lifts_the_cycle_s_bound_from_one_to_two(count):
     adj = dict(enumerate(cycle(count).adjacency))
     assert path_bound(adj) == 1
     assert both_walks(adj, math.inf)[3] == both_walks(adj, 2)[3] == 2
+
+
+def test_the_term_of_a_vertex_by_pr4_or_lifted_by_pr2():
+    # Key 3 and paths 1: PR4's term is 4.  A degree of 4 or less is no
+    # more than that, and one above twice the key, 6, lets PR2 prove
+    # nothing, so the term stays 4.
+    assert _term(3, 1, {0: 1, 1: 3}, math.inf) == 4
+    assert _term(3, 1, {0: 3, 1: 4}, math.inf) == 4
+    # A degree of 5 or 6 is above the term and at most twice the key:
+    # PR2 lifts the term to it.
+    assert _term(3, 1, {0: 3, 1: 2}, math.inf) == 5
+    assert _term(3, 1, {0: 3, 1: 3}, 7) == 6
+    # ... but never above the least term so far.
+    assert _term(3, 1, {0: 3, 1: 3}, 5) == 5
 
 
 def least_degree(adj) -> int:

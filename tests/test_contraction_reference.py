@@ -28,7 +28,8 @@ frozen cut, on a graph whose first branch misses lambda it stops in
 the second, and on random graphs it weighs its whole tree's base cases
 up to the first of weight lambda.  The running sums of the current
 `_SampledContraction` are recounted after every merge and clone, and
-each pick must be the frozen pick.
+each pick must be the frozen pick.  On family, hypercube and Gram
+graphs, the walks and graph copies of each Stoer-Wagner run are counted.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import operator
 import sys
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -614,7 +616,8 @@ def test_a_trial_weighs_the_whole_tree_s_base_cases_up_to_lambda(
             best = mincut._recursive_contraction(
                 mincut._SampledContraction.from_adjacency(graph.adjacency),
                 Xoshiro256StarStar(seed), told)
-            found[told] = best[0], mincut._side(best), list(weights)
+            found[told] = (best[0], tuple(sorted(chain.from_iterable(best[1]))),
+                           list(weights))
     assert found[least][:2] == found[-1][:2]
     whole, stopped = found[-1][2], found[least][2]
     if least in whole:

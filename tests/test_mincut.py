@@ -1,3 +1,16 @@
+"""The min-cut API on small and family graphs, route by route.
+
+`WeightedGraph.from_edges`, `graph_from_gram` and `cut_weight` on the
+A_3, A_3* and example3d graphs; `stoer_wagner` against brute force on
+the families and on random graphs, disconnected ones included; and
+`karger_stein`'s contract: exact on small graphs, reproducible for a
+fixed (seed, trials), never below the optimum, stopped at the first
+trial whose cut the prover shows minimal, with the prover asked once
+per call by each route, and a cycle proved with no round after the
+first.  `brute_force_mincut`'s tie-breaks and size limit, and the
+common-denominator cap, close the file.
+"""
+
 import tracemalloc
 from fractions import Fraction
 

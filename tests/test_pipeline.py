@@ -366,6 +366,15 @@ def test_brute_force_size_guard():
         brute_force_short_vector(GramMatrix(tuple(map(tuple, entries)), 1))
 
 
+def test_brute_force_refusal_names_the_subsets_at_n_plus_1_25():
+    # The same words as `candidates`' refusal, pinned in
+    # tests/golden_candidates.json, with "subsets" for "candidates".
+    with pytest.raises(TooLarge) as refused:
+        brute_force_short_vector(GramMatrix(((0,) * 25,) * 25, 1))
+    assert str(refused.value) == \
+        "33554430 subsets at n + 1 = 25; the exhaustive limit is 24"
+
+
 # --- candidate_vectors ----------------------------------------------------------
 
 def test_a2_candidates_are_the_six_unit_differences():

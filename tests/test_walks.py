@@ -5,7 +5,9 @@ on a contraction state's maps with ties broken by the mask, weigh their
 sides from half tables: the cut of vertex 0 joined with every part of a
 low and of a high half, and each high vertex's weight into every low
 part, then a walk over the high parts in Gray-code order that moves one
-high vertex's row per step and takes one `min` per part.
+high vertex's row per step and takes one `min` per part.  The base case
+returns the member tuples of its side's supervertices, which later
+merges of its state leave alone.
 `candidate_vectors` and `latcut candidates` sort one packed integer key
 per subset.  The reference enumerators below are the straightforward
 loops: every subset in ascending mask order, each summed from scratch.
@@ -27,6 +29,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -52,7 +55,8 @@ from latcut import (  # noqa: E402
 from latcut.cli import format_superbase, run_cli  # noqa: E402
 from latcut.generators import gen_anstar  # noqa: E402
 from latcut.lattice import _entries  # noqa: E402
-from latcut.mincut import _Contraction, _min_cut_walk, _side  # noqa: E402
+from latcut import mincut  # noqa: E402
+from latcut.mincut import _Contraction  # noqa: E402
 
 F = Fraction
 
@@ -80,10 +84,19 @@ def reference_brute_force_mincut(graph):
     return Cut(best[2], Fraction(best[0], scale))
 
 
+def base_case(state):
+    """The Karger-Stein base case on `state`, whatever its size: (weight,
+    the members of each supervertex on its side).  It reads neither the
+    generator nor lambda."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mincut, "_CONTRACTION_BASE", len(state.adj))
+        return mincut._recursive_contraction(state, None, None)
+
+
 def exhaustive_cut(state):
     """The base case's (weight, sorted side)."""
-    weight, mask = _min_cut_walk(state.adj, None)
-    return weight, _side((weight, mask, state))
+    weight, parts = base_case(state)
+    return weight, tuple(sorted(chain.from_iterable(parts)))
 
 
 def reference_exhaustive_cut(state):
@@ -231,6 +244,19 @@ def test_exhaustive_cut_matches_the_ascending_enumeration(state):
     adj = {v: dict(nbrs) for v, nbrs in state.adj.items()}
     assert exhaustive_cut(state) == reference_exhaustive_cut(state)
     assert state.adj == adj  # the walk leaves the state alone
+
+
+@given(contraction_states(), st.data())
+def test_a_found_cut_keeps_its_side_as_its_state_merges_on(state, data):
+    """The base case reads its side's members as it weighs the cut, so
+    merging the state it weighed, down to one supervertex, changes no
+    part of the side the cut carries."""
+    expected = reference_exhaustive_cut(state)
+    weight, parts = base_case(state)
+    while len(state.adj) > 1:
+        keep, drop = data.draw(st.permutations(list(state.adj)))[:2]
+        state.merge(keep, drop)
+        assert (weight, tuple(sorted(chain.from_iterable(parts)))) == expected
 
 
 def test_walks_match_on_every_small_unit_weight_graph():
